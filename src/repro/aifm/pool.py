@@ -107,7 +107,11 @@ class ObjectPool:
         #: cycles`` and the access proceeds locally instead of raising.
         self.degraded_handler: Optional[Callable[[int], float]] = None
         self.object_size = config.object_size
+        # Fixed geometry, computed once: the guard's object id is one
+        # shift and its range check one comparison (``config`` is not
+        # consulted again on the hot path).
         self.object_shift = log2_exact(config.object_size)
+        self.num_objects = config.num_objects
         self.residency = ResidencySet(
             config.local_capacity_objects, use_clock=config.use_clock
         )
@@ -122,7 +126,7 @@ class ObjectPool:
         #: Built vectorized: remote word = REMOTE | size << 38 | obj_id.
         size_field = min(self.object_size, (1 << 16) - 1)
         base = np.uint64(encode_remote(0, size_field))
-        self._meta = np.arange(config.num_objects, dtype=np.uint64)
+        self._meta = np.arange(self.num_objects, dtype=np.uint64)
         self._meta |= base  # in place: fast even for multi-GB heaps
 
     # -- metadata ---------------------------------------------------------
@@ -133,8 +137,9 @@ class ObjectPool:
         return self.backend.integrity
 
     def meta_word(self, obj_id: int) -> int:
-        self._check_id(obj_id)
-        return int(self._meta[obj_id])
+        if not 0 <= obj_id < self.num_objects:
+            self._check_id(obj_id)  # raises
+        return self._meta.item(obj_id)
 
     def meta(self, obj_id: int) -> ObjectMeta:
         word = self.meta_word(obj_id)
@@ -148,9 +153,9 @@ class ObjectPool:
         return (self.meta_word(obj_id) & UNSAFE_MASK) == 0
 
     def _check_id(self, obj_id: int) -> None:
-        if not 0 <= obj_id < self.config.num_objects:
+        if not 0 <= obj_id < self.num_objects:
             raise PointerError(
-                f"object id {obj_id} out of range [0, {self.config.num_objects})"
+                f"object id {obj_id} out of range [0, {self.num_objects})"
             )
 
     def _set_local(self, obj_id: int, dirty: bool) -> None:
@@ -378,7 +383,7 @@ class ObjectPool:
         size_field = min(self.object_size, (1 << 16) - 1)
         base = np.uint64(encode_remote(0, size_field))
         # In place: the TrackFM state table aliases this buffer.
-        self._meta[:] = np.arange(self.config.num_objects, dtype=np.uint64) | base
+        self._meta[:] = np.arange(self.num_objects, dtype=np.uint64) | base
         for obj_id in self.residency.resident_ids():
             self._set_local(obj_id, dirty=self.residency.is_dirty(obj_id))
 

@@ -161,7 +161,7 @@ class AIFMRuntime:
                 scope.pin(obj_id)
         if self.prefetcher is not None and prefetch:
             for target in self.prefetcher.observe(first, stream=stream):
-                if 0 <= target < self.pool.config.num_objects:
+                if 0 <= target < self.pool.num_objects:
                     cycles += self.pool.prefetch(target)
         self.metrics.accesses += 1
         self.metrics.cycles += cycles

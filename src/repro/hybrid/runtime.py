@@ -509,7 +509,7 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         """``(first_obj, count)`` of the region, clipped to the heap."""
         per_region = self.region_bytes // self.object_size
         first = region * per_region
-        count = max(0, min(per_region, self.pool.config.num_objects - first))
+        count = max(0, min(per_region, self.pool.num_objects - first))
         return first, count
 
     def _migrate_region(self, region: int, target: Placement) -> int:

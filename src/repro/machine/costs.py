@@ -49,6 +49,11 @@ class GuardKind(enum.Enum):
     BOUNDARY = "boundary"
     LOCALITY = "locality"
 
+    # Members are singletons, so identity hashing agrees with equality.
+    # Every guard bumps ``Metrics.guards[kind]``; this keeps that dict
+    # update off the Python-level ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class CostTable:

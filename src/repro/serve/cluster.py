@@ -215,6 +215,9 @@ class Shard:
         #: obj -> owning tenant, and per tenant an LRU of its objects.
         self._obj_tenant: Dict[int, int] = {}
         self._tenant_lru: Dict[int, OrderedDict] = {}
+        # Fixed by the (frozen) config; read on every request.
+        self._kind = config.runtime
+        self._quota = config.tenant_quota_objects
         self._build_runtime()
 
     # -- runtime adapters ---------------------------------------------------
@@ -365,28 +368,29 @@ class Shard:
         """One request against this far node; returns service cycles."""
         offset = self.slot_of(key)
         runtime = self.runtime
-        if self.config.runtime == "hybrid":
+        if self._kind == "hybrid":
             if offset < self._obj_half:
                 cycles = runtime.access(self._obj_handle, offset, kind, SLOT_BYTES)
             else:
                 cycles = runtime.access(
                     self._page_handle, offset - self._obj_half, kind, SLOT_BYTES
                 )
-        elif self.config.runtime in ("trackfm", "adaptive"):
+        elif self._kind in ("trackfm", "adaptive"):
             cycles = runtime.access(self._base + offset, kind, SLOT_BYTES)
         else:
             cycles = runtime.access(self._base + offset, kind, size=SLOT_BYTES)
-        cycles += self._enforce_quota(tenant, offset)
+        if self._quota is not None:
+            cycles += self._enforce_quota(tenant, offset)
         return cycles
 
     # -- tenant quotas ------------------------------------------------------
 
     def _enforce_quota(self, tenant: int, offset: int) -> float:
-        quota = self.config.tenant_quota_objects
+        quota = self._quota
         pool = self.pool
         if quota is None or pool is None:
             return 0.0
-        if self.config.runtime == "hybrid" and offset >= self._obj_half:
+        if self._kind == "hybrid" and offset >= self._obj_half:
             # Page-tier slots have no per-tenant view (kernel paging).
             return 0.0
         obj_id = offset // self.config.object_size
@@ -541,8 +545,11 @@ class ShardedCluster:
         self._replica_sets: Dict[int, Tuple[int, ...]] = {}
         self.stats = ClusterStats()
         self._next_shard_id = config.n_shards
+        # Fixed by the (frozen) config; read on every request.
+        self._replicated = config.replicated
+        self._n_keys = config.n_keys
         self.detector: Optional[FailureDetector] = None
-        if config.replicated:
+        if self._replicated:
             self._write_quorum, self._read_quorum = config.quorums
             self.detector = FailureDetector(config.suspicion_threshold)
             for sid, shard in sorted(self.shards.items()):
@@ -558,7 +565,7 @@ class ShardedCluster:
     # -- placement ----------------------------------------------------------
 
     def place(self, key: int) -> int:
-        if self.config.replicated:
+        if self._replicated:
             return self.replicas(key)[0]
         sid = self._owner.get(key)
         if sid is None:
@@ -599,11 +606,11 @@ class ShardedCluster:
         counted in ``degraded_accesses`` (reads are stale, writes are
         not durable — they die with the shard at rebalance).
         """
-        if key < 0 or key >= self.config.n_keys:
+        if key < 0 or key >= self._n_keys:
             raise RuntimeConfigError(
-                f"key {key} outside [0, {self.config.n_keys})"
+                f"key {key} outside [0, {self._n_keys})"
             )
-        if self.config.replicated:
+        if self._replicated:
             return self._serve_replicated(key, tenant, write)
         sid = self.place(key)
         shard = self.shards[sid]
@@ -618,7 +625,10 @@ class ShardedCluster:
         degraded = shard.metrics.degraded_accesses > degraded_before or (
             shard.lost and write
         )
-        previous = shard.store.get(key, default_value(key))
+        # A key's seed value is derived only when it was never written.
+        previous = shard.store.get(key)
+        if previous is None:
+            previous = default_value(key)
         if write:
             value = next_value(key, previous)
             if not shard.lost:
@@ -720,7 +730,7 @@ class ShardedCluster:
         (max version over non-lost replicas); unreplicated ones read
         the owner's store, exactly as before.
         """
-        if self.config.replicated:
+        if self._replicated:
             reps = self.replicas(key)
             reachable = [sid for sid in reps if not self.shards[sid].lost]
             _sid, value, _tag = self._freshest(key, reachable or reps)
@@ -755,7 +765,7 @@ class ShardedCluster:
         moved.
         """
         lost = [sid for sid, shard in self.shards.items() if shard.lost and sid in self.ring]
-        if self.config.replicated:
+        if self._replicated:
             if not lost:
                 return 0
             moved = self.failover(lost)
@@ -797,7 +807,7 @@ class ShardedCluster:
         shard keep their sets verbatim (the :meth:`HashRing.place_n`
         leave law).  Returns the number of keys whose set changed.
         """
-        if not self.config.replicated:
+        if not self._replicated:
             raise RuntimeConfigError("failover requires a replicated cluster")
         dead = sorted({sid for sid in shard_ids if sid in self.ring})
         if not dead:
@@ -868,7 +878,7 @@ class ShardedCluster:
         value and tag.  Idempotent — a second sweep with no intervening
         writes heals nothing.  Returns the number of replicas healed.
         """
-        if not self.config.replicated:
+        if not self._replicated:
             return 0
         healed = 0
         for key in range(self.config.n_keys):
@@ -969,7 +979,7 @@ class ShardedCluster:
             self.detector.watch(sid, shard.heartbeat)
         migrated = 0
         cycles = 0.0
-        if self.config.replicated:
+        if self._replicated:
             # Replica-set migration: a set that adopts the joiner copies
             # the freshest verified surviving value onto it and evicts
             # at most one old member (the place_n join law); sets that

@@ -136,25 +136,27 @@ class ServingSimulation:
 
         for now, _client, tenant, key, is_write in self.schedule.rows():
             self._control_plane(actions, now)
-            sid = cluster.place(key)
-            start = max(now, busy_until.get(sid, 0.0))
             result = cluster.serve(key, tenant=tenant, write=is_write)
+            # The request queues at the shard that served it: the
+            # coordinator, which differs from the key's primary when a
+            # suspected primary is still in its replica set.
+            sid = result.shard_id
+            start = max(now, busy_until.get(sid, 0.0))
             completion = start + result.service_cycles
-            busy_until[result.shard_id] = completion
+            busy_until[sid] = completion
             if completion > makespan:
                 makespan = completion
             latency = completion - now
-            shard = cluster.shards[result.shard_id]
-            shard.record_latency(latency)
+            cluster.shards[sid].record_latency(latency)
             completions_acc = (
-                (completions_acc ^ (result.value + result.shard_id + (1 if result.degraded else 2)))
+                (completions_acc ^ (result.value + sid + (1 if result.degraded else 2)))
                 * 0x100000001B3
             ) & _MASK64
             if tracer.enabled:
                 tracer.serve(
                     "request",
                     completion,
-                    shard=result.shard_id,
+                    shard=sid,
                     tenant=tenant,
                     key=key,
                     write=is_write,

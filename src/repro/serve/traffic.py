@@ -26,6 +26,9 @@ import numpy as np
 from repro.errors import RuntimeConfigError
 from repro.workloads.zipf import ZipfGenerator
 
+#: Rows :meth:`Schedule.rows` converts per block.
+ROWS_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class TrafficConfig:
@@ -84,14 +87,20 @@ class Schedule:
         return len(self.times)
 
     def rows(self):
-        """Yield ``(time, client, tenant, key, is_write)`` in time order."""
-        for i in range(len(self.times)):
-            yield (
-                float(self.times[i]),
-                int(self.clients[i]),
-                int(self.tenants[i]),
-                int(self.keys[i]),
-                bool(self.writes[i]),
+        """Yield ``(time, client, tenant, key, is_write)`` in time order.
+
+        Rows come from blocks of :data:`ROWS_BLOCK` converted to Python
+        scalars in bulk (``tolist``), so iteration costs no per-row numpy
+        indexing and its memory stays flat in the schedule's length.
+        """
+        for lo in range(0, len(self.times), ROWS_BLOCK):
+            hi = lo + ROWS_BLOCK
+            yield from zip(
+                self.times[lo:hi].tolist(),
+                self.clients[lo:hi].tolist(),
+                self.tenants[lo:hi].tolist(),
+                self.keys[lo:hi].tolist(),
+                self.writes[lo:hi].tolist(),
             )
 
     def fingerprint(self) -> int:

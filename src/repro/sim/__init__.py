@@ -5,10 +5,9 @@ Two tiers, sharing one cost table:
 * :mod:`repro.sim.interpreter` executes transformed IR directly, byte-
   accurate, with runtime intrinsics bridged in (:mod:`repro.sim.irrun`)
   — used by tests, examples and the Fig. 6 microbenchmark.
-* :mod:`repro.sim.executor` replays workload *access streams* against
-  the far-memory runtime simulators, and the runtimes provide
-  closed-form ``sequential_scan`` bulk paths — used by the GB-shaped
-  sweeps behind Figs. 7–17.
+* the runtimes' per-access ``access`` paths replay irregular access
+  streams, and their closed-form ``sequential_scan`` bulk paths drive
+  the GB-shaped sweeps behind Figs. 7–17.
 """
 
 from repro.sim.memory import AddressSpace, MemoryRegion
@@ -16,7 +15,6 @@ from repro.sim.decode import DecodedFunction, DecodedModule, decode_module
 from repro.sim.interpreter import Interpreter, InterpResult
 from repro.sim.metrics import Metrics
 from repro.sim.residency import ResidencySet, AccessOutcome
-from repro.sim.executor import AccessStreamExecutor, replay_offsets
 from repro.sim.local import LocalRuntime
 
 # NOTE: repro.sim.irrun (TrackFMProgram, TWIN_BASE) is intentionally not
@@ -35,7 +33,5 @@ __all__ = [
     "Metrics",
     "ResidencySet",
     "AccessOutcome",
-    "AccessStreamExecutor",
-    "replay_offsets",
     "LocalRuntime",
 ]

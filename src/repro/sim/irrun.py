@@ -23,7 +23,13 @@ from repro.errors import InterpError, PointerError
 from repro.ir.module import Module
 from repro.machine.costs import AccessKind
 from repro.sim.interpreter import Interpreter, InterpResult
-from repro.trackfm.pointer import decode_tfm_pointer, is_tfm_pointer
+from repro.trackfm.pointer import (
+    MAX_HEAP_OFFSET,
+    TFM_TAG_SHIFT,
+    U64_MASK,
+    decode_tfm_pointer,
+    is_tfm_pointer,
+)
 from repro.trackfm.runtime import TrackFMRuntime
 
 #: Canonical twin base: 2^43, comfortably inside the 47-bit canonical
@@ -45,6 +51,8 @@ class TrackFMProgram:
         self.runtime = runtime
         self.interp = Interpreter(module, max_steps=max_steps, engine=engine)
         self._prefetch_flags: Dict[int, bool] = {}
+        self._guard_read = self._guard_intrinsic(AccessKind.READ)
+        self._guard_write = self._guard_intrinsic(AccessKind.WRITE)
         self._register_intrinsics()
 
     # -- public API --------------------------------------------------------
@@ -87,8 +95,8 @@ class TrackFMProgram:
         reg("tfm_guard_read", self._guard_read)
         reg("tfm_guard_write", self._guard_write)
         reg("tfm_chunk_begin", self._chunk_begin)
-        reg("tfm_chunk_deref", self._chunk_deref_read)
-        reg("tfm_chunk_deref_write", self._chunk_deref_write)
+        reg("tfm_chunk_deref", self._chunk_deref(AccessKind.READ))
+        reg("tfm_chunk_deref_write", self._chunk_deref(AccessKind.WRITE))
         reg("tfm_chunk_end", self._chunk_end)
         reg("tfm_prefetch_sched", self._prefetch_sched)
         reg("tfm_chase_deref", self._chase_deref_read)
@@ -152,24 +160,30 @@ class TrackFMProgram:
 
     # -- guards ---------------------------------------------------------
 
-    def _guard(self, ptr: int, kind: AccessKind) -> int:
-        if not is_tfm_pointer(ptr):
-            # Custody miss: the original pointer is used untouched.
-            result = self.runtime.guards.guard(ptr, kind)
-            self.runtime.metrics.cycles += result.cycles
-            return ptr
-        result = self.runtime.guards.guard(ptr, kind)
-        self.runtime.metrics.accesses += 1
-        self.runtime.metrics.cycles += (
-            result.cycles + self.runtime.costs.local_access
-        )
-        return TWIN_BASE + decode_tfm_pointer(ptr)
+    # The guard and chunk-deref intrinsics run once per guarded access.
+    # Each is one frame that custody-checks and decodes the pointer once,
+    # with the runtime, metrics bundle and access cost bound up front.
 
-    def _guard_read(self, interp: Interpreter, args: List[object]) -> int:
-        return self._guard(int(args[0]), AccessKind.READ)
+    def _guard_intrinsic(self, kind: AccessKind):
+        """``tfm_guard_{read,write}``: guard, charge, return the twin address."""
+        runtime = self.runtime
+        metrics = runtime.metrics
+        local_access = runtime.costs.local_access
 
-    def _guard_write(self, interp: Interpreter, args: List[object]) -> int:
-        return self._guard(int(args[0]), AccessKind.WRITE)
+        def guard(interp: Interpreter, args: List[object]) -> int:
+            ptr = int(args[0])
+            # ``runtime.guards`` is read per call: the adaptive hybrid
+            # swaps in a tier router after construction.
+            cycles = runtime.guards.guard(ptr, kind).cycles
+            if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+                # Custody miss: the original pointer is used untouched.
+                metrics.cycles += cycles
+                return ptr
+            metrics.accesses += 1
+            metrics.cycles += cycles + local_access
+            return TWIN_BASE + (ptr & MAX_HEAP_OFFSET)
+
+        return guard
 
     # -- chunked streams --------------------------------------------------
 
@@ -179,19 +193,22 @@ class TrackFMProgram:
         self.runtime.chunk_begin(stream)
         return None
 
-    def _chunk_deref(self, ptr: int, stream: int, kind: AccessKind) -> int:
-        if not is_tfm_pointer(ptr):
-            return ptr
-        self.runtime.chunk_access(
-            ptr, kind, stream=stream, prefetch=self._prefetch_flags.get(stream, False)
-        )
-        return TWIN_BASE + decode_tfm_pointer(ptr)
+    def _chunk_deref(self, kind: AccessKind):
+        """``tfm_chunk_deref[_write]``: one access of a chunked stream."""
+        chunk_access = self.runtime.chunk_access
+        prefetch_flags = self._prefetch_flags
 
-    def _chunk_deref_read(self, interp: Interpreter, args: List[object]) -> int:
-        return self._chunk_deref(int(args[0]), int(args[1]), AccessKind.READ)
+        def deref(interp: Interpreter, args: List[object]) -> int:
+            ptr = int(args[0])
+            if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+                return ptr
+            stream = int(args[1])
+            chunk_access(
+                ptr, kind, stream=stream, prefetch=prefetch_flags.get(stream, False)
+            )
+            return TWIN_BASE + (ptr & MAX_HEAP_OFFSET)
 
-    def _chunk_deref_write(self, interp: Interpreter, args: List[object]) -> int:
-        return self._chunk_deref(int(args[0]), int(args[1]), AccessKind.WRITE)
+        return deref
 
     def _chunk_end(self, interp: Interpreter, args: List[object]) -> None:
         self.runtime.chunk_end(int(args[0]))
@@ -213,7 +230,8 @@ class TrackFMProgram:
         the prefetch is charged at a shallow pipeline depth.
         """
         ptr, node, next_off, _stream = (int(a) for a in args)
-        canon = self._guard(ptr, kind)
+        guard = self._guard_write if kind is AccessKind.WRITE else self._guard_read
+        canon = guard(self.interp, (ptr,))
         if not is_tfm_pointer(node):
             return canon
         node_canon = TWIN_BASE + decode_tfm_pointer(node)
@@ -225,7 +243,7 @@ class TrackFMProgram:
         if is_tfm_pointer(next_ptr):
             pool = self.runtime.pool
             obj = decode_tfm_pointer(next_ptr) >> pool.object_shift
-            if 0 <= obj < pool.config.num_objects:
+            if 0 <= obj < pool.num_objects:
                 # The thread is inside a guard: the evacuator barrier
                 # (§3.3) cannot evict the object under access, so pin it
                 # for the duration of the prefetch's eviction decision.
@@ -276,7 +294,7 @@ class TrackFMProgram:
         first_obj = offset >> pool.object_shift
         last_obj = (offset + n * elem - 1) >> pool.object_shift
         for obj in range(first_obj, last_obj + 1):
-            if obj < pool.config.num_objects and pool.residency.is_dirty(obj):
+            if obj < pool.num_objects and pool.residency.is_dirty(obj):
                 cycles += pool.backend.evict(pool.object_size, depth=4)
                 runtime.metrics.bytes_evacuated += pool.object_size
                 pool.residency.mark_clean(obj)

@@ -24,17 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.aifm.pool import ObjectPool
 from repro.machine.costs import AccessKind, CostTable, GuardKind
 from repro.sim.metrics import Metrics
 from repro.trace.tracer import NULL_TRACER
-from repro.trackfm.pointer import is_tfm_pointer, object_id_of
+from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
 from repro.trackfm.state_table import ObjectStateTable
 
 
-@dataclass
+@dataclass(frozen=True)
 class GuardResult:
-    """Outcome of one guarded access."""
+    """Outcome of one guarded access (immutable: fast-path results are shared)."""
 
     kind: GuardKind
     cycles: float
@@ -60,16 +61,20 @@ class GuardEngine:
         #: Trace sink; disabled by default (one attribute check per guard).
         self.tracer = NULL_TRACER
         # Hot-path constants, hoisted once per engine (the CostTable is a
-        # frozen dataclass and the pool geometry is fixed): a fast guard
-        # then costs one dict lookup instead of a method-call chain.
+        # frozen dataclass and the pool geometry is fixed): the object id
+        # is one mask and one shift, and a fast guard's result is a
+        # prebuilt value indexed by the cache hit (False=0, True=1).
         c = self.costs
-        self._fast_cycles = {
-            (AccessKind.READ, True): c.fast_guard_read_cached,
-            (AccessKind.READ, False): c.fast_guard_read_uncached,
-            (AccessKind.WRITE, True): c.fast_guard_write_cached,
-            (AccessKind.WRITE, False): c.fast_guard_write_uncached,
-        }
-        self._object_size = pool.object_size
+        self._object_shift = pool.object_shift
+        self._fast_read = (
+            GuardResult(GuardKind.FAST, c.fast_guard_read_uncached, cache_hit=False),
+            GuardResult(GuardKind.FAST, c.fast_guard_read_cached),
+        )
+        self._fast_write = (
+            GuardResult(GuardKind.FAST, c.fast_guard_write_uncached, cache_hit=False),
+            GuardResult(GuardKind.FAST, c.fast_guard_write_cached),
+        )
+        self._custody_miss = GuardResult(GuardKind.CUSTODY_MISS, c.custody_miss)
 
     # -- the full guard (naive transformation) ----------------------------
 
@@ -80,29 +85,39 @@ class GuardEngine:
         target access itself (36 cycles) is charged by the caller so the
         accounting matches Table 1's "additional overhead" framing.
         """
-        if not is_tfm_pointer(addr):
-            self.metrics.count_guard(GuardKind.CUSTODY_MISS)
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.guard(
-                    GuardKind.CUSTODY_MISS, None, kind,
-                    self.metrics.cycles, self.costs.custody_miss,
-                )
-            return GuardResult(GuardKind.CUSTODY_MISS, self.costs.custody_miss)
-        obj_id = object_id_of(addr, self._object_size)
-        safe, cache_hit = self.table.is_safe(obj_id)
-        if safe:
-            # The evacuator barrier (§3.3) guarantees no TOCTOU: while a
-            # thread is inside a guard it is never "out-of-scope", so the
-            # object cannot be delocalized between the test and the access.
-            self.pool.residency.access(obj_id, write=kind is AccessKind.WRITE)
-            cycles = self._fast_cycles[(kind, cache_hit)]
-            self.metrics.count_guard(GuardKind.FAST)
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.guard(GuardKind.FAST, obj_id, kind, self.metrics.cycles, cycles)
-            return GuardResult(GuardKind.FAST, cycles, cache_hit=cache_hit)
-        return self._slow_path(obj_id, kind, cache_hit, depth)
+        # Custody check (Fig. 4b line 0): are any of bits 60..63 set?
+        if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
+            return self._custody(kind)
+        # The pointer is decoded once: heap offset >> log2(object size).
+        # Out-of-heap ids are rejected by the pool's range check.
+        obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
+        word, cache_hit = self.table.lookup(obj_id)
+        if word & UNSAFE_MASK:
+            return self._slow_path(obj_id, kind, cache_hit, depth)
+        # The evacuator barrier (§3.3) guarantees no TOCTOU: while a
+        # thread is inside a guard it is never "out-of-scope", so the
+        # object cannot be delocalized between the test and the access.
+        write = kind is AccessKind.WRITE
+        self.pool.residency.access(obj_id, write=write)
+        result = (self._fast_write if write else self._fast_read)[cache_hit]
+        self.metrics.count_guard(GuardKind.FAST)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.guard(
+                GuardKind.FAST, obj_id, kind, self.metrics.cycles, result.cycles
+            )
+        return result
+
+    def _custody(self, kind: AccessKind) -> GuardResult:
+        """Not a TrackFM pointer: the original access runs untouched."""
+        self.metrics.count_guard(GuardKind.CUSTODY_MISS)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.guard(
+                GuardKind.CUSTODY_MISS, None, kind,
+                self.metrics.cycles, self.costs.custody_miss,
+            )
+        return self._custody_miss
 
     def _slow_path(
         self, obj_id: int, kind: AccessKind, cache_hit: bool, depth: int
@@ -138,16 +153,9 @@ class GuardEngine:
         localizes the object (remote fetch if needed) and pins it so the
         chunk's unguarded accesses are safe.
         """
-        if not is_tfm_pointer(addr):
-            self.metrics.count_guard(GuardKind.CUSTODY_MISS)
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.guard(
-                    GuardKind.CUSTODY_MISS, None, kind,
-                    self.metrics.cycles, self.costs.custody_miss,
-                )
-            return GuardResult(GuardKind.CUSTODY_MISS, self.costs.custody_miss)
-        obj_id = object_id_of(addr, self.pool.object_size)
+        if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
+            return self._custody(kind)
+        obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
         was_local, movement = self.pool.ensure_local(
             obj_id, write=kind is AccessKind.WRITE, depth=depth
         )

@@ -25,12 +25,13 @@ TFM_BASE = 1 << TFM_TAG_SHIFT
 #: Largest representable heap offset under the tag.
 MAX_HEAP_OFFSET = TFM_BASE - 1
 
-_U64 = (1 << 64) - 1
+#: Addresses are 64-bit: the custody check looks at bits 60..63 only.
+U64_MASK = (1 << 64) - 1
 
 
 def is_tfm_pointer(addr: int) -> bool:
     """The custody check: are any of bits 60..63 set?"""
-    return ((addr & _U64) >> TFM_TAG_SHIFT) != 0
+    return ((addr & U64_MASK) >> TFM_TAG_SHIFT) != 0
 
 
 def encode_tfm_pointer(heap_offset: int) -> int:

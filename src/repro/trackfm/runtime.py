@@ -39,10 +39,13 @@ from repro.sim.metrics import Metrics
 from repro.trace.tracer import NULL_TRACER
 from repro.trackfm.guards import GuardEngine, GuardResult
 from repro.trackfm.pointer import (
+    MAX_HEAP_OFFSET,
+    TFM_BASE,
+    TFM_TAG_SHIFT,
+    U64_MASK,
     decode_tfm_pointer,
     encode_tfm_pointer,
     is_tfm_pointer,
-    object_id_of,
 )
 from repro.trackfm.state_table import ObjectStateTable
 from repro.units import ceil_div
@@ -88,6 +91,7 @@ class TrackFMRuntime:
         self.prefetcher = StridePrefetcher(depth=prefetch_depth)
         self.prefetch_depth = prefetch_depth
         self.object_size = config.object_size
+        self._local_access = config.costs.local_access
         self._chunks: Dict[int, _ChunkState] = {}
         #: Compiler-programmed prefetch schedules, keyed by chunk stream.
         self._psched: Dict[int, ProgrammedSchedule] = {}
@@ -221,19 +225,20 @@ class TrackFMRuntime:
         depth: int = 1,
     ) -> float:
         """One guarded load/store; returns cycles (guard + access)."""
-        result = self.guards.guard(ptr, kind, depth=depth)
-        cycles = result.cycles + self.costs.local_access
+        # ``self.guards`` is read per call: the adaptive hybrid swaps in
+        # a tier router after construction.
+        guard = self.guards.guard
+        cycles = guard(ptr, kind, depth=depth).cycles + self._local_access
         # Accesses spanning an object boundary guard the tail object too.
-        if is_tfm_pointer(ptr) and size > 1:
-            first = object_id_of(ptr, self.object_size)
-            last = object_id_of(ptr + size - 1, self.object_size)
+        if size > 1 and (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+            shift = self.pool.object_shift
+            first = (ptr & MAX_HEAP_OFFSET) >> shift
+            last = ((ptr + size - 1) & MAX_HEAP_OFFSET) >> shift
             for obj_id in range(first + 1, last + 1):
-                tail = self.guards.guard(
-                    encode_tfm_pointer(obj_id * self.object_size), kind, depth=depth
-                )
-                cycles += tail.cycles
-        self.metrics.accesses += 1
-        self.metrics.cycles += cycles
+                cycles += guard(TFM_BASE | (obj_id << shift), kind, depth=depth).cycles
+        metrics = self.pool.metrics
+        metrics.accesses += 1
+        metrics.cycles += cycles
         return cycles
 
     # -- chunked loop streams (Fig. 5's transformed loop) --------------------
@@ -267,7 +272,7 @@ class TrackFMRuntime:
         if not is_tfm_pointer(ptr) or count <= 0:
             return 0.0
         base = decode_tfm_pointer(ptr)
-        lo, hi = 0, self.pool.config.num_objects
+        lo, hi = 0, self.pool.num_objects
         alloc = self.allocator.allocation_at(base)
         if alloc is not None:
             lo, hi = alloc.object_range(self.object_size)
@@ -300,8 +305,8 @@ class TrackFMRuntime:
                 f"chunk_access on stream {stream} before chunk_begin"
             )
         cycles = self.guards.boundary_check()
-        if is_tfm_pointer(ptr):
-            obj_id = object_id_of(ptr, self.object_size)
+        if (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+            obj_id = (ptr & MAX_HEAP_OFFSET) >> self.pool.object_shift
             if obj_id != state.current_obj:
                 if state.pinned and state.current_obj is not None:
                     self.pool.unpin(state.current_obj)
@@ -319,8 +324,8 @@ class TrackFMRuntime:
                 elif prefetch:
                     # Clip prefetch targets to the allocation the pointer
                     # belongs to; fetching past it would be pure waste.
-                    lo, hi = 0, self.pool.config.num_objects
-                    alloc = self.allocator.allocation_at(decode_tfm_pointer(ptr))
+                    lo, hi = 0, self.pool.num_objects
+                    alloc = self.allocator.allocation_at(ptr & MAX_HEAP_OFFSET)
                     if alloc is not None:
                         lo, hi = alloc.object_range(self.object_size)
                     for target in self.prefetcher.observe(obj_id, stream=stream):
@@ -328,9 +333,10 @@ class TrackFMRuntime:
                             cycles += self.pool.prefetch(target)
             else:
                 self.pool.residency.access(obj_id, write=kind is AccessKind.WRITE)
-        cycles += self.costs.local_access
-        self.metrics.accesses += 1
-        self.metrics.cycles += cycles
+        cycles += self._local_access
+        metrics = self.pool.metrics
+        metrics.accesses += 1
+        metrics.cycles += cycles
         return cycles
 
     def chunk_end(self, stream: int = 0) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.aifm.pool import ObjectPool
 from repro.machine.cache import CacheModel
 from repro.units import fmt_bytes
@@ -39,7 +40,7 @@ class ObjectStateTable:
 
     @property
     def num_entries(self) -> int:
-        return self.pool.config.num_objects
+        return self.pool.num_objects
 
     @property
     def size_bytes(self) -> int:
@@ -56,14 +57,12 @@ class ObjectStateTable:
         cached/uncached guard-cost columns of Table 1.
         """
         self.lookups += 1
-        hit = self.cache.access(self.entry_addr(obj_id))
+        hit = self.cache.access(self.base_addr + obj_id * ENTRY_BYTES)
         return self.pool.meta_word(obj_id), hit
 
     def is_safe(self, obj_id: int) -> Tuple[bool, bool]:
         """(fast-path safe?, cache hit?) for one object."""
         word, hit = self.lookup(obj_id)
-        from repro.aifm.objectmeta import UNSAFE_MASK
-
         return (word & UNSAFE_MASK) == 0, hit
 
     def describe(self) -> str:

@@ -367,6 +367,42 @@ def test_gray_partition_heals_via_anti_entropy():
     assert cluster.anti_entropy() == 0  # converged
 
 
+def test_suspected_primary_queues_requests_at_the_coordinator():
+    """With ``auto_failover=False`` a suspected primary stays in its
+    replica set, so requests for its keys are served by the next
+    replica (the coordinator).  They must queue behind each other on
+    the coordinator: requests arriving together complete one after
+    another, not all after their own service time."""
+    import numpy as np
+
+    from repro.serve import Schedule, ServingSimulation
+
+    cluster = _cluster(
+        "aifm", replication=2, auto_failover=False,
+        heartbeat_interval_cycles=10.0, suspicion_threshold=1,
+    )
+    key = 0
+    primary = cluster.place(key)
+    n, arrival = 8, 1_000.0
+    schedule = Schedule(
+        config=TRAFFIC,
+        times=np.full(n, arrival),
+        clients=np.arange(n, dtype=np.int64),
+        tenants=np.zeros(n, dtype=np.int64),
+        keys=np.full(n, key, dtype=np.int64),
+        writes=np.zeros(n, dtype=bool),
+    )
+    sim = ServingSimulation(cluster, schedule, [ChaosAction(1.0, "lose", primary)])
+    report = sim.run()
+    assert primary in cluster.detector.suspected
+    assert cluster.place(key) == primary, "no failover: the primary keeps its slot"
+    coordinator = cluster.shards[cluster.replicas(key)[1]]
+    assert coordinator.requests == n and cluster.shards[primary].requests == 0
+    # Every service cycle was charged to the coordinator, one request
+    # after another: the last completion is the arrival plus all of them.
+    assert report.makespan_cycles == pytest.approx(arrival + coordinator.metrics.cycles)
+
+
 def test_replicated_chaos_run_is_deterministic():
     schedule = generate_schedule(TRAFFIC)
     chaos = _knockout_chaos(schedule)

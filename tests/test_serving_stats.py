@@ -109,6 +109,24 @@ def test_schedule_bit_identical_under_fixed_seed():
     assert np.array_equal(a.tenants, b.tenants)
 
 
+def test_schedule_rows_match_per_row_conversion():
+    """``rows()`` converts in blocks; every row equals the per-index
+    scalar conversion, across block boundaries."""
+    from repro.serve.traffic import ROWS_BLOCK
+
+    config = TrafficConfig(clients=3, requests_per_client=ROWS_BLOCK, n_keys=64, seed=5)
+    schedule = generate_schedule(config)
+    rows = list(schedule.rows())
+    assert len(rows) == len(schedule) > 2 * ROWS_BLOCK
+    for i in (0, 1, ROWS_BLOCK - 1, ROWS_BLOCK, 2 * ROWS_BLOCK + 1, len(rows) - 1):
+        expected = (
+            float(schedule.times[i]), int(schedule.clients[i]),
+            int(schedule.tenants[i]), int(schedule.keys[i]), bool(schedule.writes[i]),
+        )
+        assert rows[i] == expected
+        assert [type(v) for v in rows[i]] == [float, int, int, int, bool]
+
+
 def test_schedule_diverges_across_seeds():
     base = TrafficConfig(clients=50, requests_per_client=20, n_keys=512, seed=42)
     other = TrafficConfig(clients=50, requests_per_client=20, n_keys=512, seed=43)

@@ -1,12 +1,11 @@
-"""Metrics, the stream executor, the local runtime, Che edge cases."""
+"""Metrics, the local runtime, Che edge cases."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.machine.costs import AccessKind, GuardKind
+from repro.machine.costs import GuardKind
 from repro.sim.che import characteristic_time, lru_hit_rate, per_granule_hit_rates
-from repro.sim.executor import AccessStreamExecutor, replay_offsets
 from repro.sim.local import LocalRuntime
 from repro.sim.metrics import Metrics
 
@@ -58,44 +57,6 @@ class TestMetrics:
         m.count_guard(GuardKind.FAST)
         m.reset()
         assert m.cycles == 0 and m.bytes_fetched == 0 and m.total_guards == 0
-
-
-class TestExecutor:
-    def test_replay_accumulates(self):
-        rt = LocalRuntime()
-        ex = AccessStreamExecutor(rt.access)
-        total = ex.replay(np.array([0, 8, 16]), AccessKind.READ)
-        assert total == 3 * rt.costs.local_access
-        assert rt.metrics.accesses == 3
-
-    def test_replay_mixed(self):
-        rt = LocalRuntime()
-        ex = AccessStreamExecutor(rt.access)
-        ex.replay_mixed([0, 8], [False, True])
-        assert rt.metrics.accesses == 2
-
-    def test_replay_mixed_length_mismatch(self):
-        ex = AccessStreamExecutor(LocalRuntime().access)
-        with pytest.raises(WorkloadError):
-            ex.replay_mixed([0, 8], [True])
-
-    def test_replay_offsets_helper(self):
-        rt = LocalRuntime()
-        total = replay_offsets(rt, range(10))
-        assert total == 10 * rt.costs.local_access
-
-    def test_replay_against_trackfm(self):
-        from repro.aifm.pool import PoolConfig
-        from repro.trackfm.runtime import TrackFMRuntime
-
-        rt = TrackFMRuntime(
-            PoolConfig(object_size=4096, local_memory=16 * 4096, heap_size=64 * 4096)
-        )
-        ptr = rt.tfm_malloc(4096)
-        ex = AccessStreamExecutor(rt.access)
-        ex.replay([ptr + i * 8 for i in range(16)])
-        assert rt.metrics.guard_count(GuardKind.FAST) == 15
-        assert rt.metrics.guard_count(GuardKind.SLOW) == 1
 
 
 class TestLocalRuntime:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.aifm.pool import PoolConfig
 from repro.errors import TraceError
 from repro.machine.costs import AccessKind, GuardKind
 from repro.trace import (
+    ALL_CATEGORIES,
     CAT_FETCH,
     CAT_GUARD,
     CAT_PASS,
@@ -243,3 +245,12 @@ class TestInstrumentation:
         assert guards[0].name in (GuardKind.SLOW.value, GuardKind.CUSTODY_MISS.value)
         assert any(e.name == GuardKind.FAST.value for e in guards)
         assert all("obj" in e.args for e in guards)
+
+
+class TestDocs:
+    def test_every_category_is_documented(self):
+        """``docs/observability.md`` names every category the tracer can
+        emit, as `` `cat` ``, so a new category cannot land undocumented."""
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "observability.md").read_text()
+        missing = [cat for cat in ALL_CATEGORIES if f"`{cat}`" not in doc]
+        assert missing == []
