@@ -240,15 +240,20 @@ class FastswapRuntime:
         if outcome.hit:
             return 0.0
         backend = self.backend
-        fault_cycles = self.config.costs.fastswap_fault(kind, remote=True)
+        link = backend.link
+        metrics = self.metrics
+        config = self.config
+        page_size = config.page_size
+        fault_cycles = config.costs.fastswap_fault(kind, remote=True)
         degraded = False
+        tracer = self.tracer
         # The fault cost above is *calibrated* end to end, so the swap-in
         # itself never goes through backend.fetch (it would double-charge
         # the link).  With faults installed, admit() rolls the schedule
         # for this one message and adds only the retry/spike penalty.
-        if backend.link.faults is not None or backend.resilient:
+        if link.faults is not None or backend.resilient:
             try:
-                fault_cycles += backend.admit(self.page_size)
+                fault_cycles += backend.admit(page_size)
             except FarMemoryUnavailableError:
                 handler = self.degraded_handler
                 if handler is None:
@@ -256,46 +261,44 @@ class FastswapRuntime:
                     raise
                 degraded = True
                 fault_cycles = handler(page)
-                self.metrics.degraded_accesses += 1
-                tracer = self.tracer
+                metrics.degraded_accesses += 1
                 if tracer.enabled:
-                    tracer.degrade("page", self.metrics.cycles, page=page)
+                    tracer.degrade("page", metrics.cycles, page=page)
         cycles = fault_cycles
+        integrity = backend.integrity
         if not degraded:
-            self.metrics.major_faults += 1
-            self.metrics.remote_fetches += 1
-            self.metrics.bytes_fetched += self.page_size
-            self.backend.link.stats.messages += 1
-            self.backend.link.stats.bytes_fetched += self.page_size
-            tracer = self.tracer
+            metrics.major_faults += 1
+            metrics.remote_fetches += 1
+            metrics.bytes_fetched += page_size
+            link.stats.messages += 1
+            link.stats.bytes_fetched += page_size
             if tracer.enabled:
                 tracer.fetch(
-                    self.page_size, fault_cycles, self.metrics.cycles,
+                    page_size, fault_cycles, metrics.cycles,
                     obj_id=page, name="major_fault",
                 )
-            if backend.integrity is not None:
+            if integrity is not None:
                 try:
-                    cycles += backend.verify_payload(page, self.page_size)
+                    cycles += backend.verify_payload(page, page_size)
                 except DataIntegrityError:
                     # Quarantined: the swapped-in page is untrustworthy.
                     self.residency.discard(page)
                     raise
-        integrity = backend.integrity
         for victim, dirty in outcome.evicted:
-            cycles += self.config.reclaim_cycles
-            self.metrics.evictions += 1
+            cycles += config.reclaim_cycles
+            metrics.evictions += 1
             if dirty:
                 if integrity is not None:
                     integrity.begin_writeback(victim)
-                wb = self.backend.link.wire_cycles(self.page_size)
-                cycles += wb * self.config.writeback_sync_fraction
-                self.metrics.bytes_evacuated += self.page_size
-                self.backend.link.stats.bytes_evicted += self.page_size
+                wb = link.wire_cycles(page_size)
+                cycles += wb * config.writeback_sync_fraction
+                metrics.bytes_evacuated += page_size
+                link.stats.bytes_evicted += page_size
                 if integrity is not None:
                     integrity.finish_writeback(victim)
             if tracer.enabled:
                 tracer.evict(
-                    self.page_size, self.metrics.cycles,
+                    page_size, metrics.cycles,
                     dirty=int(dirty), name="reclaim",
                 )
         return cycles

@@ -296,6 +296,13 @@ class Shard:
             self._page_handle = self.runtime.allocate(max(heap - half, SLOT_BYTES), Placement.PAGES)
             self._obj_half = half
             self._base = 0
+        #: The runtime's own writable bundle, where the cluster books its
+        #: replication counters.  A static hybrid's ``metrics`` is a fresh
+        #: merged copy on every read, so its counters go to the hybrid
+        #: layer's ``extra_metrics``, which that merge includes.
+        self.counters: Metrics = (
+            self.runtime.extra_metrics if config.runtime == "hybrid" else self.runtime.metrics
+        )
         self._enable_degraded()
 
     def _enable_degraded(self) -> None:
@@ -691,7 +698,7 @@ class ShardedCluster:
                 if shard.apply_write(key, value, tag):
                     acks += 1
                     if sid != coordinator:
-                        shard.metrics.replica_writes += 1
+                        shard.counters.replica_writes += 1
             if acks < min(self._write_quorum, len(reps)):
                 degraded = True
             version = tag.version
@@ -703,7 +710,7 @@ class ShardedCluster:
                 cycles += shard.service(key, AccessKind.READ, tenant)
                 if shard.metrics.degraded_accesses > before:
                     degraded = True
-            self.shards[coordinator].metrics.quorum_reads += 1
+            self.shards[coordinator].counters.quorum_reads += 1
             _src, value, tag = self._freshest(key, targets)
             version = tag.version
             acks = len(targets)
@@ -711,7 +718,7 @@ class ShardedCluster:
             for sid in targets:
                 shard = self.shards[sid]
                 if shard.version_of(key) < version and shard.apply_write(key, value, tag):
-                    shard.metrics.read_repairs += 1
+                    shard.counters.read_repairs += 1
                     tracer = self.tracer
                     if tracer.enabled:
                         tracer.replica(
@@ -861,7 +868,7 @@ class ShardedCluster:
         self.stats.reseeded_keys += reseeded
         live = self.live_shards()
         if live:
-            self.shards[live[0]].metrics.failovers += len(dead)
+            self.shards[live[0]].counters.failovers += len(dead)
         tracer = self.tracer
         if tracer.enabled:
             tracer.replica(
@@ -903,7 +910,7 @@ class ShardedCluster:
                     key, value, tag
                 ):
                     healed += 1
-                    shard.metrics.stale_replicas_healed += 1
+                    shard.counters.stale_replicas_healed += 1
         if healed:
             self.stats.healed_stale_replicas += healed
         tracer = self.tracer

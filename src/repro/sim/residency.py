@@ -16,18 +16,22 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvacuationError, RuntimeConfigError
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessOutcome:
-    """Result of touching one granule."""
+    """Result of touching one granule (immutable: hits share one value)."""
 
     hit: bool
     #: (granule id, was_dirty) pairs evicted to make room.
-    evicted: List[Tuple[int, bool]]
+    evicted: Sequence[Tuple[int, bool]]
+
+
+#: Every hit's outcome: nothing was evicted.
+_HIT = AccessOutcome(hit=True, evicted=())
 
 
 class ResidencySet:
@@ -77,19 +81,31 @@ class ResidencySet:
 
     # -- the core access path ---------------------------------------------
 
+    def touch(self, granule: int, write: bool = False) -> bool:
+        """Record a hit on ``granule`` if it is resident; never evicts.
+
+        Returns False, changing nothing, when ``granule`` is not
+        resident.  The hit half of :meth:`access`, for callers that only
+        need to know whether the granule was local.
+        """
+        resident = self._resident
+        if granule not in resident:
+            return False
+        if self.use_clock:
+            resident[granule] = True
+        else:
+            resident.move_to_end(granule)
+        if write:
+            self._dirty.add(granule)
+        return True
+
     def access(self, granule: int, write: bool = False) -> AccessOutcome:
         """Touch ``granule``; fetch + evict as needed.
 
         Returns whether it was a hit and which granules were evicted.
         """
-        if granule in self._resident:
-            if self.use_clock:
-                self._resident[granule] = True
-            else:
-                self._resident.move_to_end(granule)
-            if write:
-                self._dirty.add(granule)
-            return AccessOutcome(hit=True, evicted=[])
+        if self.touch(granule, write):
+            return _HIT
         evicted = self._make_room()
         self._resident[granule] = False
         if write:
@@ -137,20 +153,23 @@ class ResidencySet:
         return evicted
 
     def _pick_victim(self) -> Optional[int]:
+        # ``_pinned`` only holds positive counts, so membership is the pin test.
+        pinned = self._pinned
+        resident = self._resident
         if not self.use_clock:
-            for granule in self._resident:
-                if not self.is_pinned(granule):
+            for granule in resident:
+                if granule not in pinned:
                     return granule
             return None
         # CLOCK: clear hot bits until a cold, unpinned granule surfaces.
-        for _ in range(2 * len(self._resident) + 1):
-            granule, hot = next(iter(self._resident.items()))
+        for _ in range(2 * len(resident) + 1):
+            granule, hot = next(iter(resident.items()))
             if hot:
-                self._resident[granule] = False
-                self._resident.move_to_end(granule)
+                resident[granule] = False
+                resident.move_to_end(granule)
                 continue
-            if self.is_pinned(granule):
-                self._resident.move_to_end(granule)
+            if granule in pinned:
+                resident.move_to_end(granule)
                 continue
             return granule
         return None

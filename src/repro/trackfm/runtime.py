@@ -91,6 +91,7 @@ class TrackFMRuntime:
         self.prefetcher = StridePrefetcher(depth=prefetch_depth)
         self.prefetch_depth = prefetch_depth
         self.object_size = config.object_size
+        self._object_mask = config.object_size - 1
         self._local_access = config.costs.local_access
         self._chunks: Dict[int, _ChunkState] = {}
         #: Compiler-programmed prefetch schedules, keyed by chunk stream.
@@ -227,15 +228,18 @@ class TrackFMRuntime:
         """One guarded load/store; returns cycles (guard + access)."""
         # ``self.guards`` is read per call: the adaptive hybrid swaps in
         # a tier router after construction.
-        guard = self.guards.guard
-        cycles = guard(ptr, kind, depth=depth).cycles + self._local_access
+        cycles = self.guards.guard(ptr, kind, depth).cycles + self._local_access
         # Accesses spanning an object boundary guard the tail object too.
-        if size > 1 and (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+        if (
+            (ptr & self._object_mask) + size > self.object_size
+            and (ptr & U64_MASK) >> TFM_TAG_SHIFT
+        ):
+            guard = self.guards.guard
             shift = self.pool.object_shift
             first = (ptr & MAX_HEAP_OFFSET) >> shift
             last = ((ptr + size - 1) & MAX_HEAP_OFFSET) >> shift
             for obj_id in range(first + 1, last + 1):
-                cycles += guard(TFM_BASE | (obj_id << shift), kind, depth=depth).cycles
+                cycles += guard(TFM_BASE | (obj_id << shift), kind, depth).cycles
         metrics = self.pool.metrics
         metrics.accesses += 1
         metrics.cycles += cycles

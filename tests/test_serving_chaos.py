@@ -412,6 +412,21 @@ def test_replicated_chaos_run_is_deterministic():
     assert v1 == v2
 
 
+@pytest.mark.parametrize(
+    "runtime", ["aifm", "trackfm", "fastswap", "hybrid", "adaptive"]
+)
+def test_replication_counters_survive_every_runtime_kind(runtime):
+    """Fault-free R=2 (write-all, read-one): one quorum read per read and
+    one replica write per write, whatever the shard's runtime.  A static
+    hybrid's ``metrics`` is a merged copy, so its shards must book these
+    counters on the hybrid layer's own bundle."""
+    schedule = generate_schedule(TRAFFIC)
+    report, _ = run_serving(_cluster(runtime, replication=2), schedule)
+    writes = int(schedule.writes.sum())
+    assert report.metrics["quorum_reads"] == len(schedule) - writes
+    assert report.metrics["replica_writes"] == writes
+
+
 def test_unreplicated_path_untouched_by_replication_plumbing():
     """R=1 reports keep their historical exact shape: no replication
     counters appear anywhere in a plain knockout run's report."""
