@@ -16,11 +16,16 @@ time) applied to our own execution loop.
   run time every operand is one list index;
 * every instruction becomes a flat **op tuple** ``(opcode_int, ...)``
   with operands resolved to slot indices and immediates (element sizes,
-  bit widths, IR types for memory ops) baked in;
+  bit widths) baked in; a load or store carries the
+  :data:`~repro.sim.memory.Codec` of its IR type, so an access never
+  re-derives the type's width or signedness;
 * branch targets are resolved to **block indices**; phi nodes disappear
-  entirely, replaced by per-edge parallel-copy lists executed when the
+  entirely, replaced by per-edge parallel copies executed when the
   edge is taken;
-* call sites are resolved to a per-module **callee id**.  Classification
+* call sites are resolved to a per-module **callee id**, and their
+  arguments to one ``operator.itemgetter`` over the register list
+  (likewise the sources of a multi-phi edge), so gathering them runs
+  no Python frame.  Classification
   (internal function / ``global_addr.*`` / external) happens here; the
   interpreter resolves a callee id to a concrete callable once and
   caches it, so a hot intrinsic call — a TrackFM/AIFM/Fastswap guard
@@ -66,6 +71,7 @@ from repro.ir.instructions import (
 from repro.ir.module import Module
 from repro.ir.types import IntType
 from repro.ir.values import Constant, UndefValue, Value
+from repro.sim.memory import codec_for
 
 # -- opcodes ------------------------------------------------------------------
 #
@@ -286,19 +292,26 @@ def _decode_function(dmod: DecodedModule, func: Function) -> DecodedFunction:
     block_index = {id(b): i for i, b in enumerate(func.blocks)}
 
     def edge_target(pred, succ) -> Tuple[int, tuple, int]:
-        """(target index, phi parallel copies, phi count) for one CFG edge."""
+        """(target index, phi parallel copies, phi count) for one CFG edge.
+
+        The copies are ``()`` for no phi, ``(dest, src)`` for one, and
+        ``(dests, gather)`` for several, where ``gather(regs)`` reads
+        every source before any destination is written.
+        """
         phis = succ.phis()
         if not phis:
             return block_index[id(succ)], (), 0
         try:
-            copies = tuple(
-                (def_slot(phi), use_slot(phi.incoming_for(pred))) for phi in phis
-            )
+            pairs = [(def_slot(phi), use_slot(phi.incoming_for(pred))) for phi in phis]
         except IRTypeError as exc:
             # Taking this edge is a runtime error in the legacy engine;
             # route it to a synthetic block that raises on execution.
             return _error_block(df, succ.name, str(exc)), (), 0
-        return block_index[id(succ)], copies, len(phis)
+        if len(pairs) == 1:
+            return block_index[id(succ)], pairs[0], 1
+        dests = tuple(d for d, _s in pairs)
+        gather = operator.itemgetter(*(s for _d, s in pairs))
+        return block_index[id(succ)], (dests, gather), len(pairs)
 
     for block in func.blocks:
         ops: List[tuple] = []
@@ -333,6 +346,19 @@ def _bits_of(inst) -> int:
     return inst.type.bits if isinstance(inst.type, IntType) else 64
 
 
+def _gather(slots: Tuple[int, ...]):
+    """``regs -> call arguments``, one C call with no Python frame.
+
+    ``itemgetter`` of one index returns the bare item, so zero or one
+    argument is read as a slice (a list); two or more come as a tuple.
+    """
+    if len(slots) >= 2:
+        return operator.itemgetter(*slots)
+    if slots:
+        return operator.itemgetter(slice(slots[0], slots[0] + 1))
+    return operator.itemgetter(slice(0, 0))
+
+
 def _decode_inst(dmod, inst, def_slot, use_slot, edge_target) -> tuple:
     if isinstance(inst, BinOp):
         op = inst.opcode
@@ -356,9 +382,10 @@ def _decode_inst(dmod, inst, def_slot, use_slot, edge_target) -> tuple:
         }[op]
         return (tag, d, a, b, bits)
     if isinstance(inst, Load):
-        return (OP_LOAD, def_slot(inst), use_slot(inst.pointer), inst.type)
+        return (OP_LOAD, def_slot(inst), use_slot(inst.pointer), codec_for(inst.type))
     if isinstance(inst, Store):
-        return (OP_STORE, use_slot(inst.value), inst.value.type, use_slot(inst.pointer))
+        return (OP_STORE, use_slot(inst.value), codec_for(inst.value.type),
+                use_slot(inst.pointer))
     if isinstance(inst, Gep):
         return (OP_GEP, def_slot(inst), use_slot(inst.base), use_slot(inst.index),
                 inst.elem_size)
@@ -383,7 +410,7 @@ def _decode_inst(dmod, inst, def_slot, use_slot, edge_target) -> tuple:
     if isinstance(inst, Call):
         dest = None if inst.type.is_void() else def_slot(inst)
         return (OP_CALL, dest, dmod.callee_id(inst.callee),
-                tuple(use_slot(a) for a in inst.args))
+                _gather(tuple(use_slot(a) for a in inst.args)))
     if isinstance(inst, Select):
         c, a, b = (use_slot(o) for o in inst.operands)
         return (OP_SELECT, def_slot(inst), c, a, b)

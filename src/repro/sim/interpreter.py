@@ -20,7 +20,8 @@ Two execution engines share one semantics:
   ``isinstance`` ladder per dynamic instruction.  It is kept as the
   executable specification: the decoded engine must match it value for
   value, step for step, metric for metric (``tests/test_decode_cache.py``
-  enforces this across the fuzzer's program shapes).
+  and the engine leg of ``tests/test_fuzz_differential.py`` enforce this
+  over the fuzzer's whole seed corpus).
 
 Select with ``Interpreter(module, engine="legacy")`` or the
 ``REPRO_INTERP_ENGINE`` environment variable.
@@ -102,7 +103,10 @@ class _Frame:
         self.allocas: List[int] = []
 
 
-IntrinsicFn = Callable[["Interpreter", List[object]], object]
+#: An intrinsic takes the interpreter and the call's arguments.  The
+#: arguments are a read-only sequence: the legacy engine passes a list,
+#: the decoded engine a list or a tuple.
+IntrinsicFn = Callable[["Interpreter", Sequence[object]], object]
 
 
 class Interpreter:
@@ -272,8 +276,8 @@ class Interpreter:
         names = dfunc.names
         hook = self.block_hook
         memory = self.memory
-        read_value = memory.read_value
-        write_value = memory.write_value
+        load = memory.load
+        store = memory.store
         callees = self._callee_cache
         max_steps = self.max_steps
         steps = self.steps
@@ -298,7 +302,7 @@ class Interpreter:
                     elif tag == OP_GEP:
                         regs[op[1]] = (regs[op[2]] + regs[op[3]] * op[4]) & M64
                     elif tag == OP_LOAD:
-                        regs[op[1]] = read_value(regs[op[2]], op[3])
+                        regs[op[1]] = load(regs[op[2]], op[3])
                     elif tag == OP_CALL:
                         ce = callees[op[2]]
                         if ce is None:
@@ -307,7 +311,7 @@ class Interpreter:
                         if kind == 3:
                             result = ce[1]
                         else:
-                            call_args = [regs[s] for s in op[3]]
+                            call_args = op[3](regs)
                             self.steps = steps
                             if kind == 1:
                                 result = ce[1](self, call_args)
@@ -329,28 +333,27 @@ class Interpreter:
                             bi = op[5]
                             copies = op[6]
                             nphi = op[7]
-                        if copies:
+                        if nphi:
                             if nphi == 1:
-                                d, s = copies[0]
+                                d, s = copies
                                 regs[d] = regs[s]
                             else:
-                                vals = [regs[s] for _, s in copies]
-                                for (d, _), v in zip(copies, vals):
+                                dests, gather = copies
+                                for d, v in zip(dests, gather(regs)):
                                     regs[d] = v
                             steps += nphi
                         break
                     elif tag == OP_STORE:
-                        write_value(regs[op[3]], op[2], regs[op[1]])
+                        store(regs[op[3]], op[2], regs[op[1]])
                     elif tag == OP_BR:
-                        copies = op[2]
-                        if copies:
-                            nphi = op[3]
+                        nphi = op[3]
+                        if nphi:
                             if nphi == 1:
-                                d, s = copies[0]
+                                d, s = op[2]
                                 regs[d] = regs[s]
                             else:
-                                vals = [regs[s] for _, s in copies]
-                                for (d, _), v in zip(copies, vals):
+                                dests, gather = op[2]
+                                for d, v in zip(dests, gather(regs)):
                                     regs[d] = v
                             steps += nphi
                         bi = op[1]
@@ -407,7 +410,12 @@ class Interpreter:
                             self.steps = steps
                             raise InterpError("sdiv by zero")
                         q = abs(ia) // abs(ib)
-                        regs[op[1]] = _wrap(-q if (ia < 0) != (ib < 0) else q, op[4])
+                        v = -q if (ia < 0) != (ib < 0) else q
+                        if op[4] == 64:
+                            v &= M64
+                            regs[op[1]] = v - P64 if v >= S63 else v
+                        else:
+                            regs[op[1]] = _wrap(v, op[4])
                     elif tag == OP_SREM:
                         ia, ib = int(regs[op[2]]), int(regs[op[3]])
                         if ib == 0:
@@ -415,7 +423,12 @@ class Interpreter:
                             raise InterpError("srem by zero")
                         q = abs(ia) // abs(ib)
                         q = -q if (ia < 0) != (ib < 0) else q
-                        regs[op[1]] = _wrap(ia - q * ib, op[4])
+                        v = ia - q * ib
+                        if op[4] == 64:
+                            v &= M64
+                            regs[op[1]] = v - P64 if v >= S63 else v
+                        else:
+                            regs[op[1]] = _wrap(v, op[4])
                     elif tag == OP_SHL:
                         bits = op[4]
                         regs[op[1]] = _wrap(

@@ -151,9 +151,15 @@ class TrackFMProgram:
         ptr = int(args[0])
         if ptr == 0:
             return None
-        alloc = self.runtime.allocation_of(ptr)
-        self.runtime.tfm_free(ptr)
-        base = TWIN_BASE + alloc.offset
+        if not is_tfm_pointer(ptr) and self.runtime.is_pinned_allocation(ptr - TWIN_BASE):
+            # A heap-pruned allocation: the program holds its canonical twin.
+            self.runtime.tfm_free_pinned(ptr - TWIN_BASE)
+            base = ptr
+        else:
+            # Any other canonical pointer is rejected here.
+            alloc = self.runtime.allocation_of(ptr)
+            self.runtime.tfm_free(ptr)
+            base = TWIN_BASE + alloc.offset
         if interp.memory.is_mapped(base, 1):
             interp.memory.unmap(base)
         return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.aifm.allocator import Allocation, RegionAllocator
 from repro.aifm.pool import ObjectPool, PoolConfig
@@ -94,6 +94,8 @@ class TrackFMRuntime:
         self._object_mask = config.object_size - 1
         self._local_access = config.costs.local_access
         self._chunks: Dict[int, _ChunkState] = {}
+        #: Heap offsets of live ``tfm_malloc_pinned`` allocations.
+        self._pinned_offsets: Set[int] = set()
         #: Compiler-programmed prefetch schedules, keyed by chunk stream.
         self._psched: Dict[int, ProgrammedSchedule] = {}
         self.initialized = False
@@ -198,12 +200,31 @@ class TrackFMRuntime:
         for obj_id in range(first, last):
             if not self.pool.residency.is_pinned(obj_id):
                 self.pool.materialize(obj_id, pinned=True)
+        self._pinned_offsets.add(alloc.offset)
         return alloc.offset
+
+    def is_pinned_allocation(self, offset: int) -> bool:
+        """Whether ``offset`` starts a live :meth:`tfm_malloc_pinned` allocation."""
+        return offset in self._pinned_offsets
 
     def tfm_free(self, ptr: int) -> None:
         if not is_tfm_pointer(ptr):
             raise PointerError(f"tfm_free of non-TrackFM pointer {ptr:#x}")
-        alloc = self.allocator.free(decode_tfm_pointer(ptr))
+        self._release(self.allocator.free(decode_tfm_pointer(ptr)))
+
+    def tfm_free_pinned(self, offset: int) -> None:
+        """Free a pinned allocation by the heap offset it was returned as.
+
+        Objects no live allocation still uses are dropped, and with them
+        their pins; an object shared with a live allocation stays pinned.
+        """
+        if offset not in self._pinned_offsets:
+            raise PointerError(f"tfm_free_pinned of {offset:#x}: not a pinned allocation")
+        self._release(self.allocator.free(offset))
+
+    def _release(self, alloc: Allocation) -> None:
+        """Drop the objects of a freed allocation that nothing else uses."""
+        self._pinned_offsets.discard(alloc.offset)
         first, last = alloc.object_range(self.object_size)
         for obj_id in range(first, last):
             if self.allocator.allocation_at(obj_id * self.object_size) is None:

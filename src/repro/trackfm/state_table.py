@@ -36,7 +36,6 @@ class ObjectStateTable:
         self.pool = pool
         self.cache = cache if cache is not None else CacheModel()
         self.base_addr = TABLE_BASE_ADDR
-        self.lookups = 0
 
     @property
     def num_entries(self) -> int:
@@ -56,7 +55,6 @@ class ObjectStateTable:
         Returns ``(word, cache_hit)``; the hit/miss drives the
         cached/uncached guard-cost columns of Table 1.
         """
-        self.lookups += 1
         hit = self.cache.access(self.base_addr + obj_id * ENTRY_BYTES)
         return self.pool.meta_word(obj_id), hit
 

@@ -26,7 +26,7 @@ from repro.compiler.guard_analysis import GuardAnalysisPass
 from repro.compiler.guard_transform import GuardTransformPass
 from repro.compiler.pass_manager import PassContext, PassManager
 from repro.errors import InterpError
-from repro.ir import IRBuilder, I64, Module, verify_module
+from repro.ir import IRBuilder, I32, I64, Module, verify_module
 from repro.ir.values import Constant
 from repro.machine.cache import AlwaysHitCache
 from repro.sim.decode import decode_module
@@ -38,8 +38,9 @@ from repro.units import KB, MB
 from irgen import generate_module
 from irprograms import build_sum_loop, build_write_then_sum
 
-#: A small seed slice is plenty here: the full 50-seed corpus already
-#: runs both engines via the differential fuzzer's raw-interpreter leg.
+#: A small seed slice is plenty here: the engine leg of
+#: ``tests/test_fuzz_differential.py`` runs legacy against decoded over
+#: the whole fuzz corpus, raw and compiled (50 seeds per PR, 500 nightly).
 EQUIV_SEEDS = list(range(12))
 
 
@@ -121,6 +122,24 @@ class TestEngineEquivalence:
             ).run("main")
             results[engine] = (result.value, result.steps, runtime.metrics.as_dict())
         assert results["decoded"] == results["legacy"], f"seed {seed}: metrics diverged"
+
+    @pytest.mark.parametrize("ty", [I64, I32], ids=["i64", "i32"])
+    def test_sdiv_srem_wrap_matches(self, ty):
+        # The decoded engine wraps 64-bit quotients and remainders inline;
+        # the minimum divided by -1 is the one case that overflows.
+        lo = -(1 << (ty.bits - 1))
+        cases = [(lo, -1), (lo, 3), (lo + 1, lo), (-7, 2), (7, -3), (-7, -3)]
+        for op in ("sdiv", "srem"):
+            for a, c in cases:
+                m = Module()
+                f = m.add_function("main", ty)
+                b = IRBuilder(f.add_block("entry"))
+                b.ret(getattr(b, op)(Constant(ty, a), Constant(ty, c)))
+                got = {
+                    engine: Interpreter(m, engine=engine).run("main").value
+                    for engine in ("legacy", "decoded")
+                }
+                assert got["decoded"] == got["legacy"], (op, a, c, got)
 
     @pytest.mark.parametrize(
         "build", [build_sum_loop, build_write_then_sum], ids=["sum_loop", "write_sum"]

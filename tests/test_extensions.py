@@ -14,19 +14,23 @@ from repro.compiler.heap_pruning import (
 from repro.compiler.pipeline import ChunkingPolicy, CompilerConfig, TrackFMCompiler
 from repro.errors import PassError, PointerError, RuntimeConfigError
 from repro.hybrid.runtime import HybridRuntime, Placement
-from repro.ir import IRBuilder, I64, PTR, Module, verify_module
+from repro.ir import IRBuilder, I64, PTR, VOID, Module, verify_module
 from repro.ir.instructions import Call, Load
 from repro.ir.values import Constant
 from repro.machine.costs import AccessKind, GuardKind
-from repro.sim.irrun import TrackFMProgram
+from repro.sim.interpreter import Interpreter
+from repro.sim.irrun import TWIN_BASE, TrackFMProgram
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import KB, MB
 
 from irprograms import build_sum_loop
 
 
-def build_hot_cold(hot=32, cold=2048):
-    """Loop doing one hot-table lookup + one cold-array read per trip."""
+def build_hot_cold(hot=32, cold=2048, free_hot=False):
+    """Loop doing one hot-table lookup + one cold-array read per trip.
+
+    ``free_hot`` frees the hot table before returning.
+    """
     m = Module("hotcold")
     f = m.add_function("main", I64)
     entry, header, body, done = (
@@ -51,6 +55,8 @@ def build_hot_cold(hot=32, cold=2048):
     s.add_incoming(Constant(I64, 0), entry)
     s.add_incoming(s2, body)
     b.set_block(done)
+    if free_hot:
+        b.call(VOID, "free", [hotp])
     b.ret(s)
     return m
 
@@ -176,6 +182,27 @@ class TestHeapPruning:
         assert pruned_value == base_value  # semantics preserved
         assert pruned_metrics.cycles < base_metrics.cycles
         assert pruned_metrics.total_guards < base_metrics.total_guards
+
+    @pytest.mark.parametrize("budget", [0, 1024])
+    def test_freeing_a_pinned_allocation(self, budget):
+        # The pinned site returns a canonical twin and its free becomes
+        # tfm_free: the runtime must release it, not reject the pointer.
+        expected = Interpreter(build_hot_cold(free_hot=True)).run("main").value
+        config = CompilerConfig(chunking=ChunkingPolicy.NONE, pin_budget_bytes=budget)
+        compiled = TrackFMCompiler(config).compile(
+            build_hot_cold(free_hot=True), profile=profile_module(build_hot_cold())
+        )
+        assert compiled.ctx.get_stat("heap-pruning.sites_pinned") == (1 if budget else 0)
+        rt = TrackFMRuntime(
+            PoolConfig(object_size=4 * KB, local_memory=16 * KB, heap_size=1 * MB)
+        )
+        program = TrackFMProgram(compiled.module, rt)
+        assert program.run("main").value == expected
+        # Only the cold array is still live, and the hot table's twin
+        # and pins are gone.
+        assert [a.size for a in rt.allocator.live_allocations()] == [2048 * 8]
+        assert not program.interp.memory.is_mapped(TWIN_BASE)
+        assert not any(rt.pool.residency.is_pinned(o) for o in range(rt.pool.num_objects))
 
     def test_budget_respected(self):
         # A 1-byte budget pins nothing.

@@ -10,6 +10,9 @@ pointer chases — see :mod:`tests.irgen`).  Each seed's program runs
 3. TrackFM-compiled on the *adaptive hybrid* runtime, whose online
    selector migrates regions between the object and page tiers while
    the program runs (the fuzz oracle for the migration protocol);
+4. on both interpreter engines, raw and compiled: the decoded engine
+   must match the legacy engine (the executable spec) in value, steps
+   and output, and on compiled runs in every ``Metrics`` field too;
 
 and the results must be identical.  The seed is in the test id and the
 assertion message: ``generate_module(<seed>)`` reproduces any failure
@@ -56,13 +59,12 @@ FAULT_RATE = float(os.environ.get("REPRO_FUZZ_FAULT_RATE", "0"))
 CORRUPT_RATE = float(os.environ.get("REPRO_FUZZ_CORRUPT_RATE", "0"))
 
 
-def far_run(
-    module,
+def far_runtime(
     fault_rate: float = FAULT_RATE,
     fault_seed: int = 0,
     corrupt_rate: float = CORRUPT_RATE,
-) -> int:
-    """Interpret under a runtime too small to hold the working set."""
+) -> TrackFMRuntime:
+    """A runtime too small to hold the working set, faults armed as asked."""
     runtime = TrackFMRuntime(
         PoolConfig(object_size=256, local_memory=1 * KB, heap_size=1 * MB),
         cache=AlwaysHitCache(),
@@ -87,6 +89,17 @@ def far_run(
         runtime.enable_integrity(
             IntegrityConfig(seed=fault_seed, max_refetches=4)
         )
+    return runtime
+
+
+def far_run(
+    module,
+    fault_rate: float = FAULT_RATE,
+    fault_seed: int = 0,
+    corrupt_rate: float = CORRUPT_RATE,
+) -> int:
+    """Interpret under a runtime too small to hold the working set."""
+    runtime = far_runtime(fault_rate, fault_seed, corrupt_rate)
     return TrackFMProgram(module, runtime, max_steps=5_000_000).run("main").value
 
 
@@ -176,6 +189,46 @@ class TestSeededDifferential:
 
         assert print_module(generate_module(7)) == print_module(generate_module(7))
         assert print_module(generate_module(7)) != print_module(generate_module(8))
+
+
+class TestEngineDifferential:
+    """The decoded engine against the legacy engine over the whole corpus.
+
+    Compiled runs use :func:`far_runtime`, so the nightly fault and
+    corruption rates apply to both engines alike.
+    """
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_raw_decoded_matches_legacy(self, seed):
+        runs = {}
+        for engine in ("legacy", "decoded"):
+            result = Interpreter(
+                generate_module(seed), max_steps=5_000_000, engine=engine
+            ).run("main")
+            runs[engine] = (result.value, result.steps, result.output)
+        assert runs["decoded"] == runs["legacy"], (
+            f"seed {seed}: raw decoded run {runs['decoded'][:2]} != legacy "
+            f"{runs['legacy'][:2]} (value, steps); reproduce with "
+            f"tests.irgen.generate_module({seed})"
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_compiled_decoded_matches_legacy(self, seed):
+        runs = {}
+        for engine in ("legacy", "decoded"):
+            compiled = TrackFMCompiler(CompilerConfig()).compile(generate_module(seed))
+            runtime = far_runtime(fault_seed=seed)
+            result = TrackFMProgram(
+                compiled.module, runtime, max_steps=5_000_000, engine=engine
+            ).run("main")
+            runs[engine] = (
+                result.value, result.steps, result.output, runtime.metrics.as_dict()
+            )
+        assert runs["decoded"] == runs["legacy"], (
+            f"seed {seed}: compiled decoded run {runs['decoded'][:2]} != legacy "
+            f"{runs['legacy'][:2]} (value, steps), or metrics differ; "
+            f"reproduce with tests.irgen.generate_module({seed})"
+        )
 
 
 class TestFaultedDifferential:

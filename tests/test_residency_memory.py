@@ -1,10 +1,13 @@
 """Residency set (LRU/CLOCK + pinning) and the sparse address space."""
 
+import struct
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import EvacuationError, InterpError, RuntimeConfigError, SegmentationFault
-from repro.ir.types import F64, I32, I64
-from repro.sim.memory import AddressSpace
+from repro.ir.types import F64, I1, I8, I16, I32, I64, PTR
+from repro.sim.memory import AddressSpace, codec_for
 from repro.sim.residency import ResidencySet
 
 
@@ -194,3 +197,152 @@ class TestAddressSpace:
         mem = AddressSpace()
         with pytest.raises(InterpError):
             mem.map_region(0, 0)
+
+
+# -- typed accesses against an independent byte-level oracle ---------------
+
+_TYPES = {"i1": I1, "i8": I8, "i16": I16, "i32": I32, "i64": I64, "f64": F64, "ptr": PTR}
+
+
+def _oracle_size(name: str) -> int:
+    return 8 if name in ("f64", "ptr") else max(1, int(name[1:]) // 8)
+
+
+def _oracle_raw(name: str, value) -> bytes:
+    """The bytes a store writes: integers wrap, a pointer must fit."""
+    if name == "f64":
+        return struct.pack("<d", float(value))
+    if name == "ptr":
+        return int(value).to_bytes(8, "little", signed=False)
+    bits = int(name[1:])
+    return (int(value) & ((1 << bits) - 1)).to_bytes(_oracle_size(name), "little")
+
+
+def _oracle_value(name: str, raw: bytes):
+    """What a load returns: i1 reads its byte unsigned, i8..i64 sign-extend."""
+    if name == "f64":
+        return struct.unpack("<d", raw)[0]
+    return int.from_bytes(raw, "little", signed=name not in ("i1", "ptr"))
+
+
+def _oracle_region(regions, addr: int, size: int):
+    for start, data in regions.items():
+        if start <= addr and addr + size <= start + len(data):
+            return start, data
+    raise SegmentationFault(f"{addr:#x}")
+
+
+def _same(got, want) -> bool:
+    return got == want or (got != got and want != want)  # NaN loads NaN
+
+
+_BASE = 0x1000
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["load", "load", "store", "store", "unmap", "remap"]),
+        st.sampled_from(sorted(_TYPES)),
+        st.integers(-12, 140),  # offset from _BASE: inside, between and past regions
+        st.one_of(
+            st.integers(-(2**70), 2**70),
+            st.integers(-(2**1100), 2**1100),  # past any float
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        st.booleans(),  # through read_value/write_value instead of load/store
+    ),
+    max_size=40,
+)
+
+
+class TestCodecs:
+    """``load``/``store`` per codec match ``int.from_bytes``/``struct``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
+        gap=st.integers(1, 8),
+        fill=st.binary(min_size=120, max_size=120),
+        ops=_OPS,
+    )
+    def test_matches_byte_oracle(self, sizes, gap, fill, ops):
+        # Regions A and B are exactly adjacent; a hole separates C.  Each
+        # starts with arbitrary bytes, so loads see every bit pattern.
+        sa, sb, sc = sizes
+        layout = {_BASE: sa, _BASE + sa: sb, _BASE + sa + sb + gap: sc}
+        starts = sorted(layout)
+        mem = AddressSpace()
+        oracle = {}
+        for i, (start, size) in enumerate(layout.items()):
+            mem.map_region(start, size)
+            oracle[start] = bytearray(fill[40 * i : 40 * i + size])
+            mem.write_bytes(start, bytes(oracle[start]))
+        for kind, name, off, value, via_type in ops:
+            ty, codec = _TYPES[name], codec_for(_TYPES[name])
+            addr = _BASE + off
+            if kind in ("unmap", "remap"):
+                start = starts[off % 3]
+                if kind == "unmap" and start in oracle:
+                    mem.unmap(start)
+                    del oracle[start]
+                elif kind == "remap" and start not in oracle:
+                    mem.map_region(start, layout[start])
+                    oracle[start] = bytearray(layout[start])
+                continue
+            size = _oracle_size(name)
+            want_exc = want = None
+            try:
+                raw = _oracle_raw(name, value) if kind == "store" else None
+                start, data = _oracle_region(oracle, addr, size)
+                if kind == "store":
+                    data[addr - start : addr - start + size] = raw
+                else:
+                    want = _oracle_value(name, bytes(data[addr - start : addr - start + size]))
+            except (SegmentationFault, OverflowError, ValueError) as exc:
+                want_exc = type(exc)
+            try:
+                if kind == "store":
+                    if via_type:
+                        mem.write_value(addr, ty, value)
+                    else:
+                        mem.store(addr, codec, value)
+                else:
+                    got = mem.read_value(addr, ty) if via_type else mem.load(addr, codec)
+            except (SegmentationFault, OverflowError, ValueError) as exc:
+                assert type(exc) is want_exc, (kind, name, hex(addr), value)
+            else:
+                assert want_exc is None, (kind, name, hex(addr), value)
+                if kind == "load":
+                    assert _same(got, want), (name, hex(addr), got, want)
+            for start, data in oracle.items():
+                assert mem.read_bytes(start, len(data)) == bytes(data)
+
+    def test_unmapping_the_hot_region_drops_it(self):
+        mem = AddressSpace()
+        mem.map_region(0x1000, 16)
+        mem.store(0x1000, codec_for(I64), 42)
+        assert mem.load(0x1000, codec_for(I64)) == 42  # 0x1000 is now hot
+        mem.unmap(0x1000)
+        with pytest.raises(SegmentationFault):
+            mem.load(0x1000, codec_for(I64))
+        mem.map_region(0x1000, 16)  # same start, fresh zeroed bytes
+        assert mem.load(0x1000, codec_for(I64)) == 0
+
+    def test_access_straddling_into_an_adjacent_region_faults(self):
+        mem = AddressSpace()
+        mem.map_region(0x1000, 8)
+        mem.map_region(0x1008, 8)
+        mem.store(0x1000, codec_for(I64), -1)  # [0x1000, 0x1008) is hot
+        with pytest.raises(SegmentationFault):
+            mem.load(0x1004, codec_for(I64))
+        with pytest.raises(SegmentationFault):
+            mem.store(0x1004, codec_for(I64), 1)
+
+    def test_out_of_range_pointer_store_raises_before_the_address_check(self):
+        mem = AddressSpace()
+        mem.map_region(0x1000, 8)
+        for value in (-1, 1 << 64):
+            with pytest.raises(OverflowError):
+                mem.store(0x1000, codec_for(PTR), value)
+            with pytest.raises(OverflowError):
+                mem.write_value(0x9000, PTR, value)  # unmapped, still OverflowError
+        assert mem.read_bytes(0x1000, 8) == bytes(8)
