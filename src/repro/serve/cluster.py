@@ -38,7 +38,8 @@ durable contents.  What a loss costs depends on the replication factor:
 
 Joining a shard moves keys *to* it; moved keys that are resident on a
 surviving source are migrated through the source pool's evacuator
-(dirty ones cross the wire).
+(dirty ones cross the wire), and the source frees their slots for the
+keys it places next.
 
 **Tenant quotas.**  Per-tenant local-memory quotas bound how much of a
 shard's residency one tenant can hold: when a tenant exceeds its
@@ -50,9 +51,10 @@ exactly as a real cgroup-per-machine deployment would.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DataIntegrityError, RuntimeConfigError
 from repro.machine.costs import AccessKind
@@ -79,6 +81,9 @@ SLOT_BYTES = 8
 DEGRADED_STALL_CYCLES = 1_000.0
 
 _MASK64 = (1 << 64) - 1
+
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
 
 RUNTIME_KINDS = ("aifm", "trackfm", "fastswap", "hybrid", "adaptive")
 
@@ -200,10 +205,16 @@ class Shard:
         self.partitioned = False
         #: key -> heap offset of its slot in this shard's heap.
         self.slots: Dict[int, int] = {}
+        #: Offsets :meth:`drop_key` freed (a min-heap: reused lowest
+        #: first), and the first offset no key has held yet.
+        self._free_slots: List[int] = []
+        self._next_slot = 0
         #: The far node's durable contents (key -> value).
         self.store: Dict[int, int] = {}
         #: Per-key replica metadata (monotonic write version + the
         #: integrity layer's object checksum), kept next to the value.
+        #: Replicated clusters write and drop a key's tag together with
+        #: its value, so a key has a tag exactly when it has a value.
         self.tags: Dict[int, ReplicaTag] = {}
         #: The control-plane probe channel the failure detector polls.
         self.heartbeat = HeartbeatChannel(shard_id, config.fault_plan)
@@ -335,20 +346,32 @@ class Shard:
     # -- slots --------------------------------------------------------------
 
     def slot_of(self, key: int) -> int:
-        """Heap offset of ``key``'s slot (assigned on first placement)."""
+        """Heap offset of ``key``'s slot (assigned on first placement).
+
+        A new key takes the lowest offset a dropped key freed, and only
+        grows the used part of the heap when none is free, so no two
+        live keys share a slot and the heap (sized for every key) never
+        runs out.
+        """
         offset = self.slots.get(key)
         if offset is None:
-            offset = len(self.slots) * SLOT_BYTES
-            if offset + SLOT_BYTES > self.config.shard_heap_bytes:
-                raise RuntimeConfigError(
-                    f"shard {self.shard_id} heap exhausted at key {key}"
-                )
+            if self._free_slots:
+                offset = heapq.heappop(self._free_slots)
+            else:
+                offset = self._next_slot
+                if offset + SLOT_BYTES > self.config.shard_heap_bytes:
+                    raise RuntimeConfigError(
+                        f"shard {self.shard_id} heap exhausted at key {key}"
+                    )
+                self._next_slot = offset + SLOT_BYTES
             self.slots[key] = offset
         return offset
 
     def drop_key(self, key: int) -> None:
-        """Forget a key that moved away (its slot is not reused)."""
-        self.slots.pop(key, None)
+        """Forget a key that moved away; its slot is freed for reuse."""
+        offset = self.slots.pop(key, None)
+        if offset is not None:
+            heapq.heappush(self._free_slots, offset)
         self.store.pop(key, None)
         self.tags.pop(key, None)
 
@@ -356,10 +379,6 @@ class Shard:
         """The write version this replica holds (0 = seeded default)."""
         tag = self.tags.get(key)
         return tag.version if tag is not None else 0
-
-    def tag_of(self, key: int) -> ReplicaTag:
-        tag = self.tags.get(key)
-        return tag if tag is not None else initial_tag(key)
 
     def apply_write(self, key: int, value: int, tag: ReplicaTag) -> bool:
         """Apply a replicated write to durable state; False = unreachable."""
@@ -371,24 +390,44 @@ class Shard:
 
     # -- the service path ---------------------------------------------------
 
-    def service(self, key: int, kind: AccessKind, tenant: int) -> float:
-        """One request against this far node; returns service cycles."""
-        offset = self.slot_of(key)
-        runtime = self.runtime
-        if self._kind == "hybrid":
-            if offset < self._obj_half:
-                cycles = runtime.access(self._obj_handle, offset, kind, SLOT_BYTES)
-            else:
-                cycles = runtime.access(
-                    self._page_handle, offset - self._obj_half, kind, SLOT_BYTES
-                )
-        elif self._kind in ("trackfm", "adaptive"):
-            cycles = runtime.access(self._base + offset, kind, SLOT_BYTES)
+    def service(
+        self, key: int, kind: AccessKind, tenant: int
+    ) -> Tuple[float, bool]:
+        """One request against this far node: ``(service cycles, degraded)``.
+
+        ``degraded`` means the runtime served part of the request locally
+        because the far node was unreachable: its own count of degraded
+        accesses moved (on a static hybrid, the sum over its three
+        bundles, so no merged copy is built).
+        """
+        offset = self.slots.get(key)
+        if offset is None:
+            offset = self.slot_of(key)
+        if self._kind != "hybrid":
+            counters = self.counters
+            before = counters.degraded_accesses
+            cycles = self.runtime.access(self._base + offset, kind, SLOT_BYTES)
+            if self._quota is not None:
+                cycles += self._enforce_quota(tenant, offset)
+            return cycles, counters.degraded_accesses > before
+        before = self._hybrid_degraded_accesses()
+        if offset < self._obj_half:
+            cycles = self.runtime.access(self._obj_handle, offset, kind, SLOT_BYTES)
         else:
-            cycles = runtime.access(self._base + offset, kind, size=SLOT_BYTES)
+            cycles = self.runtime.access(
+                self._page_handle, offset - self._obj_half, kind, SLOT_BYTES
+            )
         if self._quota is not None:
             cycles += self._enforce_quota(tenant, offset)
-        return cycles
+        return cycles, self._hybrid_degraded_accesses() > before
+
+    def _hybrid_degraded_accesses(self) -> int:
+        runtime = self.runtime
+        return (
+            runtime.trackfm.metrics.degraded_accesses
+            + runtime.fastswap.metrics.degraded_accesses
+            + runtime.extra_metrics.degraded_accesses
+        )
 
     # -- tenant quotas ------------------------------------------------------
 
@@ -465,13 +504,8 @@ class Shard:
         self._saved_faults = None
         self.partitioned = False
 
-    def record_latency(self, latency_cycles: float) -> None:
-        self.requests += 1
-        self.latency.record(latency_cycles)
 
-
-@dataclass
-class RequestResult:
+class RequestResult(NamedTuple):
     """What one served request did."""
 
     shard_id: int
@@ -592,14 +626,17 @@ class ShardedCluster:
     def live_shards(self) -> List[int]:
         return [sid for sid, shard in sorted(self.shards.items()) if not shard.lost]
 
-    def _routable(self, replicas: Iterable[int]) -> List[int]:
+    def _routable(self, replicas: Tuple[int, ...]) -> Sequence[int]:
         """Replicas requests are sent to: the not-yet-suspected ones.
 
         Before the failure detector fires, a dead replica is still
         routed to (and pays degraded service) — suspicion, not an
-        oracle, is what removes it from the request path.
+        oracle, is what removes it from the request path.  While none
+        of them is suspected, the cached replica set is the route.
         """
-        suspected = self.detector.suspected if self.detector is not None else ()
+        suspected = self.detector.suspected
+        if suspected.isdisjoint(replicas):
+            return replicas
         routable = [sid for sid in replicas if sid not in suspected]
         return routable if routable else list(replicas)
 
@@ -619,19 +656,18 @@ class ShardedCluster:
             )
         if self._replicated:
             return self._serve_replicated(key, tenant, write)
-        sid = self.place(key)
+        sid = self._owner.get(key)
+        if sid is None:
+            sid = self.place(key)
         shard = self.shards[sid]
-        kind = AccessKind.WRITE if write else AccessKind.READ
-        degraded_before = shard.metrics.degraded_accesses
-        cycles = shard.service(key, kind, tenant)
+        cycles, degraded = shard.service(key, _WRITE if write else _READ, tenant)
         # Degraded = the request could not use the far node as intended:
         # its remote path fell back locally (counted by the runtime), or
         # it was a write to a lost shard (acknowledged, not durable).
         # A read that hits host-local residency is *correct* even while
         # the far node is down — not degraded.
-        degraded = shard.metrics.degraded_accesses > degraded_before or (
-            shard.lost and write
-        )
+        if write and shard.lost:
+            degraded = True
         # A key's seed value is derived only when it was never written.
         previous = shard.store.get(key)
         if previous is None:
@@ -651,23 +687,26 @@ class ShardedCluster:
 
     # -- the replicated request path -----------------------------------------
 
-    def _freshest(self, key: int, shard_ids: Iterable[int]) -> Tuple[int, int, ReplicaTag]:
-        """``(shard, value, tag)`` of the max-version copy among
-        ``shard_ids`` (ties broken by iteration order — replica order,
-        so two runs always agree)."""
-        best_sid = -1
-        best_value = 0
-        best_tag: Optional[ReplicaTag] = None
+    def _freshest(
+        self, key: int, shard_ids: Iterable[int]
+    ) -> Tuple[int, Optional[ReplicaTag]]:
+        """``(value, tag)`` of the max-version copy among ``shard_ids``
+        (ties broken by iteration order — replica order, so two runs
+        always agree).  ``tag`` is None when that copy was never
+        written: the value is then the key's seed, at version 0."""
+        shards = self.shards
+        best = None
+        best_tag = None
+        best_version = -1
         for sid in shard_ids:
-            shard = self.shards[sid]
-            tag = shard.tag_of(key)
-            if best_tag is None or tag.version > best_tag.version:
-                best_sid = sid
-                best_value = shard.store.get(key, default_value(key))
-                best_tag = tag
+            shard = shards[sid]
+            tag = shard.tags.get(key)
+            version = 0 if tag is None else tag.version
+            if version > best_version:
+                best, best_tag, best_version = shard, tag, version
         if best_tag is None:
-            return -1, default_value(key), initial_tag(key)
-        return best_sid, best_value, best_tag
+            return default_value(key), None
+        return best.store[key], best_tag
 
     def _serve_replicated(self, key: int, tenant: int, write: bool) -> RequestResult:
         """Quorum write / quorum read over the key's replica set.
@@ -679,21 +718,24 @@ class ShardedCluster:
         replicas, return the max-version value, and heal stale quorum
         members inline (read repair).
         """
-        reps = self.replicas(key)
+        reps = self._replica_sets.get(key)
+        if reps is None:
+            reps = self.replicas(key)
         routable = self._routable(reps)
         coordinator = routable[0]
+        shards = self.shards
         cycles = 0.0
         degraded = False
         if write:
-            _src, prev_value, prev_tag = self._freshest(key, reps)
-            value = next_value(key, prev_value)
-            tag = ReplicaTag.at(key, prev_tag.version + 1)
+            previous, prev_tag = self._freshest(key, reps)
+            value = next_value(key, previous)
+            tag = ReplicaTag.at(key, 1 if prev_tag is None else prev_tag.version + 1)
             acks = 0
             for sid in routable:
-                shard = self.shards[sid]
-                before = shard.metrics.degraded_accesses
-                cycles += shard.service(key, AccessKind.WRITE, tenant)
-                if shard.metrics.degraded_accesses > before or shard.lost:
+                shard = shards[sid]
+                service_cycles, shard_degraded = shard.service(key, _WRITE, tenant)
+                cycles += service_cycles
+                if shard_degraded or shard.lost:
                     degraded = True
                 if shard.apply_write(key, value, tag):
                     acks += 1
@@ -705,26 +747,29 @@ class ShardedCluster:
         else:
             targets = routable[: self._read_quorum]
             for sid in targets:
-                shard = self.shards[sid]
-                before = shard.metrics.degraded_accesses
-                cycles += shard.service(key, AccessKind.READ, tenant)
-                if shard.metrics.degraded_accesses > before:
+                service_cycles, shard_degraded = shards[sid].service(key, _READ, tenant)
+                cycles += service_cycles
+                if shard_degraded:
                     degraded = True
-            self.shards[coordinator].counters.quorum_reads += 1
-            _src, value, tag = self._freshest(key, targets)
-            version = tag.version
+            shards[coordinator].counters.quorum_reads += 1
+            value, tag = self._freshest(key, targets)
             acks = len(targets)
-            # Read repair: stale quorum members adopt the winner.
-            for sid in targets:
-                shard = self.shards[sid]
-                if shard.version_of(key) < version and shard.apply_write(key, value, tag):
-                    shard.counters.read_repairs += 1
-                    tracer = self.tracer
-                    if tracer.enabled:
-                        tracer.replica(
-                            "read_repair", self._now(),
-                            key=key, shard=sid, version=version,
-                        )
+            version = 0 if tag is None else tag.version
+            # Read repair: stale quorum members adopt the winner.  A
+            # quorum of one, or a key never written, has nothing stale.
+            if acks > 1 and version:
+                for sid in targets:
+                    shard = shards[sid]
+                    if shard.version_of(key) < version and shard.apply_write(
+                        key, value, tag
+                    ):
+                        shard.counters.read_repairs += 1
+                        tracer = self.tracer
+                        if tracer.enabled:
+                            tracer.replica(
+                                "read_repair", self._now(),
+                                key=key, shard=sid, version=version,
+                            )
         self.stats.requests += 1
         if degraded:
             self.stats.degraded_requests += 1
@@ -740,8 +785,7 @@ class ShardedCluster:
         if self._replicated:
             reps = self.replicas(key)
             reachable = [sid for sid in reps if not self.shards[sid].lost]
-            _sid, value, _tag = self._freshest(key, reachable or reps)
-            return value
+            return self._freshest(key, reachable or reps)[0]
         shard = self.shards[self.place(key)]
         return shard.store.get(key, default_value(key))
 
@@ -846,7 +890,9 @@ class ShardedCluster:
                 and not self.shards[sid].partitioned
             ]
             if survivors:
-                _src, value, tag = self._freshest(key, survivors)
+                value, tag = self._freshest(key, survivors)
+                if tag is None:
+                    tag = initial_tag(key)
                 if not tag.verify(key):
                     raise DataIntegrityError(
                         f"replica tag for key {key} failed verification at failover",
@@ -896,8 +942,8 @@ class ShardedCluster:
             ]
             if not reachable:
                 continue
-            _src, value, tag = self._freshest(key, reachable)
-            if tag.version == 0:
+            value, tag = self._freshest(key, reachable)
+            if tag is None or tag.version == 0:
                 continue  # nothing written: every replica is at the seed
             if not tag.verify(key):
                 raise DataIntegrityError(
@@ -1002,7 +1048,9 @@ class ShardedCluster:
                     s for s in old
                     if not self.shards[s].lost and not self.shards[s].partitioned
                 ]
-                _src, value, tag = self._freshest(key, sources or old)
+                value, tag = self._freshest(key, sources or old)
+                if tag is None:
+                    tag = initial_tag(key)
                 for member in new:
                     if member not in old:
                         self.shards[member].apply_write(key, value, tag)

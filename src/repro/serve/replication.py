@@ -25,8 +25,7 @@ Three small pieces, all deterministic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import RuntimeConfigError
 from repro.integrity.checksum import ChecksumCodec
@@ -71,9 +70,8 @@ def resolve_quorums(
 _CODEC = ChecksumCodec(seed=0)
 
 
-@dataclass(frozen=True)
-class ReplicaTag:
-    """Version metadata one replica holds for one key."""
+class ReplicaTag(NamedTuple):
+    """Version metadata one replica holds for one key (immutable)."""
 
     version: int
     checksum: int

@@ -25,6 +25,7 @@ reruns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -133,23 +134,34 @@ class ServingSimulation:
         busy_until: Dict[int, float] = {}
         makespan = 0.0
         completions_acc = 0xCBF29CE484222325
+        shards = cluster.shards
+        serve = cluster.serve
+        # The control plane runs only once something is due.
+        due = self._next_due(actions)
 
         for now, _client, tenant, key, is_write in self.schedule.rows():
-            self._control_plane(actions, now)
-            result = cluster.serve(key, tenant=tenant, write=is_write)
+            if now >= due:
+                self._control_plane(actions, now)
+                due = self._next_due(actions)
+            sid, value, service_cycles, degraded, _version, _acks = serve(
+                key, tenant, is_write
+            )
             # The request queues at the shard that served it: the
             # coordinator, which differs from the key's primary when a
             # suspected primary is still in its replica set.
-            sid = result.shard_id
-            start = max(now, busy_until.get(sid, 0.0))
-            completion = start + result.service_cycles
+            start = busy_until.get(sid, 0.0)
+            if start < now:
+                start = now
+            completion = start + service_cycles
             busy_until[sid] = completion
             if completion > makespan:
                 makespan = completion
             latency = completion - now
-            cluster.shards[sid].record_latency(latency)
+            shard = shards[sid]
+            shard.requests += 1
+            shard.latency.record(latency)
             completions_acc = (
-                (completions_acc ^ (result.value + sid + (1 if result.degraded else 2)))
+                (completions_acc ^ (value + sid + (1 if degraded else 2)))
                 * 0x100000001B3
             ) & _MASK64
             if tracer.enabled:
@@ -161,7 +173,7 @@ class ServingSimulation:
                     key=key,
                     write=is_write,
                     latency=latency,
-                    degraded=result.degraded,
+                    degraded=degraded,
                 )
 
         # Chaos scripted past the last arrival still runs (e.g. a final
@@ -207,6 +219,20 @@ class ServingSimulation:
             schedule_fingerprint=self.schedule.fingerprint(),
             completions_fingerprint=completions_acc,
         )
+
+    def _next_due(self, actions: List[ChaosAction]) -> float:
+        """The simulated time of the next chaos action, heartbeat tick or
+        sweep (infinity when none is left)."""
+        due = (
+            actions[self._next_action].at_cycles
+            if self._next_action < len(actions)
+            else math.inf
+        )
+        if self._next_hb is not None and self._next_hb < due:
+            due = self._next_hb
+        if self._next_ae is not None and self._next_ae < due:
+            due = self._next_ae
+        return due
 
     def _control_plane(self, actions: List[ChaosAction], until: float) -> None:
         """Fire chaos, heartbeat ticks and sweeps due by ``until``, in

@@ -40,16 +40,9 @@ class StreamingHistogram:
 
     # -- indexing ---------------------------------------------------------
 
-    def _index(self, n: int) -> int:
-        """Bucket index of quantized value ``n >= 0`` (monotone in n)."""
-        if n < self._base:
-            return n
-        shift = n.bit_length() - (self.sub_bits + 1)
-        sub = n >> shift  # in [base, 2*base)
-        return shift * self._base + sub
-
     def _representative(self, idx: int) -> float:
-        """Midpoint of the bucket's value range (inverse of ``_index``)."""
+        """Midpoint of the bucket's value range (inverse of the index
+        :meth:`record` computes)."""
         if idx < self._base:
             return float(idx)
         shift = idx // self._base - 1
@@ -66,8 +59,18 @@ class StreamingHistogram:
         v = float(value)
         if v < 0.0:
             v = 0.0
-        idx = self._index(int(round(v)))
-        self.buckets[idx] = self.buckets.get(idx, 0) + count
+        # Bucket index of the quantized value n (monotone in n): exact
+        # below 2**sub_bits, then 2**sub_bits linear sub-buckets per
+        # power of two.
+        n = round(v)
+        base = self._base
+        if n < base:
+            idx = n
+        else:
+            shift = n.bit_length() - (self.sub_bits + 1)
+            idx = shift * base + (n >> shift)  # n >> shift is in [base, 2*base)
+        buckets = self.buckets
+        buckets[idx] = buckets.get(idx, 0) + count
         self.count += count
         self.total += v * count
         if v < self.min:

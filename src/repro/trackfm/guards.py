@@ -32,6 +32,8 @@ from repro.trace.tracer import NULL_TRACER
 from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
 from repro.trackfm.state_table import ObjectStateTable
 
+_FAST = GuardKind.FAST
+
 
 @dataclass(frozen=True)
 class GuardResult:
@@ -97,10 +99,15 @@ class GuardEngine:
         # The evacuator barrier (§3.3) guarantees no TOCTOU: while a
         # thread is inside a guard it is never "out-of-scope", so the
         # object cannot be delocalized between the test and the access.
+        # A safe object is resident: recording the hit is all the
+        # residency set has to do.
         write = kind is AccessKind.WRITE
-        self.pool.residency.access(obj_id, write=write)
+        residency = self.pool.residency
+        if not residency.touch(obj_id, write):
+            residency.access(obj_id, write=write)
         result = (self._fast_write if write else self._fast_read)[cache_hit]
-        self.metrics.count_guard(GuardKind.FAST)
+        guards = self.metrics.guards
+        guards[_FAST] = guards.get(_FAST, 0) + 1
         tracer = self.tracer
         if tracer.enabled:
             tracer.guard(

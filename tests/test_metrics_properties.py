@@ -138,6 +138,23 @@ class TestHistogramProperties:
         assert h.min == min(samples)
         assert h.max == max(samples)
 
+    @given(
+        st.floats(min_value=0.0, max_value=1e15, allow_nan=False),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sample_lands_in_the_bucket_that_holds_it(self, value, sub_bits, count):
+        """The rounded value lies in its bucket's range: exact below
+        ``2**sub_bits``, then ``2**sub_bits`` equal sub-buckets of
+        width ``2**shift`` per power of two."""
+        h = StreamingHistogram(sub_bits)
+        h.record(value, count)
+        n = round(value)
+        shift = max(0, n.bit_length() - (sub_bits + 1))
+        lo = (n >> shift) << shift
+        assert h.items() == [(float(lo + ((1 << shift) >> 1)), count)]
+
     @given(samples_strategy, samples_strategy)
     @settings(max_examples=50, deadline=None)
     def test_merge_equals_concatenation(self, xs, ys):

@@ -13,7 +13,10 @@ Four groups of guarantees, all stated as hypothesis properties:
   committed write is visible to every subsequent quorum read;
 * **repair idempotence** — anti-entropy converges: a sweep that healed
   everything reachable leaves nothing for the next sweep, and a repeat
-  read after a read-repair finds no remaining staleness.
+  read after a read-repair finds no remaining staleness;
+* **the request path** — for every valid ``(R, W, Rq)`` with ``R <= 3``,
+  through partitions, heals and a suspected replica, each request's
+  value, version, acks and degraded bit match a per-replica dict model.
 """
 
 from __future__ import annotations
@@ -236,6 +239,180 @@ def test_read_repair_is_idempotent(seed, key):
     cluster.serve(key, write=False)  # nothing left to repair
     assert cluster.merged_metrics().read_repairs == repairs
     assert cluster.anti_entropy() == 0
+
+
+# -- the request path against a per-replica model --------------------------
+
+#: Every valid ``(R, W, Rq)`` with ``R <= 3``: ``W + Rq > R``.
+VALID_QUORUMS = [
+    (r, w, rq)
+    for r in (1, 2, 3)
+    for w in range(1, r + 1)
+    for rq in range(1, r + 1)
+    if w + rq > r
+]
+
+_MODEL_SHARDS = 4
+#: Few keys, so reads find the replicas missed writes left stale; two
+#: keys per object and one object of local memory, so accesses miss.
+_MODEL_KEYS = 4
+
+
+class _ReplicaModel:
+    """Per-replica key -> ``(value, version)`` dicts plus the shard states
+    the request path branches on; knows nothing of runtimes or costs."""
+
+    def __init__(self, replication: int, write_quorum: int, read_quorum: int) -> None:
+        self.replicated = replication > 1
+        self.write_quorum = write_quorum
+        self.read_quorum = read_quorum
+        self.copies = {sid: {} for sid in range(_MODEL_SHARDS)}
+        self.lost: set = set()
+        self.partitioned: set = set()
+        self.suspected: set = set()
+        self.read_repairs = 0
+
+    def copy(self, sid: int, key: int):
+        return self.copies[sid].get(key, (default_value(key), 0))
+
+    def freshest(self, key: int, sids):
+        best = self.copy(sids[0], key)
+        for sid in sids[1:]:
+            if self.copy(sid, key)[1] > best[1]:
+                best = self.copy(sid, key)
+        return best
+
+    def reachable(self, sid: int) -> bool:
+        return sid not in self.lost and sid not in self.partitioned
+
+    def serve(self, key: int, write: bool, reps, shard_degraded):
+        """``(shard_id, value, version, acks, degraded)`` of one request;
+        ``shard_degraded`` = the shards whose runtimes degraded it."""
+        if not self.replicated:
+            (sid,) = reps
+            value = self.copy(sid, key)[0]
+            if write:
+                value = next_value(key, value)
+                if sid not in self.lost:
+                    self.copies[sid][key] = (value, 0)
+            degraded = sid in shard_degraded or (write and sid in self.lost)
+            return sid, value, 0, 0, degraded
+        routable = [sid for sid in reps if sid not in self.suspected] or list(reps)
+        if write:
+            previous, version = self.freshest(key, list(reps))
+            value, version = next_value(key, previous), version + 1
+            acks = 0
+            degraded = False
+            for sid in routable:
+                degraded |= sid in shard_degraded or sid in self.lost
+                if self.reachable(sid):
+                    self.copies[sid][key] = (value, version)
+                    acks += 1
+            degraded |= acks < min(self.write_quorum, len(reps))
+            return routable[0], value, version, acks, degraded
+        targets = routable[: self.read_quorum]
+        value, version = self.freshest(key, targets)
+        for sid in targets:
+            if self.copy(sid, key)[1] < version and self.reachable(sid):
+                self.copies[sid][key] = (value, version)
+                self.read_repairs += 1
+        degraded = any(sid in shard_degraded for sid in targets)
+        return routable[0], value, version, len(targets), degraded
+
+
+#: ``(op, arg)``: ``arg`` is the key of a read, a write or a missed
+#: write (one replica is partitioned for it, then healed), and
+#: picks the shard of a partition, heal or suspicion among those it is
+#: valid for.
+_REQUEST_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "read", "read", "write", "missed_write",
+            "partition", "heal", "suspect",
+        ]),
+        st.integers(min_value=0, max_value=_MODEL_KEYS - 1),
+    ),
+    min_size=1, max_size=50,
+)
+
+
+@pytest.mark.parametrize("quorums", VALID_QUORUMS, ids=lambda q: "R%d-W%d-Rq%d" % q)
+@given(seed=SEEDS, ops=_REQUEST_OPS)
+@settings(max_examples=60, deadline=None)
+def test_request_path_matches_a_per_replica_model(quorums, seed, ops):
+    r, w, rq = quorums
+    cluster = ShardedCluster(ClusterConfig(
+        n_shards=_MODEL_SHARDS, n_keys=_MODEL_KEYS, seed=seed,
+        object_size=16, local_memory=16,
+        replication=r, write_quorum=w, read_quorum=rq,
+        suspicion_threshold=1, auto_failover=False,
+    ))
+    model = _ReplicaModel(r, w, rq)
+
+    def replicas(key):
+        return cluster.replicas(key) if model.replicated else (cluster.place(key),)
+
+    def request(key, write):
+        before = {
+            sid: shard.metrics.degraded_accesses
+            for sid, shard in cluster.shards.items()
+        }
+        result = cluster.serve(key, write=write)
+        shard_degraded = {
+            sid for sid, shard in cluster.shards.items()
+            if shard.metrics.degraded_accesses > before[sid]
+        }
+        expected = model.serve(key, write, replicas(key), shard_degraded)
+        assert (
+            result.shard_id, result.value, result.version,
+            result.acks, result.degraded,
+        ) == expected, (key, write)
+
+    def partition(sid):
+        cluster.partition_shard(sid)
+        model.partitioned.add(sid)
+
+    def heal(sid):
+        cluster.heal_shard(sid)
+        model.partitioned.discard(sid)
+
+    for op, arg in ops:
+        up = [
+            sid for sid in range(_MODEL_SHARDS)
+            if sid not in model.lost and sid not in model.partitioned
+        ]
+        if op in ("read", "write"):
+            request(arg, op == "write")
+        elif op == "missed_write":
+            reps = replicas(arg)
+            missed = reps[arg % len(reps)]
+            if missed in up:
+                partition(missed)
+                request(arg, True)
+                heal(missed)
+        elif op == "heal":
+            if model.partitioned:
+                heal(sorted(model.partitioned)[arg % len(model.partitioned)])
+        elif op == "partition":
+            if up:
+                partition(up[arg % len(up)])
+        elif up and len(model.lost) + 1 < _MODEL_SHARDS:
+            # Suspect: knock the shard out; one missed heartbeat.
+            sid = up[arg % len(up)]
+            cluster.lose_shard(sid)
+            cluster.tick()
+            model.lost.add(sid)
+            if model.replicated:
+                model.suspected.add(sid)
+                assert cluster.detector.suspected == model.suspected
+    # Every replica holds exactly the model's copies, and the cluster
+    # booked exactly the model's read repairs.
+    for sid, shard in cluster.shards.items():
+        for key in range(_MODEL_KEYS):
+            value, version = model.copy(sid, key)
+            assert shard.store.get(key, default_value(key)) == value
+            assert shard.version_of(key) == version
+    assert cluster.merged_metrics().read_repairs == model.read_repairs
 
 
 # -- tags and heartbeats ----------------------------------------------------

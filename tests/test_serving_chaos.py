@@ -18,13 +18,18 @@ Everything is deterministic, so equality assertions are exact.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     ChaosAction,
     ClusterConfig,
+    ServingSimulation,
     ShardedCluster,
     TrafficConfig,
     default_value,
@@ -32,6 +37,7 @@ from repro.serve import (
     next_value,
     run_serving,
 )
+from repro.serve.cluster import RUNTIME_KINDS, SLOT_BYTES
 from repro.errors import RuntimeConfigError
 
 N_KEYS = 256
@@ -290,6 +296,43 @@ def test_join_shard_migrates_with_evacuator():
     assert cluster.stats.migrated_keys == len(moved)
 
 
+@pytest.mark.parametrize("replication", [1, 2])
+def test_join_leaves_no_two_live_keys_in_one_slot(replication):
+    """``join_shard`` drops the keys that moved off live sources.  A new
+    key on such a source must not take an offset a live key still
+    holds: freed slots are reused, and every slot stays in the heap."""
+    cluster = ShardedCluster(ClusterConfig(
+        n_shards=4, n_keys=512, runtime="trackfm", seed=3,
+        replication=replication,
+    ))
+    for key in range(0, 512, 2):
+        cluster.serve(key, write=True)
+    cluster.join_shard()
+    for key in range(1, 512, 2):
+        cluster.serve(key)
+    heap = cluster.config.shard_heap_bytes
+    for sid, shard in sorted(cluster.shards.items()):
+        offsets = sorted(shard.slots.values())
+        assert len(offsets) == len(set(offsets)), f"shard {sid} shares a slot"
+        assert all(0 <= off and off + SLOT_BYTES <= heap for off in offsets)
+    for key in range(512):
+        expected = default_value(key)
+        if key % 2 == 0:
+            expected = next_value(key, expected)
+        assert cluster.read_value(key) == expected
+
+
+def test_dropped_slots_are_reused_lowest_first():
+    shard = ShardedCluster(ClusterConfig(n_shards=1, n_keys=8)).shards[0]
+    assert [shard.slot_of(key) for key in range(4)] == [0, 8, 16, 24]
+    shard.drop_key(2)
+    shard.drop_key(0)
+    assert shard.slot_of(2) == 0  # the lowest freed offset first
+    assert shard.slot_of(5) == 16
+    assert shard.slot_of(6) == 32  # nothing free: the heap grows
+    assert shard.slot_of(5) == 16  # a placed key keeps its slot
+
+
 # -- replicated clusters (R >= 2): lossless knockout survival ---------------
 
 
@@ -443,7 +486,8 @@ def test_unreplicated_path_untouched_by_replication_plumbing():
 
 
 #: Seeded chaos-schedule fuzzing: ``REPRO_SERVE_CHAOS_SEEDS`` widens the
-#: corpus (the nightly fuzz workflow runs 25); the PR gate runs 3.
+#: corpus (the nightly fuzz workflow runs 25); the PR gate runs 3.  The
+#: event-loop property below draws 20 examples per seed.
 SERVE_CHAOS_SEEDS = list(
     range(int(os.environ.get("REPRO_SERVE_CHAOS_SEEDS", "3")))
 )
@@ -481,3 +525,203 @@ def test_fuzz_replicated_partition_then_knockout(seed):
     assert stats["partitions"] == 1
     assert values == base_values
     assert cluster.anti_entropy() == 0
+
+
+# -- the event loop against a plain reference driver ------------------------
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+#: Arrival times are rounded to this grid so arrivals tie with chaos
+#: actions, heartbeat ticks and sweeps (all placed on the same grid).
+_GRID = 50_000.0
+
+
+def _apply_chaos(cluster: ShardedCluster, action: ChaosAction) -> None:
+    if action.action == "lose":
+        cluster.lose_shard(action.shard)
+    elif action.action == "partition":
+        cluster.partition_shard(action.shard)
+    elif action.action == "heal":
+        cluster.heal_shard(action.shard)
+    elif action.action == "rebalance":
+        cluster.rebalance()
+    else:
+        cluster.anti_entropy()
+
+
+def _reference_run(cluster: ShardedCluster, schedule, chaos):
+    """The serving event loop, written plainly.
+
+    Before each arrival, every chaos action, heartbeat tick and sweep
+    due by then fires in time order (ties: chaos, then heartbeat, then
+    sweep); the request goes through the public ``cluster.serve`` and
+    queues at the shard that served it.  After the last arrival the
+    rest of the script runs, the detector trails for one threshold of
+    ticks and, with periodic sweeps configured, one closing sweep runs.
+    Returns ``(completions fingerprint, makespan, final values)``.
+    """
+    config = cluster.config
+    pending = sorted(chaos, key=lambda a: (a.at_cycles, a.action))
+    last_action = pending[-1].at_cycles if pending else None
+    hb_every = config.heartbeat_interval_cycles if config.replicated else None
+    ae_every = config.anti_entropy_interval_cycles if config.replicated else None
+    next_tick = {"hb": hb_every, "ae": ae_every}
+
+    def fire_due(until: float) -> None:
+        while True:
+            due = []
+            if pending and pending[0].at_cycles <= until:
+                due.append((pending[0].at_cycles, 0))
+            if next_tick["hb"] is not None and next_tick["hb"] <= until:
+                due.append((next_tick["hb"], 1))
+            if next_tick["ae"] is not None and next_tick["ae"] <= until:
+                due.append((next_tick["ae"], 2))
+            if not due:
+                return
+            _at, which = min(due)
+            if which == 0:
+                _apply_chaos(cluster, pending.pop(0))
+            elif which == 1:
+                cluster.tick()
+                next_tick["hb"] += hb_every
+            else:
+                cluster.anti_entropy()
+                next_tick["ae"] += ae_every
+
+    busy_until = {}
+    makespan = 0.0
+    fingerprint = _FNV_OFFSET
+    for now, _client, tenant, key, write in schedule.rows():
+        fire_due(now)
+        result = cluster.serve(key, tenant=tenant, write=write)
+        sid = result.shard_id
+        start = max(now, busy_until.get(sid, 0.0))
+        completion = start + result.service_cycles
+        busy_until[sid] = completion
+        makespan = max(makespan, completion)
+        shard = cluster.shards[sid]
+        shard.requests += 1
+        shard.latency.record(completion - now)
+        token = result.value + sid + (1 if result.degraded else 2)
+        fingerprint = ((fingerprint ^ token) * _FNV_PRIME) & _MASK64
+    if last_action is not None:
+        fire_due(last_action)
+    while pending:
+        _apply_chaos(cluster, pending.pop(0))
+    if config.replicated:
+        for _ in range(config.suspicion_threshold):
+            cluster.tick()
+        if ae_every is not None:
+            cluster.anti_entropy()
+    values = {key: cluster.read_value(key) for key in range(config.n_keys)}
+    return fingerprint, makespan, values
+
+
+@st.composite
+def _chaos_scripts(draw, n_shards: int, end: float):
+    """A valid script of lose/partition/heal/anti_entropy/rebalance
+    actions on the arrival grid, some of them past the last arrival.
+
+    Shards are chosen in the order the simulation fires the script,
+    among the ones the action is valid for: a shard is lost or
+    partitioned only while it is neither, healed only while
+    partitioned, and one shard always stays unlost.
+    """
+    slots = int(end * 1.2 // _GRID)
+    drawn = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=slots),
+            # Partitions and heals weigh double: a sweep matters only
+            # once a healed replica is stale.
+            st.sampled_from([
+                "lose", "partition", "partition", "heal", "heal",
+                "anti_entropy", "rebalance",
+            ]),
+            st.integers(min_value=0, max_value=n_shards - 1),
+        ),
+        max_size=8,
+    ))
+    lost, partitioned, script = set(), set(), []
+    for slot, action, pick in sorted(drawn, key=lambda d: (d[0], d[1])):
+        shard = None
+        if action in ("lose", "partition", "heal"):
+            if action == "heal":
+                eligible = sorted(partitioned)
+            else:
+                eligible = [
+                    sid for sid in range(n_shards)
+                    if sid not in lost and sid not in partitioned
+                ]
+                if action == "lose" and len(lost) + 1 >= n_shards:
+                    eligible = []
+            if not eligible:
+                continue
+            shard = eligible[pick % len(eligible)]
+            {"lose": lost.add, "partition": partitioned.add,
+             "heal": partitioned.discard}[action](shard)
+        script.append(ChaosAction(slot * _GRID, action, shard))
+    return script
+
+
+_LOOP_TRAFFIC = TrafficConfig(
+    clients=6, requests_per_client=15, n_keys=64, write_fraction=0.4
+)
+
+
+@given(
+    data=st.data(),
+    runtime=st.sampled_from(RUNTIME_KINDS),
+    replication=st.sampled_from([1, 2, 3]),
+    traffic_seed=st.integers(min_value=0, max_value=7),
+    heartbeat_slots=st.integers(min_value=1, max_value=150),
+    sweep_slots=st.one_of(st.none(), st.integers(min_value=2, max_value=60)),
+    threshold=st.integers(min_value=1, max_value=3),
+)
+@settings(
+    max_examples=20 * len(SERVE_CHAOS_SEEDS),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_event_loop_matches_a_plain_reference_driver(
+    data, runtime, replication, traffic_seed, heartbeat_slots, sweep_slots,
+    threshold,
+):
+    """``ServingSimulation.run`` polls the control plane only when
+    something is due and books latency inline; a driver that checks
+    before every arrival must see the very same run."""
+    base = generate_schedule(dataclasses.replace(_LOOP_TRAFFIC, seed=traffic_seed))
+    schedule = dataclasses.replace(
+        base, times=np.round(base.times / _GRID) * _GRID
+    )
+    end = float(schedule.times[-1])
+    chaos = data.draw(_chaos_scripts(N_SHARDS, end))
+    config = ClusterConfig(
+        n_shards=N_SHARDS,
+        n_keys=_LOOP_TRAFFIC.n_keys,
+        runtime=runtime,
+        local_memory=512,
+        replication=replication,
+        heartbeat_interval_cycles=heartbeat_slots * _GRID,
+        suspicion_threshold=threshold,
+        anti_entropy_interval_cycles=(
+            None if sweep_slots is None else sweep_slots * _GRID
+        ),
+    )
+    simulated = ShardedCluster(config)
+    sim = ServingSimulation(simulated, schedule, chaos)
+    report = sim.run()
+    reference = ShardedCluster(config)
+    fingerprint, makespan, values = _reference_run(reference, schedule, chaos)
+
+    assert report.completions_fingerprint == fingerprint
+    assert report.makespan_cycles == makespan
+    assert sorted(simulated.shards) == sorted(reference.shards)
+    for sid, shard in reference.shards.items():
+        twin = simulated.shards[sid]
+        assert twin.requests == shard.requests
+        assert twin.latency.to_dict() == shard.latency.to_dict()
+    assert simulated.stats.as_dict() == reference.stats.as_dict()
+    assert simulated.merged_metrics().as_dict() == reference.merged_metrics().as_dict()
+    assert sim.final_values == values
