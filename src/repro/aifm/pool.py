@@ -136,6 +136,13 @@ class ObjectPool:
         """The backend's integrity checker (None when verification is off)."""
         return self.backend.integrity
 
+    @property
+    def meta_words(self):
+        """The metadata array itself (a ``uint64`` array, one word per
+        object id), for readers that alias it; it is only ever updated
+        in place."""
+        return self._meta
+
     def meta_word(self, obj_id: int) -> int:
         if not 0 <= obj_id < self.num_objects:
             self._check_id(obj_id)  # raises

@@ -4,18 +4,22 @@ The interpreter plays the role of the CPU: it executes IR instructions
 against a sparse :class:`AddressSpace`, resolves calls against the
 module's functions, a builtin libc (malloc/free/memcpy/...), and any
 *intrinsics* a far-memory runtime registers (``tfm_*`` guards and
-allocation entry points).  Loads and stores through non-canonical
-addresses that were never mapped raise :class:`SegmentationFault`, just
-as the hardware would general-protection-fault — this is what makes the
-guard transformation *observable*: untransformed programs crash on
-TrackFM pointers, transformed ones run.
+allocation entry points); every intrinsic follows one positional
+protocol, :data:`IntrinsicFn`, in both engines.  Loads and stores
+through non-canonical addresses that were never mapped raise
+:class:`SegmentationFault`, just as the hardware would
+general-protection-fault — this is what makes the guard transformation
+*observable*: untransformed programs crash on TrackFM pointers,
+transformed ones run.
 
 Two execution engines share one semantics:
 
 * the **decoded** engine (default) runs :mod:`repro.sim.decode`'s flat,
   slot-indexed op records — operands are list indices, branch targets
-  are block indices, callees resolve through a per-interpreter cache —
-  and is several times faster;
+  are block indices, callees resolve through a per-interpreter cache,
+  and a guard or chunk-deref call is an op that hands its argument
+  registers straight to the resolved intrinsic — and is several times
+  faster;
 * the **legacy** engine walks the IR objects directly, one
   ``isinstance`` ladder per dynamic instruction.  It is kept as the
   executable specification: the decoded engine must match it value for
@@ -103,10 +107,15 @@ class _Frame:
         self.allocas: List[int] = []
 
 
-#: An intrinsic takes the interpreter and the call's arguments.  The
-#: arguments are a read-only sequence: the legacy engine passes a list,
-#: the decoded engine a list or a tuple.
-IntrinsicFn = Callable[["Interpreter", Sequence[object]], object]
+#: The intrinsic protocol: an intrinsic is called with the call's
+#: arguments as positional arguments, ``fn(*args)``, and returns the
+#: call's value (ignored for a void call).  Both engines call it so:
+#: the legacy engine and the decoded engine's generic call op with the
+#: gathered arguments, the decoded bridge ops (``OP_GUARD``/``OP_DEREF``)
+#: straight from their argument registers.  An intrinsic that needs the
+#: interpreter or a runtime binds it itself, as a bound method or a
+#: closure.
+IntrinsicFn = Callable[..., object]
 
 
 class Interpreter:
@@ -224,25 +233,27 @@ class Interpreter:
         """Resolve a callee id once; cached until intrinsics change.
 
         The cached entry is ``(kind, payload)``: 0 = internal decoded
-        function, 1 = registered intrinsic, 2 = builtin libc wrapper,
-        3 = a ``global_addr.*`` constant.
+        function, 1 = a callable under the intrinsic protocol (a
+        registered intrinsic, else a builtin libc wrapper), 2 = a
+        ``global_addr.*`` constant.  An external name always resolves
+        to kind 1 or raises, which is what lets a bridge op call
+        ``payload`` without looking at ``kind``.
         """
         from repro.sim.decode import CALLEE_GLOBAL, CALLEE_INTERNAL
 
         tag, name = self._dmod.callee_static[cid]
         if tag == CALLEE_GLOBAL:
-            entry = (3, self.global_addr(name))
+            entry = (2, self.global_addr(name))
         elif tag == CALLEE_INTERNAL:
             entry = (0, self._dmod.functions[name])
         else:
             fn = self.intrinsics.get(name)
-            if fn is not None:
-                entry = (1, fn)
-            else:
+            if fn is None:
                 builtin = _BUILTIN_WRAPPERS.get(name)
                 if builtin is None:
                     raise InterpError(f"call to unresolved function @{name}")
-                entry = (2, builtin(self))
+                fn = builtin(self)
+            entry = (1, fn)
         self._callee_cache[cid] = entry
         return entry
 
@@ -256,12 +267,12 @@ class Interpreter:
         """
         from repro.sim.decode import (
             OP_ADD64, OP_ALLOCA, OP_AND64, OP_ASHR, OP_BINW, OP_BR, OP_CALL,
-            OP_CONDBR, OP_FADD, OP_FCMP, OP_FDIV, OP_FMUL, OP_FPTOSI, OP_FSUB,
-            OP_GEP, OP_ICMP_EQ, OP_ICMP_NE, OP_ICMP_SGE, OP_ICMP_SGT,
-            OP_ICMP_SLE, OP_ICMP_SLT, OP_ICMP_U, OP_INTTOPTR, OP_LOAD,
-            OP_LSHR, OP_MUL64, OP_OR64, OP_PTRTOINT, OP_RAISE, OP_RET,
-            OP_SDIV, OP_SELECT, OP_SHL, OP_SITOFP, OP_SREM, OP_STORE,
-            OP_SUB64, OP_WRAP, OP_XOR64, OP_ZEXT,
+            OP_CONDBR, OP_DEREF, OP_FADD, OP_FCMP, OP_FDIV, OP_FMUL,
+            OP_FPTOSI, OP_FSUB, OP_GEP, OP_GUARD, OP_ICMP_EQ, OP_ICMP_NE,
+            OP_ICMP_SGE, OP_ICMP_SGT, OP_ICMP_SLE, OP_ICMP_SLT, OP_ICMP_U,
+            OP_INTTOPTR, OP_LOAD, OP_LSHR, OP_MUL64, OP_OR64, OP_PTRTOINT,
+            OP_RAISE, OP_RET, OP_SDIV, OP_SELECT, OP_SHL, OP_SITOFP, OP_SREM,
+            OP_STORE, OP_SUB64, OP_WRAP, OP_XOR64, OP_ZEXT,
         )
 
         if len(args) != dfunc.nargs:
@@ -301,27 +312,19 @@ class Interpreter:
                         regs[op[1]] = v - P64 if v >= S63 else v
                     elif tag == OP_GEP:
                         regs[op[1]] = (regs[op[2]] + regs[op[3]] * op[4]) & M64
-                    elif tag == OP_LOAD:
-                        regs[op[1]] = load(regs[op[2]], op[3])
-                    elif tag == OP_CALL:
-                        ce = callees[op[2]]
-                        if ce is None:
-                            ce = self._resolve_callee(op[2])
-                        kind = ce[0]
-                        if kind == 3:
-                            result = ce[1]
-                        else:
-                            call_args = op[3](regs)
-                            self.steps = steps
-                            if kind == 1:
-                                result = ce[1](self, call_args)
-                            elif kind == 0:
-                                result = self._call_decoded(ce[1], call_args)
+                    elif tag == OP_BR:
+                        nphi = op[3]
+                        if nphi:
+                            if nphi == 1:
+                                d, s = op[2]
+                                regs[d] = regs[s]
                             else:
-                                result = ce[1](call_args)
-                            steps = self.steps
-                        if op[1] is not None:
-                            regs[op[1]] = result
+                                dests, gather = op[2]
+                                for d, v in zip(dests, gather(regs)):
+                                    regs[d] = v
+                            steps += nphi
+                        bi = op[1]
+                        break
                     elif tag == OP_ICMP_SLT:
                         regs[op[1]] = 1 if regs[op[2]] < regs[op[3]] else 0
                     elif tag == OP_CONDBR:
@@ -343,34 +346,67 @@ class Interpreter:
                                     regs[d] = v
                             steps += nphi
                         break
+                    elif tag == OP_LOAD:
+                        regs[op[1]] = load(regs[op[2]], op[3])
+                    elif tag == OP_DEREF:
+                        ce = callees[op[2]]
+                        if ce is None:
+                            ce = self._resolve_callee(op[2])
+                        self.steps = steps
+                        regs[op[1]] = ce[1](regs[op[3]], regs[op[4]])
+                        steps = self.steps
+                    elif tag == OP_MUL64:
+                        v = (regs[op[2]] * regs[op[3]]) & M64
+                        regs[op[1]] = v - P64 if v >= S63 else v
+                    elif tag == OP_GUARD:
+                        ce = callees[op[2]]
+                        if ce is None:
+                            ce = self._resolve_callee(op[2])
+                        self.steps = steps
+                        regs[op[1]] = ce[1](regs[op[3]])
+                        steps = self.steps
                     elif tag == OP_STORE:
                         store(regs[op[3]], op[2], regs[op[1]])
-                    elif tag == OP_BR:
-                        nphi = op[3]
-                        if nphi:
-                            if nphi == 1:
-                                d, s = op[2]
-                                regs[d] = regs[s]
+                    elif tag == OP_AND64:
+                        v = (regs[op[2]] & regs[op[3]]) & M64
+                        regs[op[1]] = v - P64 if v >= S63 else v
+                    elif tag == OP_SREM:
+                        ia, ib = int(regs[op[2]]), int(regs[op[3]])
+                        if ib == 0:
+                            self.steps = steps
+                            raise InterpError("srem by zero")
+                        q = abs(ia) // abs(ib)
+                        q = -q if (ia < 0) != (ib < 0) else q
+                        v = ia - q * ib
+                        if op[4] == 64:
+                            v &= M64
+                            regs[op[1]] = v - P64 if v >= S63 else v
+                        else:
+                            regs[op[1]] = _wrap(v, op[4])
+                    elif tag == OP_SUB64:
+                        v = (regs[op[2]] - regs[op[3]]) & M64
+                        regs[op[1]] = v - P64 if v >= S63 else v
+                    elif tag == OP_CALL:
+                        ce = callees[op[2]]
+                        if ce is None:
+                            ce = self._resolve_callee(op[2])
+                        kind = ce[0]
+                        if kind == 2:
+                            result = ce[1]
+                        else:
+                            call_args = op[3](regs)
+                            self.steps = steps
+                            if kind == 1:
+                                result = ce[1](*call_args)
                             else:
-                                dests, gather = op[2]
-                                for d, v in zip(dests, gather(regs)):
-                                    regs[d] = v
-                            steps += nphi
-                        bi = op[1]
-                        break
+                                result = self._call_decoded(ce[1], call_args)
+                            steps = self.steps
+                        if op[1] is not None:
+                            regs[op[1]] = result
                     elif tag == OP_RET:
                         self.steps = steps
                         s = op[1]
                         return regs[s] if s is not None else None
-                    elif tag == OP_MUL64:
-                        v = (regs[op[2]] * regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_SUB64:
-                        v = (regs[op[2]] - regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_AND64:
-                        v = (regs[op[2]] & regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
                     elif tag == OP_OR64:
                         v = (regs[op[2]] | regs[op[3]]) & M64
                         regs[op[1]] = v - P64 if v >= S63 else v
@@ -411,19 +447,6 @@ class Interpreter:
                             raise InterpError("sdiv by zero")
                         q = abs(ia) // abs(ib)
                         v = -q if (ia < 0) != (ib < 0) else q
-                        if op[4] == 64:
-                            v &= M64
-                            regs[op[1]] = v - P64 if v >= S63 else v
-                        else:
-                            regs[op[1]] = _wrap(v, op[4])
-                    elif tag == OP_SREM:
-                        ia, ib = int(regs[op[2]]), int(regs[op[3]])
-                        if ib == 0:
-                            self.steps = steps
-                            raise InterpError("srem by zero")
-                        q = abs(ia) // abs(ib)
-                        q = -q if (ia < 0) != (ib < 0) else q
-                        v = ia - q * ib
                         if op[4] == 64:
                             v &= M64
                             regs[op[1]] = v - P64 if v >= S63 else v
@@ -721,7 +744,7 @@ class Interpreter:
     def _call_external(self, name: str, args: List[object]) -> object:
         fn = self.intrinsics.get(name)
         if fn is not None:
-            return fn(self, args)
+            return fn(*args)
         if name == "malloc":
             return self.libc_malloc(int(args[0]))
         if name == "calloc":
@@ -750,17 +773,10 @@ class Interpreter:
         raise InterpError(f"call to unresolved function @{name}")
 
 
-def _abort(interp: "Interpreter") -> Callable[[List[object]], object]:
-    def fn(args: List[object]) -> object:
-        raise InterpError("abort() called")
-
-    return fn
-
-
-def _memset(interp: "Interpreter") -> Callable[[List[object]], object]:
+def _memset(interp: "Interpreter") -> IntrinsicFn:
     write_bytes = interp.memory.write_bytes
 
-    def fn(args: List[object]) -> object:
+    def fn(*args: object) -> object:
         dst, byte, n = (int(a) for a in args)
         write_bytes(dst, bytes([byte & 0xFF]) * n)
         return dst
@@ -768,10 +784,10 @@ def _memset(interp: "Interpreter") -> Callable[[List[object]], object]:
     return fn
 
 
-def _memcpy(interp: "Interpreter") -> Callable[[List[object]], object]:
+def _memcpy(interp: "Interpreter") -> IntrinsicFn:
     memory = interp.memory
 
-    def fn(args: List[object]) -> object:
+    def fn(*args: object) -> object:
         dst, src, n = (int(a) for a in args)
         memory.write_bytes(dst, memory.read_bytes(src, n))
         return dst
@@ -779,19 +795,25 @@ def _memcpy(interp: "Interpreter") -> Callable[[List[object]], object]:
     return fn
 
 
+def _abort(*args: object) -> object:
+    raise InterpError("abort() called")
+
+
 #: Decoded-engine equivalents of :meth:`Interpreter._call_external`'s
-#: builtin libc chain.  Each entry is a factory ``interp -> fn(args)`` so
-#: the resolved closure binds its interpreter once, not per call.
-_BUILTIN_WRAPPERS: Dict[str, Callable[["Interpreter"], Callable[[List[object]], object]]] = {
-    "malloc": lambda i: lambda args: i.libc_malloc(int(args[0])),
-    "calloc": lambda i: lambda args: i.libc_malloc(int(args[0]) * int(args[1])),
-    "realloc": lambda i: lambda args: i.libc_realloc(int(args[0]), int(args[1])),
-    "free": lambda i: lambda args: i.libc_free(int(args[0])),
+#: builtin libc chain, under the intrinsic protocol.  Each entry is a
+#: factory ``interp -> fn(*args)`` so the resolved callable binds its
+#: interpreter once, not per call; like the chain, each reads the
+#: arguments it needs by position and ignores any others.
+_BUILTIN_WRAPPERS: Dict[str, Callable[["Interpreter"], IntrinsicFn]] = {
+    "malloc": lambda i: lambda *args: i.libc_malloc(int(args[0])),
+    "calloc": lambda i: lambda *args: i.libc_malloc(int(args[0]) * int(args[1])),
+    "realloc": lambda i: lambda *args: i.libc_realloc(int(args[0]), int(args[1])),
+    "free": lambda i: lambda *args: i.libc_free(int(args[0])),
     "memset": _memset,
     "memcpy": _memcpy,
-    "print_i64": lambda i: lambda args: i.output.append(str(int(args[0]))),
-    "print_f64": lambda i: lambda args: i.output.append(repr(float(args[0]))),
-    "abort": _abort,
+    "print_i64": lambda i: lambda *args: i.output.append(str(int(args[0]))),
+    "print_f64": lambda i: lambda *args: i.output.append(repr(float(args[0]))),
+    "abort": lambda i: _abort,
 }
 
 

@@ -1,13 +1,20 @@
 """Bridge between the IR interpreter and the TrackFM runtime.
 
 The compiler's transformed IR calls ``tfm_*`` entry points; this module
-implements them as interpreter intrinsics backed by a real
+wires them into an :class:`Interpreter` as intrinsics backed by a real
 :class:`TrackFMRuntime`.  Data for TrackFM allocations lives at a
 *canonical twin* address range — the simulation analogue of "the guard
 reverts the non-canonical address back into a canonical address"
 (§3.3): ``tfm_malloc`` maps bytes at ``TWIN_BASE + heap_offset`` and
 returns the tagged pointer ``2^60 | heap_offset``; guards translate one
 to the other while charging their cycle costs.
+
+The calls made on every guarded access — the guards, the chunk derefs
+and the chunk stream bounds — are registered as the runtime's own
+methods (:meth:`TrackFMRuntime.tfm_guard_read` and friends), so a guard
+costs one runtime frame on either engine; this module keeps only the
+entry points that touch the interpreter's memory (allocation, chase
+prefetching, offload).
 
 An *untransformed* program that receives a TrackFM pointer and
 dereferences it without a guard touches unmapped memory and gets a
@@ -17,24 +24,15 @@ non-canonical encoding guarantees.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.errors import InterpError, PointerError
+from repro.errors import InterpError
 from repro.ir.module import Module
-from repro.machine.costs import AccessKind
 from repro.sim.interpreter import Interpreter, InterpResult
-from repro.trackfm.pointer import (
-    MAX_HEAP_OFFSET,
-    TFM_TAG_SHIFT,
-    U64_MASK,
-    decode_tfm_pointer,
-    is_tfm_pointer,
-)
-from repro.trackfm.runtime import TrackFMRuntime
+from repro.trackfm.pointer import decode_tfm_pointer, is_tfm_pointer
+from repro.trackfm.runtime import TWIN_BASE, TrackFMRuntime
 
-#: Canonical twin base: 2^43, comfortably inside the 47-bit canonical
-#: range and away from the interpreter's stack/global/libc-heap bases.
-TWIN_BASE = 1 << 43
+__all__ = ["TWIN_BASE", "TrackFMProgram"]
 
 
 class TrackFMProgram:
@@ -50,9 +48,6 @@ class TrackFMProgram:
         self.module = module
         self.runtime = runtime
         self.interp = Interpreter(module, max_steps=max_steps, engine=engine)
-        self._prefetch_flags: Dict[int, bool] = {}
-        self._guard_read = self._guard_intrinsic(AccessKind.READ)
-        self._guard_write = self._guard_intrinsic(AccessKind.WRITE)
         self._register_intrinsics()
 
     # -- public API --------------------------------------------------------
@@ -86,26 +81,23 @@ class TrackFMProgram:
 
     def _register_intrinsics(self) -> None:
         reg = self.interp.register_intrinsic
-        reg("tfm_runtime_init", self._init)
+        runtime = self.runtime
+        reg("tfm_runtime_init", runtime.initialize)
         reg("tfm_malloc", self._malloc)
         reg("tfm_malloc_pinned", self._malloc_pinned)
         reg("tfm_calloc", self._calloc)
         reg("tfm_realloc", self._realloc)
         reg("tfm_free", self._free)
-        reg("tfm_guard_read", self._guard_read)
-        reg("tfm_guard_write", self._guard_write)
-        reg("tfm_chunk_begin", self._chunk_begin)
-        reg("tfm_chunk_deref", self._chunk_deref(AccessKind.READ))
-        reg("tfm_chunk_deref_write", self._chunk_deref(AccessKind.WRITE))
-        reg("tfm_chunk_end", self._chunk_end)
+        reg("tfm_guard_read", runtime.tfm_guard_read)
+        reg("tfm_guard_write", runtime.tfm_guard_write)
+        reg("tfm_chunk_begin", runtime.chunk_begin)
+        reg("tfm_chunk_deref", runtime.tfm_chunk_deref)
+        reg("tfm_chunk_deref_write", runtime.tfm_chunk_deref_write)
+        reg("tfm_chunk_end", runtime.chunk_end)
         reg("tfm_prefetch_sched", self._prefetch_sched)
         reg("tfm_chase_deref", self._chase_deref_read)
         reg("tfm_chase_deref_write", self._chase_deref_write)
         reg("tfm_offload_reduce", self._offload_reduce)
-
-    def _init(self, interp: Interpreter, args: List[object]) -> None:
-        self.runtime.initialize()
-        return None
 
     def _map_twin(self, tfm_ptr: int) -> None:
         alloc = self.runtime.allocation_of(tfm_ptr)
@@ -113,16 +105,16 @@ class TrackFMProgram:
         if not self.interp.memory.is_mapped(base, 1):
             self.interp.memory.map_region(base, alloc.size, label="tfm-heap")
 
-    def _malloc(self, interp: Interpreter, args: List[object]) -> int:
-        ptr = self.runtime.tfm_malloc(int(args[0]))
+    def _malloc(self, size: int) -> int:
+        ptr = self.runtime.tfm_malloc(int(size))
         self._map_twin(ptr)
         return ptr
 
-    def _malloc_pinned(self, interp: Interpreter, args: List[object]) -> int:
+    def _malloc_pinned(self, size: int) -> int:
         """Pinned local heap (heap-pruning extension): returns a
         *canonical* pointer — the memory can never be remoted, so no
         guard (and no non-canonical tag) is needed."""
-        offset = self.runtime.tfm_malloc_pinned(int(args[0]))
+        offset = self.runtime.tfm_malloc_pinned(int(size))
         alloc = self.runtime.allocator.allocation_at(offset)
         assert alloc is not None
         base = TWIN_BASE + alloc.offset
@@ -130,28 +122,42 @@ class TrackFMProgram:
             self.interp.memory.map_region(base, alloc.size, label="tfm-pinned")
         return base
 
-    def _calloc(self, interp: Interpreter, args: List[object]) -> int:
-        ptr = self.runtime.tfm_calloc(int(args[0]), int(args[1]))
+    def _calloc(self, count: int, size: int) -> int:
+        ptr = self.runtime.tfm_calloc(int(count), int(size))
         self._map_twin(ptr)
         return ptr
 
-    def _realloc(self, interp: Interpreter, args: List[object]) -> int:
-        old_ptr, new_size = int(args[0]), int(args[1])
+    def _pinned_twin(self, ptr: int) -> bool:
+        """Whether ``ptr`` is the canonical twin a heap-pruned
+        (``tfm_malloc_pinned``) allocation handed the program."""
+        return not is_tfm_pointer(ptr) and self.runtime.is_pinned_allocation(
+            ptr - TWIN_BASE
+        )
+
+    def _realloc(self, old_ptr: int, new_size: int) -> int:
+        old_ptr, new_size = int(old_ptr), int(new_size)
         if old_ptr == 0:
-            return self._malloc(interp, [new_size])
-        old_alloc = self.runtime.allocation_of(old_ptr)
-        new_ptr = self._malloc(interp, [new_size])
-        n = min(old_alloc.size, int(new_size))
-        data = interp.memory.read_bytes(TWIN_BASE + old_alloc.offset, n)
-        interp.memory.write_bytes(self.twin_addr(new_ptr), data)
-        self._free(interp, [old_ptr])
+            return self._malloc(new_size)
+        if self._pinned_twin(old_ptr):
+            old_size = self.runtime.allocator.allocation_at(old_ptr - TWIN_BASE).size
+            old_twin = old_ptr
+        else:
+            # Any other canonical pointer is rejected here.
+            old_alloc = self.runtime.allocation_of(old_ptr)
+            old_size, old_twin = old_alloc.size, TWIN_BASE + old_alloc.offset
+        new_ptr = self._malloc(new_size)
+        memory = self.interp.memory
+        memory.write_bytes(
+            self.twin_addr(new_ptr), memory.read_bytes(old_twin, min(old_size, new_size))
+        )
+        self._free(old_ptr)
         return new_ptr
 
-    def _free(self, interp: Interpreter, args: List[object]) -> None:
-        ptr = int(args[0])
+    def _free(self, ptr: int) -> None:
+        ptr = int(ptr)
         if ptr == 0:
             return None
-        if not is_tfm_pointer(ptr) and self.runtime.is_pinned_allocation(ptr - TWIN_BASE):
+        if self._pinned_twin(ptr):
             # A heap-pruned allocation: the program holds its canonical twin.
             self.runtime.tfm_free_pinned(ptr - TWIN_BASE)
             base = ptr
@@ -160,67 +166,12 @@ class TrackFMProgram:
             alloc = self.runtime.allocation_of(ptr)
             self.runtime.tfm_free(ptr)
             base = TWIN_BASE + alloc.offset
-        if interp.memory.is_mapped(base, 1):
-            interp.memory.unmap(base)
+        memory = self.interp.memory
+        if memory.is_mapped(base, 1):
+            memory.unmap(base)
         return None
 
-    # -- guards ---------------------------------------------------------
-
-    # The guard and chunk-deref intrinsics run once per guarded access.
-    # Each is one frame that custody-checks and decodes the pointer once,
-    # with the runtime, metrics bundle and access cost bound up front.
-
-    def _guard_intrinsic(self, kind: AccessKind):
-        """``tfm_guard_{read,write}``: guard, charge, return the twin address."""
-        runtime = self.runtime
-        metrics = runtime.metrics
-        local_access = runtime.costs.local_access
-
-        def guard(interp: Interpreter, args: List[object]) -> int:
-            ptr = int(args[0])
-            # ``runtime.guards`` is read per call: the adaptive hybrid
-            # swaps in a tier router after construction.
-            cycles = runtime.guards.guard(ptr, kind).cycles
-            if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
-                # Custody miss: the original pointer is used untouched.
-                metrics.cycles += cycles
-                return ptr
-            metrics.accesses += 1
-            metrics.cycles += cycles + local_access
-            return TWIN_BASE + (ptr & MAX_HEAP_OFFSET)
-
-        return guard
-
-    # -- chunked streams --------------------------------------------------
-
-    def _chunk_begin(self, interp: Interpreter, args: List[object]) -> None:
-        stream, prefetch = int(args[0]), bool(args[1])
-        self._prefetch_flags[stream] = prefetch
-        self.runtime.chunk_begin(stream)
-        return None
-
-    def _chunk_deref(self, kind: AccessKind):
-        """``tfm_chunk_deref[_write]``: one access of a chunked stream."""
-        chunk_access = self.runtime.chunk_access
-        prefetch_flags = self._prefetch_flags
-
-        def deref(interp: Interpreter, args: List[object]) -> int:
-            ptr = int(args[0])
-            if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
-                return ptr
-            stream = int(args[1])
-            chunk_access(
-                ptr, kind, stream=stream, prefetch=prefetch_flags.get(stream, False)
-            )
-            return TWIN_BASE + (ptr & MAX_HEAP_OFFSET)
-
-        return deref
-
-    def _chunk_end(self, interp: Interpreter, args: List[object]) -> None:
-        self.runtime.chunk_end(int(args[0]))
-        return None
-
-    def _prefetch_sched(self, interp: Interpreter, args: List[object]) -> None:
+    def _prefetch_sched(self, *args: int) -> None:
         base, offset, stride, count, distance, stream = (int(a) for a in args)
         self.runtime.install_prefetch_schedule(
             stream, base, offset, stride, count, distance
@@ -229,15 +180,14 @@ class TrackFMProgram:
 
     # -- pointer-chase prefetching (recursive data structures) ------------
 
-    def _chase_deref(self, args: List[object], kind: AccessKind) -> int:
+    def _chase_deref(self, guard, ptr: int, node: int, next_off: int) -> int:
         """Guard a node access, then greedily prefetch node->next.
 
         Greedy (Luk & Mowry) prefetching only sees one node ahead, so
         the prefetch is charged at a shallow pipeline depth.
         """
-        ptr, node, next_off, _stream = (int(a) for a in args)
-        guard = self._guard_write if kind is AccessKind.WRITE else self._guard_read
-        canon = guard(self.interp, (ptr,))
+        ptr, node, next_off = int(ptr), int(node), int(next_off)
+        canon = guard(ptr)
         if not is_tfm_pointer(node):
             return canon
         node_canon = TWIN_BASE + decode_tfm_pointer(node)
@@ -261,11 +211,11 @@ class TrackFMProgram:
                     pool.unpin(cur)
         return canon
 
-    def _chase_deref_read(self, interp: Interpreter, args: List[object]) -> int:
-        return self._chase_deref(args, AccessKind.READ)
+    def _chase_deref_read(self, ptr: int, node: int, next_off: int, _stream: int) -> int:
+        return self._chase_deref(self.runtime.tfm_guard_read, ptr, node, next_off)
 
-    def _chase_deref_write(self, interp: Interpreter, args: List[object]) -> int:
-        return self._chase_deref(args, AccessKind.WRITE)
+    def _chase_deref_write(self, ptr: int, node: int, next_off: int, _stream: int) -> int:
+        return self._chase_deref(self.runtime.tfm_guard_write, ptr, node, next_off)
 
     # -- computation offload (near-data processing) ------------------------
 
@@ -275,7 +225,7 @@ class TrackFMProgram:
     #: Request/response message payload (descriptor + scalar result).
     OFFLOAD_MESSAGE_BYTES = 64
 
-    def _offload_reduce(self, interp: Interpreter, args: List[object]) -> int:
+    def _offload_reduce(self, *args: int) -> int:
         """Run a reduction on the remote node instead of fetching data.
 
         Dirty local objects in the range are flushed first so the remote

@@ -11,9 +11,14 @@ type by :func:`codec_for`: the decoder bakes one into every load and store, so
 the per-access path never re-derives a type's width, signedness or
 float-ness.  :meth:`AddressSpace.load`/:meth:`AddressSpace.store` are
 the only typed-access implementation; ``read_value``/``write_value``
-look the codec up and call them.  Both keep a one-entry hot-region
-cache: an access inside the last region used costs one bounds test, any
-other falls back to the sorted-region bisect.
+look the codec up and call them.  Both keep a two-entry hot-region
+cache, the most recently used region and the one used before it: an
+access inside the first costs one bounds test, one inside the second
+two tests and a swap of the entries, and any other falls back to the
+sorted-region bisect and becomes the first entry.  Two entries cover a
+loop that alternates between two arrays (a stencil's source and
+destination, a histogram's keys and counts).  :meth:`AddressSpace.unmap`
+clears whichever entries hold the region it removes.
 """
 
 from __future__ import annotations
@@ -121,8 +126,10 @@ class AddressSpace:
         self._starts: List[int] = []
         self._regions: List[MemoryRegion] = []
         #: ``(start, end, data)`` of the region the last typed access
-        #: used; cleared when that region is unmapped.
+        #: used, and of the one used before it; an entry is cleared when
+        #: its region is unmapped.
         self._hot: Tuple[int, int, bytearray] = _NO_REGION
+        self._prev: Tuple[int, int, bytearray] = _NO_REGION
 
     # -- mapping --------------------------------------------------------
 
@@ -149,6 +156,8 @@ class AddressSpace:
         del self._regions[idx]
         if self._hot[0] == start:
             self._hot = _NO_REGION
+        if self._prev[0] == start:
+            self._prev = _NO_REGION
 
     def region_for(self, addr: int, size: int = 1) -> MemoryRegion:
         idx = bisect.bisect_right(self._starts, addr) - 1
@@ -185,8 +194,10 @@ class AddressSpace:
     # -- typed accessors --------------------------------------------------
 
     def _make_hot(self, addr: int, size: int) -> Tuple[int, int, bytearray]:
-        """Cache miss: find the region (or fault) and make it the hot one."""
+        """Cache miss: find the region (or fault) and make it the first
+        entry; the old first entry becomes the second."""
         region = self.region_for(addr, size)
+        self._prev = self._hot
         hot = self._hot = (region.start, region.end, region.data)
         return hot
 
@@ -194,7 +205,13 @@ class AddressSpace:
         """Load one value of ``codec``'s type from ``addr``."""
         start, end, data = self._hot
         if not (start <= addr and addr + codec[0] <= end):
-            start, end, data = self._make_hot(addr, codec[0])
+            prev = self._prev
+            start, end, data = prev
+            if start <= addr and addr + codec[0] <= end:
+                self._prev = self._hot
+                self._hot = prev
+            else:
+                start, end, data = self._make_hot(addr, codec[0])
         return codec[1](data, addr - start)[0]
 
     def store(self, addr: int, codec: Codec, value) -> None:
@@ -207,7 +224,13 @@ class AddressSpace:
         value = int(value) & mask if mask else codec[4](value)
         start, end, data = self._hot
         if not (start <= addr and addr + codec[0] <= end):
-            start, end, data = self._make_hot(addr, codec[0])
+            prev = self._prev
+            start, end, data = prev
+            if start <= addr and addr + codec[0] <= end:
+                self._prev = self._hot
+                self._hot = prev
+            else:
+                start, end, data = self._make_hot(addr, codec[0])
         codec[2](data, addr - start, value)
 
     def read_value(self, addr: int, ty: IRType):

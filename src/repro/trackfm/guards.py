@@ -30,7 +30,7 @@ from repro.machine.costs import AccessKind, CostTable, GuardKind
 from repro.sim.metrics import Metrics
 from repro.trace.tracer import NULL_TRACER
 from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
-from repro.trackfm.state_table import ObjectStateTable
+from repro.trackfm.state_table import ENTRY_BYTES, ObjectStateTable
 
 _FAST = GuardKind.FAST
 
@@ -68,6 +68,13 @@ class GuardEngine:
         # prebuilt value indexed by the cache hit (False=0, True=1).
         c = self.costs
         self._object_shift = pool.object_shift
+        # The state-table read, inlined: the table's cache and base
+        # address are fixed at construction, and its words are the
+        # pool's metadata array, which recovery rebuilds in place.
+        self._cache_access = table.cache.access
+        self._table_base = table.base_addr
+        self._words = pool.meta_words
+        self._num_objects = pool.num_objects
         self._fast_read = (
             GuardResult(GuardKind.FAST, c.fast_guard_read_uncached, cache_hit=False),
             GuardResult(GuardKind.FAST, c.fast_guard_read_cached),
@@ -91,9 +98,14 @@ class GuardEngine:
         if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
             return self._custody(kind)
         # The pointer is decoded once: heap offset >> log2(object size).
-        # Out-of-heap ids are rejected by the pool's range check.
         obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
-        word, cache_hit = self.table.lookup(obj_id)
+        # ObjectStateTable.lookup without its frames: the cache access
+        # first, then the word; meta_word rejects an out-of-heap id.
+        cache_hit = self._cache_access(self._table_base + obj_id * ENTRY_BYTES)
+        if obj_id < self._num_objects:
+            word = self._words.item(obj_id)
+        else:
+            word = self.pool.meta_word(obj_id)
         if word & UNSAFE_MASK:
             return self._slow_path(obj_id, kind, cache_hit, depth)
         # The evacuator barrier (§3.3) guarantees no TOCTOU: while a

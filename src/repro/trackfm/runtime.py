@@ -13,6 +13,14 @@ Two execution styles are provided, with identical accounting:
 * **closed-form scans** (``sequential_scan``): the same arithmetic
   evaluated in bulk for regular loops, so 12 GB-shaped STREAM sweeps run
   in milliseconds.
+
+The IR interpreter calls four entry points on every guarded access:
+``tfm_guard_read``/``tfm_guard_write`` and
+``tfm_chunk_deref``/``tfm_chunk_deref_write``.  Each guards, charges
+and returns the pointer's *canonical twin*, ``TWIN_BASE + heap
+offset``: the address the bytes of a TrackFM allocation live at in the
+interpreter's memory, the simulation analogue of "the guard reverts the
+non-canonical address back into a canonical address" (§3.3).
 """
 
 from __future__ import annotations
@@ -51,6 +59,13 @@ from repro.trackfm.state_table import ObjectStateTable
 from repro.units import ceil_div
 
 
+#: Canonical twin base: 2^43, comfortably inside the 47-bit canonical
+#: range and away from the interpreter's stack/global/libc-heap bases.
+TWIN_BASE = 1 << 43
+
+_BOUNDARY = GuardKind.BOUNDARY
+
+
 class GuardStrategy(enum.Enum):
     """How the compiler decided to guard a given loop's accesses."""
 
@@ -68,6 +83,63 @@ class _ChunkState:
 
     current_obj: Optional[int] = None
     pinned: bool = False
+    #: Whether the compiler asked for stride prefetching on this stream.
+    prefetch: bool = False
+
+
+def _guard_entry(kind: AccessKind):
+    """``tfm_guard_{read,write}(ptr)``: guard, charge, return the twin."""
+
+    def entry(self: "TrackFMRuntime", ptr: int) -> int:
+        # ``self.guards`` is read per call: the adaptive hybrid swaps in
+        # a tier router after construction.
+        cycles = self.guards.guard(ptr, kind).cycles
+        metrics = self._metrics
+        if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+            # Custody miss: the original pointer is used untouched.
+            metrics.cycles += cycles
+            return ptr
+        metrics.accesses += 1
+        metrics.cycles += cycles + self._local_access
+        return TWIN_BASE + (ptr & MAX_HEAP_OFFSET)
+
+    entry.__name__ = f"tfm_guard_{kind.value}"
+    entry.__qualname__ = f"TrackFMRuntime.{entry.__name__}"
+    return entry
+
+
+def _deref_entry(kind: AccessKind):
+    """``tfm_chunk_deref[_write](ptr, stream)``: one chunked access,
+    charged, returning the twin."""
+    write = kind is AccessKind.WRITE
+
+    def entry(self: "TrackFMRuntime", ptr: int, stream: int) -> int:
+        if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+            return ptr
+        offset = ptr & MAX_HEAP_OFFSET
+        state = self._chunks.get(stream)
+        if state is None or offset >> self._object_shift != state.current_obj:
+            # First access of the stream, or it moved to another object
+            # (or it was never begun, which chunk_access rejects).
+            self.chunk_access(ptr, kind, stream, state is not None and state.prefetch)
+        else:
+            # Still on the object the stream pinned: exactly what
+            # chunk_access books for it, without its frames — a passed
+            # boundary check, a residency hit, one access.
+            metrics = self._metrics
+            guards = metrics.guards
+            guards[_BOUNDARY] = guards.get(_BOUNDARY, 0) + 1
+            obj_id = state.current_obj
+            residency = self.pool.residency
+            if not residency.touch(obj_id, write):
+                residency.access(obj_id, write=write)
+            metrics.accesses += 1
+            metrics.cycles += self._chunk_hit_cycles
+        return TWIN_BASE + offset
+
+    entry.__name__ = "tfm_chunk_deref_write" if write else "tfm_chunk_deref"
+    entry.__qualname__ = f"TrackFMRuntime.{entry.__name__}"
+    return entry
 
 
 class TrackFMRuntime:
@@ -92,7 +164,11 @@ class TrackFMRuntime:
         self.prefetch_depth = prefetch_depth
         self.object_size = config.object_size
         self._object_mask = config.object_size - 1
+        self._object_shift = self.pool.object_shift
+        self._metrics = self.pool.metrics
         self._local_access = config.costs.local_access
+        #: A chunked access that stays on its stream's pinned object.
+        self._chunk_hit_cycles = config.costs.boundary_check + config.costs.local_access
         self._chunks: Dict[int, _ChunkState] = {}
         #: Heap offsets of live ``tfm_malloc_pinned`` allocations.
         self._pinned_offsets: Set[int] = set()
@@ -268,9 +344,13 @@ class TrackFMRuntime:
 
     # -- chunked loop streams (Fig. 5's transformed loop) --------------------
 
-    def chunk_begin(self, stream: int = 0) -> float:
-        """``tfm_init``/``tfm_rw``: set up chunk state for one loop entry."""
-        self._chunks[stream] = _ChunkState()
+    def chunk_begin(self, stream: int = 0, prefetch: bool = False) -> float:
+        """``tfm_init``/``tfm_rw``: set up chunk state for one loop entry.
+
+        ``prefetch`` is the compiler's per-loop choice; the stream's
+        :meth:`tfm_chunk_deref` calls pass it on to :meth:`chunk_access`.
+        """
+        self._chunks[stream] = _ChunkState(prefetch=bool(prefetch))
         cycles = self.costs.chunk_setup
         self.metrics.cycles += cycles
         return cycles
@@ -363,6 +443,13 @@ class TrackFMRuntime:
         metrics.accesses += 1
         metrics.cycles += cycles
         return cycles
+
+    # -- the interpreter's per-access entry points -----------------------
+
+    tfm_guard_read = _guard_entry(AccessKind.READ)
+    tfm_guard_write = _guard_entry(AccessKind.WRITE)
+    tfm_chunk_deref = _deref_entry(AccessKind.READ)
+    tfm_chunk_deref_write = _deref_entry(AccessKind.WRITE)
 
     def chunk_end(self, stream: int = 0) -> None:
         """Tear down a chunk stream (loop exit): unpin, forget state."""

@@ -93,7 +93,7 @@ class TestCacheLifecycle:
         interp = Interpreter(m, engine="decoded")
         with pytest.raises(InterpError, match="unresolved"):
             interp.run("main")
-        interp.register_intrinsic("tfm_mystery", lambda i, args: 99)
+        interp.register_intrinsic("tfm_mystery", lambda: 99)
         assert interp.run("main").value == 99
 
 

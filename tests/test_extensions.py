@@ -26,10 +26,12 @@ from repro.units import KB, MB
 from irprograms import build_sum_loop
 
 
-def build_hot_cold(hot=32, cold=2048, free_hot=False):
+def build_hot_cold(hot=32, cold=2048, free_hot=False, realloc_hot=False):
     """Loop doing one hot-table lookup + one cold-array read per trip.
 
-    ``free_hot`` frees the hot table before returning.
+    ``free_hot`` frees the hot table before returning.  ``realloc_hot``
+    instead writes its last slot, reallocates it to twice the size and
+    adds that slot, read through the new pointer, to the result.
     """
     m = Module("hotcold")
     f = m.add_function("main", I64)
@@ -57,6 +59,11 @@ def build_hot_cold(hot=32, cold=2048, free_hot=False):
     b.set_block(done)
     if free_hot:
         b.call(VOID, "free", [hotp])
+    if realloc_hot:
+        b.store(41, b.gep(hotp, hot - 1, 8))
+        grown = b.call(PTR, "realloc", [hotp, Constant(I64, 2 * hot * 8)], name="grown")
+        b.ret(b.add(s, b.load(I64, b.gep(grown, hot - 1, 8))))
+        return m
     b.ret(s)
     return m
 
@@ -203,6 +210,34 @@ class TestHeapPruning:
         assert [a.size for a in rt.allocator.live_allocations()] == [2048 * 8]
         assert not program.interp.memory.is_mapped(TWIN_BASE)
         assert not any(rt.pool.residency.is_pinned(o) for o in range(rt.pool.num_objects))
+
+    @pytest.mark.parametrize("budget", [0, 1024])
+    def test_reallocating_a_pinned_allocation(self, budget):
+        # The pinned site's realloc gets its canonical twin: the runtime
+        # must copy from it and release it, as free does.
+        expected = Interpreter(build_hot_cold(realloc_hot=True)).run("main").value
+        config = CompilerConfig(chunking=ChunkingPolicy.NONE, pin_budget_bytes=budget)
+        compiled = TrackFMCompiler(config).compile(
+            build_hot_cold(realloc_hot=True), profile=profile_module(build_hot_cold())
+        )
+        assert compiled.ctx.get_stat("heap-pruning.sites_pinned") == (1 if budget else 0)
+        rt = TrackFMRuntime(
+            PoolConfig(object_size=4 * KB, local_memory=16 * KB, heap_size=1 * MB)
+        )
+        program = TrackFMProgram(compiled.module, rt)
+        assert program.run("main").value == expected
+        # The cold array and the grown table are live; the old table's
+        # twin and pins are gone.
+        assert sorted(a.size for a in rt.allocator.live_allocations()) == [2 * 32 * 8, 2048 * 8]
+        assert not program.interp.memory.is_mapped(TWIN_BASE)
+        assert not any(rt.pool.residency.is_pinned(o) for o in range(rt.pool.num_objects))
+
+    def test_realloc_still_rejects_other_canonical_pointers(self):
+        program = TrackFMProgram(Module("m"), TrackFMRuntime(
+            PoolConfig(object_size=4 * KB, local_memory=16 * KB, heap_size=1 * MB)
+        ))
+        with pytest.raises(PointerError, match="not a TrackFM pointer"):
+            program.interp.intrinsics["tfm_realloc"](TWIN_BASE + 64, 16)
 
     def test_budget_respected(self):
         # A 1-byte budget pins nothing.

@@ -1,15 +1,29 @@
-"""The interpreter <-> TrackFM runtime bridge (sim.irrun)."""
+"""The interpreter <-> TrackFM runtime bridge (sim.irrun).
+
+Besides the wiring itself, this pins the per-access entry points both
+engines call (``TrackFMRuntime.tfm_guard_*``/``tfm_chunk_deref*``)
+against an independent reference built from the public runtime calls
+a guard and a chunked access decompose into, and the decoded bridge
+ops against the legacy engine.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.aifm.pool import PoolConfig
-from repro.errors import SegmentationFault
+from repro.compiler import CompilerConfig, TrackFMCompiler
+from repro.errors import InterpError, PointerError, SegmentationFault, SimulatedCrashError
+from repro.hybrid.runtime import AdaptiveHybridRuntime
+from repro.integrity import IntegrityConfig
 from repro.ir import IRBuilder, I64, PTR, VOID, Module
 from repro.ir.values import Constant
-from repro.machine.cache import AlwaysHitCache
-from repro.machine.costs import GuardKind
+from repro.machine.cache import AlwaysHitCache, CacheModel
+from repro.machine.costs import AccessKind, GuardKind
+from repro.sim.decode import OP_CALL, OP_DEREF, OP_GUARD, decode_module
+from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TWIN_BASE, TrackFMProgram
-from repro.trackfm.pointer import decode_tfm_pointer, is_tfm_pointer
+from repro.trackfm.pointer import TFM_BASE, decode_tfm_pointer, is_tfm_pointer
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import KB, MB
 
@@ -164,3 +178,328 @@ class TestMetricsFlow:
         assert rt.metrics.cycles > 30_000  # slow path + fetch
         assert rt.metrics.accesses == 1
         assert rt.metrics.remote_fetches == 1
+
+
+# -- the per-access entry points against an independent reference ----------
+
+_OBJ = 256
+_HEAP = 16 * KB
+_KINDS = (AccessKind.READ, AccessKind.WRITE)
+
+
+def _small_cache():
+    # Four lines of eight state-table entries each: lookups both hit and miss.
+    return CacheModel(size_bytes=256, line_size=64, ways=2)
+
+
+def _trackfm_runtime():
+    return TrackFMRuntime(
+        PoolConfig(object_size=_OBJ, local_memory=2 * KB, heap_size=_HEAP),
+        cache=_small_cache(),
+    )
+
+
+def _hybrid_runtime():
+    # Four 4 KB regions; a short epoch so the selector re-places them
+    # while the script runs.
+    return AdaptiveHybridRuntime(
+        local_memory=8 * KB, heap_size=_HEAP, object_size=_OBJ,
+        epoch_accesses=16, cache=_small_cache(),
+    )
+
+
+RUNTIMES = {"trackfm": _trackfm_runtime, "hybrid": _hybrid_runtime}
+
+
+class _Reference:
+    """The bridge decomposed into public runtime calls, one per step:
+    ``guards.guard`` plus the custody-miss/hit charging and the
+    ``TWIN_BASE`` translation, and ``chunk_access`` with the stream's
+    prefetch flag kept here."""
+
+    def __init__(self, runtime):
+        self.rt = runtime
+        self.prefetch = {}
+
+    def guard(self, ptr, kind):
+        rt = self.rt
+        cycles = rt.guards.guard(ptr, kind).cycles
+        if not is_tfm_pointer(ptr):
+            rt.metrics.cycles += cycles
+            return ptr
+        rt.metrics.accesses += 1
+        rt.metrics.cycles += cycles + rt.costs.local_access
+        return TWIN_BASE + decode_tfm_pointer(ptr)
+
+    def begin(self, stream, prefetch):
+        self.prefetch[stream] = prefetch
+        self.rt.chunk_begin(stream)
+
+    def deref(self, ptr, stream, kind):
+        if not is_tfm_pointer(ptr):
+            return ptr
+        self.rt.chunk_access(
+            ptr, kind, stream=stream, prefetch=self.prefetch.get(stream, False)
+        )
+        return TWIN_BASE + decode_tfm_pointer(ptr)
+
+
+class _Entries:
+    """The same steps through the entry points the interpreter calls."""
+
+    def __init__(self, runtime):
+        self.rt = runtime
+
+    def guard(self, ptr, kind):
+        entry = self.rt.tfm_guard_write if kind is AccessKind.WRITE else self.rt.tfm_guard_read
+        return entry(ptr)
+
+    def begin(self, stream, prefetch):
+        self.rt.chunk_begin(stream, prefetch)
+
+    def deref(self, ptr, stream, kind):
+        rt = self.rt
+        entry = rt.tfm_chunk_deref_write if kind is AccessKind.WRITE else rt.tfm_chunk_deref
+        return entry(ptr, stream)
+
+
+def _state(rt):
+    """Everything a bridge call may change, in comparable form."""
+    pool = rt.pool
+    residency = pool.residency
+    out = {
+        "metrics": rt.metrics.as_dict(),
+        "resident": residency.resident_ids(),
+        "dirty": [o for o in residency.resident_ids() if residency.is_dirty(o)],
+        "pinned": [o for o in range(pool.num_objects) if residency.is_pinned(o)],
+        "cache": (rt.table.cache.stats.hits, rt.table.cache.stats.misses),
+    }
+    if isinstance(rt, AdaptiveHybridRuntime):
+        out["pages"] = rt.fastswap.residency.resident_ids()
+        out["placements"] = rt.region_placements()
+    return out
+
+
+# Heap offsets cluster on two objects half the time, so scripts revisit
+# an object after its stream moved on, ended or began again.
+_OFFSET = st.one_of(st.integers(0, 2 * _OBJ - 1), st.integers(0, _HEAP - 1))
+_in_heap = _OFFSET.map(lambda off: TFM_BASE | off)
+_POINTER = st.one_of(
+    _in_heap,
+    _in_heap,
+    st.integers(_HEAP, 4 * _HEAP).map(lambda off: TFM_BASE | off),  # past the heap
+    st.integers(0, (1 << 47) - 1),  # canonical
+)
+_KIND = st.sampled_from(_KINDS)
+_STREAM = st.integers(0, 1)
+_STEP = st.one_of(
+    st.tuples(st.just("guard"), _POINTER, _KIND),
+    st.tuples(st.just("begin"), _STREAM, st.booleans()),
+    # chunk_end then chunk_begin: the stream re-enters its loop.
+    st.tuples(st.just("reenter"), _STREAM, st.booleans()),
+    # A same-object run: ``n`` derefs inside the object at ``offset``.
+    st.tuples(st.just("run"), _STREAM, _OFFSET, st.integers(1, 6), _KIND),
+    st.tuples(st.just("deref"), _STREAM, _POINTER, _KIND),
+    st.tuples(st.just("end"), _STREAM),
+    # A programmed schedule: stream, offset of the base, stride, count, distance.
+    st.tuples(
+        st.just("sched"), _STREAM, _OFFSET,
+        st.integers(1, 2 * _OBJ), st.integers(1, 24), st.integers(1, 4),
+    ),
+)
+
+
+def _expand(script):
+    """Calls per step: a run becomes its derefs, in one object, and a
+    re-entry its end and begin."""
+    for step in script:
+        if step[0] == "run":
+            _tag, stream, offset, n, kind = step
+            base = offset - offset % _OBJ
+            for i in range(n):
+                yield ("deref", stream, TFM_BASE | (base + (offset + 8 * i) % _OBJ), kind)
+        elif step[0] == "reenter":
+            yield ("end", step[1])
+            yield ("begin", step[1], step[2])
+        else:
+            yield step
+
+
+def _apply(side, step):
+    rt = side.rt
+    tag = step[0]
+    if tag == "guard":
+        return side.guard(step[1], step[2])
+    if tag == "begin":
+        return side.begin(step[1], step[2])
+    if tag == "deref":
+        return side.deref(step[2], step[1], step[3])
+    if tag == "end":
+        return rt.chunk_end(step[1])
+    _tag, stream, offset, stride, count, distance = step
+    return rt.install_prefetch_schedule(stream, TFM_BASE | offset, 0, stride, count, distance)
+
+
+def _outcome(side, step):
+    try:
+        return ("ok", _apply(side, step))
+    except Exception as exc:  # noqa: BLE001 - the types are what is compared
+        return ("raised", type(exc))
+
+
+class TestEntryPointsMatchReference:
+    """Each entry point books exactly what its decomposition books."""
+
+    @pytest.mark.parametrize("runtime", sorted(RUNTIMES))
+    @settings(max_examples=200, deadline=None)
+    @given(script=st.lists(_STEP, max_size=60))
+    def test_scripts_agree(self, runtime, script):
+        reference = _Reference(RUNTIMES[runtime]())
+        entries = _Entries(RUNTIMES[runtime]())
+        for i, step in enumerate(_expand(script)):
+            want = _outcome(reference, step)
+            got = _outcome(entries, step)
+            assert got == want, (i, step)
+            assert _state(entries.rt) == _state(reference.rt), (i, step)
+
+    @pytest.mark.parametrize("runtime", sorted(RUNTIMES))
+    def test_stream_reentry_relocalizes(self, runtime):
+        # chunk_end then chunk_begin on the same stream: the first deref
+        # must take the locality guard again, not the same-object path.
+        ptr = TFM_BASE | (3 * _OBJ)
+        script = [
+            ("begin", 0, True), ("deref", 0, ptr, AccessKind.READ),
+            ("deref", 0, ptr + 8, AccessKind.WRITE), ("end", 0),
+            ("begin", 0, False), ("deref", 0, ptr + 16, AccessKind.READ),
+        ]
+        reference = _Reference(RUNTIMES[runtime]())
+        entries = _Entries(RUNTIMES[runtime]())
+        for step in script:
+            assert _outcome(entries, step) == _outcome(reference, step), step
+        assert _state(entries.rt) == _state(reference.rt)
+        assert entries.rt.metrics.guard_count(GuardKind.LOCALITY) == 2
+        assert entries.rt.metrics.guard_count(GuardKind.BOUNDARY) == 3
+
+    def test_deref_before_begin_raises_like_chunk_access(self):
+        rt = _trackfm_runtime()
+        with pytest.raises(Exception) as entry_exc:
+            rt.tfm_chunk_deref(TFM_BASE | 64, 1)
+        with pytest.raises(Exception) as ref_exc:
+            rt.chunk_access(TFM_BASE | 64, AccessKind.READ, stream=1)
+        assert entry_exc.type is ref_exc.type
+        assert rt.metrics.as_dict() == _trackfm_runtime().metrics.as_dict()
+
+
+class TestInlineStateTableRead:
+    """GuardEngine.guard's inline read equals ObjectStateTable.lookup."""
+
+    @staticmethod
+    def _probe_agrees(a, b, ptr, kind):
+        # ``b`` reads the table the long way first, then both guard:
+        # touching the same cache line twice leaves it where once does.
+        obj_id = decode_tfm_pointer(ptr) // _OBJ
+        word, hit = b.table.lookup(obj_id)
+        result = a.guards.guard(ptr, kind)
+        b.guards.guard(ptr, kind)
+        assert result.cache_hit == hit
+        assert (result.kind is GuardKind.FAST) == (not word & UNSAFE_MASK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        offsets=st.lists(st.integers(0, _HEAP - 1), min_size=1, max_size=80),
+        kinds=st.lists(_KIND, min_size=80, max_size=80),
+    )
+    def test_guard_reads_what_lookup_reads(self, offsets, kinds):
+        a, b = _trackfm_runtime(), _trackfm_runtime()
+        for offset, kind in zip(offsets, kinds):
+            self._probe_agrees(a, b, TFM_BASE | offset, kind)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        crash_at=st.integers(2, 24),
+        offsets=st.lists(st.integers(0, _HEAP - 1), min_size=1, max_size=40),
+    )
+    def test_after_recover(self, crash_at, offsets):
+        # A crash mid-writeback, then recovery, which rebuilds the
+        # pool's metadata words in place: the inline read must see them.
+        runtimes = (_trackfm_runtime(), _trackfm_runtime())
+        for rt in runtimes:
+            rt.enable_integrity(IntegrityConfig(seed=1, crash_at_record=crash_at))
+            try:
+                for i in range(24):
+                    rt.access(TFM_BASE | (i * _OBJ), AccessKind.WRITE)
+            except SimulatedCrashError:
+                pass
+            rt.recover()
+        a, b = runtimes
+        for offset in offsets:
+            self._probe_agrees(a, b, TFM_BASE | offset, AccessKind.READ)
+
+
+# -- the decoded bridge ops against the legacy engine ------------------------
+
+
+def _past_heap_program():
+    """A compiled program that loads 1 MB past its allocation, out of the heap."""
+    def body(b):
+        p = b.call(PTR, "malloc", [Constant(I64, 64)])
+        return b.load(I64, b.gep(p, Constant(I64, MB // 8), 8))
+
+    return TrackFMCompiler(CompilerConfig()).compile(build(body)).module
+
+
+class TestBridgeOps:
+    def test_guard_and_deref_calls_decode_to_bridge_ops(self):
+        def body(b):
+            p = b.call(PTR, "tfm_malloc", [Constant(I64, 64)])
+            b.call(VOID, "tfm_chunk_begin", [Constant(I64, 0), Constant(I64, 0)])
+            c = b.call(PTR, "tfm_chunk_deref", [p, Constant(I64, 0)])
+            g = b.call(PTR, "tfm_guard_write", [p])
+            b.store(3, g)
+            b.call(VOID, "tfm_chunk_end", [Constant(I64, 0)])
+            return b.load(I64, c)
+
+        ops = decode_module(build(body)).functions["main"].blocks[0]
+        tags = [op[0] for op in ops]
+        assert tags.count(OP_DEREF) == 1 and tags.count(OP_GUARD) == 1
+        assert tags.count(OP_CALL) == 3  # malloc, chunk begin and end
+
+    def test_raising_guard_matches_across_engines(self):
+        outcomes = {}
+        for engine in ("legacy", "decoded"):
+            program = TrackFMProgram(_past_heap_program(), make_runtime(), engine=engine)
+            with pytest.raises(Exception) as exc:
+                program.run("main")
+            outcomes[engine] = (exc.type, program.interp.steps)
+        assert outcomes["decoded"] == outcomes["legacy"]
+        # Runtime init, malloc and gep ran; the guard raised.
+        assert outcomes["decoded"] == (PointerError, 4)
+
+    @pytest.mark.parametrize("engine", ["legacy", "decoded"])
+    def test_no_runtime_leaves_the_guard_unresolved(self, engine):
+        def body(b):
+            slot = b.alloca(8)
+            return b.load(I64, b.call(PTR, "tfm_guard_read", [slot]))
+
+        interp = Interpreter(build(body), engine=engine)
+        with pytest.raises(InterpError, match="call to unresolved function @tfm_guard_read"):
+            interp.run("main")
+
+    def test_a_defined_function_of_a_bridge_name_takes_the_generic_call(self):
+        # The module's own @tfm_guard_read is a function call, not a bridge op.
+        m = Module("own-guard")
+        own = m.add_function("tfm_guard_read", PTR, [PTR])
+        IRBuilder(own.add_block("entry")).ret(own.args[0])
+        f = m.add_function("main", I64)
+        b = IRBuilder(f.add_block("entry"))
+        slot = b.alloca(8)
+        b.store(21, slot)
+        b.ret(b.load(I64, b.call(PTR, "tfm_guard_read", [slot])))
+        ops = decode_module(m).functions["main"].blocks[0]
+        assert OP_GUARD not in [op[0] for op in ops]
+        results = {
+            engine: Interpreter(m, engine=engine).run("main")
+            for engine in ("legacy", "decoded")
+        }
+        assert results["decoded"].value == results["legacy"].value == 21
+        assert results["decoded"].steps == results["legacy"].steps

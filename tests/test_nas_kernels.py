@@ -9,7 +9,7 @@ from repro.machine.costs import GuardKind
 from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TrackFMProgram
 from repro.trackfm.runtime import TrackFMRuntime
-from repro.units import KB, MB
+from repro.units import KB, MB, align_up
 from repro.workloads.nas_kernels import (
     KERNELS,
     build_cg_kernel,
@@ -125,3 +125,48 @@ class TestCompiledKernels:
                 compiled.module, far_runtime(), max_steps=10_000_000
             )
             assert program.run("main").value == reference(), name
+
+
+#: Reduced sizes and heap footprints (bytes of heap allocations) of the
+#: five kernels, in the host benchmark's ``nas`` shape: 256 B objects and
+#: local memory a quarter of the footprint.
+_ENGINE_SHAPES = {
+    "CG": ((256, 4), lambda rows, k: 16 * rows * k + 8 * rows),
+    "IS": ((2048, 64), lambda keys, buckets: 8 * (keys + buckets)),
+    "MG": ((2048,), lambda n: 16 * n),
+    "SP": ((2048,), lambda n: 8 * n),
+    "FT": ((24, 24), lambda rows, cols: 8 * rows * cols),
+}
+
+
+class TestEngineAgreement:
+    """Legacy and decoded engines agree on every kernel the benchmark runs:
+    value, IR steps and every simulated metric."""
+
+    @staticmethod
+    def _run(name, engine, programmed):
+        sizes, footprint = _ENGINE_SHAPES[name]
+        fp = footprint(*sizes)
+        config = CompilerConfig(object_size=256, enable_programmed_prefetch=programmed)
+        compiled = TrackFMCompiler(config).compile(KERNELS[name][0](*sizes))
+        runtime = TrackFMRuntime(
+            PoolConfig(
+                object_size=256,
+                local_memory=max(256, fp // 4 // 256 * 256),
+                heap_size=align_up(2 * fp + 4 * KB, 256),
+            )
+        )
+        result = TrackFMProgram(
+            compiled.module, runtime, max_steps=10_000_000, engine=engine
+        ).run("main")
+        return result.value, result.steps, runtime.metrics.as_dict()
+
+    @pytest.mark.parametrize("programmed", [False, True], ids=["stride", "programmed"])
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_engines_agree(self, name, programmed):
+        legacy = self._run(name, "legacy", programmed)
+        decoded = self._run(name, "decoded", programmed)
+        assert decoded == legacy
+        assert legacy[0] == KERNELS[name][1](*_ENGINE_SHAPES[name][0])
+        # Every kernel but FT's column walk runs chunked streams at these sizes.
+        assert ("boundary" in legacy[2]["guards"]) == (name != "FT")

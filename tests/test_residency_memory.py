@@ -316,6 +316,87 @@ class TestCodecs:
             for start, data in oracle.items():
                 assert mem.read_bytes(start, len(data)) == bytes(data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 24), min_size=3, max_size=5),
+        gaps=st.lists(st.integers(0, 6), min_size=5, max_size=5),
+        fill=st.binary(min_size=120, max_size=120),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["load", "load", "store", "store", "unmap_first", "unmap_second", "remap"]
+                ),
+                st.integers(0, 4),  # region, by index
+                # Offset from its start (straddling either edge), or, as
+                # ("end", k), k bytes before its end: inside, or straddling it.
+                st.one_of(st.integers(-9, 30), st.tuples(st.just("end"), st.integers(1, 8))),
+                st.sampled_from(sorted(_TYPES)),
+                st.one_of(st.integers(-(2**70), 2**70), st.floats(allow_nan=True)),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_two_entry_cache_matches_byte_oracle(self, sizes, gaps, fill, steps):
+        # Three to five regions, adjacent where the gap is 0.  Every
+        # typed access goes through the two-entry cache; ``recent`` tracks
+        # the regions it should hold (most recent first), so the
+        # ``unmap_first``/``unmap_second`` steps drop exactly the region
+        # in one entry, and a later remap at the same start gets fresh
+        # zeroed bytes that a stale entry would not serve.
+        layout, start = {}, _BASE
+        for size, gap in zip(sizes, gaps):
+            layout[start] = size
+            start += size + gap
+        starts = list(layout)
+        mem = AddressSpace()
+        oracle = {}
+        for i, (start, size) in enumerate(layout.items()):
+            mem.map_region(start, size)
+            oracle[start] = bytearray(fill[24 * i : 24 * i + size])
+            mem.write_bytes(start, bytes(oracle[start]))
+        recent = []
+        for kind, index, off, name, value in steps:
+            start = starts[index % len(starts)]
+            if kind == "remap":
+                if start not in oracle:
+                    mem.map_region(start, layout[start])
+                    oracle[start] = bytearray(layout[start])
+                continue
+            if kind.startswith("unmap"):
+                slot = 0 if kind == "unmap_first" else 1
+                if slot < len(recent):
+                    mem.unmap(recent[slot])
+                    del oracle[recent.pop(slot)]
+                continue
+            if isinstance(off, tuple):
+                off = layout[start] - off[1]
+            addr, size = start + off, _oracle_size(name)
+            codec = codec_for(_TYPES[name])
+            want_exc = want = None
+            try:
+                raw = _oracle_raw(name, value) if kind == "store" else None
+                region, data = _oracle_region(oracle, addr, size)
+                if kind == "store":
+                    data[addr - region : addr - region + size] = raw
+                else:
+                    want = _oracle_value(name, bytes(data[addr - region : addr - region + size]))
+            except (SegmentationFault, OverflowError, ValueError) as exc:
+                want_exc = type(exc)
+            try:
+                if kind == "store":
+                    mem.store(addr, codec, value)
+                else:
+                    got = mem.load(addr, codec)
+            except (SegmentationFault, OverflowError, ValueError) as exc:
+                assert type(exc) is want_exc, (kind, name, hex(addr), value)
+            else:
+                assert want_exc is None, (kind, name, hex(addr), value)
+                if kind == "load":
+                    assert _same(got, want), (name, hex(addr), got, want)
+                recent = ([region] + [r for r in recent if r != region])[:2]
+            for region, data in oracle.items():
+                assert mem.read_bytes(region, len(data)) == bytes(data)
+
     def test_unmapping_the_hot_region_drops_it(self):
         mem = AddressSpace()
         mem.map_region(0x1000, 16)
@@ -326,6 +407,20 @@ class TestCodecs:
             mem.load(0x1000, codec_for(I64))
         mem.map_region(0x1000, 16)  # same start, fresh zeroed bytes
         assert mem.load(0x1000, codec_for(I64)) == 0
+
+    def test_unmapping_the_second_region_drops_it(self):
+        mem = AddressSpace()
+        mem.map_region(0x1000, 16)
+        mem.map_region(0x2000, 16)
+        i64 = codec_for(I64)
+        mem.store(0x1000, i64, 7)
+        mem.store(0x2000, i64, 8)  # 0x2000 first, 0x1000 second
+        mem.unmap(0x1000)
+        with pytest.raises(SegmentationFault):
+            mem.load(0x1000, i64)
+        mem.map_region(0x1000, 16)
+        assert mem.load(0x1000, i64) == 0
+        assert mem.load(0x2000, i64) == 8
 
     def test_access_straddling_into_an_adjacent_region_faults(self):
         mem = AddressSpace()
