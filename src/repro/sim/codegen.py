@@ -1,0 +1,510 @@
+"""Code generation: every decoded IR function becomes one Python function.
+
+:func:`generate` runs inside :func:`repro.sim.decode.decode_module` and
+turns each :class:`~repro.sim.decode.DecodedFunction` into
+``DecodedFunction.code``, a function ``code(interp, *args)`` that runs
+one IR activation and returns its value — the SSA → code step of a
+classic compiler pipeline, aimed at Python source:
+
+* **Registers are locals.**  Slot ``n`` is the local ``r<n>``.  The
+  arguments are the function's parameters; constants, undefs and every
+  other slot are unpacked from the register template on entry, so every
+  local is bound from the start.
+* **Blocks are straight-line code.**  A block's ops become one statement
+  (or a few) each, with operands, widths and masks written in as
+  literals.  A branch ends in its edge's phi copies, one tuple
+  assignment, and the index of the next block; a binary decision tree
+  on that index picks the block, after the block hook.
+* **Calls are specialized by their callee's static class.**  A call to a
+  function the module defines calls that function's generated code
+  directly (one Python frame per IR call); its arity is checked here.
+  A ``global_addr.*`` constant or an external callee resolves through
+  the interpreter's callee cache on first use, so the code binds no
+  runtime and is shared by every interpreter.
+* **Steps are counted per segment.**  A block splits into straight-line
+  segments, each ending after a call to an internal function (the
+  callee's steps land mid-block).  A segment adds its op count, plus
+  the block's phi count if it opens the block, and tests ``max_steps``
+  once.  ``interp.steps`` is written back before every call and every
+  raise.  A segment that would cross ``max_steps`` runs a *checked
+  build* of its ops instead, which tests the limit before each op, so
+  a run stops at exactly the op where the legacy engine stops.  It is
+  generated on first need; it always raises, because the op that
+  crosses the limit is in the segment.
+* **Faults leave exact steps.**  One ``except`` around the frame maps
+  the line an exception left the frame from to that op's step offset
+  in its segment, so a load or store that faults (or a hook or a cast
+  that raises) leaves ``interp.steps`` where the legacy engine leaves
+  it, at no cost on the path that does not raise.
+
+No IR text reaches the source: it holds only identifiers and integers
+the generator computes (slots, block indices, sizes, widths and masks).
+Codecs, operators, constants, messages, block names and the ``Function``
+reach the code through its namespace.  Each source is registered with
+:mod:`linecache` under a file name that names the IR function, such as
+``<decoded @main #3>``, so tracebacks and profiles show the generated
+line.
+"""
+
+from __future__ import annotations
+
+import itertools
+import linecache
+import operator
+import weakref
+from typing import Callable, Dict, List, Optional
+
+from repro.errors import InterpError
+from repro.sim import decode
+from repro.sim.decode import DecodedFunction, DecodedModule
+
+_M64 = (1 << 64) - 1
+
+#: Tells generated files apart in :mod:`linecache` (several modules may
+#: each define a ``@main``).
+_serial = itertools.count()
+
+#: Source templates of the ops that are one expression over two
+#: registers, ``{a}`` and ``{b}``; the 64-bit ones are then wrapped.
+_BIN64_EXPR = {
+    decode.OP_ADD64: "{a} + {b}",
+    decode.OP_SUB64: "{a} - {b}",
+    decode.OP_MUL64: "{a} * {b}",
+    decode.OP_AND64: "{a} & {b}",
+    decode.OP_OR64: "{a} | {b}",
+    decode.OP_XOR64: "{a} ^ {b}",
+}
+_PLAIN_EXPR = {
+    decode.OP_FADD: "float({a}) + float({b})",
+    decode.OP_FSUB: "float({a}) - float({b})",
+    decode.OP_FMUL: "float({a}) * float({b})",
+}
+#: Signed integer compares: the test, which sets the register to 1 or 0.
+_ICMP_TEST = {
+    decode.OP_ICMP_EQ: "{a} == {b}",
+    decode.OP_ICMP_NE: "{a} != {b}",
+    decode.OP_ICMP_SLT: "{a} < {b}",
+    decode.OP_ICMP_SLE: "{a} <= {b}",
+    decode.OP_ICMP_SGT: "{a} > {b}",
+    decode.OP_ICMP_SGE: "{a} >= {b}",
+}
+#: Ops of one register, ``(template, wrap width or None)``.
+_UNARY_EXPR = {
+    decode.OP_PTRTOINT: ("int({a})", 64),
+    decode.OP_INTTOPTR: ("int({a}) & " + str(_M64), None),
+    decode.OP_SITOFP: ("float(int({a}))", None),
+    decode.OP_FPTOSI: ("int(float({a}))", 64),
+}
+
+
+def _exceeded(max_steps: int) -> InterpError:
+    return InterpError(f"exceeded max_steps={max_steps}")
+
+
+def _fdiv_by_zero(fa: float) -> float:
+    return float("inf") if fa > 0 else float("-inf") if fa < 0 else float("nan")
+
+
+def _lit(n: int) -> str:
+    """An IR immediate (a size, width or mask) as a literal: integers only."""
+    return str(operator.index(n))
+
+
+class _Source:
+    """Lines of one generated function and the namespace they refer to.
+
+    A checked build shares its function's namespace and ``bound`` map,
+    so a name means the same object in both.
+    """
+
+    def __init__(self, ns: Dict[str, object], bound: Dict[int, str]) -> None:
+        self.lines: List[str] = []
+        self.ns = ns
+        #: Line number -> step offset of the op on that line: how many
+        #: steps the segment counted past it.
+        self.faults: Dict[int, int] = {}
+        self.bound = bound
+
+    def emit(self, depth: int, text: str, offset: Optional[int] = None) -> None:
+        self.lines.append("    " * depth + text)
+        if offset is not None:
+            self.faults[len(self.lines)] = offset
+
+    def bind(self, prefix: str, obj: object) -> str:
+        """The namespace name of ``obj``, binding it on first use."""
+        name = self.bound.get(id(obj))
+        if name is None:
+            name = self.bound[id(obj)] = f"{prefix}{len(self.bound)}"
+            self.ns[name] = obj
+        return name
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+class _Emitter:
+    """Writes the ops of one decoded function as Python statements."""
+
+    def __init__(self, dmod: DecodedModule, df: DecodedFunction, src: _Source) -> None:
+        self.dmod = dmod
+        self.df = df
+        self.src = src
+        #: Callee ids of the internal functions this code calls.
+        self.internal: List[int] = []
+
+    def wrap(self, depth: int, dst: str, expr: str, bits: int, offset: int) -> None:
+        """``dst = expr`` wrapped to two's complement at ``bits``."""
+        emit = self.src.emit
+        bits = operator.index(bits)
+        if bits == 1:
+            emit(depth, f"{dst} = ({expr}) & 1", offset)
+            return
+        half = 1 << (bits - 1)
+        emit(depth, f"{dst} = {expr}", offset)
+        emit(depth, f"if not {-half} <= {dst} <= {half - 1}:", offset)
+        emit(depth + 1, f"{dst} = (({dst} + {half}) & {(1 << bits) - 1}) - {half}", offset)
+
+    def raise_(self, depth: int, message: str, offset: int) -> None:
+        self.writeback(depth, offset)
+        self.src.emit(depth, f"raise InterpError({self.src.bind('M', message)})", offset)
+
+    def writeback(self, depth: int, offset: int) -> None:
+        self.src.emit(depth, "interp.steps = steps" + (f" - {offset}" if offset else ""))
+
+    def copies(self, depth: int, dests, srcs, offset: int) -> None:
+        if dests:
+            lhs = ", ".join(f"r{d}" for d in dests)
+            rhs = ", ".join(f"r{s}" for s in srcs)
+            self.src.emit(depth, f"{lhs} = {rhs}", offset)
+
+    def is_internal_call(self, op: tuple) -> bool:
+        return (op[0] == decode.OP_CALL
+                and self.dmod.callee_static[op[2]][0] == decode.CALLEE_INTERNAL)
+
+    def op(self, depth: int, op: tuple, offset: int) -> None:
+        """Emit ``op``; ``offset`` is ``steps`` minus the legacy count at it."""
+        emit = self.src.emit
+        tag = op[0]
+        if tag in _BIN64_EXPR:
+            expr = _BIN64_EXPR[tag].format(a=f"r{op[2]}", b=f"r{op[3]}")
+            self.wrap(depth, f"r{op[1]}", expr, 64, offset)
+        elif tag in _PLAIN_EXPR:
+            expr = _PLAIN_EXPR[tag].format(a=f"r{op[2]}", b=f"r{op[3]}")
+            emit(depth, f"r{op[1]} = {expr}", offset)
+        elif tag in _ICMP_TEST:
+            emit(depth, f"r{op[1]} = 1 if {self.test(op)} else 0", offset)
+        elif tag in _UNARY_EXPR:
+            template, bits = _UNARY_EXPR[tag]
+            expr = template.format(a=f"r{op[2]}")
+            if bits is None:
+                emit(depth, f"r{op[1]} = {expr}", offset)
+            else:
+                self.wrap(depth, f"r{op[1]}", expr, bits, offset)
+        elif tag == decode.OP_GEP:
+            scaled = f"r{op[3]}" if op[4] == 1 else f"r{op[3]} * {_lit(op[4])}"
+            emit(depth, f"r{op[1]} = (r{op[2]} + {scaled}) & {_M64}", offset)
+        elif tag == decode.OP_LOAD:
+            emit(depth, f"r{op[1]} = load(r{op[2]}, {self.src.bind('C', op[3])})", offset)
+        elif tag == decode.OP_STORE:
+            emit(depth, f"store(r{op[3]}, {self.src.bind('C', op[2])}, r{op[1]})", offset)
+        elif tag == decode.OP_BR:
+            self.copies(depth, op[2], op[3], offset)
+            emit(depth, f"b = {op[1]}", offset)
+        elif tag == decode.OP_CONDBR:
+            self.condbr(depth, op, offset)
+        elif tag == decode.OP_RET:
+            self.writeback(depth, offset)
+            emit(depth, "return None" if op[1] is None else f"return r{op[1]}")
+        elif tag == decode.OP_CALL:
+            self.call(depth, op, offset)
+        elif tag in (decode.OP_SDIV, decode.OP_SREM):
+            self.division(depth, op, offset)
+        elif tag in (decode.OP_SHL, decode.OP_LSHR, decode.OP_ASHR):
+            bits = operator.index(op[4])
+            a, amount = f"int(r{op[2]})", f"(int(r{op[3]}) % {bits})"
+            if tag == decode.OP_LSHR:
+                a = f"({a} & {(1 << bits) - 1})"
+            shift = "<<" if tag == decode.OP_SHL else ">>"
+            self.wrap(depth, f"r{op[1]}", f"{a} {shift} {amount}", bits, offset)
+        elif tag == decode.OP_BINW:
+            fn = self.src.bind("O", op[5])
+            self.wrap(depth, f"r{op[1]}", f"{fn}(int(r{op[2]}), int(r{op[3]}))", op[4], offset)
+        elif tag == decode.OP_ICMP_U:
+            fn = self.src.bind("O", op[4])
+            emit(depth, f"r{op[1]} = 1 if {fn}(int(r{op[2]}) & {_M64}, "
+                        f"int(r{op[3]}) & {_M64}) else 0", offset)
+        elif tag == decode.OP_FCMP:
+            fn = self.src.bind("O", op[4])
+            emit(depth, f"r{op[1]} = 1 if {fn}(float(r{op[2]}), float(r{op[3]})) else 0",
+                 offset)
+        elif tag == decode.OP_FDIV:
+            emit(depth, f"fa = float(r{op[2]})", offset)
+            emit(depth, f"fb = float(r{op[3]})", offset)
+            emit(depth, f"r{op[1]} = fa / fb if fb != 0.0 else FDIV0(fa)", offset)
+        elif tag == decode.OP_SELECT:
+            emit(depth, f"r{op[1]} = r{op[3]} if r{op[2]} else r{op[4]}", offset)
+        elif tag == decode.OP_ALLOCA:
+            emit(depth, f"r{op[1]} = alloca({_lit(op[2])}, allocas)", offset)
+        elif tag == decode.OP_WRAP:
+            self.wrap(depth, f"r{op[1]}", f"int(r{op[2]})", op[3], offset)
+        elif tag == decode.OP_ZEXT:
+            self.wrap(depth, f"r{op[1]}", f"int(r{op[2]}) & {_lit(op[3])}", op[4], offset)
+        elif tag == decode.OP_RAISE:
+            self.raise_(depth, op[1], offset)
+        else:  # pragma: no cover - the decoder emits only known tags
+            raise InterpError(f"bad decoded op tag {tag}")
+
+    def test(self, icmp: tuple) -> str:
+        return _ICMP_TEST[icmp[0]].format(a=f"r{icmp[2]}", b=f"r{icmp[3]}")
+
+    def condbr(self, depth: int, op: tuple, offset: int, icmp: Optional[tuple] = None,
+               icmp_offset: int = 0) -> None:
+        """A conditional branch; with ``icmp``, the compare that defines
+        its condition, fused into it: the compare is the ``if`` test."""
+        emit = self.src.emit
+        if icmp is None:
+            emit(depth, f"if r{op[1]}:", offset)
+        else:
+            emit(depth, f"if {self.test(icmp)}:", icmp_offset)
+            emit(depth + 1, f"r{icmp[1]} = 1", offset)
+        self.copies(depth + 1, op[3], op[4], offset)
+        emit(depth + 1, f"b = {op[2]}", offset)
+        emit(depth, "else:", offset)
+        if icmp is not None:
+            emit(depth + 1, f"r{icmp[1]} = 0", offset)
+        self.copies(depth + 1, op[6], op[7], offset)
+        emit(depth + 1, f"b = {op[5]}", offset)
+
+    def division(self, depth: int, op: tuple, offset: int) -> None:
+        emit = self.src.emit
+        emit(depth, f"ia = int(r{op[2]})", offset)
+        emit(depth, f"ib = int(r{op[3]})", offset)
+        emit(depth, "if ib == 0:", offset)
+        message = "sdiv by zero" if op[0] == decode.OP_SDIV else "srem by zero"
+        self.raise_(depth + 1, message, offset)
+        emit(depth, "q = abs(ia) // abs(ib)", offset)
+        if op[0] == decode.OP_SDIV:
+            self.wrap(depth, f"r{op[1]}", "-q if (ia < 0) != (ib < 0) else q", op[4], offset)
+        else:
+            emit(depth, "if (ia < 0) != (ib < 0):", offset)
+            emit(depth + 1, "q = -q", offset)
+            self.wrap(depth, f"r{op[1]}", "ia - q * ib", op[4], offset)
+
+    def call(self, depth: int, op: tuple, offset: int) -> None:
+        emit = self.src.emit
+        _tag, dest, cid, args = op
+        kind, name = self.dmod.callee_static[cid]
+        lhs = "" if dest is None else f"r{dest} = "
+        if kind == decode.CALLEE_GLOBAL:
+            emit(depth, f"{lhs}callees[{cid}] or resolve({cid})", offset)
+            return
+        argv = ", ".join(f"r{s}" for s in args)
+        if kind != decode.CALLEE_INTERNAL:
+            self.writeback(depth, offset)
+            emit(depth, f"{lhs}(callees[{cid}] or resolve({cid}))({argv})")
+            return
+        callee = self.dmod.functions[name]
+        if len(args) != callee.nargs:
+            self.raise_(
+                depth, f"@{name} expects {callee.nargs} args, got {len(args)}", offset
+            )
+            return
+        if cid not in self.internal:
+            self.internal.append(cid)
+        self.writeback(depth, offset)
+        emit(depth, f"{lhs}f{cid}(interp{', ' if argv else ''}{argv})")
+        emit(depth, "steps = interp.steps")
+
+    def segments(self, bi: int) -> List[List[tuple]]:
+        """Block ``bi``'s ops, split after every internal call."""
+        out: List[List[tuple]] = [[]]
+        for op in self.df.blocks[bi]:
+            out[-1].append(op)
+            if self.is_internal_call(op):
+                out.append([])
+        return [seg for seg in out if seg]
+
+
+def _counted(op: tuple) -> int:
+    """Steps ``op`` counts: one, except a synthetic raise's none."""
+    return op[2] if op[0] == decode.OP_RAISE else 1
+
+
+def _emit_segment_ops(em: _Emitter, depth: int, ops: List[tuple], steps: int) -> None:
+    """The unchecked ops of a segment counting ``steps`` steps in all.
+
+    A signed compare right before the branch on its result is fused
+    into the branch.
+    """
+    done = i = 0
+    while i < len(ops):
+        op = ops[i]
+        done += _counted(op)
+        nxt = ops[i + 1] if i + 1 < len(ops) else None
+        if (op[0] in _ICMP_TEST and nxt is not None and nxt[0] == decode.OP_CONDBR
+                and nxt[1] == op[1]):
+            done += 1
+            em.condbr(depth, nxt, steps - done, op, steps - done + 1)
+            i += 2
+        else:
+            em.op(depth, op, steps - done)
+            i += 1
+
+
+def _prologue(src: _Source, em: _Emitter, depth: int, full: bool) -> None:
+    """Bind the interpreter state the ops use (all of it when ``full``)."""
+    tags = {op[0] for block in em.df.blocks for op in block}
+    calls = [op for block in em.df.blocks for op in block if op[0] == decode.OP_CALL]
+    uses_cache = any(em.dmod.callee_static[op[2]][0] != decode.CALLEE_INTERNAL for op in calls)
+    if full or tags & {decode.OP_LOAD, decode.OP_STORE, decode.OP_ALLOCA}:
+        src.emit(depth, "memory = interp.memory")
+    if full or decode.OP_LOAD in tags:
+        src.emit(depth, "load = memory.load")
+    if full or decode.OP_STORE in tags:
+        src.emit(depth, "store = memory.store")
+    if full or uses_cache:
+        src.emit(depth, "callees = interp._callee_cache")
+        src.emit(depth, "resolve = interp._resolve_callee")
+    if full or decode.OP_ALLOCA in tags:
+        src.emit(depth, "alloca = interp._alloca")
+
+
+def _register(source: str, filename: str, fn: Callable) -> None:
+    """Make ``source`` the lines tracebacks show for ``filename`` while
+    ``fn`` lives."""
+    lines = source.splitlines(True)
+    linecache.cache[filename] = (len(source), None, lines, filename)
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
+
+
+def _compile(source: str, filename: str, ns: Dict[str, object]) -> Callable:
+    scope: Dict[str, object] = {}
+    exec(compile(source, filename, "exec"), ns, scope)
+    fn = scope["decoded"]
+    _register(source, filename, fn)
+    return fn
+
+
+class _Crossing:
+    """Runs the checked build of a segment that crosses ``max_steps``."""
+
+    def __init__(self, dmod: DecodedModule, df: DecodedFunction, src: _Source,
+                 segments) -> None:
+        self.dmod = dmod
+        self.df = df
+        self.src = src
+        #: Segment id -> (phi steps, ops).
+        self.segments = segments
+        self.built: Dict[int, Callable] = {}
+
+    def __call__(self, interp, seg: int, steps: int, frame: Dict[str, object]) -> None:
+        fn = self.built.get(seg)
+        if fn is None:
+            fn = self.built[seg] = self._build(seg)
+        regs = tuple(frame[f"r{i}"] for i in range(len(self.df.template)))
+        fn(interp, steps, frame.get("allocas"), regs)
+        raise AssertionError("a segment that crosses max_steps ran to its end")
+
+    def _build(self, seg: int) -> Callable:
+        phis, ops = self.segments[seg]
+        src = _Source(self.src.ns, self.src.bound)
+        em = _Emitter(self.dmod, self.df, src)
+        src.emit(0, "def decoded(interp, steps, allocas, regs):")
+        src.emit(1, ", ".join(f"r{i}" for i in range(len(self.df.template))) + ", = regs")
+        src.emit(1, "max_steps = interp.max_steps")
+        _prologue(src, em, 1, full=True)
+        if phis:
+            src.emit(1, f"steps += {phis}")
+        for op in ops:
+            if _counted(op):
+                src.emit(1, "steps += 1")
+                src.emit(1, "interp.steps = steps")
+                src.emit(1, "if steps > max_steps:")
+                src.emit(2, "raise EXCEEDED(max_steps)")
+            em.op(1, op, 0)
+        filename = f"<decoded @{self.df.name} #{next(_serial)} checked {seg}>"
+        return _compile(src.text(), filename, src.ns)
+
+
+def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
+    ns: Dict[str, object] = {
+        "InterpError": InterpError,
+        "EXCEEDED": _exceeded,
+        "FDIV0": _fdiv_by_zero,
+        "F": df.func,
+        "NAMES": tuple(df.names),
+        "T": tuple(df.template[df.nargs:]),
+    }
+    src = _Source(ns, {})
+    em = _Emitter(dmod, df, src)
+    segments: List[tuple] = []
+
+    params = "".join(f", r{i}" for i in range(df.nargs))
+    src.emit(0, f"def decoded(interp{params}):")
+    src.emit(1, "steps = interp.steps")
+    src.emit(1, "max_steps = interp.max_steps")
+    src.emit(1, "hook = interp.block_hook")
+    _prologue(src, em, 1, full=False)
+    has_allocas = any(op[0] == decode.OP_ALLOCA for block in df.blocks for op in block)
+    if has_allocas:
+        src.emit(1, "allocas = []")
+    if len(df.template) > df.nargs:
+        regs = ", ".join(f"r{i}" for i in range(df.nargs, len(df.template)))
+        src.emit(1, f"{regs}, = T")
+    src.emit(1, f"b = {df.start}")
+    src.emit(1, "try:")
+    src.emit(2, "while True:")
+    src.emit(3, "if hook is not None:")
+    src.emit(4, "hook(F, NAMES[b])", 0)
+
+    def block(depth: int, bi: int) -> None:
+        phis = df.phis[bi]
+        for ops in em.segments(bi):
+            steps = phis + sum(_counted(op) for op in ops)
+            if steps > phis:
+                src.emit(depth, f"steps += {steps}")
+                src.emit(depth, "if steps > max_steps:")
+                # The checked build reads the registers from the frame.
+                src.emit(depth + 1, f"X(interp, {len(segments)}, steps - {steps}, locals())")
+                segments.append((phis, ops))
+            elif steps:
+                src.emit(depth, f"steps += {steps}")
+            _emit_segment_ops(em, depth, ops, steps - phis)
+            phis = 0
+
+    def tree(depth: int, lo: int, hi: int) -> None:
+        if hi - lo == 1:
+            block(depth, lo)
+            return
+        mid = (lo + hi) // 2
+        src.emit(depth, f"if b < {mid}:")
+        tree(depth + 1, lo, mid)
+        src.emit(depth, "else:")
+        tree(depth + 1, mid, hi)
+
+    tree(3, 0, len(df.blocks))
+    src.emit(1, "except BaseException as exc:")
+    src.emit(2, "d = LINES.get(exc.__traceback__.tb_lineno)")
+    src.emit(2, "if d is not None:")
+    src.emit(3, "interp.steps = steps - d")
+    src.emit(2, "raise")
+    if has_allocas:
+        src.emit(1, "finally:")
+        src.emit(2, "for a in reversed(allocas):")
+        src.emit(3, "memory.unmap(a)")
+
+    ns["LINES"] = src.faults
+    ns["X"] = _Crossing(dmod, df, src, segments)
+    df.source = src.text()
+    df.code = _compile(df.source, f"<decoded @{df.name} #{next(_serial)}>", ns)
+    return em
+
+
+def generate(dmod: DecodedModule) -> None:
+    """Generate ``code`` and ``source`` for every function of ``dmod``."""
+    emitters = [_generate_function(dmod, df) for df in dmod.functions.values()]
+    # Link: each direct call names its callee's generated function.
+    for em in emitters:
+        ns = em.src.ns
+        for cid in em.internal:
+            ns[f"f{cid}"] = dmod.functions[dmod.callee_static[cid][1]].code

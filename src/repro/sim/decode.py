@@ -12,36 +12,25 @@ time) applied to our own execution loop.
 :class:`DecodedFunction` records:
 
 * every SSA value gets an integer **register slot**; constants and
-  undefs are materialized into a per-function register template, so at
-  run time every operand is one list index;
+  undefs are materialized into a per-function register template;
 * every instruction becomes a flat **op tuple** ``(opcode_int, ...)``
   with operands resolved to slot indices and immediates (element sizes,
   bit widths) baked in; a load or store carries the
   :data:`~repro.sim.memory.Codec` of its IR type, so an access never
   re-derives the type's width or signedness;
 * branch targets are resolved to **block indices**; phi nodes disappear
-  entirely, replaced by per-edge parallel copies executed when the
-  edge is taken;
-* call sites are resolved to a per-module **callee id**, and their
-  arguments to one ``operator.itemgetter`` over the register list
-  (likewise the sources of a multi-phi edge), so gathering them runs
-  no Python frame.  Classification
-  (internal function / ``global_addr.*`` / external) happens here; the
-  interpreter resolves a callee id to a concrete callable once and
-  caches it, so a hot intrinsic call costs one list index per
-  execution after the first, the decode-layer analogue of the
-  tracer's one-attribute-check pattern;
-* the guard and chunk-deref calls TrackFM-compiled code makes on every
-  far-memory access (:data:`BRIDGE_OPS`) get ops of their own,
-  :data:`OP_GUARD` and :data:`OP_DEREF`, that carry their argument
-  slots inline: the interpreter calls the resolved intrinsic as
-  ``fn(regs[a])`` or ``fn(regs[a], regs[b])``, with no argument tuple.
-  An external call is all they ever stand for; a module that defines
-  a function of one of those names keeps the generic call op.
+  entirely, replaced by per-edge parallel copies (a tuple of
+  destination slots and one of source slots) executed when the edge is
+  taken;
+* call sites are resolved to a per-module **callee id** and carry their
+  argument slots.  Classification (internal function /
+  ``global_addr.*`` / external) happens here; the interpreter resolves
+  an external or global callee id to a concrete value once and caches
+  it.
 
-The op order is the dispatch chain's: opcodes are numbered by how
-often the host benchmark's ``nas`` workload executes them, and the
-interpreter tests them in that order.
+:mod:`repro.sim.codegen` then turns each decoded function into one
+Python function (``DecodedFunction.code``), which is what the
+interpreter's decoded engine runs.
 
 The decoded form is **cached on the module** (`Module._decoded_cache`)
 and invalidated by :class:`~repro.compiler.pass_manager.PassManager`
@@ -50,14 +39,15 @@ against out-of-band IR mutation, the cache also remembers the module's
 instruction count and re-decodes when it changes.
 
 Decoding is runtime-agnostic: nothing interpreter- or runtime-specific
-is baked in (a bridge op names its callee; each interpreter resolves
-it), so one decoded module is shared by every interpreter that runs it.
+is baked in (a call names its callee; each interpreter resolves it), so
+one decoded module, generated code included, is shared by every
+interpreter that runs it.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import IRTypeError
 from repro.ir.function import Function
@@ -85,68 +75,47 @@ from repro.ir.values import Constant, UndefValue, Value
 from repro.sim.memory import codec_for
 
 # -- opcodes ------------------------------------------------------------------
-#
-# Small ints, numbered in the order the interpreter's dispatch chain tests
-# them: by measured frequency on the host benchmark's ``nas`` workload
-# (share of executed ops, seed 1: add 19.5%, gep 13.1%, br, icmp slt and
-# condbr 8.1% each, load 7.8%, chunk deref 7.3%, mul 6.8%, guard 6.5%,
-# store 6.0%, and and srem 4.1% each), then the rest.
 
 OP_ADD64 = 0
-OP_GEP = 1
-OP_BR = 2
-OP_ICMP_SLT = 3
-OP_CONDBR = 4
-OP_LOAD = 5
-OP_DEREF = 6  # a two-argument bridge call: fn(ptr, stream)
-OP_MUL64 = 7
-OP_GUARD = 8  # a one-argument bridge call: fn(ptr)
-OP_STORE = 9
-OP_AND64 = 10
-OP_SREM = 11
-OP_SUB64 = 12
-OP_CALL = 13
-OP_RET = 14
-OP_OR64 = 15
-OP_XOR64 = 16
-OP_ICMP_EQ = 17
-OP_ICMP_NE = 18
+OP_SUB64 = 1
+OP_MUL64 = 2
+OP_AND64 = 3
+OP_OR64 = 4
+OP_XOR64 = 5
+OP_BINW = 6  # a width-generic wrapped binop
+OP_SDIV = 7
+OP_SREM = 8
+OP_SHL = 9
+OP_LSHR = 10
+OP_ASHR = 11
+OP_FADD = 12
+OP_FSUB = 13
+OP_FMUL = 14
+OP_FDIV = 15
+OP_ICMP_EQ = 16
+OP_ICMP_NE = 17
+OP_ICMP_SLT = 18
 OP_ICMP_SLE = 19
 OP_ICMP_SGT = 20
 OP_ICMP_SGE = 21
 OP_ICMP_U = 22
-OP_SELECT = 23
-OP_ALLOCA = 24
-OP_SDIV = 25
-OP_SHL = 26
-OP_LSHR = 27
-OP_ASHR = 28
-OP_BINW = 29
-OP_FADD = 30
-OP_FSUB = 31
-OP_FMUL = 32
-OP_FDIV = 33
-OP_FCMP = 34
-OP_PTRTOINT = 35
-OP_INTTOPTR = 36
-OP_WRAP = 37  # trunc / sext: wrap to a target width
-OP_ZEXT = 38
-OP_SITOFP = 39
-OP_FPTOSI = 40
-OP_RAISE = 41
-
-#: The far-memory runtime calls on every guarded access, by argument
-#: count: ``tfm_guard_{read,write}(ptr)`` and
-#: ``tfm_chunk_deref[_write](ptr, stream)``.  A call to one of these
-#: external names decodes to :data:`OP_GUARD`/:data:`OP_DEREF`, which
-#: pass the argument registers straight to the callable the name
-#: resolves to; only the name is baked in, never a runtime.
-BRIDGE_OPS = {
-    "tfm_guard_read": OP_GUARD,
-    "tfm_guard_write": OP_GUARD,
-    "tfm_chunk_deref": OP_DEREF,
-    "tfm_chunk_deref_write": OP_DEREF,
-}
+OP_FCMP = 23
+OP_LOAD = 24
+OP_STORE = 25
+OP_GEP = 26
+OP_ALLOCA = 27
+OP_SELECT = 28
+OP_PTRTOINT = 29
+OP_INTTOPTR = 30
+OP_WRAP = 31  # trunc / sext: wrap to a target width
+OP_ZEXT = 32
+OP_SITOFP = 33
+OP_FPTOSI = 34
+OP_CALL = 35
+OP_BR = 36
+OP_CONDBR = 37
+OP_RET = 38
+OP_RAISE = 39  # (tag, message, steps): 1 for an IR instruction, 0 when synthetic
 
 #: Specialized 64-bit integer binops (the dominant case in this IR).
 _BIN64 = {
@@ -202,25 +171,35 @@ CALLEE_GLOBAL = "global"
 
 
 class DecodedFunction:
-    """One function lowered to flat per-block op tuples."""
+    """One function lowered to flat per-block op tuples, and its code."""
 
-    __slots__ = ("func", "name", "nargs", "template", "blocks", "names", "start")
+    __slots__ = (
+        "func", "name", "nargs", "template", "blocks", "names", "phis", "start",
+        "code", "source",
+    )
 
     def __init__(self, func: Function) -> None:
         self.func = func
         self.name = func.name
         self.nargs = len(func.args)
-        #: Register template: ``template[:]`` is a ready frame.  The
-        #: first ``nargs`` slots are argument slots; constant/undef
-        #: slots are pre-filled with their Python values.
+        #: Register template: one value per slot.  The first ``nargs``
+        #: slots are argument slots; constant/undef slots are pre-filled
+        #: with their Python values, every other slot with ``None``.
         self.template: List[object] = []
         #: Per-block op tuples; indices into this list are branch targets.
         self.blocks: List[Tuple[tuple, ...]] = []
         #: Block display names (for block hooks), parallel to ``blocks``.
         self.names: List[str] = []
+        #: Phi count per block, parallel to ``blocks``: every edge into a
+        #: block copies that many values, and each copy is one step.
+        self.phis: List[int] = []
         #: Index of the block execution starts in (a synthetic error
         #: block when the entry block illegally starts with phis).
         self.start = 0
+        #: The generated Python function, ``code(interp, *args)``, and
+        #: its source (set by :func:`repro.sim.codegen.generate`).
+        self.code = None
+        self.source = ""
 
 
 class DecodedModule:
@@ -243,6 +222,9 @@ class DecodedModule:
         self._callee_ids: Dict[str, int] = {}
         for func in module.defined_functions():
             self.functions[func.name] = _decode_function(self, func)
+        from repro.sim.codegen import generate
+
+        generate(self)
 
     def callee_id(self, name: str) -> int:
         cid = self._callee_ids.get(name)
@@ -320,27 +302,20 @@ def _decode_function(dmod: DecodedModule, func: Function) -> DecodedFunction:
 
     block_index = {id(b): i for i, b in enumerate(func.blocks)}
 
-    def edge_target(pred, succ) -> Tuple[int, tuple, int]:
-        """(target index, phi parallel copies, phi count) for one CFG edge.
+    def edge_target(pred, succ) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """(target index, destination slots, source slots) of one CFG edge.
 
-        The copies are ``()`` for no phi, ``(dest, src)`` for one, and
-        ``(dests, gather)`` for several, where ``gather(regs)`` reads
-        every source before any destination is written.
+        The copies are parallel: every source is read before any
+        destination is written.
         """
         phis = succ.phis()
-        if not phis:
-            return block_index[id(succ)], (), 0
         try:
-            pairs = [(def_slot(phi), use_slot(phi.incoming_for(pred))) for phi in phis]
+            sources = tuple(use_slot(phi.incoming_for(pred)) for phi in phis)
         except IRTypeError as exc:
             # Taking this edge is a runtime error in the legacy engine;
             # route it to a synthetic block that raises on execution.
-            return _error_block(df, succ.name, str(exc)), (), 0
-        if len(pairs) == 1:
-            return block_index[id(succ)], pairs[0], 1
-        dests = tuple(d for d, _s in pairs)
-        gather = operator.itemgetter(*(s for _d, s in pairs))
-        return block_index[id(succ)], (dests, gather), len(pairs)
+            return _error_block(df, succ.name, str(exc)), (), ()
+        return block_index[id(succ)], tuple(def_slot(phi) for phi in phis), sources
 
     for block in func.blocks:
         ops: List[tuple] = []
@@ -349,10 +324,11 @@ def _decode_function(dmod: DecodedModule, func: Function) -> DecodedFunction:
             ops.append(_decode_inst(dmod, inst, def_slot, use_slot, edge_target))
         if not ops or ops[-1][0] not in (OP_BR, OP_CONDBR, OP_RET, OP_RAISE):
             ops.append(
-                (OP_RAISE, f"block %{block.name} fell through without terminator")
+                (OP_RAISE, f"block %{block.name} fell through without terminator", 0)
             )
         df.blocks.append(tuple(ops))
         df.names.append(block.name)
+        df.phis.append(len(phis))
 
     if func.blocks and func.blocks[0].phis():
         # The legacy engine rejects this on first entry (no predecessor
@@ -365,27 +341,19 @@ def _decode_function(dmod: DecodedModule, func: Function) -> DecodedFunction:
 
 
 def _error_block(df: DecodedFunction, name: str, message: str) -> int:
-    """Append a synthetic block raising ``message``; returns its index."""
-    df.blocks.append(((OP_RAISE, message),))
+    """Append a synthetic block raising ``message``; returns its index.
+
+    Its raise counts no step: the legacy engine raises before it
+    evaluates the block's phis.
+    """
+    df.blocks.append(((OP_RAISE, message, 0),))
     df.names.append(name)
+    df.phis.append(0)
     return len(df.blocks) - 1
 
 
 def _bits_of(inst) -> int:
     return inst.type.bits if isinstance(inst.type, IntType) else 64
-
-
-def _gather(slots: Tuple[int, ...]):
-    """``regs -> call arguments``, one C call with no Python frame.
-
-    ``itemgetter`` of one index returns the bare item, so zero or one
-    argument is read as a slice (a list); two or more come as a tuple.
-    """
-    if len(slots) >= 2:
-        return operator.itemgetter(*slots)
-    if slots:
-        return operator.itemgetter(slice(slots[0], slots[0] + 1))
-    return operator.itemgetter(slice(0, 0))
 
 
 def _decode_inst(dmod, inst, def_slot, use_slot, edge_target) -> tuple:
@@ -428,27 +396,17 @@ def _decode_inst(dmod, inst, def_slot, use_slot, edge_target) -> tuple:
         return (OP_FCMP, def_slot(inst), use_slot(inst.operands[0]),
                 use_slot(inst.operands[1]), _FCMP_FNS[inst.pred])
     if isinstance(inst, Br):
-        ti, copies, n = edge_target(inst.parent, inst.target)
-        return (OP_BR, ti, copies, n)
+        return (OP_BR,) + edge_target(inst.parent, inst.target)
     if isinstance(inst, CondBr):
-        ti, tc, tn = edge_target(inst.parent, inst.if_true)
-        fi, fc, fn = edge_target(inst.parent, inst.if_false)
-        return (OP_CONDBR, use_slot(inst.condition), ti, tc, tn, fi, fc, fn)
+        return ((OP_CONDBR, use_slot(inst.condition))
+                + edge_target(inst.parent, inst.if_true)
+                + edge_target(inst.parent, inst.if_false))
     if isinstance(inst, Ret):
         return (OP_RET, use_slot(inst.value) if inst.value is not None else None)
     if isinstance(inst, Call):
         args = tuple(use_slot(a) for a in inst.args)
         dest = None if inst.type.is_void() else def_slot(inst)
-        cid = dmod.callee_id(inst.callee)
-        bridge = BRIDGE_OPS.get(inst.callee)
-        if (
-            bridge is not None
-            and dest is not None
-            and len(args) == (1 if bridge == OP_GUARD else 2)
-            and dmod.callee_static[cid][0] == CALLEE_EXTERNAL
-        ):
-            return (bridge, dest, cid) + args
-        return (OP_CALL, dest, cid, _gather(args))
+        return (OP_CALL, dest, dmod.callee_id(inst.callee), args)
     if isinstance(inst, Select):
         c, a, b = (use_slot(o) for o in inst.operands)
         return (OP_SELECT, def_slot(inst), c, a, b)
@@ -470,7 +428,7 @@ def _decode_inst(dmod, inst, def_slot, use_slot, edge_target) -> tuple:
             return (OP_SITOFP, d, s)
         if inst.opcode == "fptosi":
             return (OP_FPTOSI, d, s)
-        return (OP_RAISE, f"unknown cast {inst.opcode}")
+        return (OP_RAISE, f"unknown cast {inst.opcode}", 1)
     if isinstance(inst, Phi):
-        return (OP_RAISE, "phi reached dispatch (must be at block head)")
-    return (OP_RAISE, f"cannot execute {inst.render()}")
+        return (OP_RAISE, "phi reached dispatch (must be at block head)", 1)
+    return (OP_RAISE, f"cannot execute {inst.render()}", 1)

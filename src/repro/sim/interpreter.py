@@ -14,12 +14,13 @@ transformed ones run.
 
 Two execution engines share one semantics:
 
-* the **decoded** engine (default) runs :mod:`repro.sim.decode`'s flat,
-  slot-indexed op records — operands are list indices, branch targets
-  are block indices, callees resolve through a per-interpreter cache,
-  and a guard or chunk-deref call is an op that hands its argument
-  registers straight to the resolved intrinsic — and is several times
-  faster;
+* the **decoded** engine (default) runs the Python function
+  :mod:`repro.sim.codegen` generates for each function of
+  :mod:`repro.sim.decode`'s op records — registers are locals, blocks
+  are straight-line code, a call to a function of the module is a
+  direct call, and other callees resolve through a per-interpreter
+  cache — and is more than ten times faster (``python -m repro.bench
+  regress`` records the ratio);
 * the **legacy** engine walks the IR objects directly, one
   ``isinstance`` ladder per dynamic instruction.  It is kept as the
   executable specification: the decoded engine must match it value for
@@ -110,11 +111,10 @@ class _Frame:
 #: The intrinsic protocol: an intrinsic is called with the call's
 #: arguments as positional arguments, ``fn(*args)``, and returns the
 #: call's value (ignored for a void call).  Both engines call it so:
-#: the legacy engine and the decoded engine's generic call op with the
-#: gathered arguments, the decoded bridge ops (``OP_GUARD``/``OP_DEREF``)
-#: straight from their argument registers.  An intrinsic that needs the
-#: interpreter or a runtime binds it itself, as a bound method or a
-#: closure.
+#: the legacy engine with the evaluated arguments, the decoded engine's
+#: generated code straight from its argument registers.  An intrinsic
+#: that needs the interpreter or a runtime binds it itself, as a bound
+#: method or a closure.
 IntrinsicFn = Callable[..., object]
 
 
@@ -146,10 +146,11 @@ class Interpreter:
         self._heap_sizes: Dict[int, int] = {}
         self._globals: Dict[str, int] = {}
         #: Decoded-engine state: the decoded module this interpreter last
-        #: ran, and its callee-id -> resolved-callable cache (reset when
-        #: the decode cache turns over or an intrinsic is registered).
+        #: ran, and its callee-id -> resolved callable or global address
+        #: cache (reset when the decode cache turns over or an intrinsic
+        #: is registered).
         self._dmod = None
-        self._callee_cache: List[Optional[tuple]] = []
+        self._callee_cache: List[object] = []
         self._map_globals()
 
     # -- setup ----------------------------------------------------------
@@ -213,8 +214,12 @@ class Interpreter:
         if self.engine == "legacy" or func.is_declaration:
             value = self._call_function(func, list(args))
         else:
-            dmod = self._decoded()
-            value = self._call_decoded(dmod.functions[func.name], list(args))
+            dfunc = self._decoded().functions[func.name]
+            if len(args) != dfunc.nargs:
+                raise InterpError(
+                    f"@{func.name} expects {dfunc.nargs} args, got {len(args)}"
+                )
+            value = dfunc.code(self, *args)
         return InterpResult(value=value, steps=self.steps, output=list(self.output))
 
     # -- decoded engine -----------------------------------------------------
@@ -229,287 +234,39 @@ class Interpreter:
             self._callee_cache = [None] * len(dmod.callees)
         return dmod
 
-    def _resolve_callee(self, cid: int) -> tuple:
-        """Resolve a callee id once; cached until intrinsics change.
+    def _resolve_callee(self, cid: int) -> object:
+        """Resolve an external or global callee id once; cached until
+        intrinsics change.
 
-        The cached entry is ``(kind, payload)``: 0 = internal decoded
-        function, 1 = a callable under the intrinsic protocol (a
-        registered intrinsic, else a builtin libc wrapper), 2 = a
-        ``global_addr.*`` constant.  An external name always resolves
-        to kind 1 or raises, which is what lets a bridge op call
-        ``payload`` without looking at ``kind``.
+        An external name resolves to a callable under the intrinsic
+        protocol (a registered intrinsic, else a builtin libc wrapper)
+        or raises; a ``global_addr.*`` name to the global's address.
+        Generated code calls internal functions directly, never
+        through here.
         """
-        from repro.sim.decode import CALLEE_GLOBAL, CALLEE_INTERNAL
+        from repro.sim.decode import CALLEE_GLOBAL
 
         tag, name = self._dmod.callee_static[cid]
         if tag == CALLEE_GLOBAL:
-            entry = (2, self.global_addr(name))
-        elif tag == CALLEE_INTERNAL:
-            entry = (0, self._dmod.functions[name])
+            entry = self.global_addr(name)
         else:
-            fn = self.intrinsics.get(name)
-            if fn is None:
+            entry = self.intrinsics.get(name)
+            if entry is None:
                 builtin = _BUILTIN_WRAPPERS.get(name)
                 if builtin is None:
                     raise InterpError(f"call to unresolved function @{name}")
-                fn = builtin(self)
-            entry = (1, fn)
+                entry = builtin(self)
         self._callee_cache[cid] = entry
         return entry
 
-    def _call_decoded(self, dfunc, args: List[object]) -> object:
-        """Run one decoded activation frame (the hot loop).
-
-        Mirrors ``_run_frame``/``_execute`` semantics exactly, including
-        step accounting: one step per executed non-phi instruction plus
-        one per phi evaluated on a taken edge.  ``self.steps`` is kept in
-        a local and synced around calls and at returns.
-        """
-        from repro.sim.decode import (
-            OP_ADD64, OP_ALLOCA, OP_AND64, OP_ASHR, OP_BINW, OP_BR, OP_CALL,
-            OP_CONDBR, OP_DEREF, OP_FADD, OP_FCMP, OP_FDIV, OP_FMUL,
-            OP_FPTOSI, OP_FSUB, OP_GEP, OP_GUARD, OP_ICMP_EQ, OP_ICMP_NE,
-            OP_ICMP_SGE, OP_ICMP_SGT, OP_ICMP_SLE, OP_ICMP_SLT, OP_ICMP_U,
-            OP_INTTOPTR, OP_LOAD, OP_LSHR, OP_MUL64, OP_OR64, OP_PTRTOINT,
-            OP_RAISE, OP_RET, OP_SDIV, OP_SELECT, OP_SHL, OP_SITOFP, OP_SREM,
-            OP_STORE, OP_SUB64, OP_WRAP, OP_XOR64, OP_ZEXT,
-        )
-
-        if len(args) != dfunc.nargs:
-            raise InterpError(
-                f"@{dfunc.name} expects {dfunc.nargs} args, got {len(args)}"
-            )
-        regs = dfunc.template[:]
-        if args:
-            regs[: len(args)] = args
-        func = dfunc.func
-        blocks = dfunc.blocks
-        names = dfunc.names
-        hook = self.block_hook
-        memory = self.memory
-        load = memory.load
-        store = memory.store
-        callees = self._callee_cache
-        max_steps = self.max_steps
-        steps = self.steps
-        allocas: List[int] = []
-        M64 = _U64
-        S63 = 1 << 63
-        P64 = 1 << 64
-        bi = dfunc.start
-        try:
-            while True:
-                if hook is not None:
-                    hook(func, names[bi])
-                for op in blocks[bi]:
-                    steps += 1
-                    if steps > max_steps:
-                        self.steps = steps
-                        raise InterpError(f"exceeded max_steps={max_steps}")
-                    tag = op[0]
-                    if tag == OP_ADD64:
-                        v = (regs[op[2]] + regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_GEP:
-                        regs[op[1]] = (regs[op[2]] + regs[op[3]] * op[4]) & M64
-                    elif tag == OP_BR:
-                        nphi = op[3]
-                        if nphi:
-                            if nphi == 1:
-                                d, s = op[2]
-                                regs[d] = regs[s]
-                            else:
-                                dests, gather = op[2]
-                                for d, v in zip(dests, gather(regs)):
-                                    regs[d] = v
-                            steps += nphi
-                        bi = op[1]
-                        break
-                    elif tag == OP_ICMP_SLT:
-                        regs[op[1]] = 1 if regs[op[2]] < regs[op[3]] else 0
-                    elif tag == OP_CONDBR:
-                        if regs[op[1]]:
-                            bi = op[2]
-                            copies = op[3]
-                            nphi = op[4]
-                        else:
-                            bi = op[5]
-                            copies = op[6]
-                            nphi = op[7]
-                        if nphi:
-                            if nphi == 1:
-                                d, s = copies
-                                regs[d] = regs[s]
-                            else:
-                                dests, gather = copies
-                                for d, v in zip(dests, gather(regs)):
-                                    regs[d] = v
-                            steps += nphi
-                        break
-                    elif tag == OP_LOAD:
-                        regs[op[1]] = load(regs[op[2]], op[3])
-                    elif tag == OP_DEREF:
-                        ce = callees[op[2]]
-                        if ce is None:
-                            ce = self._resolve_callee(op[2])
-                        self.steps = steps
-                        regs[op[1]] = ce[1](regs[op[3]], regs[op[4]])
-                        steps = self.steps
-                    elif tag == OP_MUL64:
-                        v = (regs[op[2]] * regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_GUARD:
-                        ce = callees[op[2]]
-                        if ce is None:
-                            ce = self._resolve_callee(op[2])
-                        self.steps = steps
-                        regs[op[1]] = ce[1](regs[op[3]])
-                        steps = self.steps
-                    elif tag == OP_STORE:
-                        store(regs[op[3]], op[2], regs[op[1]])
-                    elif tag == OP_AND64:
-                        v = (regs[op[2]] & regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_SREM:
-                        ia, ib = int(regs[op[2]]), int(regs[op[3]])
-                        if ib == 0:
-                            self.steps = steps
-                            raise InterpError("srem by zero")
-                        q = abs(ia) // abs(ib)
-                        q = -q if (ia < 0) != (ib < 0) else q
-                        v = ia - q * ib
-                        if op[4] == 64:
-                            v &= M64
-                            regs[op[1]] = v - P64 if v >= S63 else v
-                        else:
-                            regs[op[1]] = _wrap(v, op[4])
-                    elif tag == OP_SUB64:
-                        v = (regs[op[2]] - regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_CALL:
-                        ce = callees[op[2]]
-                        if ce is None:
-                            ce = self._resolve_callee(op[2])
-                        kind = ce[0]
-                        if kind == 2:
-                            result = ce[1]
-                        else:
-                            call_args = op[3](regs)
-                            self.steps = steps
-                            if kind == 1:
-                                result = ce[1](*call_args)
-                            else:
-                                result = self._call_decoded(ce[1], call_args)
-                            steps = self.steps
-                        if op[1] is not None:
-                            regs[op[1]] = result
-                    elif tag == OP_RET:
-                        self.steps = steps
-                        s = op[1]
-                        return regs[s] if s is not None else None
-                    elif tag == OP_OR64:
-                        v = (regs[op[2]] | regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_XOR64:
-                        v = (regs[op[2]] ^ regs[op[3]]) & M64
-                        regs[op[1]] = v - P64 if v >= S63 else v
-                    elif tag == OP_ICMP_EQ:
-                        regs[op[1]] = 1 if regs[op[2]] == regs[op[3]] else 0
-                    elif tag == OP_ICMP_NE:
-                        regs[op[1]] = 1 if regs[op[2]] != regs[op[3]] else 0
-                    elif tag == OP_ICMP_SLE:
-                        regs[op[1]] = 1 if regs[op[2]] <= regs[op[3]] else 0
-                    elif tag == OP_ICMP_SGT:
-                        regs[op[1]] = 1 if regs[op[2]] > regs[op[3]] else 0
-                    elif tag == OP_ICMP_SGE:
-                        regs[op[1]] = 1 if regs[op[2]] >= regs[op[3]] else 0
-                    elif tag == OP_ICMP_U:
-                        regs[op[1]] = (
-                            1 if op[4](int(regs[op[2]]) & M64, int(regs[op[3]]) & M64)
-                            else 0
-                        )
-                    elif tag == OP_SELECT:
-                        regs[op[1]] = regs[op[3]] if regs[op[2]] else regs[op[4]]
-                    elif tag == OP_ALLOCA:
-                        addr = self._stack_top
-                        memory.map_region(addr, op[2], label="stack")
-                        allocas.append(addr)
-                        self._stack_top += (op[2] + 15) // 16 * 16
-                        regs[op[1]] = addr
-                    elif tag == OP_BINW:
-                        regs[op[1]] = _wrap(
-                            op[5](int(regs[op[2]]), int(regs[op[3]])), op[4]
-                        )
-                    elif tag == OP_SDIV:
-                        ia, ib = int(regs[op[2]]), int(regs[op[3]])
-                        if ib == 0:
-                            self.steps = steps
-                            raise InterpError("sdiv by zero")
-                        q = abs(ia) // abs(ib)
-                        v = -q if (ia < 0) != (ib < 0) else q
-                        if op[4] == 64:
-                            v &= M64
-                            regs[op[1]] = v - P64 if v >= S63 else v
-                        else:
-                            regs[op[1]] = _wrap(v, op[4])
-                    elif tag == OP_SHL:
-                        bits = op[4]
-                        regs[op[1]] = _wrap(
-                            int(regs[op[2]]) << (int(regs[op[3]]) % bits), bits
-                        )
-                    elif tag == OP_LSHR:
-                        bits = op[4]
-                        regs[op[1]] = _wrap(
-                            _unsigned(int(regs[op[2]]), bits)
-                            >> (int(regs[op[3]]) % bits),
-                            bits,
-                        )
-                    elif tag == OP_ASHR:
-                        bits = op[4]
-                        regs[op[1]] = _wrap(
-                            int(regs[op[2]]) >> (int(regs[op[3]]) % bits), bits
-                        )
-                    elif tag == OP_FADD:
-                        regs[op[1]] = float(regs[op[2]]) + float(regs[op[3]])
-                    elif tag == OP_FSUB:
-                        regs[op[1]] = float(regs[op[2]]) - float(regs[op[3]])
-                    elif tag == OP_FMUL:
-                        regs[op[1]] = float(regs[op[2]]) * float(regs[op[3]])
-                    elif tag == OP_FDIV:
-                        fa, fb = float(regs[op[2]]), float(regs[op[3]])
-                        if fb == 0.0:
-                            regs[op[1]] = (
-                                float("inf") if fa > 0
-                                else float("-inf") if fa < 0
-                                else float("nan")
-                            )
-                        else:
-                            regs[op[1]] = fa / fb
-                    elif tag == OP_FCMP:
-                        regs[op[1]] = (
-                            1 if op[4](float(regs[op[2]]), float(regs[op[3]])) else 0
-                        )
-                    elif tag == OP_PTRTOINT:
-                        regs[op[1]] = _wrap(int(regs[op[2]]), 64)
-                    elif tag == OP_INTTOPTR:
-                        regs[op[1]] = int(regs[op[2]]) & M64
-                    elif tag == OP_WRAP:
-                        regs[op[1]] = _wrap(int(regs[op[2]]), op[3])
-                    elif tag == OP_ZEXT:
-                        regs[op[1]] = _wrap(int(regs[op[2]]) & op[3], op[4])
-                    elif tag == OP_SITOFP:
-                        regs[op[1]] = float(int(regs[op[2]]))
-                    elif tag == OP_FPTOSI:
-                        regs[op[1]] = _wrap(int(float(regs[op[2]])), 64)
-                    elif tag == OP_RAISE:
-                        self.steps = steps
-                        raise InterpError(op[1])
-                    else:  # pragma: no cover - decoder emits only known tags
-                        self.steps = steps
-                        raise InterpError(f"bad decoded op tag {tag}")
-        finally:
-            for addr in reversed(allocas):
-                memory.unmap(addr)
+    def _alloca(self, size: int, allocas: List[int]) -> int:
+        """Map a stack slot of ``size`` bytes for a frame whose slots
+        are ``allocas`` (unmapped when the frame exits)."""
+        addr = self._stack_top
+        self.memory.map_region(addr, size, label="stack")
+        allocas.append(addr)
+        self._stack_top += (size + 15) // 16 * 16
+        return addr
 
     def _call_function(self, func: Function, args: List[object]) -> object:
         if func.is_declaration:
@@ -615,11 +372,7 @@ class Interpreter:
             frame.env[inst] = a if cond else b
             return None
         if isinstance(inst, Alloca):
-            addr = self._stack_top
-            self.memory.map_region(addr, inst.size_bytes, label="stack")
-            frame.allocas.append(addr)
-            self._stack_top += (inst.size_bytes + 15) // 16 * 16
-            frame.env[inst] = addr
+            frame.env[inst] = self._alloca(inst.size_bytes, frame.allocas)
             return None
         if isinstance(inst, PtrToInt):
             frame.env[inst] = _wrap(int(self._value(frame, inst.operands[0])), 64)

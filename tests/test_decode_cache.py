@@ -12,11 +12,16 @@ value for value, step for step, metric for metric.  These tests pin
   counts, and identical ``Metrics.as_dict()`` on compiled far-memory
   runs;
 * error parity for the paths the decoder rewrites (entry-block phis,
-  fall-through blocks, ``max_steps``) and the block-hook contract the
-  profiler relies on.
+  fall-through blocks, ``max_steps``, faulting accesses) and the
+  block-hook contract the profiler relies on;
+* the generated code itself: one Python frame per IR call, names that
+  stay data, and tracebacks that show the generated line.
 """
 
 from __future__ import annotations
+
+import sys
+import traceback
 
 import pytest
 
@@ -25,7 +30,7 @@ from repro.compiler import CompilerConfig, TrackFMCompiler
 from repro.compiler.guard_analysis import GuardAnalysisPass
 from repro.compiler.guard_transform import GuardTransformPass
 from repro.compiler.pass_manager import PassContext, PassManager
-from repro.errors import InterpError
+from repro.errors import InterpError, SegmentationFault
 from repro.ir import IRBuilder, I32, I64, Module, verify_module
 from repro.ir.values import Constant
 from repro.machine.cache import AlwaysHitCache
@@ -225,3 +230,99 @@ class TestErrorAndHookParity:
             visits[engine] = seen
         assert visits["decoded"] == visits["legacy"]
         assert visits["decoded"]  # the hook actually fired
+
+    @pytest.mark.parametrize("kind", ["load", "store"])
+    def test_faulting_access_leaves_steps_like_legacy(self, kind):
+        # An unguarded access through an address nothing maps is the
+        # GP fault of §3.1; it raises mid-block, after three ops.
+        steps = {}
+        for engine in self._engines():
+            m = Module()
+            f = m.add_function("main", I64)
+            b = IRBuilder(f.add_block("entry"))
+            x = b.add(Constant(I64, 1), 2)
+            y = b.add(x, 3)
+            p = b.inttoptr(Constant(I64, 0x1234))
+            if kind == "load":
+                b.load(I64, p)
+            else:
+                b.store(y, p)
+            b.ret(y)
+            interp = Interpreter(m, engine=engine)
+            with pytest.raises(SegmentationFault):
+                interp.run("main")
+            steps[engine] = interp.steps
+        assert steps == {"legacy": 4, "decoded": 4}
+
+
+#: Set by a hostile name's payload, should the name ever run as code.
+HOSTILE_RAN: list = []
+
+
+def _countdown_module() -> Module:
+    """``down(n) = n == 0 ? 0 : down(n - 1) + 1`` and a ``main(n)``."""
+    m = Module()
+    down = m.add_function("down", I64, [I64], ["n"])
+    entry, base, rec = (down.add_block(name) for name in ("entry", "base", "rec"))
+    b = IRBuilder(entry)
+    b.condbr(b.icmp("eq", down.args[0], 0), base, rec)
+    IRBuilder(base).ret(Constant(I64, 0))
+    rb = IRBuilder(rec)
+    rb.ret(rb.add(rb.call(I64, "down", [rb.sub(down.args[0], 1)]), 1))
+    main = m.add_function("main", I64, [I64], ["n"])
+    mb = IRBuilder(main.add_block("entry"))
+    mb.ret(mb.call(I64, "down", [main.args[0]]))
+    verify_module(m)
+    return m
+
+
+class TestGeneratedCode:
+    def test_recursion_depth_900_under_the_default_limit(self):
+        # One Python frame per IR call: 900 nested IR calls fit the
+        # default recursion limit with the test runner's frames on top.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            result = Interpreter(_countdown_module(), engine="decoded").run("main", [900])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.value == 900
+
+    def test_hostile_names_stay_data(self):
+        payload = f"__import__('sys').modules[{__name__!r}].HOSTILE_RAN.append(1)"
+        fname, helper_name, block_name, helper_block = (
+            f"q'\"\n{payload}\n#",
+            f'"""\n{payload}\n"""',
+            f"x');{payload};('",
+            f"\\\n{payload}",
+        )
+        m = Module()
+        helper = m.add_function(helper_name, I64, [I64])
+        hb = IRBuilder(helper.add_block(helper_block))
+        hb.ret(hb.add(helper.args[0], 1))
+        f = m.add_function(fname, I64)
+        b = IRBuilder(f.add_block(block_name))
+        b.add(b.call(I64, helper_name, [Constant(I64, 41)]), 1)  # falls through
+        results = {}
+        for engine in ("legacy", "decoded"):
+            seen = []
+            interp = Interpreter(
+                m, engine=engine, block_hook=lambda fn, name: seen.append((fn.name, name))
+            )
+            with pytest.raises(InterpError, match="fell through") as exc:
+                interp.run(fname)
+            results[engine] = (str(exc.value), seen, interp.steps)
+        assert results["decoded"] == results["legacy"]
+        assert results["decoded"][1] == [(fname, block_name), (helper_name, helper_block)]
+        assert HOSTILE_RAN == []
+
+    def test_traceback_shows_the_generated_line(self):
+        m = Module()
+        f = m.add_function("main", I64, [I64], ["d"])
+        b = IRBuilder(f.add_block("entry"))
+        b.ret(b.srem(Constant(I64, 7), f.args[0]))
+        with pytest.raises(InterpError, match="srem by zero") as exc:
+            Interpreter(m, engine="decoded").run("main", [0])
+        text = "".join(traceback.format_exception(exc.type, exc.value, exc.tb))
+        frame = text[text.index('File "<decoded @main'):]
+        assert frame.splitlines()[1].strip().startswith("raise InterpError(")

@@ -12,7 +12,8 @@ pointer chases — see :mod:`tests.irgen`).  Each seed's program runs
    the program runs (the fuzz oracle for the migration protocol);
 4. on both interpreter engines, raw and compiled: the decoded engine
    must match the legacy engine (the executable spec) in value, steps
-   and output, and on compiled runs in every ``Metrics`` field too;
+   and output, and on compiled runs in every ``Metrics`` field too —
+   also when ``max_steps`` cuts the run short anywhere in it;
 
 and the results must be identical.  The seed is in the test id and the
 assertion message: ``generate_module(<seed>)`` reproduces any failure
@@ -22,11 +23,13 @@ exactly.
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 from repro.aifm.pool import PoolConfig
 from repro.compiler import ChunkingPolicy, CompilerConfig, TrackFMCompiler
+from repro.errors import InterpError
 from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.integrity import IntegrityConfig
 from repro.ir import verify_module
@@ -229,6 +232,53 @@ class TestEngineDifferential:
             f"{runs['legacy'][:2]} (value, steps), or metrics differ; "
             f"reproduce with tests.irgen.generate_module({seed})"
         )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_step_limit_stops_both_engines_at_the_same_op(self, seed):
+        # Limits of 1, total - 1, total and drawn ones in between, on the
+        # raw module and on the module compiled onto ``far_runtime``.
+        raw = generate_module(seed)
+        compiled = TrackFMCompiler(CompilerConfig()).compile(generate_module(seed)).module
+        for name, module, far in (("raw", raw, False), ("compiled", compiled, True)):
+            total = _limited_run(module, far, seed, "legacy", 5_000_000)[1]
+            rng = random.Random(seed)
+            limits = [1, total - 1, total] + sorted(
+                rng.randrange(2, total - 1) for _ in range(20)
+            )
+            for limit in limits:
+                legacy = _limited_run(module, far, seed, "legacy", limit)
+                decoded = _limited_run(module, far, seed, "decoded", limit)
+                assert decoded == legacy, (
+                    f"seed {seed}: {name} run at max_steps={limit} differs between "
+                    f"engines: decoded {decoded[:2]} vs legacy {legacy[:2]} (outcome, "
+                    f"steps), or in block hooks, output, memory or metrics; "
+                    f"reproduce with tests.irgen.generate_module({seed})"
+                )
+
+
+def _limited_run(module, far: bool, seed: int, engine: str, max_steps: int) -> tuple:
+    """Everything a run observably did, under a step limit.
+
+    ``far`` runs ``module`` on :func:`far_runtime`, and adds its
+    ``Metrics.as_dict()``.
+    """
+    if far:
+        runtime = far_runtime(fault_seed=seed)
+        program = TrackFMProgram(module, runtime, max_steps=max_steps, engine=engine)
+        interp, run = program.interp, program.run
+    else:
+        runtime = None
+        interp = Interpreter(module, max_steps=max_steps, engine=engine)
+        run = interp.run
+    blocks = []
+    interp.block_hook = lambda func, name: blocks.append((func.name, name))
+    try:
+        outcome = ("value", run("main").value)
+    except InterpError as exc:
+        outcome = ("error", str(exc))
+    regions = [(r.start, bytes(r.data)) for r in interp.memory.regions()]
+    metrics = runtime.metrics.as_dict() if far else None
+    return outcome, interp.steps, blocks, interp.output, regions, metrics
 
 
 class TestFaultedDifferential:

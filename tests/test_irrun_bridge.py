@@ -20,7 +20,6 @@ from repro.ir import IRBuilder, I64, PTR, VOID, Module
 from repro.ir.values import Constant
 from repro.machine.cache import AlwaysHitCache, CacheModel
 from repro.machine.costs import AccessKind, GuardKind
-from repro.sim.decode import OP_CALL, OP_DEREF, OP_GUARD, decode_module
 from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TWIN_BASE, TrackFMProgram
 from repro.trackfm.pointer import TFM_BASE, decode_tfm_pointer, is_tfm_pointer
@@ -436,7 +435,7 @@ class TestInlineStateTableRead:
             self._probe_agrees(a, b, TFM_BASE | offset, AccessKind.READ)
 
 
-# -- the decoded bridge ops against the legacy engine ------------------------
+# -- guard and deref calls on both engines -----------------------------------
 
 
 def _past_heap_program():
@@ -449,21 +448,6 @@ def _past_heap_program():
 
 
 class TestBridgeOps:
-    def test_guard_and_deref_calls_decode_to_bridge_ops(self):
-        def body(b):
-            p = b.call(PTR, "tfm_malloc", [Constant(I64, 64)])
-            b.call(VOID, "tfm_chunk_begin", [Constant(I64, 0), Constant(I64, 0)])
-            c = b.call(PTR, "tfm_chunk_deref", [p, Constant(I64, 0)])
-            g = b.call(PTR, "tfm_guard_write", [p])
-            b.store(3, g)
-            b.call(VOID, "tfm_chunk_end", [Constant(I64, 0)])
-            return b.load(I64, c)
-
-        ops = decode_module(build(body)).functions["main"].blocks[0]
-        tags = [op[0] for op in ops]
-        assert tags.count(OP_DEREF) == 1 and tags.count(OP_GUARD) == 1
-        assert tags.count(OP_CALL) == 3  # malloc, chunk begin and end
-
     def test_raising_guard_matches_across_engines(self):
         outcomes = {}
         for engine in ("legacy", "decoded"):
@@ -495,8 +479,6 @@ class TestBridgeOps:
         slot = b.alloca(8)
         b.store(21, slot)
         b.ret(b.load(I64, b.call(PTR, "tfm_guard_read", [slot])))
-        ops = decode_module(m).functions["main"].blocks[0]
-        assert OP_GUARD not in [op[0] for op in ops]
         results = {
             engine: Interpreter(m, engine=engine).run("main")
             for engine in ("legacy", "decoded")
