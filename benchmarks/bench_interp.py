@@ -7,7 +7,7 @@ Each workload is measured at fixed seeds in two ways, mirroring
   decoded-vs-legacy speedup attached — the decode cache's reason to
   exist, asserted >= 3x on the stream workload);
 * the exact simulated-metric fingerprint of a TrackFM-compiled run,
-  asserted byte-identical to the checked-in
+  compared by the regress gate's exact part against the checked-in
   ``benchmarks/baselines/BENCH_interp_*.json`` (the CI gate runs the
   same comparison via ``python -m repro.bench regress --check``).
 """
@@ -19,12 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.regress import (
-    WORKLOADS,
-    baseline_path,
-    fingerprint_run,
-    measure_ops,
-)
+from repro.bench.baseline import mismatch
+from repro.bench.regress import GATE, WORKLOADS, fingerprint_run, measure_ops
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 
@@ -61,17 +57,18 @@ def test_interp_ops_per_sec(benchmark, name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_interp_fingerprint_matches_baseline(benchmark, name):
     """Simulated metrics must match the recorded baseline exactly."""
-    path = baseline_path(BASELINE_DIR, name)
+    path = GATE.path(name, BASELINE_DIR)
     if not path.exists():
-        pytest.skip(f"no baseline at {path}; run: python -m repro.bench regress --record")
-    baseline = json.loads(path.read_text())
+        pytest.skip(f"no baseline at {path}; run: {GATE.record_command(name)}")
+    recorded = json.loads(path.read_text())
 
     fingerprint = benchmark.pedantic(
         fingerprint_run, args=(WORKLOADS[name],), rounds=1, iterations=1
     )
     benchmark.extra_info["fingerprint"] = fingerprint
-    assert fingerprint == baseline["fingerprint"], (
-        f"{name}: simulated-metric fingerprint drifted from {path}; if the "
-        "change is intentional, re-record with "
-        "`python -m repro.bench regress --record` and commit the diff"
+    drift = mismatch(GATE, {"fingerprint": fingerprint}, recorded)
+    assert not drift, (
+        f"{name}: simulated-metric fingerprint drifted from {path}: {drift}; "
+        f"if the change is intentional, re-record with "
+        f"`{GATE.record_command(name)}` and commit the diff"
     )

@@ -11,9 +11,11 @@ shipped examples, the NAS suite, and the shared IR test programs from
 2. **Access audit** — run the far-memory access auditor and the
    TFM-P3xx perf sanitizer over each *untransformed* module and compare
    loop classifications and diagnostic codes against the checked-in
-   baseline ``examples/lint_baseline.json``.  Any drift — a loop that
-   stops classifying oblivious, a new perf diagnostic, one that
-   silently disappears — fails the gate.
+   baseline ``examples/lint_baseline.json`` (:data:`GATE`, a baseline
+   gate of ``repro.bench.baseline``).  Any drift — a loop that stops
+   classifying oblivious, a new perf diagnostic, one that silently
+   disappears, a module added or gone — fails the gate and prints its
+   leaf path.
 
 Exits non-zero if any module fails either gate.  After an intentional
 analysis change, refresh the baseline with ``--record-baseline``.
@@ -26,7 +28,6 @@ Run from the repository root (after ``pip install -e .``)::
 
 from __future__ import annotations
 
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -44,12 +45,12 @@ from quickstart import build_unmodified_program
 from irprograms import build_sum_loop, build_write_then_sum
 from repro import CompilerConfig, TrackFMCompiler
 from repro.analysis.oblivious import audit_module
+from repro.bench import baseline
 from repro.ir import print_module
 from repro.sanitizer import Sanitizer
 from repro.sanitizer.__main__ import main as sanitizer_main
 from repro.workloads.nas import NAS_SUITE, build_nas_ir
 
-BASELINE = HERE / "lint_baseline.json"
 #: Object size the audit assumes; matches the trace/bench drivers.
 AUDIT_OBJECT_SIZE = 256
 
@@ -81,42 +82,16 @@ def audit_summary(module) -> dict:
     return {"loops": classes, "diagnostics": codes}
 
 
-def run_audit_gate(record: bool) -> int:
-    summaries = {name: audit_summary(builder()) for name, builder in
-                 sorted(BUILDERS.items())}
-    if record:
-        BASELINE.write_text(json.dumps(summaries, indent=2, sort_keys=True) + "\n")
-        print(f"[audit] recorded baseline for {len(summaries)} modules -> {BASELINE}")
-        return 0
-    if not BASELINE.exists():
-        print(f"[audit] missing baseline {BASELINE}; "
-              "run: python examples/lint_all.py --record-baseline")
-        return 1
-    baseline = json.loads(BASELINE.read_text())
-    failures = 0
-    for name, summary in summaries.items():
-        expected = baseline.get(name)
-        if summary == expected:
-            print(f"[audit] {name}: ok")
-            continue
-        failures += 1
-        if expected is None:
-            print(f"[audit] {name}: FAILED (not in baseline)")
-            continue
-        print(f"[audit] {name}: FAILED (audit drift)")
-        for key in sorted(set(summary["loops"]) | set(expected["loops"])):
-            got = summary["loops"].get(key, "<gone>")
-            want = expected["loops"].get(key, "<new>")
-            if got != want:
-                print(f"[audit]   loop {key}: {want} -> {got}")
-        if summary["diagnostics"] != expected["diagnostics"]:
-            print(f"[audit]   diagnostics: expected {expected['diagnostics']}, "
-                  f"got {summary['diagnostics']}")
-    stale = sorted(set(baseline) - set(summaries))
-    if stale:
-        failures += 1
-        print(f"[audit] baseline has modules that no longer build: {stale}")
-    return 1 if failures else 0
+GATE = baseline.Gate(
+    prog="python examples/lint_all.py",
+    template="lint_baseline.json",
+    names=("audit",),
+    measure=lambda name: {
+        module: audit_summary(builder()) for module, builder in sorted(BUILDERS.items())
+    },
+    directory=HERE,
+    record_args=lambda name: "--record-baseline",
+)
 
 
 def run_guard_gate() -> int:
@@ -144,12 +119,14 @@ def run_guard_gate() -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    record = "--record-baseline" in argv
-    audit_rc = run_audit_gate(record)
-    if record:
-        return audit_rc
-    guard_rc = run_guard_gate()
-    return max(audit_rc, guard_rc)
+    if "--record-baseline" in argv:
+        for path in baseline.record(GATE):
+            print(f"recorded {path}")
+        return 0
+    report = baseline.check(GATE)
+    baseline.print_report(report)
+    audit_rc = 0 if report["ok"] else 1
+    return max(audit_rc, run_guard_gate())
 
 
 if __name__ == "__main__":

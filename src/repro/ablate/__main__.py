@@ -12,27 +12,21 @@ Modes::
 The report is bit-deterministic (seeded simulation, no wall-clock), so
 ``--check`` compares the re-measured JSON document to
 ``benchmarks/baselines/ABLATION_quick.json`` with ``==`` and fails on
-any drift, printing the first differing paths.
+any drift, printing the first differing paths.  ``--out-json`` and
+``--out-md`` are written whenever the matrix ran, a failed check too.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro.ablate.matrix import applicable_components, generate_matrix
 from repro.ablate.registry import COMPONENTS
-from repro.ablate.report import (
-    DEFAULT_BASELINE_DIR,
-    build_report,
-    check_baseline,
-    record_baseline,
-    render_markdown,
-    write_artifacts,
-)
+from repro.ablate.report import GATE, build_report, render_markdown, write_artifacts
+from repro.bench import baseline
 
 
 def _list_text(quick: bool) -> str:
@@ -90,8 +84,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--baseline-dir",
         type=Path,
-        default=DEFAULT_BASELINE_DIR,
-        help=f"baseline directory (default: {DEFAULT_BASELINE_DIR})",
+        default=GATE.directory,
+        help=f"baseline directory (default: {GATE.directory})",
     )
     parser.add_argument(
         "--out-json", type=Path, default=None, help="also write the JSON report here"
@@ -106,30 +100,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.legacy:
         return _run_legacy()
+    name = "quick" if args.quick else "full"
     if args.record:
-        path = record_baseline(args.baseline_dir, args.quick)
+        ((path, report),) = baseline.record(GATE, args.baseline_dir, [name]).items()
         print(f"recorded {path}")
-        if args.out_json or args.out_md:
-            report = json.loads(path.read_text())
-            write_artifacts(report, args.out_json, args.out_md)
+        write_artifacts(report, args.out_json, args.out_md)
         return 0
     if args.check:
-        result = check_baseline(args.baseline_dir, args.quick)
-        if "report" in result and (args.out_json or args.out_md):
-            write_artifacts(result["report"], args.out_json, args.out_md)
-        status = result["status"]
-        stream = sys.stdout if result["ok"] else sys.stderr
-        print(f"ablation baseline: {status}", file=stream)
-        if status == "mismatch":
-            for diff in result["diff"]:  # type: ignore[union-attr]
-                print(
-                    f"  {diff['path']}: expected {diff['expected']!r}, "
-                    f"got {diff['got']!r}",
-                    file=sys.stderr,
-                )
-        elif status == "missing-baseline":
-            print(f"  hint: {result['hint']}", file=sys.stderr)
-        return 0 if result["ok"] else 1
+        report = baseline.check(GATE, args.baseline_dir, [name])
+        measured = report["benches"][name].get("measured")
+        if measured is not None:
+            write_artifacts(measured, args.out_json, args.out_md)
+        baseline.print_report(report)
+        return 0 if report["ok"] else 1
 
     report = build_report(args.quick)
     write_artifacts(report, args.out_json, args.out_md)

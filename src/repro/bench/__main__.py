@@ -6,7 +6,7 @@ Usage::
     python -m repro.bench table1 fig07   # several
     python -m repro.bench --list         # show what exists
     python -m repro.bench --all          # everything (a few seconds)
-    python -m repro.bench regress --check   # baseline gate (see regress.py)
+    python -m repro.bench regress --check   # baseline gate (see baseline.py)
     python -m repro.bench ablate --quick    # ablation matrix (see repro.ablate)
 
 The original artifact exposes ``make trackfm_fig14a`` etc.; this is the
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, Dict
 
 from repro.bench import (
@@ -79,36 +80,22 @@ EXPERIMENTS: Dict[str, Callable] = {
     "ablation_multisize": ablation_multisize,
 }
 
+#: Subcommands with flags of their own: ``python -m repro.bench <name>
+#: ...`` hands the rest of the command line to that module's ``main``.
+SUBCOMMANDS: Dict[str, str] = {
+    "regress": "repro.bench.regress",
+    "pprefetch": "repro.bench.prefetch_regress",
+    "serving": "repro.bench.serving",
+    "hybrid": "repro.bench.hybrid",
+    "ablate": "repro.ablate.__main__",
+}
+
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "regress":
-        # The baseline gate has its own flags (--record/--check/...);
-        # hand the rest of the command line straight to it.
-        from repro.bench.regress import main as regress_main
-
-        return regress_main(argv[1:])
-    if argv and argv[0] == "pprefetch":
-        # Programmed-prefetch baseline gate: same dispatch convention.
-        from repro.bench.prefetch_regress import main as pprefetch_main
-
-        return pprefetch_main(argv[1:])
-    if argv and argv[0] == "serving":
-        # Sharded serving-layer curves + baseline gate: same convention.
-        from repro.bench.serving import main as serving_main
-
-        return serving_main(argv[1:])
-    if argv and argv[0] == "hybrid":
-        # Adaptive-hybrid matrix + baseline gate: same convention.
-        from repro.bench.hybrid import main as hybrid_main
-
-        return hybrid_main(argv[1:])
-    if argv and argv[0] == "ablate":
-        # Ablation matrix + ranked importance report: same convention.
-        from repro.ablate.__main__ import main as ablate_main
-
-        return ablate_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return import_module(SUBCOMMANDS[argv[0]]).main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",

@@ -9,9 +9,9 @@ baselines so it can never silently regress:
 * for each workload, a deterministic run per prefetch mode records the
   demand-miss count (``metrics.remote_fetches``), useful prefetches,
   bytes fetched and total cycles;
-* ``--check`` re-measures and demands (a) exact equality with the
+* :data:`GATE` re-measures and demands (a) exact equality with the
   recorded numbers (the simulation is deterministic — any diff is
-  semantic drift) and (b) the structural invariant
+  semantic drift) and (b) equal values and the structural invariant
   ``programmed demand misses <= stride demand misses``.
 
 Baselines live in ``benchmarks/baselines/BENCH_pprefetch_<name>.json``::
@@ -22,12 +22,9 @@ Baselines live in ``benchmarks/baselines/BENCH_pprefetch_<name>.json``::
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.bench import baseline
 from repro.ir.module import Module
 
 #: Compile/runtime shape: objects small enough that loops cross many
@@ -37,8 +34,6 @@ from repro.ir.module import Module
 OBJECT_SIZE = 256
 LOCAL_OBJECTS = 64
 NAS_N = 256
-
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
 
 
 def _build_stream() -> Module:
@@ -105,111 +100,37 @@ def measure_bench(name: str) -> Dict[str, object]:
     }
 
 
-def baseline_path(baseline_dir: Path, name: str) -> Path:
-    return Path(baseline_dir) / f"BENCH_pprefetch_{name}.json"
+def _programmed_wins(
+    name: str, measured: baseline.Document, recorded: baseline.Document
+) -> Tuple[str, str]:
+    """Both modes compute the same value, and programmed prefetch takes
+    no more demand misses than the stride prefetcher."""
+    stride, programmed = measured["stride"], measured["programmed"]
+    if programmed["value"] != stride["value"]:
+        return "semantics-diverge", (
+            f"programmed value {programmed['value']} != stride value {stride['value']}"
+        )
+    if programmed["demand_misses"] > stride["demand_misses"]:
+        return "prefetch-regression", (
+            f"programmed {programmed['demand_misses']} demand misses > "
+            f"stride {stride['demand_misses']}"
+        )
+    return "ok", ""
 
 
-def record_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> List[Path]:
-    baseline_dir = Path(baseline_dir)
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in benches or list(WORKLOADS):
-        data = measure_bench(name)
-        path = baseline_path(baseline_dir, name)
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
-def check_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> Dict[str, object]:
-    """Exact-match gate plus the programmed<=stride invariant."""
-    report: Dict[str, object] = {"benches": {}, "ok": True}
-    for name in benches or list(WORKLOADS):
-        path = baseline_path(Path(baseline_dir), name)
-        entry: Dict[str, object] = {"baseline": str(path)}
-        report["benches"][name] = entry  # type: ignore[index]
-        if not path.exists():
-            entry["status"] = "missing-baseline"
-            entry["hint"] = "run: python -m repro.bench pprefetch --record"
-            report["ok"] = False
-            continue
-        baseline = json.loads(path.read_text())
-        measured = measure_bench(name)
-        stride, programmed = measured["stride"], measured["programmed"]
-        entry["measured"] = measured
-        if programmed["value"] != stride["value"]:
-            entry["status"] = "semantics-diverge"
-            report["ok"] = False
-            continue
-        if programmed["demand_misses"] > stride["demand_misses"]:
-            entry["status"] = "prefetch-regression"
-            entry["detail"] = (
-                f"programmed {programmed['demand_misses']} demand misses > "
-                f"stride {stride['demand_misses']}"
-            )
-            report["ok"] = False
-            continue
-        if measured != baseline:
-            entry["status"] = "baseline-mismatch"
-            entry["expected"] = baseline
-            report["ok"] = False
-            continue
-        entry["status"] = "ok"
-    return report
+GATE = baseline.Gate(
+    prog="python -m repro.bench pprefetch",
+    template="BENCH_pprefetch_{name}.json",
+    names=tuple(WORKLOADS),
+    measure=measure_bench,
+    accept=_programmed_wins,
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench pprefetch",
-        description="Record or check programmed-prefetch baselines.",
-    )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--record", action="store_true", help="measure and (re)write baselines"
-    )
-    mode.add_argument(
-        "--check", action="store_true", help="gate against recorded baselines"
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        type=Path,
-        default=DEFAULT_BASELINE_DIR,
-        help=f"baseline directory (default: {DEFAULT_BASELINE_DIR})",
-    )
-    parser.add_argument(
-        "--bench",
-        action="append",
-        choices=sorted(WORKLOADS),
-        help="restrict to one workload (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="also write the check report JSON here"
-    )
-    args = parser.parse_args(argv)
-
-    if args.record:
-        for path in record_baselines(args.baseline_dir, args.bench):
-            print(f"recorded {path}")
-        return 0
-
-    report = check_baselines(args.baseline_dir, args.bench)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, entry in report["benches"].items():  # type: ignore[union-attr]
-        status = entry["status"]
-        marker = "ok" if status == "ok" else f"FAILED ({status})"
-        print(f"[pprefetch] {name}: {marker}")
-    if not report["ok"]:
-        print("[pprefetch] baseline gate FAILED", file=sys.stderr)
-        return 1
-    print("[pprefetch] all baselines hold")
-    return 0
+    description = "Record or check programmed-prefetch baselines."
+    return baseline.run(GATE, baseline.parser(GATE, description).parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via -m repro.bench
-    sys.exit(main())
+    raise SystemExit(main())

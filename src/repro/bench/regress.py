@@ -12,10 +12,12 @@ This module freezes both behind checked-in baselines:
 * a **wall-clock measurement** — interpreted ops/sec of the raw module
   and the decoded-vs-legacy speedup.  Absolute ops/sec are recorded for
   trend-tracking but are host-specific; the *speedup ratio* is measured
-  fresh on both engines each run, transfers across hosts, and is gated
-  with a configurable tolerance band.
+  fresh on both engines each run, transfers across hosts, and may fall
+  at most the fraction ``TOLERANCE`` below the recorded one.
 
-Baselines live in ``benchmarks/baselines/BENCH_interp_<name>.json``::
+:data:`GATE` compares only the fingerprint exactly, then applies the
+speedup floor.  Baselines live in
+``benchmarks/baselines/BENCH_interp_<name>.json``::
 
     python -m repro.bench regress --record   # (re)write baselines
     python -m repro.bench regress --check    # gate (CI runs this)
@@ -26,13 +28,10 @@ commit the diff; ``docs/performance.md`` documents the policy.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.bench import baseline
 from repro.ir.module import Module
 
 #: Workload seeds are fixed: the fingerprints below must be
@@ -46,12 +45,10 @@ CHASE_NODE_BYTES = 64
 #: then best-of-``REPEATS`` timed runs.
 REPEATS = 5
 
-#: Default tolerance band for the decoded-vs-legacy speedup gate: the
-#: measured speedup may fall at most this fraction below the recorded
-#: one.  Fingerprints take no tolerance — they must match exactly.
-DEFAULT_TOLERANCE = 0.35
-
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
+#: Tolerance band for the decoded-vs-legacy speedup gate: the measured
+#: speedup may fall at most this fraction below the recorded one.
+#: Fingerprints take no tolerance — they must match exactly.
+TOLERANCE = 0.35
 
 
 def _build_chase_module() -> Module:
@@ -201,132 +198,36 @@ def measure_bench(name: str) -> Dict[str, object]:
     }
 
 
-# -- baseline I/O -------------------------------------------------------------
+# -- the gate -----------------------------------------------------------------
 
 
-def baseline_path(baseline_dir: Path, name: str) -> Path:
-    return Path(baseline_dir) / f"BENCH_interp_{name}.json"
+def _speedup_holds(
+    name: str, measured: baseline.Document, recorded: baseline.Document
+) -> Tuple[str, str]:
+    """The decoded-vs-legacy speedup may fall at most the fraction
+    ``TOLERANCE`` below the recorded one; the detail always shows both."""
+    got = measured["speedup_vs_legacy"]
+    want = recorded.get("speedup_vs_legacy", 0.0)
+    detail = f"speedup {got:.2f}x vs baseline {want:.2f}x, {measured['ops_per_sec']:,.0f} ops/s"
+    floor = want * (1.0 - TOLERANCE)
+    if got < floor:
+        return "speedup-regression", f"{detail}, floor {floor:.2f}x"
+    return "ok", detail
 
 
-def record_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> List[Path]:
-    """Measure and (re)write baseline files; returns the paths written."""
-    baseline_dir = Path(baseline_dir)
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in benches or list(WORKLOADS):
-        path = baseline_path(baseline_dir, name)
-        data = measure_bench(name)
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
-def check_baselines(
-    baseline_dir: Path,
-    benches: Optional[List[str]] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Dict[str, object]:
-    """Compare fresh measurements against recorded baselines.
-
-    Returns a JSON-safe report; ``report["ok"]`` is the gate.  Failure
-    modes per bench: ``missing-baseline``, ``fingerprint-mismatch``
-    (semantic drift — exact comparison), ``speedup-regression`` (the
-    decoded-vs-legacy ratio fell more than ``tolerance`` below the
-    recorded ratio).
-    """
-    report: Dict[str, object] = {"tolerance": tolerance, "benches": {}, "ok": True}
-    for name in benches or list(WORKLOADS):
-        path = baseline_path(Path(baseline_dir), name)
-        entry: Dict[str, object] = {"baseline": str(path)}
-        report["benches"][name] = entry  # type: ignore[index]
-        if not path.exists():
-            entry["status"] = "missing-baseline"
-            entry["hint"] = "run: python -m repro.bench regress --record"
-            report["ok"] = False
-            continue
-        baseline = json.loads(path.read_text())
-        measured = measure_bench(name)
-        entry["measured_ops_per_sec"] = measured["ops_per_sec"]
-        entry["baseline_ops_per_sec"] = baseline.get("ops_per_sec")
-        entry["measured_speedup"] = measured["speedup_vs_legacy"]
-        entry["baseline_speedup"] = baseline.get("speedup_vs_legacy")
-        if measured["fingerprint"] != baseline.get("fingerprint"):
-            entry["status"] = "fingerprint-mismatch"
-            entry["expected_fingerprint"] = baseline.get("fingerprint")
-            entry["got_fingerprint"] = measured["fingerprint"]
-            report["ok"] = False
-            continue
-        floor = float(baseline.get("speedup_vs_legacy", 0.0)) * (1.0 - tolerance)
-        if measured["speedup_vs_legacy"] < floor:
-            entry["status"] = "speedup-regression"
-            entry["speedup_floor"] = floor
-            report["ok"] = False
-            continue
-        entry["status"] = "ok"
-    return report
-
-
-# -- CLI ----------------------------------------------------------------------
+GATE = baseline.Gate(
+    prog="python -m repro.bench regress",
+    template="BENCH_interp_{name}.json",
+    names=tuple(WORKLOADS),
+    measure=measure_bench,
+    exact="fingerprint",
+    accept=_speedup_holds,
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench regress",
-        description="Record or check interpreter benchmark baselines.",
-    )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--record", action="store_true", help="measure and (re)write baselines"
-    )
-    mode.add_argument(
-        "--check", action="store_true", help="gate against recorded baselines"
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        type=Path,
-        default=DEFAULT_BASELINE_DIR,
-        help=f"baseline directory (default: {DEFAULT_BASELINE_DIR})",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="allowed fractional drop in decoded-vs-legacy speedup "
-        f"(default: {DEFAULT_TOLERANCE}; fingerprints are always exact)",
-    )
-    parser.add_argument(
-        "--bench",
-        action="append",
-        choices=sorted(WORKLOADS),
-        help="restrict to one workload (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="also write the check report JSON here"
-    )
-    args = parser.parse_args(argv)
-
-    if args.record:
-        for path in record_baselines(args.baseline_dir, args.bench):
-            print(f"recorded {path}")
-        return 0
-
-    report = check_baselines(args.baseline_dir, args.bench, args.tolerance)
-    if args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, entry in report["benches"].items():  # type: ignore[union-attr]
-        status = entry["status"]
-        line = f"{name}: {status}"
-        if "measured_speedup" in entry and entry.get("baseline_speedup"):
-            line += (
-                f"  (speedup {entry['measured_speedup']:.2f}x"
-                f" vs baseline {entry['baseline_speedup']:.2f}x,"
-                f" {entry['measured_ops_per_sec']:,.0f} ops/s)"
-            )
-        print(line, file=sys.stderr if status != "ok" else sys.stdout)
-    return 0 if report["ok"] else 1
+    description = "Record or check interpreter benchmark baselines."
+    return baseline.run(GATE, baseline.parser(GATE, description).parse_args(argv))
 
 
 if __name__ == "__main__":

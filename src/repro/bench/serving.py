@@ -10,8 +10,8 @@ reports throughput and p50/p95/p99 end-to-end latency per cell.
 Every cell is a deterministic discrete-event simulation — seeded
 arrivals, seeded Zipf keys, seeded fault schedules — so the full
 :class:`~repro.serve.simulation.ServingReport` is bit-identical across
-reruns.  That is what the baseline gate exploits: baselines are the
-*exact* report dictionaries, compared with ``==`` and no tolerance::
+reruns.  That is what :data:`GATE` exploits: baselines are the *exact*
+report dictionaries, compared with ``==`` and no tolerance::
 
     python -m repro.bench serving            # print the curves
     python -m repro.bench serving --record   # (re)write baselines
@@ -25,11 +25,9 @@ intentional serving-layer change and commit the diff.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.bench import baseline
 from repro.serve.cluster import ClusterConfig, ShardedCluster
 from repro.serve.simulation import ChaosAction, ServingSimulation
 from repro.serve.traffic import TrafficConfig, generate_schedule
@@ -61,8 +59,6 @@ CHAOS_LOST_SHARD = 1
 #: Replica count of the replicated bench cells (quorum: write-all,
 #: read-one).
 REPLICATION = 2
-
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
 
 RUNTIME_KIND = "trackfm"
 
@@ -152,10 +148,6 @@ def measure_replicated() -> Dict[str, object]:
     }
 
 
-def _bench_names() -> List[str]:
-    return [f"c{c}" for c in CLIENT_COUNTS] + ["chaos", "replicated"]
-
-
 def measure(name: str) -> Dict[str, object]:
     if name == "chaos":
         return measure_chaos()
@@ -164,72 +156,12 @@ def measure(name: str) -> Dict[str, object]:
     return measure_client_count(int(name[1:]))
 
 
-def baseline_path(baseline_dir: Path, name: str) -> Path:
-    return Path(baseline_dir) / f"BENCH_serving_{name}.json"
-
-
-def record_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> List[Path]:
-    baseline_dir = Path(baseline_dir)
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in benches or _bench_names():
-        path = baseline_path(baseline_dir, name)
-        path.write_text(json.dumps(measure(name), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
-def check_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> Dict[str, object]:
-    """Re-measure every cell and compare exactly (no tolerance).
-
-    The simulation is a pure function of its seeds, so any diff is a
-    semantic change in the serving stack, never noise.
-    """
-    report: Dict[str, object] = {"benches": {}, "ok": True}
-    for name in benches or _bench_names():
-        path = baseline_path(Path(baseline_dir), name)
-        entry: Dict[str, object] = {"baseline": str(path)}
-        report["benches"][name] = entry  # type: ignore[index]
-        if not path.exists():
-            entry["status"] = "missing-baseline"
-            entry["hint"] = "run: python -m repro.bench serving --record"
-            report["ok"] = False
-            continue
-        baseline = json.loads(path.read_text())
-        measured = measure(name)
-        if measured != baseline:
-            diffs = _diff_cells(baseline.get("cells", {}), measured.get("cells", {}))
-            entry["status"] = "mismatch"
-            entry["diff"] = diffs
-            report["ok"] = False
-            continue
-        entry["status"] = "ok"
-    return report
-
-
-def _diff_cells(
-    expected: Dict[str, object], got: Dict[str, object]
-) -> Dict[str, object]:
-    """Per-cell, per-field diff so a gate failure names the drift."""
-    out: Dict[str, object] = {}
-    for cell in sorted(set(expected) | set(got)):
-        e, g = expected.get(cell), got.get(cell)
-        if e == g:
-            continue
-        if not isinstance(e, dict) or not isinstance(g, dict):
-            out[cell] = {"expected": e, "got": g}
-            continue
-        fields = {
-            key: {"expected": e.get(key), "got": g.get(key)}
-            for key in sorted(set(e) | set(g))
-            if e.get(key) != g.get(key)
-        }
-        out[cell] = fields
-    return out
+GATE = baseline.Gate(
+    prog="python -m repro.bench serving",
+    template="BENCH_serving_{name}.json",
+    names=tuple(f"c{c}" for c in CLIENT_COUNTS) + ("chaos", "replicated"),
+    measure=measure,
+)
 
 
 # -- human-readable curves ----------------------------------------------------
@@ -284,35 +216,19 @@ def curves_text(replication: int = 1) -> str:
 # -- CLI ----------------------------------------------------------------------
 
 
+def _replica_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"replica count must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench serving",
-        description="Serving-layer curves and their exact baseline gate.",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--record", action="store_true", help="measure and (re)write baselines"
-    )
-    mode.add_argument(
-        "--check", action="store_true", help="gate against recorded baselines"
+    parser = baseline.parser(
+        GATE, "Serving-layer curves and their exact baseline gate.", required=False
     )
     parser.add_argument(
-        "--baseline-dir",
-        type=Path,
-        default=DEFAULT_BASELINE_DIR,
-        help=f"baseline directory (default: {DEFAULT_BASELINE_DIR})",
-    )
-    parser.add_argument(
-        "--bench",
-        action="append",
-        choices=_bench_names(),
-        help="restrict to one bench (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="also write the check report JSON here"
-    )
-    parser.add_argument(
-        "--replication", type=int, default=1, metavar="N",
+        "--replication", type=_replica_count, default=1, metavar="N",
         help=(
             "replica count for the printed curves (default 1; the "
             "recorded 'replicated' baseline always uses "
@@ -320,24 +236,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-
-    if args.record:
-        for path in record_baselines(args.baseline_dir, args.bench):
-            print(f"recorded {path}")
-        return 0
-    if args.check:
-        report = check_baselines(args.baseline_dir, args.bench)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        for name, entry in report["benches"].items():  # type: ignore[union-attr]
-            status = entry["status"]
-            line = f"serving_{name}: {status}"
-            if status == "mismatch":
-                line += f"  diff cells: {sorted(entry['diff'])}"
-            print(line, file=sys.stderr if status != "ok" else sys.stdout)
-        return 0 if report["ok"] else 1
-
+    if args.record or args.check:
+        return baseline.run(GATE, args)
     print(curves_text(replication=args.replication))
     return 0
 

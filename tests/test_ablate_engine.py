@@ -29,13 +29,7 @@ from repro.ablate.registry import (
     AblationError,
     component,
 )
-from repro.ablate.report import (
-    baseline_path,
-    build_report,
-    check_baseline,
-    dumps,
-    render_markdown,
-)
+from repro.ablate.report import GATE, build_report, render_markdown
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import (
     CRITICAL_SCORE,
@@ -43,6 +37,7 @@ from repro.ablate.score import (
     score_pair,
     verdict_of,
 )
+from repro.bench.baseline import dumps
 
 
 class TestRegistry:
@@ -280,27 +275,12 @@ class TestReportGate:
         # bit-identical to the recorded baseline (determinism + gate),
         # ranks all ten components, and spans all six workloads.
         report = build_report(quick=True)
-        recorded = baseline_path(Path("benchmarks/baselines"), quick=True)
+        recorded = GATE.path("quick")
         assert dumps(report) == recorded.read_text()
         ranked = [row["component"] for row in report["ranking"]]
         assert sorted(ranked) == sorted(c.name for c in COMPONENTS)
         cell_workloads = {cell.split("/")[0] for cell in report["cells"]}
         assert cell_workloads == set(WORKLOADS)
-
-    def test_check_baseline_detects_drift(self, tmp_path):
-        good = json.loads(
-            (Path("benchmarks/baselines") / "ABLATION_quick.json").read_text()
-        )
-        good["weights"]["cycles"] = 999.0
-        (tmp_path / "ABLATION_quick.json").write_text(dumps(good))
-        result = check_baseline(tmp_path, quick=True)
-        assert not result["ok"] and result["status"] == "mismatch"
-        assert any("weights" in d["path"] for d in result["diff"])
-
-    def test_check_baseline_missing(self, tmp_path):
-        result = check_baseline(tmp_path / "nowhere", quick=True)
-        assert not result["ok"] and result["status"] == "missing-baseline"
-        assert "record" in result["hint"]
 
     def test_markdown_renders_every_component(self):
         report = json.loads(

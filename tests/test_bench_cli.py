@@ -42,3 +42,11 @@ def test_registry_covers_all_paper_experiments():
         "compile_costs",
     ):
         assert name in EXPERIMENTS
+
+
+@pytest.mark.parametrize("replicas", ["0", "-1"])
+def test_serving_rejects_fewer_than_one_replica(replicas, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serving", "--replication", replicas])
+    assert exc.value.code == 2
+    assert "replica count must be at least 1" in capsys.readouterr().err
