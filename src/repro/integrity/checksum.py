@@ -18,14 +18,9 @@ from __future__ import annotations
 
 import zlib
 
+from repro.hashing import splitmix64
+
 _MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
 
 
 def flip_bit(payload: bytes, bit: int) -> bytes:
@@ -58,4 +53,4 @@ class ChecksumCodec:
 
     def object_checksum(self, obj_id: int, version: int) -> int:
         """64-bit tag of simulated object state ``(obj_id, version)``."""
-        return _splitmix64(self.seed ^ _splitmix64(((obj_id & _MASK64) << 20) ^ version))
+        return splitmix64(self.seed ^ splitmix64(((obj_id & _MASK64) << 20) ^ version))

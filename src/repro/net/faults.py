@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Tuple
 
 from repro.errors import RuntimeConfigError, TransientNetworkError
+from repro.hashing import splitmix64
 from repro.net.link import NetworkLink
 
 __all__ = [
@@ -60,17 +61,9 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 round: the deterministic RNG behind every decision."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
-
-
 def _unit(seed: int, index: int, salt: int) -> float:
     """Uniform [0, 1) derived purely from ``(seed, index, salt)``."""
-    h = _splitmix64((seed & _MASK64) ^ _splitmix64((index << 8) ^ salt))
+    h = splitmix64((seed & _MASK64) ^ splitmix64((index << 8) ^ salt))
     return h / float(1 << 64)
 
 
@@ -226,7 +219,7 @@ class FaultPlan:
         control channel never perturbs an existing data-link replay.
         """
         return self.reseeded(
-            _splitmix64((self.seed & _MASK64) ^ (channel_id << 1) ^ (salt & _MASK64))
+            splitmix64((self.seed & _MASK64) ^ (channel_id << 1) ^ (salt & _MASK64))
         )
 
 

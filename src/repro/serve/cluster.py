@@ -14,27 +14,28 @@ each shard lazily assigns arriving keys to slots in its own heap, so a
 shard only pays local-memory pressure for keys it actually owns.
 
 **Data semantics.**  Each shard's key-value store models the far node's
-durable contents.  What a loss costs depends on the replication factor:
+durable contents.  One request path serves every replication factor R:
+a key lives on R distinct shards (:meth:`HashRing.place_n`; at the
+default R=1 a replica set of one), a write is applied to every routable
+replica with a monotonic per-key version tag and *committed* once
+``write_quorum`` replicas durably applied it (a lost or partitioned
+replica applies nothing, so a write that lands on fewer is degraded:
+acknowledged below quorum), and a read consults ``read_quorum``
+replicas and takes the max version, healing stale ones inline (read
+repair).  Losing a shard loses its copies: requests for its keys are
+served *degraded* until ``rebalance()`` fails it over.  Failover
+promotes a surviving replica losslessly; a key with no surviving
+replica — at R=1, every key of the lost shard — re-seeds from its
+initial value.  Keys whose replicas all survive never notice: the
+chaos suite pins their values bit-identical to a fault-free run.
 
-* **Unreplicated (``replication=1``, the default).**  Losing a shard
-  loses its data: requests for its keys are served *degraded* (stale
-  reads, non-durable writes — counted in ``degraded_accesses``) until
-  ``rebalance()`` removes it from the ring and re-seeds its keys onto
-  survivors from their initial values.  Keys on surviving shards never
-  notice: the chaos suite pins that their values are bit-identical to
-  a fault-free run.
-* **Replicated (``replication=R >= 2``).**  Every key lives on R
-  distinct shards (:meth:`HashRing.place_n`), writes are applied to
-  the whole live replica set with a monotonic per-key version tag
-  (committed once ``write_quorum`` replicas ack), reads consult a
-  ``read_quorum`` and take the max version (healing stale replicas
-  inline — read repair).  A heartbeat failure detector suspects dead
-  shards and **failover promotes surviving replicas losslessly**: zero
-  keys re-seed as long as one replica survives, and a background
-  anti-entropy sweep reconciles replicas that diverged during a
-  partition.  ``python -m repro.bench serving --replication 2`` pins
-  this posture; R=1 runs stay bit-identical to the historical
-  unreplicated baselines.
+Only a replicated cluster (R >= 2) runs the heartbeat failure detector
+(which fails dead shards over on its own) and anti-entropy sweeps
+(which reconcile replicas a partition left stale), and only it books
+the replication counters and ``replica`` trace events: R=1 reports
+stay bit-identical to the historical unreplicated baselines, and
+``python -m repro.bench serving --replication 2`` pins the replicated
+posture.
 
 Joining a shard moves keys *to* it; moved keys that are resident on a
 surviving source are migrated through the source pool's evacuator
@@ -51,12 +52,14 @@ exactly as a real cgroup-per-machine deployment would.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DataIntegrityError, RuntimeConfigError
+from repro.hashing import splitmix64
 from repro.machine.costs import AccessKind
 from repro.net.backends import make_shard_backend
 from repro.net.faults import FaultPlan
@@ -69,8 +72,9 @@ from repro.serve.replication import (
     ReplicaTag,
     initial_tag,
     resolve_quorums,
+    tag_checksum,
 )
-from repro.serve.ring import HashRing, _splitmix64
+from repro.serve.ring import HashRing
 from repro.units import BASE_PAGE, KB, align_up
 
 #: Bytes per key slot (one 64-bit value per key).
@@ -80,17 +84,19 @@ SLOT_BYTES = 8
 #: trace drivers' degraded mode).
 DEGRADED_STALL_CYCLES = 1_000.0
 
-_MASK64 = (1 << 64) - 1
-
 _READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
 
 RUNTIME_KINDS = ("aifm", "trackfm", "fastswap", "hybrid", "adaptive")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def default_value(key: int) -> int:
-    """The value every key starts with (and re-seeds to after data loss)."""
-    return _splitmix64((key << 8) ^ 0xD1CE) & 0x7FFFFFFF
+    """The value every key starts with (and re-seeds to after data loss).
+
+    Memoized: every read of a never-written key returns it, and one
+    splitmix64 round costs more than the lookup."""
+    return splitmix64((key << 8) ^ 0xD1CE) & 0x7FFFFFFF
 
 
 def next_value(key: int, previous: int) -> int:
@@ -121,8 +127,9 @@ class ClusterConfig:
     #: derived seed (independent fault domains).
     fault_plan: Optional[FaultPlan] = None
     degraded_stall_cycles: float = DEGRADED_STALL_CYCLES
-    #: Replicas per key (1 = the historical unreplicated posture, whose
-    #: request path and reports stay bit-identical to older baselines).
+    #: Replicas per key.  At 1 there is no failure detector, sweep or
+    #: replication counter, so reports stay bit-identical to older
+    #: unreplicated baselines.
     replication: int = 1
     #: Write/read quorum sizes; ``None`` = write-all / read-one.  Any
     #: explicit pair must satisfy ``W + R > replication``.
@@ -213,8 +220,8 @@ class Shard:
         self.store: Dict[int, int] = {}
         #: Per-key replica metadata (monotonic write version + the
         #: integrity layer's object checksum), kept next to the value.
-        #: Replicated clusters write and drop a key's tag together with
-        #: its value, so a key has a tag exactly when it has a value.
+        #: A key's tag is written and dropped together with its value,
+        #: so a key has a tag exactly when it has a value.
         self.tags: Dict[int, ReplicaTag] = {}
         #: The control-plane probe channel the failure detector polls.
         self.heartbeat = HeartbeatChannel(shard_id, config.fault_plan)
@@ -381,7 +388,7 @@ class Shard:
         return tag.version if tag is not None else 0
 
     def apply_write(self, key: int, value: int, tag: ReplicaTag) -> bool:
-        """Apply a replicated write to durable state; False = unreachable."""
+        """Apply a write to durable state; False = unreachable."""
         if self.lost or self.partitioned:
             return False
         self.store[key] = value
@@ -468,13 +475,16 @@ class Shard:
 
         The heartbeat channel goes dark too: suspicion is a consequence
         of the loss (missed probes), not an oracle flag the detector
-        reads.
+        reads.  A loss overrides a partition: the link schedules the
+        partition saved are dropped, so a lost shard is never healed.
         """
         dead = FaultPlan(seed=self.shard_id ^ 0xDEAD, drop_rate=1.0)
         for backend in self.remote_backends():
             backend.link.faults = dead.schedule()
         self.heartbeat.down = True
         self.lost = True
+        self.partitioned = False
+        self._saved_faults = None
 
     def partition(self) -> None:
         """Drop every data link, reversibly; heartbeats stay up.
@@ -496,7 +506,8 @@ class Shard:
         self.partitioned = True
 
     def heal(self) -> None:
-        """Restore the data links a :meth:`partition` cut."""
+        """Restore the data links a :meth:`partition` cut.  Raises for a
+        shard that is not partitioned, a lost one included."""
         if not self.partitioned:
             raise RuntimeConfigError(f"shard {self.shard_id} is not partitioned")
         for backend, faults in zip(self.remote_backends(), self._saved_faults or ()):
@@ -512,11 +523,16 @@ class RequestResult(NamedTuple):
     value: int
     service_cycles: float
     degraded: bool
-    #: Replication view (replicated clusters only; R=1 keeps defaults).
-    #: Version tag the request committed/observed.
+    #: Version tag the request committed/observed (the key's write count).
     version: int = 0
     #: Replicas that durably applied a write (reads: replicas consulted).
     acks: int = 0
+
+
+#: Builds a :class:`RequestResult` from a tuple of every field, without
+#: the keyword-capable ``__new__`` a class call goes through: about 40%
+#: less construction cost, paid once per request.
+_result = RequestResult._make
 
 
 @dataclass
@@ -527,17 +543,16 @@ class ClusterStats:
     degraded_requests: int = 0
     lost_shards: int = 0
     rebalances: int = 0
-    #: Keys re-seeded from initial values after a loss.  Unreplicated
-    #: clusters re-seed every lost key; replicated ones only when *all*
-    #: replicas of a key died — the chaos suite pins this at 0 for R>=2
-    #: single-shard knockouts.
+    #: Keys re-seeded from initial values after a loss: those with no
+    #: surviving replica (at R=1, every lost key).  The chaos suite pins
+    #: this at 0 for R>=2 single-shard knockouts.
     reseeded_keys: int = 0
     #: Keys migrated survivor → survivor through the evacuator (joins).
     migrated_keys: int = 0
     migration_cycles: float = 0.0
     #: Replication counters — serialized sparsely (only when nonzero)
     #: so unreplicated reports keep their historical exact form.
-    #: Dead shards failed over (surviving replicas promoted).
+    #: Dead shards failed over by a replicated cluster.
     failovers: int = 0
     #: Replica copies materialized on new replica-set members at failover.
     promoted_keys: int = 0
@@ -580,19 +595,24 @@ class ShardedCluster:
         self.ring = HashRing(
             sorted(self.shards), vnodes=config.vnodes, seed=config.seed
         )
-        #: Cached placement (kept exactly consistent with the ring).
-        self._owner: Dict[int, int] = {}
-        #: Cached replica sets (replicated clusters; primary first).
+        #: Cached replica sets, primary first (kept exactly consistent
+        #: with the ring).
         self._replica_sets: Dict[int, Tuple[int, ...]] = {}
         self.stats = ClusterStats()
         self._next_shard_id = config.n_shards
         # Fixed by the (frozen) config; read on every request.
-        self._replicated = config.replicated
         self._n_keys = config.n_keys
+        self._write_quorum, self._read_quorum = config.quorums
+        # Only a replicated cluster detects failures on its own and books
+        # the replication counters; R=1 reports keep their historical form.
+        self._replicated = config.replicated
         self.detector: Optional[FailureDetector] = None
+        #: Shards requests are routed around: the detector's own suspect
+        #: set, which ticks and failover update in place (none at R=1).
+        self._suspected: AbstractSet[int] = frozenset()
         if self._replicated:
-            self._write_quorum, self._read_quorum = config.quorums
             self.detector = FailureDetector(config.suspicion_threshold)
+            self._suspected = self.detector.suspected
             for sid, shard in sorted(self.shards.items()):
                 self.detector.watch(sid, shard.heartbeat)
         if tracer is not None:
@@ -606,21 +626,16 @@ class ShardedCluster:
     # -- placement ----------------------------------------------------------
 
     def place(self, key: int) -> int:
-        if self._replicated:
-            return self.replicas(key)[0]
-        sid = self._owner.get(key)
-        if sid is None:
-            sid = self.ring.place(key)
-            self._owner[key] = sid
-        return sid
+        """The key's primary shard."""
+        return self.replicas(key)[0]
 
     def replicas(self, key: int) -> Tuple[int, ...]:
-        """The key's replica set (primary first), cached like ``place``."""
+        """The key's replica set (primary first), cached until the ring
+        changes."""
         reps = self._replica_sets.get(key)
         if reps is None:
             reps = self.ring.place_n(key, self.config.replication)
             self._replica_sets[key] = reps
-            self._owner[key] = reps[0]
         return reps
 
     def live_shards(self) -> List[int]:
@@ -634,58 +649,13 @@ class ShardedCluster:
         oracle, is what removes it from the request path.  While none
         of them is suspected, the cached replica set is the route.
         """
-        suspected = self.detector.suspected
+        suspected = self._suspected
         if suspected.isdisjoint(replicas):
             return replicas
         routable = [sid for sid in replicas if sid not in suspected]
         return routable if routable else list(replicas)
 
     # -- the request path ---------------------------------------------------
-
-    def serve(self, key: int, tenant: int = 0, write: bool = False) -> RequestResult:
-        """Serve one request; returns value + service cycles.
-
-        Never raises for a lost shard: the shard's runtime runs in
-        degraded mode, so the request completes with a stall and is
-        counted in ``degraded_accesses`` (reads are stale, writes are
-        not durable — they die with the shard at rebalance).
-        """
-        if key < 0 or key >= self._n_keys:
-            raise RuntimeConfigError(
-                f"key {key} outside [0, {self._n_keys})"
-            )
-        if self._replicated:
-            return self._serve_replicated(key, tenant, write)
-        sid = self._owner.get(key)
-        if sid is None:
-            sid = self.place(key)
-        shard = self.shards[sid]
-        cycles, degraded = shard.service(key, _WRITE if write else _READ, tenant)
-        # Degraded = the request could not use the far node as intended:
-        # its remote path fell back locally (counted by the runtime), or
-        # it was a write to a lost shard (acknowledged, not durable).
-        # A read that hits host-local residency is *correct* even while
-        # the far node is down — not degraded.
-        if write and shard.lost:
-            degraded = True
-        # A key's seed value is derived only when it was never written.
-        previous = shard.store.get(key)
-        if previous is None:
-            previous = default_value(key)
-        if write:
-            value = next_value(key, previous)
-            if not shard.lost:
-                shard.store[key] = value
-            # A degraded write is acknowledged but not durable: the
-            # shard's (unreachable) store keeps the old value.
-        else:
-            value = previous
-        self.stats.requests += 1
-        if degraded:
-            self.stats.degraded_requests += 1
-        return RequestResult(sid, value, cycles, degraded)
-
-    # -- the replicated request path -----------------------------------------
 
     def _freshest(
         self, key: int, shard_ids: Iterable[int]
@@ -708,28 +678,53 @@ class ShardedCluster:
             return default_value(key), None
         return best.store[key], best_tag
 
-    def _serve_replicated(self, key: int, tenant: int, write: bool) -> RequestResult:
-        """Quorum write / quorum read over the key's replica set.
+    def serve(self, key: int, tenant: int = 0, write: bool = False) -> RequestResult:
+        """Serve one request over the key's replica set.
 
-        Writes go to every routable replica with a bumped version tag;
-        the write is *committed* once ``write_quorum`` replicas durably
-        applied it (fewer = the request is degraded: acknowledged below
-        quorum).  Reads consult the first ``read_quorum`` routable
-        replicas, return the max-version value, and heal stale quorum
-        members inline (read repair).
+        A write goes to every routable replica with a bumped version
+        tag; it is *committed* once ``write_quorum`` replicas durably
+        applied it, and fewer (a lost or partitioned replica applies
+        nothing) make the request degraded: acknowledged, not durable.
+        A read consults the first ``read_quorum`` routable replicas,
+        returns the max-version value, and heals stale quorum members
+        inline (read repair).  Never raises for a lost shard: its
+        runtime serves in degraded mode, with a stall, counted in
+        ``degraded_accesses``.  A read that hits host-local residency
+        is *correct* even while the far node is down — not degraded.
         """
+        if key < 0 or key >= self._n_keys:
+            raise RuntimeConfigError(
+                f"key {key} outside [0, {self._n_keys})"
+            )
         reps = self._replica_sets.get(key)
         if reps is None:
             reps = self.replicas(key)
-        routable = self._routable(reps)
+        if not write and self._read_quorum == 1 and not self._suspected:
+            # Read-one with nothing suspected (every read at R=1, and the
+            # default at every R): the primary's copy is the answer, and
+            # a quorum of one has nothing to repair.
+            primary = reps[0]
+            shard = self.shards[primary]
+            cycles, degraded = shard.service(key, _READ, tenant)
+            if self._replicated:
+                shard.counters.quorum_reads += 1
+            tag = shard.tags.get(key)
+            self.stats.requests += 1
+            if degraded:
+                self.stats.degraded_requests += 1
+            if tag is None:
+                return _result((primary, default_value(key), cycles, degraded, 0, 1))
+            return _result((primary, shard.store[key], cycles, degraded, tag.version, 1))
+        routable = self._routable(reps) if self._suspected else reps
         coordinator = routable[0]
         shards = self.shards
-        cycles = 0.0
-        degraded = False
         if write:
             previous, prev_tag = self._freshest(key, reps)
             value = next_value(key, previous)
-            tag = ReplicaTag.at(key, 1 if prev_tag is None else prev_tag.version + 1)
+            version = 1 if prev_tag is None else prev_tag.version + 1
+            tag = ReplicaTag(version, tag_checksum(key, version))
+            cycles = 0.0
+            degraded = False
             acks = 0
             for sid in routable:
                 shard = shards[sid]
@@ -741,11 +736,13 @@ class ShardedCluster:
                     acks += 1
                     if sid != coordinator:
                         shard.counters.replica_writes += 1
-            if acks < min(self._write_quorum, len(reps)):
+            if acks < self._write_quorum and acks < len(reps):
                 degraded = True
-            version = tag.version
         else:
+            # A quorum read, or a read-one while some shard is suspected.
             targets = routable[: self._read_quorum]
+            cycles = 0.0
+            degraded = False
             for sid in targets:
                 service_cycles, shard_degraded = shards[sid].service(key, _READ, tenant)
                 cycles += service_cycles
@@ -756,7 +753,7 @@ class ShardedCluster:
             acks = len(targets)
             version = 0 if tag is None else tag.version
             # Read repair: stale quorum members adopt the winner.  A
-            # quorum of one, or a key never written, has nothing stale.
+            # key never written has nothing stale.
             if acks > 1 and version:
                 for sid in targets:
                     shard = shards[sid]
@@ -773,21 +770,15 @@ class ShardedCluster:
         self.stats.requests += 1
         if degraded:
             self.stats.degraded_requests += 1
-        return RequestResult(coordinator, value, cycles, degraded, version, acks)
+        return _result((coordinator, value, cycles, degraded, version, acks))
 
     def read_value(self, key: int) -> int:
-        """The durable value of ``key`` right now (no cost accounting).
-
-        Replicated clusters answer with the freshest *reachable* copy
-        (max version over non-lost replicas); unreplicated ones read
-        the owner's store, exactly as before.
-        """
-        if self._replicated:
-            reps = self.replicas(key)
-            reachable = [sid for sid in reps if not self.shards[sid].lost]
-            return self._freshest(key, reachable or reps)[0]
-        shard = self.shards[self.place(key)]
-        return shard.store.get(key, default_value(key))
+        """The durable value of ``key`` right now (no cost accounting):
+        the freshest copy among its replicas that are not lost (among
+        all of them when every one is)."""
+        reps = self.replicas(key)
+        reachable = [sid for sid in reps if not self.shards[sid].lost]
+        return self._freshest(key, reachable or reps)[0]
 
     # -- chaos: loss, rebalance, join ---------------------------------------
 
@@ -805,45 +796,25 @@ class ShardedCluster:
             tracer.serve("shard_lost", self._now(), shard=shard_id)
 
     def rebalance(self) -> int:
-        """Remove lost shards from the ring; recover their keys.
+        """:meth:`failover` every lost shard still on the ring.
 
-        Unreplicated clusters re-place every lost-shard key on a
-        survivor and re-seed it from its initial value — the write
-        history dies with the shard.  Replicated clusters fail over
-        instead: surviving replicas are promoted losslessly (zero
-        re-seeds while any replica of each key survives); see
-        :meth:`failover`.  Returns the number of keys whose placement
-        moved.
+        Surviving replicas are promoted losslessly; a key with no
+        surviving replica (at R=1, every key of a lost shard) re-seeds
+        from its initial value — its write history died with the shard.
+        Returns the number of keys whose placement moved.
         """
         lost = [sid for sid, shard in self.shards.items() if shard.lost and sid in self.ring]
-        if self._replicated:
-            if not lost:
-                return 0
-            moved = self.failover(lost)
-            self.stats.rebalances += 1
-            return moved
-        moved = 0
-        for sid in lost:
-            self.ring.remove_shard(sid)
-            dead = self.shards[sid]
-            for key, owner in list(self._owner.items()):
-                if owner != sid:
-                    continue
-                new_sid = self.ring.place(key)
-                self._owner[key] = new_sid
-                dead.drop_key(key)
-                # Re-seeded: the new shard starts from the key's initial
-                # value; its slot is assigned on first touch (remote).
-                moved += 1
-        self.stats.reseeded_keys += moved
-        if lost:
-            self.stats.rebalances += 1
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.serve(
-                    "rebalance", self._now(),
-                    removed=sorted(lost), reseeded=moved,
-                )
+        if not lost:
+            return 0
+        reseeded = self.stats.reseeded_keys
+        moved = self.failover(lost)
+        self.stats.rebalances += 1
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.serve(
+                "rebalance", self._now(),
+                removed=sorted(lost), reseeded=self.stats.reseeded_keys - reseeded,
+            )
         return moved
 
     def failover(self, shard_ids: Iterable[int]) -> int:
@@ -856,10 +827,10 @@ class ShardedCluster:
         when every replica of a key died does the key re-seed from its
         initial value.  Keys whose replica sets did not contain a dead
         shard keep their sets verbatim (the :meth:`HashRing.place_n`
-        leave law).  Returns the number of keys whose set changed.
+        leave law).  Only a replicated cluster counts ``failovers`` and
+        traces the failover.  Returns the number of keys whose set
+        changed.
         """
-        if not self._replicated:
-            raise RuntimeConfigError("failover requires a replicated cluster")
         dead = sorted({sid for sid in shard_ids if sid in self.ring})
         if not dead:
             return 0
@@ -881,7 +852,6 @@ class ShardedCluster:
                 continue
             new = self.ring.place_n(key, self.config.replication)
             self._replica_sets[key] = new
-            self._owner[key] = new[0]
             moved += 1
             survivors = [
                 sid for sid in old
@@ -909,18 +879,19 @@ class ShardedCluster:
             for sid in old:
                 if sid in dead_set:
                     self.shards[sid].drop_key(key)
-        self.stats.failovers += len(dead)
         self.stats.promoted_keys += promoted
         self.stats.reseeded_keys += reseeded
-        live = self.live_shards()
-        if live:
-            self.shards[live[0]].counters.failovers += len(dead)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.replica(
-                "failover", self._now(),
-                removed=dead, moved=moved, promoted=promoted, reseeded=reseeded,
-            )
+        if self._replicated:
+            self.stats.failovers += len(dead)
+            live = self.live_shards()
+            if live:
+                self.shards[live[0]].counters.failovers += len(dead)
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.replica(
+                    "failover", self._now(),
+                    removed=dead, moved=moved, promoted=promoted, reseeded=reseeded,
+                )
         return moved
 
     def anti_entropy(self) -> int:
@@ -1015,10 +986,12 @@ class ShardedCluster:
     def join_shard(self) -> int:
         """Bring up a fresh shard and migrate its keys onto it.
 
-        Keys whose placement moves (consistent hashing: all of them
-        move *to* the new shard) are migrated: values are copied over,
-        and slots resident in a surviving source pool are expelled
-        through the source's evacuator (dirty ones pay a writeback).
+        A replica set that adopts the joiner (the :meth:`HashRing.place_n`
+        join law: it evicts at most one old member; at R=1 every key
+        whose owner moves) copies the freshest surviving value onto it,
+        and the slots its evicted member held resident in a live pool
+        are expelled through that source's evacuator (dirty ones pay a
+        writeback).  Sets that did not adopt the joiner are untouched.
         Returns the new shard id.
         """
         sid = self._next_shard_id
@@ -1032,55 +1005,32 @@ class ShardedCluster:
             self.detector.watch(sid, shard.heartbeat)
         migrated = 0
         cycles = 0.0
-        if self._replicated:
-            # Replica-set migration: a set that adopts the joiner copies
-            # the freshest verified surviving value onto it and evicts
-            # at most one old member (the place_n join law); sets that
-            # did not adopt it are untouched.
-            for key in sorted(self._replica_sets):
-                old = self._replica_sets[key]
-                new = self.ring.place_n(key, self.config.replication)
-                if set(new) == set(old):
-                    self._replica_sets[key] = new
-                    self._owner[key] = new[0]
-                    continue
-                sources = [
-                    s for s in old
-                    if not self.shards[s].lost and not self.shards[s].partitioned
-                ]
-                value, tag = self._freshest(key, sources or old)
-                if tag is None:
-                    tag = initial_tag(key)
-                for member in new:
-                    if member not in old:
-                        self.shards[member].apply_write(key, value, tag)
-                for member in old:
-                    if member in new:
-                        continue
-                    source = self.shards[member]
-                    pool = source.pool
-                    slot = source.slots.get(key)
-                    if pool is not None and slot is not None and not source.lost:
-                        cycles += pool.expel(slot // self.config.object_size)
-                    source.drop_key(key)
+        for key, old in list(self._replica_sets.items()):
+            new = self.ring.place_n(key, self.config.replication)
+            if set(new) == set(old):
                 self._replica_sets[key] = new
-                self._owner[key] = new[0]
-                migrated += 1
-        else:
-            for key, owner in list(self._owner.items()):
-                new_sid = self.ring.place(key)
-                if new_sid == owner:
+                continue
+            sources = [
+                s for s in old
+                if not self.shards[s].lost and not self.shards[s].partitioned
+            ]
+            value, tag = self._freshest(key, sources or old)
+            if tag is None:
+                tag = initial_tag(key)
+            for member in new:
+                if member not in old:
+                    self.shards[member].apply_write(key, value, tag)
+            for member in old:
+                if member in new:
                     continue
-                source = self.shards[owner]
-                # Copy the durable value, then evacuate the source slot.
-                shard.store[key] = source.store.get(key, default_value(key))
+                source = self.shards[member]
                 pool = source.pool
                 slot = source.slots.get(key)
                 if pool is not None and slot is not None and not source.lost:
                     cycles += pool.expel(slot // self.config.object_size)
                 source.drop_key(key)
-                self._owner[key] = new_sid
-                migrated += 1
+            self._replica_sets[key] = new
+            migrated += 1
         self.stats.migrated_keys += migrated
         self.stats.migration_cycles += cycles
         tracer = self.tracer
@@ -1102,13 +1052,6 @@ class ShardedCluster:
         for _sid, shard in sorted(self.shards.items()):
             merged.merge(shard.latency)
         return merged
-
-    def values_checksum(self) -> int:
-        """Digest of every key's durable value (ordered by key)."""
-        acc = 0xCBF29CE484222325
-        for key in range(self.config.n_keys):
-            acc = ((acc ^ self.read_value(key)) * 0x100000001B3) & _MASK64
-        return acc
 
     def _now(self) -> float:
         return max(

@@ -25,16 +25,10 @@ import bisect
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import RuntimeConfigError
+from repro.hashing import splitmix64
 
 _MASK64 = (1 << 64) - 1
 
-
-def _splitmix64(x: int) -> int:
-    """One splitmix64 round (same mixer as ``repro.net.faults``)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
 
 #: Domain separators: ring points and key hashes must never collide
 #: structurally (a key equal to a point encoding is still placed fairly).
@@ -44,7 +38,7 @@ _KEY_SALT = 0xA5
 
 def hash_key(key: int, seed: int = 0) -> int:
     """Position of ``key`` on the ring — pure in ``(key, seed)``."""
-    return _splitmix64((seed & _MASK64) ^ _splitmix64((key << 8) | _KEY_SALT))
+    return splitmix64((seed & _MASK64) ^ splitmix64((key << 8) | _KEY_SALT))
 
 
 class HashRing:
@@ -86,9 +80,9 @@ class HashRing:
         return shard_id in self._shards
 
     def _point(self, shard_id: int, replica: int) -> int:
-        h = _splitmix64(
+        h = splitmix64(
             (self.seed & _MASK64)
-            ^ _splitmix64(((shard_id << 20) | (replica << 4) | _POINT_SALT))
+            ^ splitmix64(((shard_id << 20) | (replica << 4) | _POINT_SALT))
         )
         # Ties between distinct (shard, replica) points are broken by
         # packing their identity into the low bits: placement stays a

@@ -10,14 +10,15 @@ simulates open-loop traffic instead of averaging closed-form costs.
 
 Chaos actions (:class:`ChaosAction`) fire at configured simulated
 times, *between* arrivals: a ``lose`` knocks a whole far node out
-mid-run (its requests degrade), ``rebalance`` shrinks the ring and
-recovers the dead shard's keys (re-seed when unreplicated, lossless
-failover when replicated), ``join`` grows the ring and migrates,
+mid-run (its requests degrade), ``rebalance`` fails the dead shards
+over (surviving replicas are promoted; keys with none, every lost key
+at R=1, re-seed), ``join`` grows the ring and migrates,
 ``partition``/``heal`` cut and restore one shard's data links (gray
 failure), and ``anti_entropy`` forces a reconciliation sweep.  On
-replicated clusters the failure detector's heartbeat ticks and the
-optional periodic anti-entropy sweep are interleaved with chaos in
-simulated-time order.  Everything — arrivals, service costs, fault
+replicated clusters (R >= 2) the failure detector's heartbeat ticks
+and the optional periodic anti-entropy sweep are interleaved with
+chaos in simulated-time order; an R=1 cluster has neither, and
+recovers only through scripted rebalances.  Everything — arrivals, service costs, fault
 schedules, chaos timing — is a pure function of seeds, so the full
 :class:`ServingReport` (fingerprints included) is bit-identical across
 reruns.
@@ -194,8 +195,14 @@ class ServingSimulation:
             if self._ae_interval is not None:
                 cluster.anti_entropy()
 
-        for key in range(cluster.config.n_keys):
-            self.final_values[key] = cluster.read_value(key)
+        # One pass over the keyspace records every final value and
+        # folds it into the report's FNV digest.
+        final_values = self.final_values
+        values_checksum = 0xCBF29CE484222325
+        for key in range(config.n_keys):
+            value = cluster.read_value(key)
+            final_values[key] = value
+            values_checksum = ((values_checksum ^ value) * 0x100000001B3) & _MASK64
 
         merged = cluster.merged_latency()
         stats = cluster.stats
@@ -215,7 +222,7 @@ class ServingSimulation:
             },
             cluster_stats=stats.as_dict(),
             metrics=cluster.merged_metrics().as_dict(),
-            values_checksum=cluster.values_checksum(),
+            values_checksum=values_checksum,
             schedule_fingerprint=self.schedule.fingerprint(),
             completions_fingerprint=completions_acc,
         )

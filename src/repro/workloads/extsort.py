@@ -22,7 +22,7 @@ from typing import Iterator, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.machine.costs import AccessKind
-from repro.serve.ring import _splitmix64
+from repro.hashing import splitmix64
 from repro.workloads.graph import WORD, _FNV_OFFSET, _fnv_fold
 
 
@@ -40,7 +40,7 @@ class ExternalSortWorkload:
         self.partitions = partitions
         self.seed = seed
         self.keys = [
-            _splitmix64(((seed & ((1 << 64) - 1)) << 3) ^ _splitmix64(i ^ 0x5EED))
+            splitmix64(((seed & ((1 << 64) - 1)) << 3) ^ splitmix64(i ^ 0x5EED))
             for i in range(n_keys)
         ]
         # Partition bounds: first `rem` partitions get one extra key.

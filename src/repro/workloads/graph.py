@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import WorkloadError
 from repro.machine.costs import AccessKind
-from repro.serve.ring import _splitmix64
+from repro.hashing import splitmix64
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -67,9 +67,9 @@ class GraphTraversalWorkload:
         for u in range(n_nodes):
             edges.append((u + 1) % n_nodes)
             for slot in range(extra_edges):
-                draw = _splitmix64(
+                draw = splitmix64(
                     ((seed & _MASK64) << 1)
-                    ^ _splitmix64((u << 20) | (slot << 4) | 0x9)
+                    ^ splitmix64((u << 20) | (slot << 4) | 0x9)
                 )
                 edges.append(draw % n_nodes)
             offsets.append(len(edges))

@@ -260,10 +260,10 @@ _MODEL_KEYS = 4
 
 class _ReplicaModel:
     """Per-replica key -> ``(value, version)`` dicts plus the shard states
-    the request path branches on; knows nothing of runtimes or costs."""
+    the request path branches on; knows nothing of runtimes or costs.
+    At R=1 nothing is ever suspected: there is no failure detector."""
 
-    def __init__(self, replication: int, write_quorum: int, read_quorum: int) -> None:
-        self.replicated = replication > 1
+    def __init__(self, write_quorum: int, read_quorum: int) -> None:
         self.write_quorum = write_quorum
         self.read_quorum = read_quorum
         self.copies = {sid: {} for sid in range(_MODEL_SHARDS)}
@@ -288,15 +288,6 @@ class _ReplicaModel:
     def serve(self, key: int, write: bool, reps, shard_degraded):
         """``(shard_id, value, version, acks, degraded)`` of one request;
         ``shard_degraded`` = the shards whose runtimes degraded it."""
-        if not self.replicated:
-            (sid,) = reps
-            value = self.copy(sid, key)[0]
-            if write:
-                value = next_value(key, value)
-                if sid not in self.lost:
-                    self.copies[sid][key] = (value, 0)
-            degraded = sid in shard_degraded or (write and sid in self.lost)
-            return sid, value, 0, 0, degraded
         routable = [sid for sid in reps if sid not in self.suspected] or list(reps)
         if write:
             previous, version = self.freshest(key, list(reps))
@@ -347,10 +338,7 @@ def test_request_path_matches_a_per_replica_model(quorums, seed, ops):
         replication=r, write_quorum=w, read_quorum=rq,
         suspicion_threshold=1, auto_failover=False,
     ))
-    model = _ReplicaModel(r, w, rq)
-
-    def replicas(key):
-        return cluster.replicas(key) if model.replicated else (cluster.place(key),)
+    model = _ReplicaModel(w, rq)
 
     def request(key, write):
         before = {
@@ -362,7 +350,7 @@ def test_request_path_matches_a_per_replica_model(quorums, seed, ops):
             sid for sid, shard in cluster.shards.items()
             if shard.metrics.degraded_accesses > before[sid]
         }
-        expected = model.serve(key, write, replicas(key), shard_degraded)
+        expected = model.serve(key, write, cluster.replicas(key), shard_degraded)
         assert (
             result.shard_id, result.value, result.version,
             result.acks, result.degraded,
@@ -384,7 +372,7 @@ def test_request_path_matches_a_per_replica_model(quorums, seed, ops):
         if op in ("read", "write"):
             request(arg, op == "write")
         elif op == "missed_write":
-            reps = replicas(arg)
+            reps = cluster.replicas(arg)
             missed = reps[arg % len(reps)]
             if missed in up:
                 partition(missed)
@@ -402,7 +390,7 @@ def test_request_path_matches_a_per_replica_model(quorums, seed, ops):
             cluster.lose_shard(sid)
             cluster.tick()
             model.lost.add(sid)
-            if model.replicated:
+            if r > 1:
                 model.suspected.add(sid)
                 assert cluster.detector.suspected == model.suspected
     # Every replica holds exactly the model's copies, and the cluster

@@ -242,6 +242,22 @@ def test_rebalance_moves_only_lost_shard_keys():
         assert result.shard_id != LOST
 
 
+def test_rebalance_reseeds_each_lost_key_once():
+    """Two shards lost before one rebalance: each of their keys moves and
+    re-seeds exactly once, even when its new owner on a ring that still
+    held the other lost shard would have been that shard."""
+    cluster = _cluster("aifm")
+    before = {k: cluster.place(k) for k in range(N_KEYS)}
+    lost = (1, 3)
+    for sid in lost:
+        cluster.lose_shard(sid)
+    moved = cluster.rebalance()
+    lost_keys = [k for k in range(N_KEYS) if before[k] in lost]
+    assert moved == len(lost_keys)
+    assert cluster.stats.reseeded_keys == len(lost_keys)
+    assert all(cluster.place(k) not in lost for k in range(N_KEYS))
+
+
 def test_chaos_run_is_deterministic():
     schedule = generate_schedule(TRAFFIC)
     chaos = _knockout_chaos(schedule)
@@ -262,6 +278,43 @@ def test_degraded_writes_are_not_durable():
     assert lost_write.degraded
     # The acknowledged value diverges from the durable store.
     assert cluster.read_value(key) == durable
+
+
+def test_writes_to_a_partitioned_shard_are_not_durable():
+    """At R=1 too, a write that reaches no reachable replica is degraded
+    and lands nowhere: healing the partition does not bring it back."""
+    cluster = _cluster("aifm")
+    key = next(k for k in range(N_KEYS) if cluster.place(k) == LOST)
+    cluster.partition_shard(LOST)
+    write = cluster.serve(key, write=True)
+    assert write.degraded and write.acks == 0
+    cluster.heal_shard(LOST)
+    assert cluster.read_value(key) == default_value(key)
+
+
+@pytest.mark.parametrize("replication", [1, 2])
+def test_loss_overrides_a_partition(replication):
+    """Partitioned, then lost: the loss wins.  Healing the shard raises,
+    as for any shard that is not partitioned, and its data links stay
+    dead — reads of its keys degrade exactly as without the heal."""
+
+    def lost_reads(heal: bool):
+        cluster = ShardedCluster(ClusterConfig(
+            n_shards=4, n_keys=64, runtime="trackfm", object_size=64,
+            local_memory=256, seed=3, replication=replication,
+        ))
+        cluster.partition_shard(LOST)
+        cluster.lose_shard(LOST)
+        assert not cluster.shards[LOST].partitioned
+        if heal:
+            with pytest.raises(RuntimeConfigError):
+                cluster.heal_shard(LOST)
+        keys = [k for k in range(64) if cluster.place(k) == LOST]
+        return [cluster.serve(k).degraded for k in keys]
+
+    degraded = lost_reads(heal=False)
+    assert any(degraded)
+    assert lost_reads(heal=True) == degraded
 
 
 def test_cannot_lose_the_last_shard():
@@ -625,9 +678,10 @@ def _chaos_scripts(draw, n_shards: int, end: float):
     actions on the arrival grid, some of them past the last arrival.
 
     Shards are chosen in the order the simulation fires the script,
-    among the ones the action is valid for: a shard is lost or
-    partitioned only while it is neither, healed only while
-    partitioned, and one shard always stays unlost.
+    among the ones the action is valid for: a shard is lost while it is
+    not (partitioned or not, and one shard always stays unlost),
+    partitioned while it is neither, and healed while partitioned — a
+    loss ends a partition, so a lost shard is never healed.
     """
     slots = int(end * 1.2 // _GRID)
     drawn = draw(st.lists(
@@ -649,18 +703,25 @@ def _chaos_scripts(draw, n_shards: int, end: float):
         if action in ("lose", "partition", "heal"):
             if action == "heal":
                 eligible = sorted(partitioned)
-            else:
+            elif action == "partition":
                 eligible = [
                     sid for sid in range(n_shards)
                     if sid not in lost and sid not in partitioned
                 ]
-                if action == "lose" and len(lost) + 1 >= n_shards:
-                    eligible = []
+            elif len(lost) + 1 < n_shards:
+                eligible = [sid for sid in range(n_shards) if sid not in lost]
+            else:
+                eligible = []
             if not eligible:
                 continue
             shard = eligible[pick % len(eligible)]
-            {"lose": lost.add, "partition": partitioned.add,
-             "heal": partitioned.discard}[action](shard)
+            if action == "lose":
+                lost.add(shard)
+                partitioned.discard(shard)
+            elif action == "partition":
+                partitioned.add(shard)
+            else:
+                partitioned.discard(shard)
         script.append(ChaosAction(slot * _GRID, action, shard))
     return script
 
