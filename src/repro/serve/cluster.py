@@ -52,7 +52,6 @@ exactly as a real cgroup-per-machine deployment would.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -72,7 +71,6 @@ from repro.serve.replication import (
     ReplicaTag,
     initial_tag,
     resolve_quorums,
-    tag_checksum,
 )
 from repro.serve.ring import HashRing
 from repro.units import BASE_PAGE, KB, align_up
@@ -90,12 +88,8 @@ _WRITE = AccessKind.WRITE
 RUNTIME_KINDS = ("aifm", "trackfm", "fastswap", "hybrid", "adaptive")
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def default_value(key: int) -> int:
-    """The value every key starts with (and re-seeds to after data loss).
-
-    Memoized: every read of a never-written key returns it, and one
-    splitmix64 round costs more than the lookup."""
+    """The value every key starts with (and re-seeds to after data loss)."""
     return splitmix64((key << 8) ^ 0xD1CE) & 0x7FFFFFFF
 
 
@@ -529,9 +523,9 @@ class RequestResult(NamedTuple):
     acks: int = 0
 
 
-#: Builds a :class:`RequestResult` from a tuple of every field, without
-#: the keyword-capable ``__new__`` a class call goes through: about 40%
-#: less construction cost, paid once per request.
+#: Builds a :class:`RequestResult` from a tuple of every field, skipping
+#: the keyword-capable ``__new__`` a class call goes through (one per
+#: request, so it shows in ``serve-read`` throughput).
 _result = RequestResult._make
 
 
@@ -606,6 +600,10 @@ class ShardedCluster:
         # Only a replicated cluster detects failures on its own and books
         # the replication counters; R=1 reports keep their historical form.
         self._replicated = config.replicated
+        #: Members per replica set: the configured factor (a set grows
+        #: into it as shards join), or one when the cluster started too
+        #: small to replicate — such a cluster stays unreplicated.
+        self._copies = config.replication if self._replicated else 1
         self.detector: Optional[FailureDetector] = None
         #: Shards requests are routed around: the detector's own suspect
         #: set, which ticks and failover update in place (none at R=1).
@@ -634,7 +632,7 @@ class ShardedCluster:
         changes."""
         reps = self._replica_sets.get(key)
         if reps is None:
-            reps = self.ring.place_n(key, self.config.replication)
+            reps = self.ring.place_n(key, self._copies)
             self._replica_sets[key] = reps
         return reps
 
@@ -722,7 +720,7 @@ class ShardedCluster:
             previous, prev_tag = self._freshest(key, reps)
             value = next_value(key, previous)
             version = 1 if prev_tag is None else prev_tag.version + 1
-            tag = ReplicaTag(version, tag_checksum(key, version))
+            tag = ReplicaTag.at(key, version)
             cycles = 0.0
             degraded = False
             acks = 0
@@ -850,7 +848,7 @@ class ShardedCluster:
             old = self._replica_sets[key]
             if not dead_set.intersection(old):
                 continue
-            new = self.ring.place_n(key, self.config.replication)
+            new = self.ring.place_n(key, self._copies)
             self._replica_sets[key] = new
             moved += 1
             survivors = [
@@ -1006,7 +1004,7 @@ class ShardedCluster:
         migrated = 0
         cycles = 0.0
         for key, old in list(self._replica_sets.items()):
-            new = self.ring.place_n(key, self.config.replication)
+            new = self.ring.place_n(key, self._copies)
             if set(new) == set(old):
                 self._replica_sets[key] = new
                 continue

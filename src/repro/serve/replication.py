@@ -65,10 +65,9 @@ def resolve_quorums(
     return w, rq
 
 
-#: The checksum a replica tag carries for ``(key, version)``: keyed like
-#: the integrity layer's simulated-object tags (seed 0 is the process
-#: default there too).
-tag_checksum = ChecksumCodec(seed=0).object_checksum
+#: One shared codec: replica tags are keyed like the integrity layer's
+#: simulated-object tags (seed 0 is the process default there too).
+_CODEC = ChecksumCodec(seed=0)
 
 
 class ReplicaTag(NamedTuple):
@@ -79,13 +78,13 @@ class ReplicaTag(NamedTuple):
 
     @classmethod
     def at(cls, key: int, version: int) -> "ReplicaTag":
-        return cls(version, tag_checksum(key, version))
+        return cls(version, _CODEC.object_checksum(key, version))
 
     def verify(self, key: int) -> bool:
         """Does the checksum match ``(key, version)``?  A mismatch means
         a copy path handed over torn metadata — never expected; the
         repair paths assert it before trusting a source replica."""
-        return self.checksum == tag_checksum(key, self.version)
+        return self.checksum == _CODEC.object_checksum(key, self.version)
 
 
 #: The tag every key starts with (version 0 = the seeded default value).

@@ -18,10 +18,10 @@ failure), and ``anti_entropy`` forces a reconciliation sweep.  On
 replicated clusters (R >= 2) the failure detector's heartbeat ticks
 and the optional periodic anti-entropy sweep are interleaved with
 chaos in simulated-time order; an R=1 cluster has neither, and
-recovers only through scripted rebalances.  Everything — arrivals, service costs, fault
-schedules, chaos timing — is a pure function of seeds, so the full
-:class:`ServingReport` (fingerprints included) is bit-identical across
-reruns.
+recovers only through scripted rebalances.  Everything — arrivals,
+service costs, fault schedules, chaos timing — is a pure function of
+seeds, so the full :class:`ServingReport` (fingerprints included) is
+bit-identical across reruns.
 """
 
 from __future__ import annotations

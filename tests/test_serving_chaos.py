@@ -375,6 +375,37 @@ def test_join_leaves_no_two_live_keys_in_one_slot(replication):
         assert cluster.read_value(key) == expected
 
 
+def test_cluster_too_small_to_replicate_stays_unreplicated():
+    """``replication=2`` on one shard is an R=1 cluster, and it stays one
+    as shards join: every request, placement, stat and value equals the
+    ``replication=1`` run's."""
+
+    def run(replication):
+        cluster = ShardedCluster(ClusterConfig(
+            n_shards=1, n_keys=N_KEYS, runtime="trackfm", seed=3,
+            replication=replication,
+        ))
+        for key in range(0, N_KEYS, 2):
+            cluster.serve(key, write=True)
+        cluster.join_shard()
+        cluster.join_shard()
+        cluster.lose_shard(1)
+        results = [cluster.serve(key, write=key % 3 == 0) for key in range(N_KEYS)]
+        cluster.rebalance()
+        results += [cluster.serve(key) for key in range(N_KEYS)]
+        return (
+            cluster.stats.as_dict(),
+            results,
+            [cluster.replicas(key) for key in range(N_KEYS)],
+            [cluster.read_value(key) for key in range(N_KEYS)],
+        )
+
+    unreplicated = run(1)
+    assert unreplicated[0]["migrated_keys"] > 0
+    assert all(len(reps) == 1 for reps in unreplicated[2])
+    assert run(2) == unreplicated
+
+
 def test_dropped_slots_are_reused_lowest_first():
     shard = ShardedCluster(ClusterConfig(n_shards=1, n_keys=8)).shards[0]
     assert [shard.slot_of(key) for key in range(4)] == [0, 8, 16, 24]
