@@ -196,9 +196,9 @@ class ObjectPool:
         caller's business (they differ between TrackFM and Fastswap).
         """
         self._check_id(obj_id)
-        outcome = self.residency.access(obj_id, write=write)
+        hit, evicted = self.residency.access(obj_id, write)
         cycles = 0.0
-        if not outcome.hit:
+        if not hit:
             backend = self.backend
             try:
                 if backend.integrity is None:
@@ -212,7 +212,7 @@ class ObjectPool:
                 # the residency insert and surface — integrity failures
                 # are correctness errors, never served degraded here
                 # (the hybrid runtime's page tier is the degrade rung).
-                for victim, _dirty in outcome.evicted:
+                for victim, _dirty in evicted:
                     self._set_remote(victim)
                 self.residency.discard(obj_id)
                 raise
@@ -221,7 +221,7 @@ class ObjectPool:
                 if handler is None:
                     # Unwind the residency insert so pool state matches
                     # reality (nothing was fetched) before surfacing.
-                    for victim, _dirty in outcome.evicted:
+                    for victim, _dirty in evicted:
                         self._set_remote(victim)
                     self.residency.discard(obj_id)
                     raise
@@ -246,20 +246,20 @@ class ObjectPool:
                 # closed): re-drive writebacks deferred while it was down.
                 if self.evacuator.has_deferred:
                     cycles += self.evacuator.drain_deferred(self.metrics)
-        for victim, _dirty in outcome.evicted:
+        for victim, _dirty in evicted:
             self._set_remote(victim)
-        cycles += self.evacuator.process(outcome.evicted, self.metrics)
-        if outcome.evicted:
+        cycles += self.evacuator.process(evicted, self.metrics)
+        if evicted:
             tracer = self.tracer
             if tracer.enabled:
                 tracer.evict(
-                    len(outcome.evicted) * self.object_size,
+                    len(evicted) * self.object_size,
                     self.metrics.cycles,
-                    n=len(outcome.evicted),
-                    dirty=sum(1 for _v, d in outcome.evicted if d),
+                    n=len(evicted),
+                    dirty=sum(1 for _v, d in evicted if d),
                 )
         self._set_local(obj_id, dirty=self.residency.is_dirty(obj_id))
-        return outcome.hit, cycles
+        return hit, cycles
 
     def prefetch(self, obj_id: int, depth: Optional[int] = None) -> float:
         """Asynchronously localize ``obj_id``; returns app-visible cycles.

@@ -29,6 +29,9 @@ from repro.net.backends import RemoteBackend
 from repro.sim.metrics import Metrics
 from repro.units import ceil_div
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_WRITE = AccessKind.WRITE
+
 #: Cycles of AIFM's smart-pointer indirection on a hot (local) deref.
 #: §4.1: "AIFM does incur overhead for smart pointer indirection" — it
 #: is cheaper than a TrackFM fast-path guard (21 cycles) because there
@@ -151,7 +154,7 @@ class AIFMRuntime:
             raise PointerError("access size must be positive")
         costs = self.config.costs
         cycles = self.deref_overhead + costs.local_access
-        write = kind is AccessKind.WRITE
+        write = kind is _WRITE
         first = self.pool.object_of_offset(offset)
         last = self.pool.object_of_offset(offset + size - 1)
         for obj_id in range(first, last + 1):

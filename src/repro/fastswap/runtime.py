@@ -25,6 +25,9 @@ from repro.sim.residency import ResidencySet
 from repro.trace.tracer import NULL_TRACER
 from repro.units import BASE_PAGE, align_up, ceil_div, is_power_of_two, log2_exact
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_WRITE = AccessKind.WRITE
+
 
 @dataclass
 class FastswapConfig:
@@ -54,6 +57,10 @@ class FastswapConfig:
             raise RuntimeConfigError("local memory smaller than one page")
         if self.heap_size < self.page_size:
             raise RuntimeConfigError("heap smaller than one page")
+        if self.reclaim_cycles < 0:
+            raise RuntimeConfigError("reclaim_cycles must be >= 0")
+        if not 0.0 <= self.writeback_sync_fraction <= 1.0:
+            raise RuntimeConfigError("writeback_sync_fraction must be in [0, 1]")
 
     @property
     def local_capacity_pages(self) -> int:
@@ -236,22 +243,34 @@ class FastswapRuntime:
         return cycles
 
     def _touch_page(self, page: int, kind: AccessKind) -> float:
-        outcome = self.residency.access(page, write=kind is AccessKind.WRITE)
-        if outcome.hit:
+        write = kind is _WRITE
+        hit, evicted = self.residency.access(page, write)
+        if hit:
             return 0.0
         backend = self.backend
         link = backend.link
         metrics = self.metrics
         config = self.config
         page_size = config.page_size
-        fault_cycles = config.costs.fastswap_fault(kind, remote=True)
+        # CostTable.fastswap_fault(kind, remote=True), read in place.
+        costs = config.costs
+        fault_cycles = (
+            costs.fastswap_fault_remote_write
+            if write
+            else costs.fastswap_fault_remote_read
+        )
         degraded = False
         tracer = self.tracer
         # The fault cost above is *calibrated* end to end, so the swap-in
         # itself never goes through backend.fetch (it would double-charge
         # the link).  With faults installed, admit() rolls the schedule
         # for this one message and adds only the retry/spike penalty.
-        if link.faults is not None or backend.resilient:
+        # The test is ``backend.resilient``, read without its property.
+        if (
+            link.faults is not None
+            or backend.retry_policy is not None
+            or backend.breaker is not None
+        ):
             try:
                 fault_cycles += backend.admit(page_size)
             except FarMemoryUnavailableError:
@@ -284,7 +303,7 @@ class FastswapRuntime:
                     # Quarantined: the swapped-in page is untrustworthy.
                     self.residency.discard(page)
                     raise
-        for victim, dirty in outcome.evicted:
+        for victim, dirty in evicted:
             cycles += config.reclaim_cycles
             metrics.evictions += 1
             if dirty:

@@ -22,6 +22,9 @@ from typing import Dict, List, NamedTuple
 from repro.errors import RuntimeConfigError
 from repro.machine.costs import AccessKind
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_WRITE = AccessKind.WRITE
+
 
 class RegionStats(NamedTuple):
     """One region's folded window: the selector's entire input."""
@@ -121,7 +124,7 @@ class DensityProfiler:
         if not count:
             self._touched.append(region)
         accesses[region] = count + 1
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             self._writes[region] += 1
         window = self._window
         stamps = self._object_stamp
@@ -156,13 +159,15 @@ class DensityProfiler:
         return self.window_transitions / self.window_accesses
 
     def _freeze(self) -> Dict[int, RegionStats]:
+        # One per region and epoch: ``_make`` skips the keyword-capable call.
+        make = RegionStats._make
+        accesses = self._accesses
+        objects = self._objects
+        pages = self._pages
+        writes = self._writes
         return {
-            region: RegionStats(
-                region=region,
-                accesses=self._accesses[region],
-                distinct_objects=self._objects[region],
-                distinct_pages=self._pages[region],
-                writes=self._writes[region],
+            region: make(
+                (region, accesses[region], objects[region], pages[region], writes[region])
             )
             for region in sorted(self._touched)
         }

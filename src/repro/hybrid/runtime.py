@@ -41,6 +41,14 @@ from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK, is_t
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import BASE_PAGE, ceil_div
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_WRITE = AccessKind.WRITE
+_NONE = GuardKind.NONE
+_OBJECTS = Placement.OBJECTS
+_PAGES = Placement.PAGES
+#: Builds a page fault's :class:`GuardResult`, skipping the keyword-capable call.
+_guard_result = GuardResult._make
+
 __all__ = [
     "AdaptiveHybridRuntime",
     "HybridHandle",
@@ -275,7 +283,8 @@ class _TierRouter:
         self._heap_end = runtime.pool.num_objects * runtime.object_size
         self._page_shift = fs.page_shift
         self._touch = fs.residency.touch
-        self._page_hit = GuardResult(GuardKind.NONE, 0.0)
+        self._touch_page = fs._touch_page
+        self._page_hit = GuardResult(_NONE, 0.0)
 
     def guard(self, addr: int, kind: AccessKind, depth: int = 1) -> GuardResult:
         # Custody check (bits 60..63), then the heap offset, once.
@@ -291,13 +300,13 @@ class _TierRouter:
         if not self._paged[region]:
             return self.object_guards.guard(addr, kind, depth)
         page = (self._shadow[region] + offset % self._region_bytes) >> self._page_shift
-        if self._touch(page, kind is AccessKind.WRITE):
+        if self._touch(page, kind is _WRITE):
             return self._page_hit
         # A fault: _touch_page returns its cycles (its counters land in
         # the shared bundle); the inherited access()/interpreter paths
         # add them exactly once, alongside the local access.
-        cycles = self.runtime.fastswap._touch_page(page, kind)
-        return GuardResult(GuardKind.NONE, cycles, remote_fetch=True)
+        cycles = self._touch_page(page, kind)
+        return _guard_result((_NONE, cycles, True, True))
 
     def boundary_check(self) -> float:
         return self.object_guards.boundary_check()
@@ -455,7 +464,7 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         return dict(self._placement)
 
     def _place(self, region: int, placement: Placement) -> None:
-        self._paged[region] = placement is Placement.PAGES
+        self._paged[region] = placement is _PAGES
         self._placement[region] = placement
 
     # -- the page-tier access path -------------------------------------------
@@ -496,11 +505,11 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         decide = self.selector.decide
         paged = self._paged
         for region, window in stats.items():  # fold() sorts by region
-            current = Placement.PAGES if paged[region] else Placement.OBJECTS
+            current = _PAGES if paged[region] else _OBJECTS
             decision = decide(window, current)
             if decision is current:
                 continue
-            if decision is Placement.PAGES:
+            if decision is _PAGES:
                 if placed + region_pages > capacity and not sweep_shaped:
                     continue
                 placed += region_pages
@@ -534,7 +543,7 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
     def _migrate_region(self, region: int, target: Placement) -> int:
         """Re-home one region's resident state; returns objects re-homed."""
         first, count = self._region_objects(region)
-        if target is Placement.PAGES:
+        if target is _PAGES:
             self._ensure_shadow(region)
             for obj_id in range(first, first + count):
                 # expel() drives the evacuator, whose on_evict hook lands

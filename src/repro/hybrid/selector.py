@@ -40,6 +40,10 @@ from repro.hybrid.profiler import RegionStats
 from repro.net.link import BYTES_PER_CYCLE_25G
 from repro.units import BASE_PAGE
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_OBJECTS = Placement.OBJECTS
+_PAGES = Placement.PAGES
+
 
 @dataclass(frozen=True)
 class SelectorConfig:
@@ -122,13 +126,13 @@ class PathSelector:
             return current
         object_cost, page_cost = self.tier_costs(stats)
         margin = 1.0 + cfg.hysteresis
-        if current is Placement.OBJECTS:
+        if current is _OBJECTS:
             if page_cost * margin < object_cost:
-                return Placement.PAGES
-            return Placement.OBJECTS
+                return _PAGES
+            return _OBJECTS
         if object_cost * margin < page_cost:
-            return Placement.OBJECTS
-        return Placement.PAGES
+            return _OBJECTS
+        return _PAGES
 
     def crossover_density(self, stats: RegionStats) -> float:
         """The window's break-even accesses/page (diagnostics/figures)."""

@@ -21,7 +21,7 @@ Sources (all from the TrackFM paper):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import RuntimeConfigError
 
@@ -53,6 +53,10 @@ class GuardKind(enum.Enum):
     # Every guard bumps ``Metrics.guards[kind]``; this keeps that dict
     # update off the Python-level ``Enum.__hash__``.
     __hash__ = object.__hash__
+
+
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_READ = AccessKind.READ
 
 
 @dataclass(frozen=True)
@@ -120,37 +124,22 @@ class CostTable:
     evacuation_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        numeric = {
-            name: getattr(self, name)
-            for name in (
-                "local_access",
-                "fast_guard_read_cached",
-                "fast_guard_write_cached",
-                "slow_guard_read_cached",
-                "slow_guard_write_cached",
-                "slow_guard_remote",
-                "fastswap_fault_local",
-                "fastswap_fault_remote_read",
-                "fastswap_fault_remote_write",
-                "boundary_check",
-                "locality_guard",
-            )
-        }
-        for name, value in numeric.items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value < 0:
-                raise RuntimeConfigError(f"cost {name!r} must be >= 0, got {value}")
+                raise RuntimeConfigError(f"cost {f.name!r} must be >= 0, got {value}")
 
     # -- guard cost lookups -------------------------------------------------
 
     def fast_guard(self, kind: AccessKind, cached: bool = True) -> float:
         """Extra cycles charged for a fast-path guard (excludes the access)."""
-        if kind is AccessKind.READ:
+        if kind is _READ:
             return self.fast_guard_read_cached if cached else self.fast_guard_read_uncached
         return self.fast_guard_write_cached if cached else self.fast_guard_write_uncached
 
     def slow_guard_local(self, kind: AccessKind, cached: bool = True) -> float:
         """Slow-path guard cycles when the object is already local."""
-        if kind is AccessKind.READ:
+        if kind is _READ:
             return self.slow_guard_read_cached if cached else self.slow_guard_read_uncached
         return self.slow_guard_write_cached if cached else self.slow_guard_write_uncached
 
@@ -158,7 +147,7 @@ class CostTable:
         """Fastswap page-fault cycles (Table 2)."""
         if not remote:
             return self.fastswap_fault_local
-        if kind is AccessKind.READ:
+        if kind is _READ:
             return self.fastswap_fault_remote_read
         return self.fastswap_fault_remote_write
 

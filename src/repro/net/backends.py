@@ -31,6 +31,10 @@ from repro.net.link import (
     TransferDirection,
 )
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_FETCH = TransferDirection.FETCH
+_EVICT = TransferDirection.EVICT
+
 
 @dataclass
 class RemoteBackend:
@@ -75,10 +79,10 @@ class RemoteBackend:
         None`` check.
         """
         if self.retry_policy is None and self.breaker is None:
-            cost = self.link.transfer(size_bytes, TransferDirection.FETCH, depth)
+            cost = self.link.transfer(size_bytes, _FETCH, depth)
         else:
             cost = self._resilient_cost(
-                lambda: self.link.transfer(size_bytes, TransferDirection.FETCH, depth)
+                lambda: self.link.transfer(size_bytes, _FETCH, depth)
             )
         if self.integrity is not None and obj_id is not None:
             cost += self.verify_payload(obj_id, size_bytes, depth)
@@ -87,9 +91,9 @@ class RemoteBackend:
     def evict(self, size_bytes: int, depth: int = 1) -> float:
         """Push ``size_bytes`` back to the remote node; returns cycles."""
         if self.retry_policy is None and self.breaker is None:
-            return self.link.transfer(size_bytes, TransferDirection.EVICT, depth)
+            return self.link.transfer(size_bytes, _EVICT, depth)
         return self._resilient_cost(
-            lambda: self.link.transfer(size_bytes, TransferDirection.EVICT, depth)
+            lambda: self.link.transfer(size_bytes, _EVICT, depth)
         )
 
     def admit(self, size_bytes: int) -> float:
@@ -132,17 +136,13 @@ class RemoteBackend:
         return integrity.verify_fetch(
             obj_id,
             size_bytes,
-            refetch=lambda: self._payload_transfer(
-                size_bytes, TransferDirection.FETCH, depth
-            ),
-            rewrite=lambda: self._payload_transfer(
-                size_bytes, TransferDirection.EVICT, depth
-            ),
+            refetch=lambda: self._payload_transfer(size_bytes, _FETCH, depth),
+            rewrite=lambda: self._payload_transfer(size_bytes, _EVICT, depth),
         )
 
     def payload_rewrite(self, size_bytes: int, depth: int = 1) -> float:
         """Re-drive one writeback payload (journal replay); returns cycles."""
-        return self._payload_transfer(size_bytes, TransferDirection.EVICT, depth)
+        return self._payload_transfer(size_bytes, _EVICT, depth)
 
     def set_tracer(self, tracer) -> None:
         """Point the backend (and its integrity checker) at ``tracer``."""

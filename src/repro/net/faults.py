@@ -431,6 +431,12 @@ class BreakerState(enum.Enum):
     HALF_OPEN = "half_open"
 
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_CLOSED = BreakerState.CLOSED
+_OPEN = BreakerState.OPEN
+_HALF_OPEN = BreakerState.HALF_OPEN
+
+
 class CircuitBreaker:
     """Closed → open → half-open, clocked in rejected requests.
 
@@ -450,7 +456,7 @@ class CircuitBreaker:
             raise RuntimeConfigError("cooldown_rejections must be >= 1")
         self.failure_threshold = failure_threshold
         self.cooldown_rejections = cooldown_rejections
-        self.state = BreakerState.CLOSED
+        self.state = _CLOSED
         self.consecutive_failures = 0
         self.rejections_while_open = 0
         #: Times the breaker transitioned into OPEN.
@@ -458,34 +464,31 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May the next request go out?  (Mutates: rejections count.)"""
-        if self.state is BreakerState.CLOSED:
-            return True
-        if self.state is BreakerState.HALF_OPEN:
+        state = self.state
+        if state is _CLOSED or state is _HALF_OPEN:
             return True
         self.rejections_while_open += 1
         if self.rejections_while_open >= self.cooldown_rejections:
-            self.state = BreakerState.HALF_OPEN
+            self.state = _HALF_OPEN
             return True
         return False
 
     def record_success(self) -> None:
         self.consecutive_failures = 0
-        if self.state is not BreakerState.CLOSED:
-            self.state = BreakerState.CLOSED
+        if self.state is not _CLOSED:
+            self.state = _CLOSED
             self.rejections_while_open = 0
 
     def record_failure(self) -> None:
         self.consecutive_failures += 1
-        if self.state is BreakerState.HALF_OPEN:
+        state = self.state
+        if state is _HALF_OPEN:
             self._trip()
-        elif (
-            self.state is BreakerState.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
-        ):
+        elif state is _CLOSED and self.consecutive_failures >= self.failure_threshold:
             self._trip()
 
     def _trip(self) -> None:
-        self.state = BreakerState.OPEN
+        self.state = _OPEN
         self.rejections_while_open = 0
         self.trips += 1
 

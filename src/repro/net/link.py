@@ -24,6 +24,10 @@ class TransferDirection(enum.Enum):
     EVICT = "evict"
 
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_FETCH = TransferDirection.FETCH
+
+
 @dataclass
 class LinkStats:
     """Per-link accounting."""
@@ -118,7 +122,7 @@ class NetworkLink:
             else self.pipelined_cycles(size_bytes, depth)
         ) + extra
         self.stats.messages += 1
-        if direction is TransferDirection.FETCH:
+        if direction is _FETCH:
             self.stats.bytes_fetched += size_bytes
         else:
             self.stats.bytes_evicted += size_bytes

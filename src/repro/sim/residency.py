@@ -15,15 +15,17 @@ enough for the shapes this reproduction targets.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import EvacuationError, RuntimeConfigError
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
-    """Result of touching one granule (immutable: hits share one value)."""
+class AccessOutcome(NamedTuple):
+    """Result of touching one granule (immutable: hits share one value).
+
+    A tuple: a frozen dataclass costs about three times as much to
+    build, and every miss that evicts builds one.
+    """
 
     hit: bool
     #: (granule id, was_dirty) pairs evicted to make room.
@@ -31,7 +33,11 @@ class AccessOutcome:
 
 
 #: Every hit's outcome: nothing was evicted.
-_HIT = AccessOutcome(hit=True, evicted=())
+_HIT = AccessOutcome(True, ())
+#: Every miss into a set with room: nothing was evicted either.
+_MISS = AccessOutcome(False, ())
+#: Builds an :class:`AccessOutcome`, skipping the keyword-capable call.
+_outcome = AccessOutcome._make
 
 
 class ResidencySet:
@@ -103,14 +109,26 @@ class ResidencySet:
         """Touch ``granule``; fetch + evict as needed.
 
         Returns whether it was a hit and which granules were evicted.
+        The hit half is :meth:`touch`, repeated here without its frame
+        (this is every page fault's and object miss's first step).
         """
-        if self.touch(granule, write):
+        resident = self._resident
+        if granule in resident:
+            if self.use_clock:
+                resident[granule] = True
+            else:
+                resident.move_to_end(granule)
+            if write:
+                self._dirty.add(granule)
             return _HIT
-        evicted = self._make_room()
-        self._resident[granule] = False
+        if len(resident) < self.capacity:
+            outcome = _MISS
+        else:
+            outcome = _outcome((False, self._make_room()))
+        resident[granule] = False
         if write:
             self._dirty.add(granule)
-        return AccessOutcome(hit=False, evicted=evicted)
+        return outcome
 
     def insert(self, granule: int) -> List[Tuple[int, bool]]:
         """Bring ``granule`` local without recording an access (prefetch)."""

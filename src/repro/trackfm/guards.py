@@ -21,8 +21,7 @@ object for a whole loop chunk (§3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.aifm.pool import ObjectPool
@@ -32,12 +31,21 @@ from repro.trace.tracer import NULL_TRACER
 from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
 from repro.trackfm.state_table import ENTRY_BYTES, ObjectStateTable
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_WRITE = AccessKind.WRITE
 _FAST = GuardKind.FAST
+_SLOW = GuardKind.SLOW
+_LOCALITY = GuardKind.LOCALITY
+_BOUNDARY = GuardKind.BOUNDARY
+_CUSTODY_MISS = GuardKind.CUSTODY_MISS
 
 
-@dataclass(frozen=True)
-class GuardResult:
-    """Outcome of one guarded access (immutable: fast-path results are shared)."""
+class GuardResult(NamedTuple):
+    """Outcome of one guarded access (immutable: fast-path results are shared).
+
+    A tuple: a frozen dataclass costs about three times as much to
+    build, and the slow and locality guards build one per call.
+    """
 
     kind: GuardKind
     cycles: float
@@ -45,6 +53,10 @@ class GuardResult:
     cache_hit: bool = True
     #: True when the object had to be fetched from the remote node.
     remote_fetch: bool = False
+
+
+#: Builds a :class:`GuardResult`, skipping the keyword-capable call.
+_result = GuardResult._make
 
 
 class GuardEngine:
@@ -76,14 +88,14 @@ class GuardEngine:
         self._words = pool.meta_words
         self._num_objects = pool.num_objects
         self._fast_read = (
-            GuardResult(GuardKind.FAST, c.fast_guard_read_uncached, cache_hit=False),
-            GuardResult(GuardKind.FAST, c.fast_guard_read_cached),
+            GuardResult(_FAST, c.fast_guard_read_uncached, False),
+            GuardResult(_FAST, c.fast_guard_read_cached),
         )
         self._fast_write = (
-            GuardResult(GuardKind.FAST, c.fast_guard_write_uncached, cache_hit=False),
-            GuardResult(GuardKind.FAST, c.fast_guard_write_cached),
+            GuardResult(_FAST, c.fast_guard_write_uncached, False),
+            GuardResult(_FAST, c.fast_guard_write_cached),
         )
-        self._custody_miss = GuardResult(GuardKind.CUSTODY_MISS, c.custody_miss)
+        self._custody_miss = GuardResult(_CUSTODY_MISS, c.custody_miss)
 
     # -- the full guard (naive transformation) ----------------------------
 
@@ -113,7 +125,7 @@ class GuardEngine:
         # object cannot be delocalized between the test and the access.
         # A safe object is resident: recording the hit is all the
         # residency set has to do.
-        write = kind is AccessKind.WRITE
+        write = kind is _WRITE
         residency = self.pool.residency
         if not residency.touch(obj_id, write):
             residency.access(obj_id, write=write)
@@ -122,18 +134,16 @@ class GuardEngine:
         guards[_FAST] = guards.get(_FAST, 0) + 1
         tracer = self.tracer
         if tracer.enabled:
-            tracer.guard(
-                GuardKind.FAST, obj_id, kind, self.metrics.cycles, result.cycles
-            )
+            tracer.guard(_FAST, obj_id, kind, self.metrics.cycles, result.cycles)
         return result
 
     def _custody(self, kind: AccessKind) -> GuardResult:
         """Not a TrackFM pointer: the original access runs untouched."""
-        self.metrics.count_guard(GuardKind.CUSTODY_MISS)
+        self.metrics.count_guard(_CUSTODY_MISS)
         tracer = self.tracer
         if tracer.enabled:
             tracer.guard(
-                GuardKind.CUSTODY_MISS, None, kind,
+                _CUSTODY_MISS, None, kind,
                 self.metrics.cycles, self.costs.custody_miss,
             )
         return self._custody_miss
@@ -141,26 +151,19 @@ class GuardEngine:
     def _slow_path(
         self, obj_id: int, kind: AccessKind, cache_hit: bool, depth: int
     ) -> GuardResult:
-        was_local, movement = self.pool.ensure_local(
-            obj_id, write=kind is AccessKind.WRITE, depth=depth
-        )
-        cycles = self.costs.slow_guard_local(kind, cached=cache_hit) + movement
-        self.metrics.count_guard(GuardKind.SLOW)
+        was_local, movement = self.pool.ensure_local(obj_id, kind is _WRITE, depth)
+        cycles = self.costs.slow_guard_local(kind, cache_hit) + movement
+        self.metrics.count_guard(_SLOW)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.guard(GuardKind.SLOW, obj_id, kind, self.metrics.cycles, cycles)
-        return GuardResult(
-            GuardKind.SLOW,
-            cycles,
-            cache_hit=cache_hit,
-            remote_fetch=not was_local,
-        )
+            tracer.guard(_SLOW, obj_id, kind, self.metrics.cycles, cycles)
+        return _result((_SLOW, cycles, cache_hit, not was_local))
 
     # -- loop-chunking helpers (optimized transformation) ------------------
 
     def boundary_check(self) -> float:
         """The per-iteration object-boundary test (3 instructions)."""
-        self.metrics.count_guard(GuardKind.BOUNDARY)
+        self.metrics.count_guard(_BOUNDARY)
         return self.costs.boundary_check
 
     def locality_guard(
@@ -175,14 +178,10 @@ class GuardEngine:
         if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
             return self._custody(kind)
         obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
-        was_local, movement = self.pool.ensure_local(
-            obj_id, write=kind is AccessKind.WRITE, depth=depth
-        )
+        was_local, movement = self.pool.ensure_local(obj_id, kind is _WRITE, depth)
         cycles = self.costs.locality_guard + movement
-        self.metrics.count_guard(GuardKind.LOCALITY)
+        self.metrics.count_guard(_LOCALITY)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.guard(GuardKind.LOCALITY, obj_id, kind, self.metrics.cycles, cycles)
-        return GuardResult(
-            GuardKind.LOCALITY, cycles, remote_fetch=not was_local
-        )
+            tracer.guard(_LOCALITY, obj_id, kind, self.metrics.cycles, cycles)
+        return _result((_LOCALITY, cycles, True, not was_local))

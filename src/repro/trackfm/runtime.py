@@ -63,6 +63,8 @@ from repro.units import ceil_div
 #: range and away from the interpreter's stack/global/libc-heap bases.
 TWIN_BASE = 1 << 43
 
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_WRITE = AccessKind.WRITE
 _BOUNDARY = GuardKind.BOUNDARY
 
 
@@ -111,7 +113,7 @@ def _guard_entry(kind: AccessKind):
 def _deref_entry(kind: AccessKind):
     """``tfm_chunk_deref[_write](ptr, stream)``: one chunked access,
     charged, returning the twin."""
-    write = kind is AccessKind.WRITE
+    write = kind is _WRITE
 
     def entry(self: "TrackFMRuntime", ptr: int, stream: int) -> int:
         if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
@@ -437,7 +439,7 @@ class TrackFMRuntime:
                         if lo <= target < hi:
                             cycles += self.pool.prefetch(target)
             else:
-                self.pool.residency.access(obj_id, write=kind is AccessKind.WRITE)
+                self.pool.residency.access(obj_id, kind is _WRITE)
         cycles += self._local_access
         metrics = self.pool.metrics
         metrics.accesses += 1

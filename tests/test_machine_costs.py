@@ -1,8 +1,11 @@
 """The calibrated cost table (Tables 1/2 anchors)."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import RuntimeConfigError
+from repro.fastswap.runtime import FastswapConfig
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
 
 
@@ -57,9 +60,26 @@ def test_with_overrides_returns_new_table():
     assert DEFAULT_COSTS.local_access == 36.0
 
 
-def test_negative_cost_rejected():
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostTable)])
+def test_negative_cost_rejected(name):
+    with pytest.raises(RuntimeConfigError, match=name):
+        CostTable(**{name: -1})
+
+
+@pytest.mark.parametrize(
+    "knob",
+    [
+        # Books -1,572 cycles per dirty writeback on a write sweep.
+        {"writeback_sync_fraction": -0.5},
+        {"writeback_sync_fraction": 1.5},
+        # Books 35,722 instead of 37,822 cycles per faulting write.
+        {"reclaim_cycles": -100.0},
+    ],
+    ids=["sync_fraction_negative", "sync_fraction_above_one", "reclaim_negative"],
+)
+def test_fastswap_config_rejects_out_of_range_knobs(knob):
     with pytest.raises(RuntimeConfigError):
-        CostTable(local_access=-1.0)
+        FastswapConfig(local_memory=4096, heap_size=16384, **knob)
 
 
 def test_degenerate_crossover_rejected():

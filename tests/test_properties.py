@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.aifm.allocator import RegionAllocator
 from repro.aifm.objectmeta import ObjectMeta, encode_local, encode_remote
+from repro.errors import EvacuationError
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS
 from repro.sim.che import lru_hit_rate, per_granule_hit_rates
 from repro.sim.residency import ResidencySet
@@ -105,6 +108,159 @@ class TestResidencyProperties:
         # Everything ever evicted plus the still-resident set accounts
         # for every miss (each miss inserts exactly one granule).
         assert evicted_total + len(rs) <= len(stream) + 4
+
+
+class _ResidencyModel:
+    """A list-based reference for :class:`ResidencySet`.
+
+    ``order`` lists the resident granules eviction end first; LRU moves
+    a hit to the tail, CLOCK sets its hot bit.  A victim is the first
+    unpinned granule (LRU), or what a sweep from the head finds after
+    clearing hot bits and passing pinned granules to the tail, for at
+    most ``2n + 1`` steps (CLOCK).
+    """
+
+    def __init__(self, capacity, use_clock):
+        self.capacity = capacity
+        self.use_clock = use_clock
+        self.order = []
+        self.hot = {}
+        self.dirty = set()
+        self.pins = {}
+
+    def touch(self, granule, write):
+        if granule not in self.order:
+            return False
+        if self.use_clock:
+            self.hot[granule] = True
+        else:
+            self.order.remove(granule)
+            self.order.append(granule)
+        if write:
+            self.dirty.add(granule)
+        return True
+
+    def _victim(self):
+        if not self.use_clock:
+            return next((g for g in self.order if g not in self.pins), None)
+        for _ in range(2 * len(self.order) + 1):
+            granule = self.order[0]
+            if self.hot[granule]:
+                self.hot[granule] = False
+            elif granule not in self.pins:
+                return granule
+            self.order.append(self.order.pop(0))
+        return None
+
+    def _make_room(self):
+        evicted = []
+        while len(self.order) >= self.capacity:
+            victim = self._victim()
+            if victim is None:
+                raise EvacuationError("all resident granules are pinned")
+            self.order.remove(victim)
+            del self.hot[victim]
+            evicted.append((victim, victim in self.dirty))
+            self.dirty.discard(victim)
+        return evicted
+
+    def access(self, granule, write):
+        if self.touch(granule, write):
+            return SimpleNamespace(hit=True, evicted=[])
+        evicted = self._make_room()
+        self.order.append(granule)
+        self.hot[granule] = False
+        if write:
+            self.dirty.add(granule)
+        return SimpleNamespace(hit=False, evicted=evicted)
+
+    def insert(self, granule):
+        if granule in self.order:
+            return []
+        evicted = self._make_room()
+        self.order.insert(0, granule)
+        self.hot[granule] = False
+        return evicted
+
+    def pin(self, granule):
+        self.pins[granule] = self.pins.get(granule, 0) + 1
+
+    def unpin(self, granule):
+        count = self.pins.get(granule, 0)
+        if count <= 0:
+            raise EvacuationError(f"unpin of unpinned granule {granule}")
+        if count == 1:
+            del self.pins[granule]
+        else:
+            self.pins[granule] = count - 1
+
+    def discard(self, granule):
+        if granule in self.order:
+            self.order.remove(granule)
+            del self.hot[granule]
+        self.dirty.discard(granule)
+        self.pins.pop(granule, None)
+
+
+_OP_NAMES = ["access", "touch", "insert", "pin", "unpin", "discard"]
+
+
+@st.composite
+def _residency_scripts(draw):
+    """A capacity, a policy, and ops over ``capacity + 2`` granules: few
+    enough that the set runs full and every resident can end up pinned."""
+    capacity = draw(st.integers(1, 8))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(_OP_NAMES),
+                st.integers(0, capacity + 1),
+                st.booleans(),
+            ),
+            max_size=120,
+        )
+    )
+    return capacity, draw(st.booleans()), ops
+
+
+def _run_op(target, op, granule, write):
+    """``(result, exception type)`` of one op; results are plain data."""
+    try:
+        if op == "access":
+            out = target.access(granule, write)
+            result = (out.hit, list(out.evicted))
+        elif op == "touch":
+            result = target.touch(granule, write)
+        elif op == "insert":
+            result = list(target.insert(granule))
+        else:
+            result = getattr(target, op)(granule)
+    except EvacuationError:
+        return None, EvacuationError
+    return result, None
+
+
+class TestResidencyReferenceModel:
+    @given(_residency_scripts())
+    # Every resident pinned under CLOCK, one of them hot and one dirty:
+    # the sweep that finds no victim still rotates the order by one.
+    @example((3, True, [("access", 0, True), ("access", 1, False), ("access", 2, False),
+                        ("touch", 1, False), ("pin", 0, False), ("pin", 1, False),
+                        ("pin", 2, False), ("access", 3, False)]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_model(self, script):
+        """Hits, victims, dirty bits, order and pins equal the model's
+        after every op, and both raise alike when all are pinned."""
+        capacity, use_clock, ops = script
+        rs = ResidencySet(capacity, use_clock=use_clock)
+        model = _ResidencyModel(capacity, use_clock)
+        for op, granule, write in ops:
+            assert _run_op(rs, op, granule, write) == _run_op(model, op, granule, write)
+            # Resident order (eviction end first) with each CLOCK hot bit.
+            assert list(rs._resident.items()) == [(g, model.hot[g]) for g in model.order]
+            universe = range(capacity + 2)
+            assert {g for g in universe if rs.is_dirty(g)} == model.dirty
+            assert {g for g in universe if rs.is_pinned(g)} == set(model.pins)
 
 
 class TestAllocatorProperties:
