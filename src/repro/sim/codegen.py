@@ -21,6 +21,18 @@ classic compiler pipeline, aimed at Python source:
   A ``global_addr.*`` constant or an external callee resolves through
   the interpreter's callee cache on first use, so the code binds no
   runtime and is shared by every interpreter.
+* **TrackFM guard and deref hits are inline.**  A call to an external
+  ``tfm_guard_read``/``tfm_guard_write``/``tfm_chunk_deref``/
+  ``tfm_chunk_deref_write`` runs the entry's hit path in place, as
+  TrackFM's compiler emits the guard's fast path (Fig. 4b) and the
+  chunk boundary check (Fig. 5): the custody check, the state-table
+  word test (a deref: its stream's pinned object), the state-table
+  cache hit, the residency hit, the guard count, the charge and the
+  canonical twin.  It reads the
+  :class:`~repro.trackfm.runtime.InlineState` bound on the interpreter
+  for the run (``interp.inline_state``).  A cache or residency miss
+  calls that object's own ``access``; a slow path, an object crossing,
+  a custody miss or an unbound state calls the entry.
 * **Steps are counted per segment.**  A block splits into straight-line
   segments, each ending after a call to an internal function (the
   callee's steps land mid-block).  A segment adds its op count, plus
@@ -54,9 +66,14 @@ import operator
 import weakref
 from typing import Callable, Dict, List, Optional
 
+from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.errors import InterpError
+from repro.machine.costs import GuardKind
 from repro.sim import decode
 from repro.sim.decode import DecodedFunction, DecodedModule
+from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
+from repro.trackfm.runtime import TWIN_BASE, InlineState
+from repro.trackfm.state_table import ENTRY_BYTES
 
 _M64 = (1 << 64) - 1
 
@@ -94,6 +111,15 @@ _UNARY_EXPR = {
     decode.OP_INTTOPTR: ("int({a}) & " + str(_M64), None),
     decode.OP_SITOFP: ("float(int({a}))", None),
     decode.OP_FPTOSI: ("int(float({a}))", 64),
+}
+
+
+#: External callees whose hit path is emitted inline: name -> (deref, write).
+_INLINE_SITES = {
+    "tfm_guard_read": (False, False),
+    "tfm_guard_write": (False, True),
+    "tfm_chunk_deref": (True, False),
+    "tfm_chunk_deref_write": (True, True),
 }
 
 
@@ -180,6 +206,16 @@ class _Emitter:
     def is_internal_call(self, op: tuple) -> bool:
         return (op[0] == decode.OP_CALL
                 and self.dmod.callee_static[op[2]][0] == decode.CALLEE_INTERNAL)
+
+    def inline_site(self, op: tuple) -> Optional[tuple]:
+        """``(deref, write)`` when ``op`` is a call whose hit is emitted inline."""
+        if op[0] != decode.OP_CALL or op[1] is None:
+            return None
+        kind, name = self.dmod.callee_static[op[2]]
+        site = _INLINE_SITES.get(name) if kind == decode.CALLEE_EXTERNAL else None
+        if site is None or len(op[3]) != (2 if site[0] else 1):
+            return None
+        return site
 
     def op(self, depth: int, op: tuple, offset: int) -> None:
         """Emit ``op``; ``offset`` is ``steps`` minus the legacy count at it."""
@@ -300,6 +336,11 @@ class _Emitter:
             return
         argv = ", ".join(f"r{s}" for s in args)
         if kind != decode.CALLEE_INTERNAL:
+            site = self.inline_site(op)
+            if site is not None:
+                self.inline_hit(depth, op, *site, offset)
+                emit(depth, "else:", offset)
+                depth += 1
             self.writeback(depth, offset)
             emit(depth, f"{lhs}(callees[{cid}] or resolve({cid}))({argv})")
             return
@@ -314,6 +355,60 @@ class _Emitter:
         self.writeback(depth, offset)
         emit(depth, f"{lhs}f{cid}(interp{', ' if argv else ''}{argv})")
         emit(depth, "steps = interp.steps")
+
+    def inline_hit(self, depth: int, op: tuple, deref: bool, write: bool,
+                   offset: int) -> None:
+        """The ``if`` that books a guard's or a deref's hit in place;
+        the caller emits the entry call as its ``else``.
+
+        Each step books what the entry books on a hit, in its order
+        (``GuardEngine.guard``'s fast path, or ``chunk_access`` on the
+        stream's pinned object), from the ``t_*`` locals of the bound
+        :class:`InlineState`.
+        """
+        emit = self.src.emit
+        _tag, dest, _cid, args = op
+        ptr = f"r{args[0]}"
+        heap = f"({ptr} & {MAX_HEAP_OFFSET})"
+        custody = f"tfm is not None and ({ptr} & {U64_MASK}) >> {TFM_TAG_SHIFT}"
+        inner = depth + 1
+        if deref:
+            # Fig. 5's boundary check: still on the object the stream pinned.
+            emit(depth, f"if {custody} and (st := t_chunks.get(r{args[1]})) is not None "
+                        f"and (o := {heap} >> t_object_shift) == st.current_obj:", offset)
+            kind = GuardKind.BOUNDARY
+        else:
+            # Fig. 4b: a state-table word with the unsafe mask clear.
+            emit(depth, f"if {custody} and (o := {heap} >> t_object_shift) < t_num_objects "
+                        f"and not t_words[o] & {UNSAFE_MASK}:", offset)
+            fast = "t_fast_write" if write else "t_fast_read"
+            # CacheModel.access's hit: the line moves to its set's end.
+            emit(inner, f"a = t_table_base + o * {ENTRY_BYTES}", offset)
+            emit(inner, "line = a // t_line_size", offset)
+            emit(inner, "tag = line // t_num_sets", offset)
+            emit(inner, "e = t_sets.get(line % t_num_sets)", offset)
+            emit(inner, "if e is not None and tag in e:", offset)
+            emit(inner + 1, "e.move_to_end(tag)", offset)
+            emit(inner + 1, "t_cache_stats.hits += 1", offset)
+            emit(inner + 1, f"c = {fast}[1]", offset)
+            emit(inner, "else:", offset)
+            emit(inner + 1, f"c = {fast}[t_cache_access(a)]", offset)
+            kind = GuardKind.FAST
+        # ResidencySet.touch's hit: a CLOCK hot bit or an LRU move.
+        emit(inner, "if o in t_resident:", offset)
+        emit(inner + 1, "if t_use_clock:", offset)
+        emit(inner + 2, "t_resident[o] = True", offset)
+        emit(inner + 1, "else:", offset)
+        emit(inner + 2, "t_resident.move_to_end(o)", offset)
+        if write:
+            emit(inner + 1, "t_dirty.add(o)", offset)
+        emit(inner, "else:", offset)
+        emit(inner + 1, f"t_residency_access(o, {write})", offset)
+        name = self.src.bind("K", kind)
+        emit(inner, f"t_guards[{name}] = t_guards.get({name}, 0) + 1", offset)
+        emit(inner, "t_metrics.accesses += 1", offset)
+        emit(inner, f"t_metrics.cycles += {'t_chunk_hit' if deref else 'c'}", offset)
+        emit(inner, f"r{dest} = {TWIN_BASE} + {heap}", offset)
 
     def segments(self, bi: int) -> List[List[tuple]]:
         """Block ``bi``'s ops, split after every internal call."""
@@ -367,6 +462,10 @@ def _prologue(src: _Source, em: _Emitter, depth: int, full: bool) -> None:
         src.emit(depth, "resolve = interp._resolve_callee")
     if full or decode.OP_ALLOCA in tags:
         src.emit(depth, "alloca = interp._alloca")
+    if full or any(em.inline_site(op) for op in calls):
+        src.emit(depth, "tfm = interp.inline_state")
+        src.emit(depth, "if tfm is not None:")
+        src.emit(depth + 1, ", ".join(f"t_{f}" for f in InlineState._fields) + " = tfm")
 
 
 def _register(source: str, filename: str, fn: Callable) -> None:

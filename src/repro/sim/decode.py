@@ -41,7 +41,9 @@ instruction count and re-decodes when it changes.
 Decoding is runtime-agnostic: nothing interpreter- or runtime-specific
 is baked in (a call names its callee; each interpreter resolves it), so
 one decoded module, generated code included, is shared by every
-interpreter that runs it.
+interpreter that runs it.  The inline hits of TrackFM's guard and deref
+calls read the runtime's state from the interpreter, where
+:meth:`~repro.sim.irrun.TrackFMProgram.run` binds it for one run.
 """
 
 from __future__ import annotations

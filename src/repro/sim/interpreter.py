@@ -151,6 +151,11 @@ class Interpreter:
         #: is registered).
         self._dmod = None
         self._callee_cache: List[object] = []
+        #: The state generated code's inline TrackFM guard and deref hits
+        #: read (:class:`~repro.trackfm.runtime.InlineState`), bound by
+        #: :meth:`~repro.sim.irrun.TrackFMProgram.run` for one run; with
+        #: None every such site calls its entry point.
+        self.inline_state = None
         self._map_globals()
 
     # -- setup ----------------------------------------------------------

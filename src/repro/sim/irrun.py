@@ -11,10 +11,13 @@ to the other while charging their cycle costs.
 
 The calls made on every guarded access — the guards, the chunk derefs
 and the chunk stream bounds — are registered as the runtime's own
-methods (:meth:`TrackFMRuntime.tfm_guard_read` and friends), so a guard
-costs one runtime frame on either engine; this module keeps only the
-entry points that touch the interpreter's memory (allocation, chase
-prefetching, offload).
+methods (:meth:`TrackFMRuntime.tfm_guard_read` and friends).  The
+decoded engine's generated code runs a guard's or a deref's hit inline
+and calls the entry only off it; :meth:`TrackFMProgram.run` binds the
+state those inline hits read (:meth:`TrackFMRuntime.inline_state`) on
+the interpreter for the run.  This module keeps only the entry points
+that touch the interpreter's memory (allocation, chase prefetching,
+offload).
 
 An *untransformed* program that receives a TrackFM pointer and
 dereferences it without a guard touches unmapped memory and gets a
@@ -61,7 +64,14 @@ class TrackFMProgram:
         """
         tracer = self.runtime.tracer
         if not tracer.enabled:
-            return self.interp.run(entry, args or [])
+            # Only an untraced run binds the inline state: a traced fast
+            # guard emits an event, so it stays a call.
+            interp = self.interp
+            interp.inline_state = self.runtime.inline_state()
+            try:
+                return interp.run(entry, args or [])
+            finally:
+                interp.inline_state = None
         name = f"interpret:{entry}"
         tracer.begin_phase(name, self.runtime.metrics.cycles)
         try:

@@ -14,20 +14,26 @@ Two execution styles are provided, with identical accounting:
   evaluated in bulk for regular loops, so 12 GB-shaped STREAM sweeps run
   in milliseconds.
 
-The IR interpreter calls four entry points on every guarded access:
-``tfm_guard_read``/``tfm_guard_write`` and
+Every guarded access of an interpreted program goes through one of four
+entry points: ``tfm_guard_read``/``tfm_guard_write`` and
 ``tfm_chunk_deref``/``tfm_chunk_deref_write``.  Each guards, charges
 and returns the pointer's *canonical twin*, ``TWIN_BASE + heap
 offset``: the address the bytes of a TrackFM allocation live at in the
 interpreter's memory, the simulation analogue of "the guard reverts the
-non-canonical address back into a canonical address" (§3.3).
+non-canonical address back into a canonical address" (§3.3).  The
+legacy engine calls them on every access.  Generated code runs their
+hit paths inline, as TrackFM's compiler does (Fig. 4b, Fig. 5), from
+the :class:`InlineState` that :meth:`TrackFMRuntime.inline_state`
+builds, and calls them only on a slow path, an object crossing or a
+custody miss.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.aifm.allocator import Allocation, RegionAllocator
 from repro.aifm.pool import ObjectPool, PoolConfig
@@ -40,7 +46,7 @@ from repro.integrity import (
     RecoveryReport,
     attach_integrity,
 )
-from repro.machine.cache import CacheModel
+from repro.machine.cache import CacheModel, CacheStats
 from repro.machine.costs import AccessKind, GuardKind
 from repro.net.backends import RemoteBackend
 from repro.sim.metrics import Metrics
@@ -65,7 +71,6 @@ TWIN_BASE = 1 << 43
 
 # Enum members bound once: a class lookup is slow (docs/performance.md).
 _WRITE = AccessKind.WRITE
-_BOUNDARY = GuardKind.BOUNDARY
 
 
 class GuardStrategy(enum.Enum):
@@ -113,35 +118,65 @@ def _guard_entry(kind: AccessKind):
 def _deref_entry(kind: AccessKind):
     """``tfm_chunk_deref[_write](ptr, stream)``: one chunked access,
     charged, returning the twin."""
-    write = kind is _WRITE
 
     def entry(self: "TrackFMRuntime", ptr: int, stream: int) -> int:
         if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
             return ptr
-        offset = ptr & MAX_HEAP_OFFSET
+        # A stream that was never begun is rejected by chunk_access.
         state = self._chunks.get(stream)
-        if state is None or offset >> self._object_shift != state.current_obj:
-            # First access of the stream, or it moved to another object
-            # (or it was never begun, which chunk_access rejects).
-            self.chunk_access(ptr, kind, stream, state is not None and state.prefetch)
-        else:
-            # Still on the object the stream pinned: exactly what
-            # chunk_access books for it, without its frames — a passed
-            # boundary check, a residency hit, one access.
-            metrics = self._metrics
-            guards = metrics.guards
-            guards[_BOUNDARY] = guards.get(_BOUNDARY, 0) + 1
-            obj_id = state.current_obj
-            residency = self.pool.residency
-            if not residency.touch(obj_id, write):
-                residency.access(obj_id, write=write)
-            metrics.accesses += 1
-            metrics.cycles += self._chunk_hit_cycles
-        return TWIN_BASE + offset
+        self.chunk_access(ptr, kind, stream, state is not None and state.prefetch)
+        return TWIN_BASE + (ptr & MAX_HEAP_OFFSET)
 
-    entry.__name__ = "tfm_chunk_deref_write" if write else "tfm_chunk_deref"
+    entry.__name__ = "tfm_chunk_deref_write" if kind is _WRITE else "tfm_chunk_deref"
     entry.__qualname__ = f"TrackFMRuntime.{entry.__name__}"
     return entry
+
+
+class InlineState(NamedTuple):
+    """What generated code's inline guard and deref hits read for one run.
+
+    :mod:`repro.sim.codegen` unpacks it into locals named ``t_<field>``
+    and repeats, at each guard or deref site, what
+    :meth:`GuardEngine.guard`'s fast path and :meth:`TrackFMRuntime.chunk_access`
+    on a stream's pinned object book: the state-table word test, the
+    cache model's hit, the residency set's hit, the guard count,
+    ``accesses`` and ``cycles``.  Every container is the live object the
+    runtime mutates in place, so the bound state stays current for the
+    whole run.
+    """
+
+    metrics: Metrics
+    #: ``metrics.guards``.
+    guards: Dict[GuardKind, int]
+    #: The state table's words: a view of the pool's metadata array,
+    #: which is only ever updated in place (an index is one word read,
+    #: about half the cost of ``ndarray.item``).
+    words: memoryview
+    num_objects: int
+    object_shift: int
+    #: The cache model's sets; a fresh empty dict for a cache class
+    #: with its own ``access``, so every lookup takes that method.
+    sets: Dict[int, "OrderedDict[int, None]"]
+    table_base: int
+    line_size: int
+    num_sets: int
+    cache_stats: CacheStats
+    #: The cache model's ``access``: a miss fills through it.
+    cache_access: Callable[[int], bool]
+    #: The residency set's recency order with CLOCK hot bits, its dirty
+    #: set and mode, and its ``access`` for a granule that is not resident.
+    resident: "OrderedDict[int, bool]"
+    dirty: Set[int]
+    use_clock: bool
+    residency_access: Callable
+    #: Chunk stream -> its :class:`_ChunkState`.
+    chunks: Dict[int, _ChunkState]
+    #: Cycles a fast guard books, indexed by the cache hit (False, True):
+    #: the guard's cost plus the access.
+    fast_read: Tuple[float, float]
+    fast_write: Tuple[float, float]
+    #: Cycles a deref on its stream's pinned object books.
+    chunk_hit: float
 
 
 class TrackFMRuntime:
@@ -166,11 +201,8 @@ class TrackFMRuntime:
         self.prefetch_depth = prefetch_depth
         self.object_size = config.object_size
         self._object_mask = config.object_size - 1
-        self._object_shift = self.pool.object_shift
         self._metrics = self.pool.metrics
         self._local_access = config.costs.local_access
-        #: A chunked access that stays on its stream's pinned object.
-        self._chunk_hit_cycles = config.costs.boundary_check + config.costs.local_access
         self._chunks: Dict[int, _ChunkState] = {}
         #: Heap offsets of live ``tfm_malloc_pinned`` allocations.
         self._pinned_offsets: Set[int] = set()
@@ -452,6 +484,46 @@ class TrackFMRuntime:
     tfm_guard_write = _guard_entry(AccessKind.WRITE)
     tfm_chunk_deref = _deref_entry(AccessKind.READ)
     tfm_chunk_deref_write = _deref_entry(AccessKind.WRITE)
+
+    def inline_state(self) -> Optional[InlineState]:
+        """The state generated code's inline hits read, for one run.
+
+        None, so every site calls its entry point, when the guards are
+        not this runtime's own :class:`GuardEngine` (the adaptive
+        hybrid routes them through its tier router) or a tracer is
+        enabled (a fast guard emits an event).
+        """
+        guards = self.guards
+        if type(guards) is not GuardEngine or self.tracer.enabled or guards.tracer.enabled:
+            return None
+        pool = self.pool
+        cache = self.table.cache
+        residency = pool.residency
+        costs = self.costs
+        local = self._local_access
+        return InlineState(
+            metrics=self._metrics,
+            guards=self._metrics.guards,
+            words=memoryview(pool.meta_words),
+            num_objects=pool.num_objects,
+            object_shift=pool.object_shift,
+            sets=cache._sets if type(cache) is CacheModel else {},
+            table_base=self.table.base_addr,
+            line_size=cache.line_size,
+            num_sets=cache.num_sets,
+            cache_stats=cache.stats,
+            cache_access=cache.access,
+            resident=residency._resident,
+            dirty=residency._dirty,
+            use_clock=residency.use_clock,
+            residency_access=residency.access,
+            chunks=self._chunks,
+            fast_read=(costs.fast_guard_read_uncached + local,
+                       costs.fast_guard_read_cached + local),
+            fast_write=(costs.fast_guard_write_uncached + local,
+                        costs.fast_guard_write_cached + local),
+            chunk_hit=costs.boundary_check + local,
+        )
 
     def chunk_end(self, stream: int = 0) -> None:
         """Tear down a chunk stream (loop exit): unpin, forget state."""

@@ -33,3 +33,17 @@ def small_pool_config() -> PoolConfig:
 @pytest.fixture
 def trackfm_runtime(small_pool_config) -> TrackFMRuntime:
     return TrackFMRuntime(small_pool_config, cache=AlwaysHitCache())
+
+
+@pytest.fixture(scope="session")
+def quick_ablation_report():
+    """``build_report(quick=True)``, measured once per test run.
+
+    The report is deterministic and a measurement takes seconds, so the
+    tests that gate it share this one: the comparison with the checked-in
+    ``ABLATION_quick.json`` and the ablate gate's record, check and tamper
+    runs.  Callers must not mutate it.
+    """
+    from repro.ablate.report import build_report
+
+    return build_report(quick=True)

@@ -1,9 +1,10 @@
 """The ablation engine: registry, matrix, runner, scorer, report, gate.
 
 The expensive end-to-end properties (bit-determinism of the full quick
-report, agreement with the checked-in baseline) each run the matrix
-once — a few seconds — and live in :class:`TestReportGate`; everything
-else is unit-level and fast.
+report, agreement with the checked-in baseline) read the test run's
+one measurement of the quick matrix (the ``quick_ablation_report``
+fixture, a few seconds) and live in :class:`TestReportGate`;
+everything else is unit-level and fast.
 """
 
 import json
@@ -29,7 +30,7 @@ from repro.ablate.registry import (
     AblationError,
     component,
 )
-from repro.ablate.report import GATE, build_report, render_markdown
+from repro.ablate.report import GATE, render_markdown
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import (
     CRITICAL_SCORE,
@@ -270,11 +271,11 @@ class TestScorer:
 
 
 class TestReportGate:
-    def test_quick_report_matches_checked_in_baseline_bit_for_bit(self, tmp_path):
-        # One measurement serves three assertions: the report is
-        # bit-identical to the recorded baseline (determinism + gate),
-        # ranks all ten components, and spans all six workloads.
-        report = build_report(quick=True)
+    def test_quick_report_matches_checked_in_baseline_bit_for_bit(self, quick_ablation_report):
+        # The test run's one measurement serves three assertions: the
+        # report is bit-identical to the recorded baseline (determinism +
+        # gate), ranks all ten components, and spans all six workloads.
+        report = quick_ablation_report
         recorded = GATE.path("quick")
         assert dumps(report) == recorded.read_text()
         ranked = [row["component"] for row in report["ranking"]]

@@ -2,13 +2,16 @@
 
 Each gate runs its cheapest bench: recorded into a temporary directory,
 checked through the gate's own command line, checked again with one
-leaf tampered, and checked with the file gone.  The acceptance
-predicates get crafted documents, so every failure status is produced
-without a measurement.
+leaf tampered, and checked with the file gone.  The ablate gate's
+deterministic quick report is measured once per test run (the
+``quick_ablation_report`` fixture) and stands in for its re-measures.
+The acceptance predicates get crafted documents, so every failure
+status is produced without a measurement.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import shlex
 import sys
@@ -100,16 +103,27 @@ def _diff_paths(stderr: str) -> List[str]:
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def recorded(request, tmp_path_factory):
+    """``(case, gate, path)``: the case's pinned gate and its recorded file."""
     case = CASES[request.param]
-    directory = tmp_path_factory.mktemp(request.param)
-    (path,) = baseline.record(_pinned(case, directory), names=[case.name])
-    return case, path
+    gate = _pinned(case, tmp_path_factory.mktemp(request.param))
+    if case.module is not ablate_cli:
+        (path,) = baseline.record(gate, names=[case.name])
+        return case, gate, path
+    # Every measurement of the quick report is the test run's one; the
+    # record goes through the command line, like the check.
+    report = request.getfixturevalue("quick_ablation_report")
+    gate = replace(gate, measure=lambda name: copy.deepcopy(report))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ablate_cli, "GATE", gate)
+        argv = ["--quick", "--record", "--baseline-dir", str(gate.directory)]
+        assert ablate_cli.main(argv) == 0
+    return case, gate, gate.path(case.name)
 
 
 class TestRecordAndCheck:
     def test_recorded_file_checks_ok_with_exit_0(self, recorded, tmp_path, monkeypatch, capsys):
-        case, path = recorded
-        monkeypatch.setattr(case.module, "GATE", _pinned(case, path.parent))
+        case, gate, path = recorded
+        monkeypatch.setattr(case.module, "GATE", gate)
         out = tmp_path / "out.json"
         assert case.check_cli(case.name, path.parent, out) == 0
         assert f"{path.name}: ok" in capsys.readouterr().out
@@ -122,11 +136,11 @@ class TestRecordAndCheck:
     def test_one_tampered_leaf_fails_with_exit_1_naming_that_path(
         self, recorded, tmp_path, monkeypatch, capsys
     ):
-        case, path = recorded
+        case, gate, path = recorded
         tampered = tmp_path / path.name
         tampered.write_text(path.read_text())
         _tamper(tampered, case.leaf)
-        monkeypatch.setattr(case.module, "GATE", _pinned(case, tmp_path))
+        monkeypatch.setattr(case.module, "GATE", replace(gate, directory=tmp_path))
         out = tmp_path / "out.json"
         assert case.check_cli(case.name, tmp_path, out) == 1
         err = capsys.readouterr().err

@@ -12,8 +12,12 @@ pointer chases — see :mod:`tests.irgen`).  Each seed's program runs
    the program runs (the fuzz oracle for the migration protocol);
 4. on both interpreter engines, raw and compiled: the decoded engine
    must match the legacy engine (the executable spec) in value, steps
-   and output, and on compiled runs in every ``Metrics`` field too —
-   also when ``max_steps`` cuts the run short anywhere in it;
+   and output, and on compiled runs in every ``Metrics`` field, the
+   state-table cache and the residency set too — also when
+   ``max_steps`` cuts the run short anywhere in it.  Compiled runs take
+   each of :data:`FAR_RUNTIMES`, so the generated code's inline guard
+   and deref hits meet set-associative cache hits and misses under
+   CLOCK and LRU residency;
 
 and the results must be identical.  The seed is in the test id and the
 assertion message: ``generate_module(<seed>)`` reproduces any failure
@@ -33,7 +37,7 @@ from repro.errors import InterpError
 from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.integrity import IntegrityConfig
 from repro.ir import verify_module
-from repro.machine.cache import AlwaysHitCache
+from repro.machine.cache import AlwaysHitCache, CacheModel
 from repro.net.faults import FaultPlan, RetryPolicy
 from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TrackFMProgram
@@ -62,15 +66,37 @@ FAULT_RATE = float(os.environ.get("REPRO_FUZZ_FAULT_RATE", "0"))
 CORRUPT_RATE = float(os.environ.get("REPRO_FUZZ_CORRUPT_RATE", "0"))
 
 
+#: The engine leg's far runtimes: name -> (state-table cache factory,
+#: local memory, CLOCK residency?).  ``always-hit`` is the other legs'
+#: posture, which holds the four objects a generated program touches.
+#: The two others take the cache model's hits and misses through the
+#: generated code's inline guard path, and hold two of the objects, so
+#: eviction order, hot bits and dirty writebacks show: under CLOCK and
+#: under LRU residency.
+FAR_RUNTIMES = {
+    "always-hit": (AlwaysHitCache, 1 * KB, True),
+    "clock": (CacheModel, 512, True),
+    # Two one-entry lines in one set: the objects share one line of the
+    # default cache, here they contend for it, so its LRU order shows.
+    "lru": (lambda: CacheModel(size_bytes=16, line_size=8, ways=2), 512, False),
+}
+
+
 def far_runtime(
     fault_rate: float = FAULT_RATE,
     fault_seed: int = 0,
     corrupt_rate: float = CORRUPT_RATE,
+    kind: str = "always-hit",
 ) -> TrackFMRuntime:
-    """A runtime too small to hold the working set, faults armed as asked."""
+    """A runtime of the :data:`FAR_RUNTIMES` kind ``kind``, faults armed
+    as asked."""
+    cache, local_memory, use_clock = FAR_RUNTIMES[kind]
     runtime = TrackFMRuntime(
-        PoolConfig(object_size=256, local_memory=1 * KB, heap_size=1 * MB),
-        cache=AlwaysHitCache(),
+        PoolConfig(
+            object_size=256, local_memory=local_memory, heap_size=1 * MB,
+            use_clock=use_clock,
+        ),
+        cache=cache(),
     )
     if fault_rate > 0.0 or corrupt_rate > 0.0:
         backend = runtime.pool.backend
@@ -217,33 +243,43 @@ class TestEngineDifferential:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_compiled_decoded_matches_legacy(self, seed):
-        runs = {}
-        for engine in ("legacy", "decoded"):
-            compiled = TrackFMCompiler(CompilerConfig()).compile(generate_module(seed))
-            runtime = far_runtime(fault_seed=seed)
-            result = TrackFMProgram(
-                compiled.module, runtime, max_steps=5_000_000, engine=engine
-            ).run("main")
-            runs[engine] = (
-                result.value, result.steps, result.output, runtime.metrics.as_dict()
-            )
-        assert runs["decoded"] == runs["legacy"], (
-            f"seed {seed}: compiled decoded run {runs['decoded'][:2]} != legacy "
-            f"{runs['legacy'][:2]} (value, steps), or metrics differ; "
-            f"reproduce with tests.irgen.generate_module({seed})"
-        )
+        for name, module in _compiled(seed).items():
+            for kind in FAR_RUNTIMES:
+                runs = {}
+                for engine in ("legacy", "decoded"):
+                    runtime = far_runtime(fault_seed=seed, kind=kind)
+                    result = TrackFMProgram(
+                        module, runtime, max_steps=5_000_000, engine=engine
+                    ).run("main")
+                    runs[engine] = (result.value, result.steps, result.output) + _far_state(
+                        runtime
+                    )
+                assert runs["decoded"] == runs["legacy"], (
+                    f"seed {seed}: {name} decoded run on the {kind} runtime "
+                    f"{runs['decoded'][:2]} != legacy {runs['legacy'][:2]} (value, "
+                    f"steps), or output, metrics, cache or residency differ; "
+                    f"reproduce with tests.irgen.generate_module({seed})"
+                )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_step_limit_stops_both_engines_at_the_same_op(self, seed):
-        # Limits of 1, total - 1, total and drawn ones in between, on the
-        # raw module and on the module compiled onto ``far_runtime``.
-        raw = generate_module(seed)
-        compiled = TrackFMCompiler(CompilerConfig()).compile(generate_module(seed)).module
-        for name, module, far in (("raw", raw, False), ("compiled", compiled, True)):
+        # Limits of 1, total - 1, total and drawn ones in between: 20
+        # drawn on the raw module and on the module compiled onto the
+        # always-hit runtime, 5 on the chunk-all module (guards and chunk
+        # derefs both) on each cached runtime.
+        compiled = _compiled(seed)
+        chunked = compiled["chunk-all compiled"]
+        runs = [
+            ("raw", generate_module(seed), None, 20),
+            ("compiled on always-hit", compiled["compiled"], "always-hit", 20),
+            ("chunk-all compiled on clock", chunked, "clock", 5),
+            ("chunk-all compiled on lru", chunked, "lru", 5),
+        ]
+        for name, module, far, drawn in runs:
             total = _limited_run(module, far, seed, "legacy", 5_000_000)[1]
             rng = random.Random(seed)
             limits = [1, total - 1, total] + sorted(
-                rng.randrange(2, total - 1) for _ in range(20)
+                rng.randrange(2, total - 1) for _ in range(drawn)
             )
             for limit in limits:
                 legacy = _limited_run(module, far, seed, "legacy", limit)
@@ -251,23 +287,50 @@ class TestEngineDifferential:
                 assert decoded == legacy, (
                     f"seed {seed}: {name} run at max_steps={limit} differs between "
                     f"engines: decoded {decoded[:2]} vs legacy {legacy[:2]} (outcome, "
-                    f"steps), or in block hooks, output, memory or metrics; "
-                    f"reproduce with tests.irgen.generate_module({seed})"
+                    f"steps), or in block hooks, output, memory, metrics, cache or "
+                    f"residency; reproduce with tests.irgen.generate_module({seed})"
                 )
 
 
-def _limited_run(module, far: bool, seed: int, engine: str, max_steps: int) -> tuple:
+def _compiled(seed: int) -> dict:
+    """The seed's program compiled as the pipeline chooses, and with
+    every loop chunked (the only way its loops reach the chunk derefs)."""
+    return {
+        name: TrackFMCompiler(config).compile(generate_module(seed)).module
+        for name, config in (
+            ("compiled", CompilerConfig()),
+            ("chunk-all compiled", CompilerConfig(chunking=ChunkingPolicy.ALL)),
+        )
+    }
+
+
+def _far_state(runtime: TrackFMRuntime) -> tuple:
+    """What a compiled run left in its far runtime: ``Metrics.as_dict()``,
+    the state-table cache's hits, misses and per-set LRU order, and the
+    residency set's order with CLOCK hot bits, dirty and pinned sets."""
+    cache = runtime.table.cache
+    residency = runtime.pool.residency
+    return (
+        runtime.metrics.as_dict(),
+        (cache.stats.hits, cache.stats.misses),
+        {index: list(tags) for index, tags in cache._sets.items()},
+        list(residency._resident.items()),
+        sorted(residency._dirty),
+        dict(residency._pinned),
+    )
+
+
+def _limited_run(module, far, seed: int, engine: str, max_steps: int) -> tuple:
     """Everything a run observably did, under a step limit.
 
-    ``far`` runs ``module`` on :func:`far_runtime`, and adds its
-    ``Metrics.as_dict()``.
+    ``far`` names the :data:`FAR_RUNTIMES` runtime to run ``module`` on
+    (None: the plain interpreter), and adds its :func:`_far_state`.
     """
-    if far:
-        runtime = far_runtime(fault_seed=seed)
+    if far is not None:
+        runtime = far_runtime(fault_seed=seed, kind=far)
         program = TrackFMProgram(module, runtime, max_steps=max_steps, engine=engine)
         interp, run = program.interp, program.run
     else:
-        runtime = None
         interp = Interpreter(module, max_steps=max_steps, engine=engine)
         run = interp.run
     blocks = []
@@ -277,8 +340,8 @@ def _limited_run(module, far: bool, seed: int, engine: str, max_steps: int) -> t
     except InterpError as exc:
         outcome = ("error", str(exc))
     regions = [(r.start, bytes(r.data)) for r in interp.memory.regions()]
-    metrics = runtime.metrics.as_dict() if far else None
-    return outcome, interp.steps, blocks, interp.output, regions, metrics
+    state = _far_state(runtime) if far is not None else None
+    return outcome, interp.steps, blocks, interp.output, regions, state
 
 
 class TestFaultedDifferential:
