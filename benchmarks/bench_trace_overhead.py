@@ -9,7 +9,7 @@ instrumentation site compiles down to::
 
 so with the shared :data:`~repro.trace.NULL_TRACER` attached the whole
 trace layer must be unmeasurable against simulator noise.  This file
-both *measures* the ratio (``--benchmark-only`` reports it) and
+both *measures* the ratio (pytest-benchmark reports it) and
 *asserts* a generous bound on it, so a regression that puts real work
 on the disabled path fails the suite instead of silently taxing every
 simulation.

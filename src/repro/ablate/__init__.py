@@ -15,9 +15,12 @@ earn their cost?" systematically instead of anecdotally:
 * :mod:`repro.ablate.score`    — per-component importance from metric
   deltas against the baseline cell;
 * :mod:`repro.ablate.report`   — the ranked report (JSON + markdown)
-  and the exact ``--record/--check`` baseline gate;
-* :mod:`repro.ablate.legacy`   — the nine original hand-rolled
-  ablation experiments folded in as named checks.
+  and the exact ``--record/--check`` baseline gate.
+
+The nine hand-written ablation experiments (``repro.bench.ablations``)
+are sweeps and comparisons, not leave-one-out cells: the report gate
+(``python -m repro.bench report``) records them with the paper's
+figures and checks their findings.
 
 Everything is a pure function of seeds (no wall-clock), so the full
 JSON report is bit-identical across runs — which is what lets CI gate
@@ -30,7 +33,6 @@ from repro.ablate.matrix import CellSpec, applicable_components, generate_matrix
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import score_pair, rank_components
 from repro.ablate.report import build_report, render_markdown, run_matrix
-from repro.ablate.legacy import LEGACY_ABLATIONS, LegacyAblation, run_legacy
 
 __all__ = [
     "COMPONENTS",
@@ -46,7 +48,4 @@ __all__ = [
     "build_report",
     "render_markdown",
     "run_matrix",
-    "LEGACY_ABLATIONS",
-    "LegacyAblation",
-    "run_legacy",
 ]

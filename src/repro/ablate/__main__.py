@@ -7,7 +7,6 @@ Modes::
     python -m repro.ablate --quick --record # (re)write the exact baseline
     python -m repro.ablate --quick --check  # gate against the baseline (CI)
     python -m repro.ablate --list           # show components + cells, no runs
-    python -m repro.ablate --legacy         # run the nine folded legacy checks
 
 The report is bit-deterministic (seeded simulation, no wall-clock), so
 ``--check`` compares the re-measured JSON document to
@@ -19,7 +18,6 @@ any drift, printing the first differing paths.  ``--out-json`` and
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -43,21 +41,6 @@ def _list_text(quick: bool) -> str:
     return "\n".join(lines)
 
 
-def _run_legacy() -> int:
-    from repro.ablate.legacy import LEGACY_ABLATIONS, run_legacy
-
-    failed = 0
-    for spec in LEGACY_ABLATIONS:
-        try:
-            run_legacy(spec.name)
-        except AssertionError as err:
-            failed += 1
-            print(f"legacy {spec.name}: FAIL ({err})", file=sys.stderr)
-        else:
-            print(f"legacy {spec.name}: ok")
-    return 1 if failed else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.ablate",
@@ -78,9 +61,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument(
         "--list", action="store_true", help="list components and cells, run nothing"
     )
-    mode.add_argument(
-        "--legacy", action="store_true", help="run the nine folded legacy ablations"
-    )
     parser.add_argument(
         "--baseline-dir",
         type=Path,
@@ -98,8 +78,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         print(_list_text(args.quick))
         return 0
-    if args.legacy:
-        return _run_legacy()
     name = "quick" if args.quick else "full"
     if args.record:
         ((path, report),) = baseline.record(GATE, args.baseline_dir, [name]).items()

@@ -35,13 +35,9 @@ from repro.ablate.matrix import (
 from repro.ablate.registry import BASELINE, COMPONENTS, component
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import WEIGHTS, rank_components, score_pair
-from repro.bench.baseline import Gate, dumps
+from repro.bench.baseline import Gate, dumps, rounded
 
 SCHEMA_VERSION = 1
-
-#: Decimal places kept in the JSON report (exact arithmetic upstream;
-#: rounding only keeps the checked-in baseline diffable).
-ROUND_DIGITS = 9
 
 
 def run_matrix(
@@ -117,18 +113,7 @@ def build_report(quick: bool = False) -> Dict[str, object]:
         "ranking": ranking,
         "cells": cells,
     }
-    return _rounded(report)
-
-
-def _rounded(obj):
-    """Round every float to ``ROUND_DIGITS`` places, recursively."""
-    if isinstance(obj, float):
-        return round(obj, ROUND_DIGITS)
-    if isinstance(obj, dict):
-        return {key: _rounded(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_rounded(value) for value in obj]
-    return obj
+    return rounded(report)
 
 
 #: The exact gate over the report; only ``quick`` is recorded (CI's

@@ -1,9 +1,10 @@
 """Benchmark harness: every table and figure of the paper's §4.
 
 Each ``fig*``/``table*`` function returns an :class:`ExperimentResult`
-holding the same rows/series the paper plots; ``benchmarks/`` wraps
-them in pytest-benchmark entries and EXPERIMENTS.md records the
-paper-vs-measured comparison.
+holding the same rows/series the paper plots.  The report gate
+(``python -m repro.bench report``, :mod:`repro.bench.report`, not
+imported here) records each one exactly and checks the paper's claims
+on it, and EXPERIMENTS.md records the paper-vs-measured comparison.
 """
 
 from repro.bench.harness import (

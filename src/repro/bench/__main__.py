@@ -6,6 +6,7 @@ Usage::
     python -m repro.bench table1 fig07   # several
     python -m repro.bench --list         # show what exists
     python -m repro.bench --all          # everything (a few seconds)
+    python -m repro.bench report --check    # every experiment's baseline + claims
     python -m repro.bench regress --check   # baseline gate (see baseline.py)
     python -m repro.bench ablate --quick    # ablation matrix (see repro.ablate)
 
@@ -87,6 +88,7 @@ SUBCOMMANDS: Dict[str, str] = {
     "pprefetch": "repro.bench.prefetch_regress",
     "serving": "repro.bench.serving",
     "hybrid": "repro.bench.hybrid",
+    "report": "repro.bench.report",
     "ablate": "repro.ablate.__main__",
 }
 

@@ -38,6 +38,10 @@ BASELINE_DIR = Path("benchmarks") / "baselines"
 #: A mismatch names at most this many differing leaf paths.
 MAX_DIFF_PATHS = 40
 
+#: Decimal places a float keeps in a baseline document (the arithmetic
+#: underneath is exact; rounding only keeps the files diffable).
+ROUND_DIGITS = 9
+
 
 def _always_ok(name: str, measured: Document, recorded: Document) -> Tuple[str, str]:
     return "ok", ""
@@ -72,6 +76,18 @@ class Gate:
         if baseline_dir is not None and Path(baseline_dir) != Path(self.directory):
             command += f" --baseline-dir {shlex.quote(str(baseline_dir))}"
         return command
+
+
+def rounded(obj: Any) -> Any:
+    """``obj`` with every float rounded to ``ROUND_DIGITS`` places,
+    recursively; tuples become lists, as JSON has them."""
+    if isinstance(obj, float):
+        return round(obj, ROUND_DIGITS)
+    if isinstance(obj, dict):
+        return {key: rounded(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rounded(value) for value in obj]
+    return obj
 
 
 def dumps(document: object) -> str:

@@ -81,11 +81,12 @@ class GuardEngine:
         c = self.costs
         self._object_shift = pool.object_shift
         # The state-table read, inlined: the table's cache and base
-        # address are fixed at construction, and its words are the
-        # pool's metadata array, which recovery rebuilds in place.
+        # address are fixed at construction, and its words are a view of
+        # the pool's metadata array, which recovery rebuilds in place
+        # (indexing a memoryview is cheaper than ``ndarray.item``).
         self._cache_access = table.cache.access
         self._table_base = table.base_addr
-        self._words = pool.meta_words
+        self._words = memoryview(pool.meta_words)
         self._num_objects = pool.num_objects
         self._fast_read = (
             GuardResult(_FAST, c.fast_guard_read_uncached, False),
@@ -115,7 +116,7 @@ class GuardEngine:
         # first, then the word; meta_word rejects an out-of-heap id.
         cache_hit = self._cache_access(self._table_base + obj_id * ENTRY_BYTES)
         if obj_id < self._num_objects:
-            word = self._words.item(obj_id)
+            word = self._words[obj_id]
         else:
             word = self.pool.meta_word(obj_id)
         if word & UNSAFE_MASK:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.ablate.legacy import LEGACY_ABLATIONS, legacy_ablation, run_legacy
 from repro.ablate.matrix import (
     CellSpec,
     IR_WORKLOADS,
@@ -290,21 +289,6 @@ class TestReportGate:
         text = render_markdown(report)
         for comp in COMPONENTS:
             assert f"`{comp.name}`" in text
-
-
-class TestLegacy:
-    def test_nine_folded_ablations(self):
-        assert len(LEGACY_ABLATIONS) == 9
-        names = {spec.name for spec in LEGACY_ABLATIONS}
-        assert "state_table" in names and "hybrid_memcached" in names
-
-    def test_run_legacy_passes_its_check(self):
-        result = run_legacy("heap_pruning")
-        assert result is not None
-
-    def test_unknown_legacy_raises(self):
-        with pytest.raises(KeyError):
-            legacy_ablation("warp_drive")
 
 
 class TestCLI:

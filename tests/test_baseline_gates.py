@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 import shlex
 import sys
 from dataclasses import dataclass, replace
@@ -23,8 +24,8 @@ from typing import Callable, List
 import pytest
 
 import repro.ablate.__main__ as ablate_cli
-from repro.bench import baseline, hybrid, prefetch_regress, regress, serving
-from repro.bench.__main__ import main as bench_main
+from repro.bench import baseline, hybrid, prefetch_regress, regress, report, serving
+from repro.bench.__main__ import EXPERIMENTS, main as bench_main
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "examples"))
 import lint_all  # noqa: E402
@@ -65,6 +66,7 @@ CASES = {
         serving, "chaos", "cells.knockout.latency_percentiles.p99", _bench_cli("serving")
     ),
     "hybrid": Case(hybrid, "phase", "cells.mem_50.adaptive_cycles", _bench_cli("hybrid")),
+    "report": Case(report, "table1", "result.series.Cached[2]", _bench_cli("report")),
     "ablate": Case(ablate_cli, "quick", "weights.cycles", _ablate_cli),
     "lint": Case(lint_all, "audit", "nas_cg.loops.main:header", _lint_cli),
 }
@@ -85,7 +87,7 @@ def _pinned(case: Case, directory: Path) -> baseline.Gate:
 
 def _tamper(path: Path, leaf: str) -> None:
     doc = json.loads(path.read_text())
-    *parents, key = leaf.split(".")
+    *parents, key = [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", leaf)]
     node = doc
     for part in parents:
         node = node[part]
@@ -173,6 +175,7 @@ EXPECTED_HINTS = [
             (prefetch_regress.GATE, "pprefetch", ("stream", "nas_cg")),
             (serving.GATE, "serving", ("c100", "c1000", "c10000", "chaos", "replicated")),
             (hybrid.GATE, "hybrid", ("dense", "phase", "sparse")),
+            (report.GATE, "report", tuple(EXPERIMENTS)),
         )
         for name in names
     ),
@@ -224,6 +227,10 @@ def _regress(speedup):
     return {"speedup_vs_legacy": speedup, "ops_per_sec": 1e6}
 
 
+def _recorded_report(name):
+    return json.loads(report.GATE.path(name).read_text())
+
+
 PREDICATE_CASES = [
     (regress.GATE, "stream", _regress(6.4), _regress(10.0), "speedup-regression"),
     (regress.GATE, "stream", _regress(6.6), _regress(10.0), "ok"),
@@ -246,6 +253,35 @@ class TestAcceptance:
     def test_regress_detail_shows_measured_and_recorded_speedup(self):
         _, detail = regress.GATE.accept("stream", _regress(6.4), _regress(10.0))
         assert "speedup 6.40x vs baseline 10.00x" in detail
+
+    def test_report_fails_below_the_fig11_floor_naming_the_claim(self):
+        # C5: prefetching matters most when remote costs dominate.
+        document = _recorded_report("fig11")
+        document["result"]["series"]["Sum"][0] = 1.9
+        status = report.GATE.accept("fig11", document, document)
+        assert status == ("claim-failed", "fig11: Sum[0] > 2.0")
+
+    def test_report_fails_when_the_hybrid_loses_to_fastswap_naming_the_claim(self):
+        document = _recorded_report("ablation_hybrid_memcached")
+        series = document["result"]["series"]
+        series["Hybrid"][0] = series["Fastswap"][0] - 1.0
+        status, detail = report.GATE.accept("ablation_hybrid_memcached", document, document)
+        assert status == "claim-failed"
+        assert detail.startswith("ablation_hybrid_memcached: Hybrid[0] > Fastswap[0]")
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_report_claims_hold_on_the_recorded_file(self, name):
+        document = _recorded_report(name)
+        assert report.GATE.accept(name, document, document) == ("ok", "")
+
+    def test_report_compares_only_its_result(self):
+        document = _recorded_report("compile_costs")
+        timed = copy.deepcopy(document)
+        timed["wall_clock"]["compile time (x)"][0] += 1.0
+        assert baseline.mismatch(report.GATE, timed, document) == []
+        timed["result"]["series"]["code size (x)"][0] += 1.0
+        paths = [d["path"] for d in baseline.mismatch(report.GATE, timed, document)]
+        assert paths == ["result.series.code size (x)[0]"]
 
     def test_regress_compares_only_its_fingerprint(self):
         recorded = {"fingerprint": {"steps": 5}, "ops_per_sec": 1.0}

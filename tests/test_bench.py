@@ -1,33 +1,20 @@
-"""The benchmark harness and every figure/table entry point.
+"""The benchmark harness and every experiment, through the report gate.
 
-Each experiment is executed once and its *shape claims* — the paper's
-C1..C11 from the artifact appendix — are asserted.
+All experiments are measured once per test run (``measured``); that
+one measurement must equal the recorded ``REPORT_*.json`` files in
+their exact part and keep the paper's claims (the artifact's C1..C11
+and the ablation findings, :data:`repro.bench.report.CHECKS`), and
+REPORT.md must be the rendering of the recorded files.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    ExperimentResult,
-    compile_costs,
-    fig06,
-    fig07,
-    fig08,
-    fig09,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17a,
-    fig17b,
-    geomean,
-    table1,
-    table2,
-    table4,
-)
-from repro.bench.harness import Series, local_memory_sweep
+from repro.bench import ExperimentResult, baseline, geomean, report
+from repro.bench.__main__ import EXPERIMENTS
+from repro.bench.harness import local_memory_sweep
 from repro.errors import BenchError
 
 
@@ -66,161 +53,23 @@ class TestHarness:
             local_memory_sweep([0.0], 1 << 20)
 
 
-class TestTables:
-    def test_table1_matches_paper(self):
-        r = table1()
-        cached = r.get("Cached").values
-        uncached = r.get("Uncached").values
-        assert cached == [21, 21, 144, 159]
-        assert uncached == [297, 309, 453, 432]
-
-    def test_table2_matches_paper(self):
-        r = table2()
-        local = r.get("Local Cost").values
-        remote = r.get("Remote Cost").values
-        assert local == [1300, 1300, 453, 432]
-        assert remote[0] == 34_000 and remote[1] == 35_000
-        # TrackFM remote slow guards ~35K.
-        assert remote[2] == pytest.approx(35_000, rel=0.02)
-        assert remote[3] == pytest.approx(35_000, rel=0.02)
-
-    def test_table2_kernel_fault_overhead_ratio(self):
-        # "Handling a page fault in the kernel incurs 2.9x the cost of
-        # handling a slow-path guard in TrackFM when the data is local."
-        r = table2()
-        local = r.get("Local Cost").values
-        assert local[0] / local[2] == pytest.approx(2.9, rel=0.02)
-
-    def test_table4_only_trackfm_has_all_features(self):
-        r = table4()
-        idx = r.x_values.index("TrackFM (this work)")
-        assert all(s.values[idx] == 1 for s in r.series)
-        for i, name in enumerate(r.x_values):
-            if name != "TrackFM (this work)":
-                assert any(s.values[i] == 0 for s in r.series)
+@pytest.fixture(scope="session")
+def measured():
+    """Every experiment's document, measured once and passed through the
+    baseline encoding, as ``--check`` sees it.  Callers must not mutate it."""
+    return {name: json.loads(baseline.dumps(report.measure(name))) for name in EXPERIMENTS}
 
 
-class TestMicroFigures:
-    def test_fig06_crossover_near_730(self):
-        r = fig06()
-        emp = r.get("empirical").values
-        model = r.get("model").values
-        xs = r.x_values
-        # Below the crossover chunking loses, above it wins (C1 setup).
-        assert emp[xs.index(512)] < 1.0
-        assert emp[xs.index(896)] > 1.0
-        # Model and empirical agree closely everywhere (Fig. 6's point).
-        for e, m in zip(emp, model):
-            assert e == pytest.approx(m, rel=0.08)
-
-    def test_fig07_chunking_speedup_band(self):
-        # C1: chunking speeds up STREAM, more at high local memory.
-        r = fig07()
-        for name in ("Sum", "Copy"):
-            vals = r.get(name).values
-            assert all(v > 1.2 for v in vals)
-            assert vals[-1] > vals[0]
-
-    def test_fig10_large_objects_win_stream(self):
-        # C4: high spatial locality favours 4KB objects.
-        r = fig10()
-        for i in range(len(r.x_values)):
-            assert r.get("4KB").values[i] > r.get("256B").values[i]
-
-    def test_fig11_prefetch_speedup_shrinks_with_memory(self):
-        # C5: prefetching matters most when remote costs dominate.
-        r = fig11()
-        for name in ("Sum", "Copy"):
-            vals = r.get(name).values
-            assert vals[0] > 2.0
-            assert vals[0] > vals[-1]
-
-    def test_fig12_trackfm_beats_fastswap(self):
-        # C6: ~2-3x over Fastswap on STREAM.
-        r = fig12()
-        for name in ("Sum", "Copy"):
-            assert r.get(name).values[0] > 2.0
+def test_exact_part_matches_the_recorded_files(measured):
+    recorded = report.recorded()
+    drift = {name: baseline.mismatch(report.GATE, measured[name], recorded[name]) for name in measured}
+    assert {name: paths for name, paths in drift.items() if paths} == {}
 
 
-class TestAppFigures:
-    def test_fig08_selective_chunking(self):
-        # C2: all-loops slows down ~4x; filtered speeds up ~2.5x.
-        r = fig08()
-        assert all(v < 0.4 for v in r.get("all loops").values)
-        assert all(1.8 < v < 3.0 for v in r.get("high-density loops only").values)
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_claims_hold(measured, name):
+    assert report.failed_claims(name, measured[name]) == []
 
-    def test_fig09_small_objects_win_hashmap(self):
-        # C3: fine-grained random access favours small objects.
-        r = fig09()
-        for i in range(len(r.x_values) - 1):  # skip the all-local point
-            assert r.get("256B").values[i] > r.get("4KB").values[i]
 
-    def test_fig13_io_amplification(self):
-        # C7: Fastswap moves orders of magnitude more data.
-        r = fig13()
-        tfm = r.get("TrackFM 64B data (GB)").values
-        fsw = r.get("Fastswap data (GB)").values
-        for t, f in zip(tfm[:-1], fsw[:-1]):
-            assert f > 20 * t
-        # And it is slower for it.
-        assert r.get("Fastswap time (s)").values[0] > r.get("TrackFM 64B time (s)").values[0]
-
-    def test_fig14_three_system_comparison(self):
-        # C8: TrackFM near AIFM, well ahead of Fastswap at low memory.
-        r = fig14()
-        tfm = r.get("TrackFM").values
-        fsw = r.get("Fastswap").values
-        aifm = r.get("AIFM").values
-        assert fsw[0] > 1.8 * tfm[0]
-        assert tfm[0] / aifm[0] < 1.3
-        # Fastswap converges as memory grows.
-        assert fsw[-1] < fsw[0] / 3
-        # Fig. 14b: faults dominate guards under pressure.
-        assert r.get("Fastswap faults (x10M)").values[0] > r.get("TrackFM guards (x10M)").values[0]
-
-    def test_fig15_policy_ordering(self):
-        # C9: chunking low-density loops hurts.
-        r = fig15()
-        filt = r.get("high-density loops only").values
-        base = r.get("baseline").values
-        alll = r.get("all loops").values
-        assert all(f < b for f, b in zip(filt, base))
-        assert alll[-1] > base[-1]
-
-    def test_fig16_memcached(self):
-        # C10: TrackFM above Fastswap, converging with skew; data gap.
-        r = fig16()
-        tfm = r.get("TrackFM KOps/s").values
-        fsw = r.get("Fastswap KOps/s").values
-        assert all(t > f for t, f in zip(tfm, fsw))
-        assert tfm[0] / fsw[0] > tfm[-1] / fsw[-1]
-        assert r.get("Fastswap data (GB)").values[0] > 20 * r.get("TrackFM data (GB)").values[0]
-
-    def test_fig17a_nas(self):
-        # C11: TrackFM wins at 25% local memory except FT.
-        r = fig17a()
-        fsw = r.get("Fastswap").values
-        tfm = r.get("TrackFM").values
-        for i, name in enumerate(r.x_values):
-            if name == "FT":
-                assert tfm[i] > fsw[i]
-            elif name != "GeoM.":
-                assert tfm[i] < fsw[i]
-        gm = r.x_values.index("GeoM.")
-        assert tfm[gm] < fsw[gm]
-
-    def test_fig17b_o1_reductions(self):
-        r = fig17b()
-        tfm = r.get("TFM").values
-        o1 = r.get("TFM/O1").values
-        assert all(a > 3 * b for a, b in zip(tfm, o1))
-        note = " ".join(r.notes)
-        assert "FT 6.0x" in note and "SP 4.0x" in note
-
-    def test_compile_costs(self):
-        r = compile_costs()
-        sizes = r.get("code size (x)").values
-        times = r.get("compile time (x)").values
-        assert all(s >= 1.0 for s in sizes)
-        assert sizes[-1] < 3.0  # mean in the paper's ballpark (2.4x)
-        assert times[-1] < 10.0
+def test_report_md_is_the_rendering_of_the_recorded_files():
+    assert Path("REPORT.md").read_text() == report.render_markdown(report.recorded())

@@ -42,7 +42,7 @@ from repro.net.faults import FaultPlan, RetryPolicy
 from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TrackFMProgram
 from repro.trackfm.runtime import TrackFMRuntime
-from repro.units import BASE_PAGE, KB, MB
+from repro.units import BASE_PAGE, MB
 
 from tests.irgen import generate_module
 
@@ -66,19 +66,22 @@ FAULT_RATE = float(os.environ.get("REPRO_FUZZ_FAULT_RATE", "0"))
 CORRUPT_RATE = float(os.environ.get("REPRO_FUZZ_CORRUPT_RATE", "0"))
 
 
+#: Local memory of every far runtime: two of the four 256 B objects a
+#: generated program touches, so eviction order, hot bits and dirty
+#: writebacks show in every leg.
+LOCAL_MEMORY = 512
+
 #: The engine leg's far runtimes: name -> (state-table cache factory,
-#: local memory, CLOCK residency?).  ``always-hit`` is the other legs'
-#: posture, which holds the four objects a generated program touches.
-#: The two others take the cache model's hits and misses through the
-#: generated code's inline guard path, and hold two of the objects, so
-#: eviction order, hot bits and dirty writebacks show: under CLOCK and
-#: under LRU residency.
+#: CLOCK residency?).  ``always-hit`` is the other legs' posture.  The
+#: two others take the cache model's hits and misses through the
+#: generated code's inline guard path: under CLOCK and under LRU
+#: residency.
 FAR_RUNTIMES = {
-    "always-hit": (AlwaysHitCache, 1 * KB, True),
-    "clock": (CacheModel, 512, True),
+    "always-hit": (AlwaysHitCache, True),
+    "clock": (CacheModel, True),
     # Two one-entry lines in one set: the objects share one line of the
     # default cache, here they contend for it, so its LRU order shows.
-    "lru": (lambda: CacheModel(size_bytes=16, line_size=8, ways=2), 512, False),
+    "lru": (lambda: CacheModel(size_bytes=16, line_size=8, ways=2), False),
 }
 
 
@@ -90,10 +93,10 @@ def far_runtime(
 ) -> TrackFMRuntime:
     """A runtime of the :data:`FAR_RUNTIMES` kind ``kind``, faults armed
     as asked."""
-    cache, local_memory, use_clock = FAR_RUNTIMES[kind]
+    cache, use_clock = FAR_RUNTIMES[kind]
     runtime = TrackFMRuntime(
         PoolConfig(
-            object_size=256, local_memory=local_memory, heap_size=1 * MB,
+            object_size=256, local_memory=LOCAL_MEMORY, heap_size=1 * MB,
             use_clock=use_clock,
         ),
         cache=cache(),
