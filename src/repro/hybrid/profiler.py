@@ -20,10 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple
 
 from repro.errors import RuntimeConfigError
-from repro.machine.costs import AccessKind
-
-# Enum members bound once: a class lookup is slow (docs/performance.md).
-_WRITE = AccessKind.WRITE
 
 
 class RegionStats(NamedTuple):
@@ -52,12 +48,14 @@ class DensityProfiler:
 
     The window lives in flat lists indexed by region, object and page,
     so recording an access is a handful of list reads and writes with no
-    per-region objects or sets.  Distinct objects and pages are counted
+    per-region objects or sets; the adaptive runtime's tier router
+    (``_TierRouter.guard``) writes them in place, on every guarded
+    access into the pool's heap.  Distinct objects and pages are counted
     with per-granule stamps: a granule counts once per window, when its
     stamp is older than the window's id, and folding a window only bumps
     the id instead of clearing the stamps.  The lists are sized once, to
     ``regions`` regions: one stamp per object and per page of the
-    profiled heap, and an offset past it is rejected.
+    profiled heap.
     """
 
     def __init__(
@@ -103,48 +101,6 @@ class DensityProfiler:
         self.total_accesses = 0
         self.epochs_folded = 0
 
-    def region_of(self, offset: int) -> int:
-        return offset // self.region_bytes
-
-    def record(self, offset: int, kind: AccessKind) -> int:
-        """Fold one access at heap ``offset`` into the current window.
-
-        Returns the window's access count, this access included.
-        """
-        if offset < 0:
-            raise RuntimeConfigError(f"negative heap offset {offset}")
-        region = offset // self.region_bytes
-        accesses = self._accesses
-        try:
-            count = accesses[region]
-        except IndexError:
-            raise RuntimeConfigError(
-                f"heap offset {offset} outside the profiled {self.heap_bytes} bytes"
-            ) from None
-        if not count:
-            self._touched.append(region)
-        accesses[region] = count + 1
-        if kind is _WRITE:
-            self._writes[region] += 1
-        window = self._window
-        stamps = self._object_stamp
-        granule = offset // self.object_size
-        if stamps[granule] != window:
-            stamps[granule] = window
-            self._objects[region] += 1
-        stamps = self._page_stamp
-        granule = offset // self.page_size
-        if stamps[granule] != window:
-            stamps[granule] = window
-            self._pages[region] += 1
-        if region != self._last_region:
-            if self._last_region >= 0:
-                self.window_transitions += 1
-            self._last_region = region
-        self.total_accesses += 1
-        self.window_accesses = count = self.window_accesses + 1
-        return count
-
     def interleave_rate(self) -> float:
         """Fraction of this window's accesses that changed region.
 
@@ -158,7 +114,7 @@ class DensityProfiler:
             return 0.0
         return self.window_transitions / self.window_accesses
 
-    def _freeze(self) -> Dict[int, RegionStats]:
+    def _freeze(self, min_accesses: int) -> Dict[int, RegionStats]:
         # One per region and epoch: ``_make`` skips the keyword-capable call.
         make = RegionStats._make
         accesses = self._accesses
@@ -169,12 +125,13 @@ class DensityProfiler:
             region: make(
                 (region, accesses[region], objects[region], pages[region], writes[region])
             )
-            for region in sorted(self._touched)
+            for region in sorted(r for r in self._touched if accesses[r] >= min_accesses)
         }
 
-    def fold(self) -> Dict[int, RegionStats]:
-        """Freeze and clear the current window, keyed by region, sorted."""
-        stats = self._freeze()
+    def fold(self, min_accesses: int = 1) -> Dict[int, RegionStats]:
+        """Freeze the regions with at least ``min_accesses`` accesses,
+        keyed by region and sorted, then clear the whole window."""
+        stats = self._freeze(min_accesses)
         for region in self._touched:
             self._accesses[region] = 0
             self._writes[region] = 0
@@ -189,5 +146,5 @@ class DensityProfiler:
         return stats
 
     def peek(self) -> Dict[int, RegionStats]:
-        """Like :meth:`fold` but leaves the window intact (diagnostics)."""
-        return self._freeze()
+        """Every window, like ``fold()``, but left intact (diagnostics)."""
+        return self._freeze(1)

@@ -259,9 +259,10 @@ class _TierRouter:
     already the compiler's answer for high-density loops.
 
     ``guard`` decodes the pointer once (the custody check, then one
-    mask), profiles the access, reads the region's tier from the
-    runtime's ``_paged`` flags and, for a page-placed region, resolves a
-    resident page in place with a shared zero-cycle result.  Only a page
+    mask), records the access in the profiler's window lists itself,
+    reads the region's tier from the runtime's ``_paged`` flags and, for
+    a page-placed region, hits a resident page in place (hot bit or LRU
+    move, dirty bit) with a shared zero-cycle result.  Only a page
     fault goes through ``FastswapRuntime._touch_page``.  The runtime's
     ``adaptive`` and ``epoch_accesses`` are read on every access, so
     assigning either on a live runtime takes effect immediately.
@@ -274,15 +275,26 @@ class _TierRouter:
         self.metrics = object_guards.metrics
         self.tracer = object_guards.tracer
         fs = runtime.fastswap
-        self._record = runtime.profiler.record
+        profiler = self._profiler = runtime.profiler
+        self._accesses = profiler._accesses
+        self._writes = profiler._writes
+        self._objects = profiler._objects
+        self._pages = profiler._pages
+        self._touched = profiler._touched
+        self._object_stamp = profiler._object_stamp
+        self._page_stamp = profiler._page_stamp
+        self._object_shift = runtime.pool.object_shift
         self._paged = runtime._paged
         self._shadow = runtime._shadow
         self._region_bytes = runtime.region_bytes
-        #: Heap bytes the pool's object ids cover; a pointer past them is
-        #: left to the object guard, whose range check raises.
+        #: Heap bytes the pool's object ids (and the profiler's lists)
+        #: cover; a pointer past them is left to the object guard.
         self._heap_end = runtime.pool.num_objects * runtime.object_size
         self._page_shift = fs.page_shift
-        self._touch = fs.residency.touch
+        residency = fs.residency
+        self._resident = residency._resident
+        self._dirty = residency._dirty
+        self._use_clock = residency.use_clock
         self._touch_page = fs._touch_page
         self._page_hit = GuardResult(_NONE, 0.0)
 
@@ -294,13 +306,48 @@ class _TierRouter:
         if offset >= self._heap_end:
             return self.object_guards.guard(addr, kind, depth)
         runtime = self.runtime
-        if runtime.adaptive and self._record(offset, kind) >= runtime.epoch_accesses:
-            runtime.rebalance()
         region = offset // self._region_bytes
+        write = kind is _WRITE
+        if runtime.adaptive:
+            profiler = self._profiler
+            accesses = self._accesses
+            count = accesses[region]
+            if not count:
+                self._touched.append(region)
+            accesses[region] = count + 1
+            if write:
+                self._writes[region] += 1
+            window = profiler._window
+            stamps = self._object_stamp
+            granule = offset >> self._object_shift
+            if stamps[granule] != window:
+                stamps[granule] = window
+                self._objects[region] += 1
+            stamps = self._page_stamp
+            granule = offset >> self._page_shift
+            if stamps[granule] != window:
+                stamps[granule] = window
+                self._pages[region] += 1
+            last = profiler._last_region
+            if region != last:
+                if last >= 0:
+                    profiler.window_transitions += 1
+                profiler._last_region = region
+            profiler.total_accesses += 1
+            profiler.window_accesses = count = profiler.window_accesses + 1
+            if count >= runtime.epoch_accesses:
+                runtime.rebalance()
         if not self._paged[region]:
             return self.object_guards.guard(addr, kind, depth)
         page = (self._shadow[region] + offset % self._region_bytes) >> self._page_shift
-        if self._touch(page, kind is _WRITE):
+        resident = self._resident
+        if page in resident:
+            if self._use_clock:
+                resident[page] = True
+            else:
+                resident.move_to_end(page)
+            if write:
+                self._dirty.add(page)
             return self._page_hit
         # A fault: _touch_page returns its cycles (its counters land in
         # the shared bundle); the inherited access()/interpreter paths
@@ -486,8 +533,12 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         epoch mid-knockout).  Returns this epoch's migrations.
         """
         self.epochs += 1
-        interleave = self.profiler.interleave_rate()
-        stats = self.profiler.fold()
+        profiler = self.profiler
+        interleave = profiler.interleave_rate()
+        # Only windows at or above the selector's floor can flip a region.
+        stats = profiler.fold(self.selector.config.min_accesses)
+        if not stats:
+            return []
         events: List[MigrationEvent] = []
         metrics = self.pool.metrics
         tracer = self.tracer
@@ -555,6 +606,8 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         shadow = self._shadow.get(region)
         if shadow is not None:
             metrics = self.pool.metrics
+            # Journaled like _touch_page's reclaim writeback.
+            integrity = fs.backend.integrity
             first_page = fs.page_of(shadow)
             for page in range(first_page, first_page + self.region_bytes // fs.page_size):
                 if page not in fs.residency:
@@ -563,11 +616,15 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
                 fs.residency.discard(page)
                 metrics.evictions += 1
                 if dirty:
+                    if integrity is not None:
+                        integrity.begin_writeback(page)
                     wb = fs.backend.link.wire_cycles(fs.page_size)
                     cycles = wb * fs.config.writeback_sync_fraction
                     metrics.bytes_evacuated += fs.page_size
                     fs.backend.link.stats.bytes_evicted += fs.page_size
                     metrics.cycles += cycles
+                    if integrity is not None:
+                        integrity.finish_writeback(page)
         return count
 
     def _on_evict(self, obj_id: int, dirty: bool) -> float:

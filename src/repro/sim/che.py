@@ -34,10 +34,14 @@ def characteristic_time(masses: np.ndarray, capacity: int) -> float:
     total = m.sum()
     if total <= 0:
         raise WorkloadError("masses must have positive total")
-    m = m / total
+    neg = -(m / total)
+    buf = np.empty_like(neg)
 
     def filled(t: float) -> float:
-        return float(np.sum(-np.expm1(-m * t)))
+        # sum(-expm1(-m * t)); negating the sum, not each term, is exact.
+        np.multiply(neg, t, out=buf)
+        np.expm1(buf, out=buf)
+        return -float(buf.sum())
 
     lo, hi = 0.0, 1.0
     while filled(hi) < capacity:

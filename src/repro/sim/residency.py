@@ -15,7 +15,7 @@ enough for the shapes this reproduction targets.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.errors import EvacuationError, RuntimeConfigError
 
@@ -110,7 +110,12 @@ class ResidencySet:
 
         Returns whether it was a hit and which granules were evicted.
         The hit half is :meth:`touch`, repeated here without its frame
-        (this is every page fault's and object miss's first step).
+        (this is every page fault's and object miss's first step).  The
+        set never exceeds ``capacity``, so a miss into a full set evicts
+        one victim: LRU's least recent unpinned granule, or the first
+        cold unpinned one CLOCK's sweep reaches (clearing hot bits on
+        the way, at most ``2n + 1`` steps); if all are pinned it raises
+        :class:`EvacuationError`.
         """
         resident = self._resident
         if granule in resident:
@@ -124,7 +129,29 @@ class ResidencySet:
         if len(resident) < self.capacity:
             outcome = _MISS
         else:
-            outcome = _outcome((False, self._make_room()))
+            # ``_pinned`` only holds positive counts, so membership is the pin test.
+            pinned = self._pinned
+            if not self.use_clock:
+                victim = next((g for g in resident if g not in pinned), None)
+            else:
+                victim = None
+                for _ in range(2 * len(resident) + 1):
+                    candidate, hot = next(iter(resident.items()))
+                    if hot:
+                        resident[candidate] = False
+                    elif candidate not in pinned:
+                        victim = candidate
+                        break
+                    resident.move_to_end(candidate)
+            if victim is None:
+                raise EvacuationError(
+                    "all resident granules are pinned; cannot evict "
+                    f"(capacity={self.capacity}, pinned={len(pinned)})"
+                )
+            del resident[victim]
+            was_dirty = victim in self._dirty
+            self._dirty.discard(victim)
+            outcome = _outcome((False, [(victim, was_dirty)]))
         resident[granule] = False
         if write:
             self._dirty.add(granule)
@@ -134,12 +161,11 @@ class ResidencySet:
         """Bring ``granule`` local without recording an access (prefetch)."""
         if granule in self._resident:
             return []
-        evicted = self._make_room()
+        evicted = self.access(granule).evicted
         # Prefetched granules enter cold (at LRU head) so a useless
         # prefetch is the first thing evicted.
-        self._resident[granule] = False
         self._resident.move_to_end(granule, last=False)
-        return evicted
+        return evicted or []
 
     def mark_clean(self, granule: int) -> None:
         """Clear a granule's dirty bit (after an explicit writeback)."""
@@ -150,47 +176,6 @@ class ResidencySet:
         self._resident.pop(granule, None)
         self._dirty.discard(granule)
         self._pinned.pop(granule, None)
-
-    def _make_room(self) -> List[Tuple[int, bool]]:
-        evicted: List[Tuple[int, bool]] = []
-        guard = 0
-        while len(self._resident) >= self.capacity:
-            victim = self._pick_victim()
-            if victim is None:
-                raise EvacuationError(
-                    "all resident granules are pinned; cannot evict "
-                    f"(capacity={self.capacity}, pinned={len(self._pinned)})"
-                )
-            was_dirty = victim in self._dirty
-            self._resident.pop(victim)
-            self._dirty.discard(victim)
-            evicted.append((victim, was_dirty))
-            guard += 1
-            if guard > self.capacity + 1:  # pragma: no cover - safety net
-                raise EvacuationError("eviction loop did not terminate")
-        return evicted
-
-    def _pick_victim(self) -> Optional[int]:
-        # ``_pinned`` only holds positive counts, so membership is the pin test.
-        pinned = self._pinned
-        resident = self._resident
-        if not self.use_clock:
-            for granule in resident:
-                if granule not in pinned:
-                    return granule
-            return None
-        # CLOCK: clear hot bits until a cold, unpinned granule surfaces.
-        for _ in range(2 * len(resident) + 1):
-            granule, hot = next(iter(resident.items()))
-            if hot:
-                resident[granule] = False
-                resident.move_to_end(granule)
-                continue
-            if granule in pinned:
-                resident.move_to_end(granule)
-                continue
-            return granule
-        return None
 
     def flush(self) -> List[Tuple[int, bool]]:
         """Evict everything evictable (used at teardown to count writebacks)."""

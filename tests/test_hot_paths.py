@@ -57,8 +57,6 @@ HOT_PATHS = [
     # residency: hit, miss, eviction
     ResidencySet.access,
     ResidencySet.touch,
-    ResidencySet._make_room,
-    ResidencySet._pick_victim,
     # object miss, prefetch and evacuation
     ObjectPool.ensure_local,
     ObjectPool.prefetch,
@@ -79,8 +77,11 @@ HOT_PATHS = [
     FastswapRuntime._touch_page,
     # adaptive hybrid: routing, epoch fold, region decision
     _TierRouter.guard,
-    DensityProfiler.record,
+    DensityProfiler.interleave_rate,
+    DensityProfiler.fold,
+    DensityProfiler._freeze,
     PathSelector.decide,
+    PathSelector.tier_costs,
     AdaptiveHybridRuntime.rebalance,
     AIFMRuntime.access,
     # served request

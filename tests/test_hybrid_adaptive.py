@@ -33,6 +33,7 @@ from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
 from repro.hybrid.placement import Placement
 from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.hybrid.selector import SelectorConfig
+from repro.integrity import RecordKind
 from repro.machine.costs import AccessKind
 from repro.trace.drivers import (
     ARRAY_BYTES,
@@ -45,6 +46,7 @@ from repro.trace.drivers import (
     run_traced,
 )
 from repro.trackfm.runtime import TrackFMRuntime
+from repro.units import KB
 from repro.workloads import (
     ExternalSortWorkload,
     GraphTraversalWorkload,
@@ -241,6 +243,35 @@ class TestMigrationAccounting:
         placements = rt.region_placements()
         for region, target in last.items():
             assert placements[region] is target
+
+    def test_draining_a_dirty_shadow_page_is_journaled(self):
+        """A flip back to objects writes each dirty shadow page back
+        through the write-ahead journal, as a reclaim writeback does."""
+        rt = AdaptiveHybridRuntime(
+            local_memory=64 * KB, heap_size=256 * KB, epoch_accesses=4096,
+            selector_config=TIGHT,
+        )
+        rt.enable_integrity()
+        checker = rt.fastswap.integrity
+        base = rt.tfm_malloc(256 * KB)
+        for _ in range(40):  # dense writes page region 0 and dirty its page
+            for off in range(0, 4 * KB, 8):
+                rt.access(base + off, AccessKind.WRITE, 8)
+        page = rt.fastswap.page_of(rt._shadow[0])
+        assert rt.placement_of(0) is Placement.PAGES
+        assert rt.fastswap.residency.is_dirty(page)
+        records = len(checker.journal)
+        version = checker.versions.get(page, 0)
+        evacuated = rt.metrics.bytes_evacuated
+        for i in range(4096):  # one word per region: back to objects
+            rt.access(base + (i % 64) * 4 * KB, AccessKind.READ, 8)
+        assert rt.migration_log[-1].target is Placement.OBJECTS
+        assert rt.migration_log[-1].region == 0
+        assert rt.metrics.bytes_evacuated - evacuated == rt.fastswap.page_size
+        assert [(r.kind, r.obj_id) for r in checker.journal.records[records:]] == [
+            (RecordKind.INTENT, page), (RecordKind.PAYLOAD, page), (RecordKind.COMMIT, page),
+        ]
+        assert checker.versions[page] == version + 1
 
     def test_replay_is_bit_identical(self):
         a_rt, a_sum = self._phase_run()

@@ -2,17 +2,23 @@
 
 The tier router and the density profiler each trade a direct
 formulation for a faster one: the router decodes a pointer with one
-mask and reads placement flags; the profiler keeps its window in flat
-lists with per-granule stamps instead of per-region sets.  These
+mask, records the access in the profiler's window itself, reads
+placement flags and hits a resident page in place; the profiler keeps
+its window in flat lists with per-granule stamps instead of per-region
+sets, and an epoch freezes only the windows at or above a floor.  These
 properties pin each shortcut to its definition:
 
-* the profiler folds exactly what a set-based reference fold produces,
-  window after window, including the interleave rate;
+* the windows the router records fold exactly what a set-based
+  reference fold produces, window after window, including the
+  interleave rate; ``fold(k)`` is that fold without the windows under
+  ``k`` accesses;
 * the selector decides with the config it holds now, not the one it
   was built with;
 * the router sends every access to the tier ``placement_of`` names, a
   resident page costs nothing, a custody miss is still charged, and a
   pointer past the heap still raises ``PointerError``;
+* a page hit in place leaves the page tier's recency order, hot bits
+  and dirty set as ``ResidencySet.access`` would;
 * the runtime's public knobs stay live: assigning ``epoch_accesses``,
   ``adaptive`` or ``selector.config`` on a running runtime changes
   when epochs end and what the selector decides;
@@ -27,10 +33,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler.cost_model import ChunkingCostModel
-from repro.errors import PointerError, RuntimeConfigError
+from repro.errors import PointerError
 from repro.hybrid.placement import Placement
-from repro.hybrid.profiler import DensityProfiler, RegionStats
-from repro.hybrid.runtime import AdaptiveHybridRuntime
+from repro.hybrid.profiler import RegionStats
+from repro.hybrid.runtime import AdaptiveHybridRuntime, _TierRouter
 from repro.hybrid.selector import PathSelector, SelectorConfig
 from repro.machine.costs import AccessKind, GuardKind
 from repro.sim.residency import ResidencySet
@@ -79,14 +85,15 @@ class _ReferenceProfiler:
 
 @st.composite
 def profiled_streams(draw):
-    """Geometry plus a stream of accesses with fold points between them."""
+    """Geometry plus a stream of accesses, with fold points between them;
+    each fold point carries the floor to fold at."""
     object_size = draw(st.sampled_from([64, 256, 1024, 4096]))
     region_bytes = PAGE * draw(st.integers(min_value=1, max_value=3))
     heap = region_bytes * draw(st.integers(min_value=1, max_value=6))
     steps = draw(st.lists(
         st.one_of(
             st.tuples(st.integers(min_value=0, max_value=heap - 1), kinds),
-            st.just(None),  # fold here
+            st.integers(min_value=1, max_value=6),  # fold here, at this floor
         ),
         max_size=200,
     ))
@@ -96,33 +103,40 @@ def profiled_streams(draw):
 class TestProfilerMatchesSetFold:
     @settings(max_examples=150, deadline=None)
     @given(profiled_streams())
-    def test_every_window_folds_like_the_set_reference(self, case):
+    def test_every_window_the_router_records_folds_like_the_set_reference(self, case):
         object_size, region_bytes, heap, steps = case
-        fast = DensityProfiler(region_bytes, object_size, PAGE, heap // region_bytes)
+        # Epochs never end on their own: only the drawn fold points fold.
+        rt = AdaptiveHybridRuntime(
+            local_memory=heap,
+            heap_size=heap,
+            object_size=object_size,
+            region_bytes=region_bytes,
+            epoch_accesses=len(steps) + 1,
+        )
+        prof = rt.profiler
         ref = _ReferenceProfiler(region_bytes, object_size, PAGE)
+        total = 0
         for step in steps + [None]:
-            if step is None:
-                rows, rate = ref.stats()
-                assert fast.peek() == rows
-                assert fast.interleave_rate() == rate
-                assert fast.fold() == rows
-                ref.fold()
+            if isinstance(step, tuple):
+                offset, kind = step
+                rt.guards.guard(encode_tfm_pointer(offset), kind)
+                ref.record(offset, kind)
+                total += 1
+                assert prof.window_accesses == ref.accesses
+                assert prof.total_accesses == total
                 continue
-            offset, kind = step
-            count = fast.record(offset, kind)
-            ref.record(offset, kind)
-            assert count == ref.accesses == fast.window_accesses
-
-    def test_offsets_past_the_heap_are_rejected(self):
-        prof = DensityProfiler(PAGE, 256, PAGE, regions=1001)
-        prof.record(1000 * PAGE + 8, AccessKind.WRITE)
-        with pytest.raises(RuntimeConfigError):
-            prof.record(1001 * PAGE, AccessKind.READ)
-        assert prof.fold() == {1000: RegionStats(1000, 1, 1, 1, 1)}
-
-    def test_negative_offsets_are_rejected(self):
-        with pytest.raises(RuntimeConfigError):
-            DensityProfiler(PAGE, 256, PAGE, regions=1).record(-1, AccessKind.READ)
+            rows, rate = ref.stats()
+            assert prof.peek() == rows
+            assert prof.interleave_rate() == rate
+            if step is None:
+                assert prof.fold() == rows
+            else:
+                # fold(k) is the floor-1 fold without the windows under k.
+                assert prof.fold(step) == {
+                    region: row for region, row in rows.items() if row.accesses >= step
+                }
+            ref.fold()
+        assert rt.epochs == 0
 
 
 windows = st.builds(
@@ -271,6 +285,36 @@ class TestRouter:
             rt.access(base + off, AccessKind.READ, 8)
         assert rt.profiler.total_accesses == 0
         assert rt.epochs == 0
+
+
+class TestPageHitsInPlace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, REGIONS * PAGE // 8 - 1), kinds), max_size=150),
+        st.booleans(),
+    )
+    def test_page_tier_residency_matches_a_reference_set(self, words, use_clock):
+        """After every access into page-placed regions, the page tier's
+        recency order (with hot bits) and dirty set equal those of a
+        ``ResidencySet`` fed the same page accesses."""
+        rt, base = _adaptive(epoch_accesses=10**9)
+        for off in range(0, REGIONS * PAGE, 64):  # one sweep pages every region
+            rt.access(base + off, AccessKind.READ, 8)
+        rt.rebalance()
+        assert all(rt._paged)
+        fs = rt.fastswap
+        fs.residency.use_clock = use_clock
+        rt.guards = _TierRouter(rt, rt._object_guards)  # binds the mode
+        ref = ResidencySet(fs.residency.capacity, use_clock=use_clock)
+        ref._resident.update(fs.residency._resident)
+        ref._dirty |= fs.residency._dirty
+        for word, kind in words:
+            offset = 8 * word
+            page = fs.page_of(rt._shadow[offset // rt.region_bytes] + offset % rt.region_bytes)
+            ref.access(page, kind is AccessKind.WRITE)
+            rt.access(base + offset, kind, 8)
+            assert list(fs.residency._resident.items()) == list(ref._resident.items())
+            assert fs.residency._dirty == ref._dirty
 
 
 class TestLiveKnobs:

@@ -10,7 +10,7 @@ from repro.aifm.allocator import RegionAllocator
 from repro.aifm.objectmeta import ObjectMeta, encode_local, encode_remote
 from repro.errors import EvacuationError
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS
-from repro.sim.che import lru_hit_rate, per_granule_hit_rates
+from repro.sim.che import characteristic_time, lru_hit_rate, per_granule_hit_rates
 from repro.sim.residency import ResidencySet
 from repro.trackfm.pointer import (
     decode_tfm_pointer,
@@ -290,7 +290,47 @@ class TestAllocatorProperties:
         assert a.size >= size
 
 
+def _characteristic_time_reference(masses, capacity):
+    """Che's bisection with its ``filled`` written term by term: five
+    array passes per probe, the negation on every term."""
+    m = masses / masses.sum()
+
+    def filled(t):
+        return float(np.sum(-np.expm1(-m * t)))
+
+    lo, hi = 0.0, 1.0
+    while filled(hi) < capacity:
+        hi *= 2.0
+        if hi > 1e18:
+            return hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if filled(mid) < capacity:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestCheProperties:
+    @given(
+        st.integers(min_value=2, max_value=3000),
+        st.floats(min_value=0.0, max_value=2.5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bisection_finds_the_reference_float(self, n, skew, seed, fill):
+        """Zipf-like masses in a shuffled order, scaled by noise: the
+        one-buffer ``filled`` steers the bisection to the same T."""
+        rng = np.random.default_rng(seed)
+        masses = np.arange(1, n + 1, dtype=np.float64) ** -skew
+        masses = rng.permutation(masses) * rng.uniform(0.5, 2.0, n)
+        capacity = 1 + int(fill * (n - 1))
+        assert characteristic_time(masses, capacity) == _characteristic_time_reference(
+            masses, capacity
+        )
+
     @given(
         st.integers(min_value=2, max_value=500),
         st.floats(min_value=0.5, max_value=2.0),
