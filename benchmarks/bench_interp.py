@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.baseline import mismatch
-from repro.bench.regress import GATE, WORKLOADS, fingerprint_run, measure_ops
+from repro.bench.regress import GATE, WORKLOADS, fingerprint_run, measure_rates
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 
@@ -30,22 +30,21 @@ MIN_STREAM_SPEEDUP = 3.0
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_interp_ops_per_sec(benchmark, name):
-    """Steady-state decoded-engine interpretation rate."""
+    """Steady-state interpretation rate of both engines."""
     build = WORKLOADS[name]
 
     def run():
-        return measure_ops(build, "decoded", repeats=3)
+        return measure_rates(build, rounds=3)
 
-    decoded = benchmark.pedantic(run, rounds=1, iterations=1)
-    legacy = measure_ops(build, "legacy", repeats=3)
-    speedup = decoded["ops_per_sec"] / legacy["ops_per_sec"]
-    benchmark.extra_info["ops_per_sec"] = decoded["ops_per_sec"]
-    benchmark.extra_info["legacy_ops_per_sec"] = legacy["ops_per_sec"]
+    decoded, legacy, steps = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = decoded / legacy
+    benchmark.extra_info["ops_per_sec"] = decoded
+    benchmark.extra_info["legacy_ops_per_sec"] = legacy
     benchmark.extra_info["speedup_vs_legacy"] = speedup
-    benchmark.extra_info["interp_steps"] = decoded["steps"]
+    benchmark.extra_info["interp_steps"] = steps
     print(
-        f"\n{name}: {decoded['ops_per_sec']:,.0f} ops/s decoded, "
-        f"{legacy['ops_per_sec']:,.0f} ops/s legacy ({speedup:.2f}x)"
+        f"\n{name}: {decoded:,.0f} ops/s decoded, "
+        f"{legacy:,.0f} ops/s legacy ({speedup:.2f}x)"
     )
     if name == "stream":
         assert speedup >= MIN_STREAM_SPEEDUP, (

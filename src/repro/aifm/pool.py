@@ -23,9 +23,13 @@ import numpy as np
 
 from repro.aifm.evacuator import Evacuator
 from repro.aifm.objectmeta import (
+    ADDR_MASK,
+    DIRTY_BIT,
+    HOT_BIT,
     ObjectMeta,
     UNSAFE_MASK,
-    encode_local,
+    _RF_OBJID_MASK,
+    _RF_SIZE_MASK,
     encode_remote,
 )
 from repro.errors import (
@@ -69,6 +73,8 @@ class PoolConfig:
             raise RuntimeConfigError("local memory smaller than one object")
         if self.heap_size < self.object_size:
             raise RuntimeConfigError("heap smaller than one object")
+        if self.num_objects > _RF_OBJID_MASK + 1:
+            raise RuntimeConfigError("heap has more objects than a 38-bit object id names")
 
     @property
     def local_capacity_objects(self) -> int:
@@ -123,11 +129,12 @@ class ObjectPool:
         )
         #: Metadata word per object id; starts in remote format ("not yet
         #: localized") — first touch is always a miss, as in AIFM.
-        #: Built vectorized: remote word = REMOTE | size << 38 | obj_id.
-        size_field = min(self.object_size, (1 << 16) - 1)
-        base = np.uint64(encode_remote(0, size_field))
+        #: Remote word = REMOTE | size << 38 | obj_id = ``_remote_base |
+        #: obj_id``; written through ``_words``, cheaper than an ndarray.
+        self._remote_base = encode_remote(0, min(self.object_size, _RF_SIZE_MASK))
         self._meta = np.arange(self.num_objects, dtype=np.uint64)
-        self._meta |= base  # in place: fast even for multi-GB heaps
+        self._meta |= np.uint64(self._remote_base)  # in place: fast even for multi-GB heaps
+        self._words = memoryview(self._meta)
 
     # -- metadata ---------------------------------------------------------
 
@@ -166,17 +173,11 @@ class ObjectPool:
             )
 
     def _set_local(self, obj_id: int, dirty: bool) -> None:
-        word = encode_local(
-            (obj_id * self.object_size) & ((1 << 47) - 1),
-            dirty=dirty,
-            hot=True,
-        )
-        self._meta[obj_id] = word
+        flags = HOT_BIT | DIRTY_BIT if dirty else HOT_BIT
+        self._words[obj_id] = (obj_id << self.object_shift) & ADDR_MASK | flags
 
     def _set_remote(self, obj_id: int) -> None:
-        self._meta[obj_id] = encode_remote(
-            obj_id, min(self.object_size, (1 << 16) - 1)
-        )
+        self._words[obj_id] = self._remote_base | obj_id
 
     def object_of_offset(self, heap_offset: int) -> int:
         """Map a heap byte offset to its object id (a shift, §3.2)."""
@@ -195,7 +196,8 @@ class ObjectPool:
         synchronous share of writebacks); guard/fault CPU costs are the
         caller's business (they differ between TrackFM and Fastswap).
         """
-        self._check_id(obj_id)
+        if not 0 <= obj_id < self.num_objects:
+            self._check_id(obj_id)  # raises
         hit, evicted = self.residency.access(obj_id, write)
         cycles = 0.0
         if not hit:
@@ -244,12 +246,12 @@ class ObjectPool:
                     )
                 # The remote tier just answered (any open breaker has
                 # closed): re-drive writebacks deferred while it was down.
-                if self.evacuator.has_deferred:
+                if self.evacuator._deferred:
                     cycles += self.evacuator.drain_deferred(self.metrics)
-        for victim, _dirty in evicted:
-            self._set_remote(victim)
-        cycles += self.evacuator.process(evicted, self.metrics)
-        if evicted:
+        if evicted:  # _set_remote and, below, _set_local, without their frames
+            for victim, _dirty in evicted:
+                self._words[victim] = self._remote_base | victim
+            cycles += self.evacuator.process(evicted, self.metrics)
             tracer = self.tracer
             if tracer.enabled:
                 tracer.evict(
@@ -258,7 +260,8 @@ class ObjectPool:
                     n=len(evicted),
                     dirty=sum(1 for _v, d in evicted if d),
                 )
-        self._set_local(obj_id, dirty=self.residency.is_dirty(obj_id))
+        flags = HOT_BIT | DIRTY_BIT if obj_id in self.residency._dirty else HOT_BIT
+        self._words[obj_id] = (obj_id << self.object_shift) & ADDR_MASK | flags
         return hit, cycles
 
     def prefetch(self, obj_id: int, depth: Optional[int] = None) -> float:
@@ -271,9 +274,10 @@ class ObjectPool:
         latency still lands on the critical path.  Useless prefetches
         (already local) are free.
         """
-        self._check_id(obj_id)
+        if not 0 <= obj_id < self.num_objects:
+            self._check_id(obj_id)  # raises
         self.metrics.prefetches_issued += 1
-        if obj_id in self.residency:
+        if obj_id in self.residency._resident:
             tracer = self.tracer
             if tracer.enabled:
                 tracer.prefetch(self.object_size, self.metrics.cycles, useful=False)
@@ -287,7 +291,7 @@ class ObjectPool:
             )
         evicted = self.residency.insert(obj_id)
         if depth is None:
-            cost = self.backend.link.wire_cycles(self.object_size)
+            cost = self.object_size / self.backend.link.bytes_per_cycle  # wire_cycles
         else:
             cost = self.backend.link.pipelined_cycles(self.object_size, depth)
         cost += verify_cycles
@@ -295,9 +299,10 @@ class ObjectPool:
         self.backend.link.stats.bytes_fetched += self.object_size
         self.metrics.bytes_fetched += self.object_size
         self.metrics.prefetches_useful += 1
-        for victim, _dirty in evicted:
-            self._set_remote(victim)
-        cost += self.evacuator.process(evicted, self.metrics)
+        if evicted:
+            for victim, _dirty in evicted:
+                self._words[victim] = self._remote_base | victim
+            cost += self.evacuator.process(evicted, self.metrics)
         tracer = self.tracer
         if tracer.enabled:
             tracer.prefetch(self.object_size, self.metrics.cycles, useful=True)
@@ -308,7 +313,7 @@ class ObjectPool:
                     n=len(evicted),
                     dirty=sum(1 for _v, d in evicted if d),
                 )
-        self._set_local(obj_id, dirty=False)
+        self._words[obj_id] = (obj_id << self.object_shift) & ADDR_MASK | HOT_BIT
         return cost
 
     def materialize(self, obj_id: int, pinned: bool = False) -> float:
@@ -387,8 +392,7 @@ class ObjectPool:
         ground truth; rebuilding the words in place also rebuilds the
         TrackFM object state table, which aliases this array.
         """
-        size_field = min(self.object_size, (1 << 16) - 1)
-        base = np.uint64(encode_remote(0, size_field))
+        base = np.uint64(self._remote_base)
         # In place: the TrackFM state table aliases this buffer.
         self._meta[:] = np.arange(self.num_objects, dtype=np.uint64) | base
         for obj_id in self.residency.resident_ids():

@@ -41,8 +41,8 @@ CHASE_SEED = 3
 CHASE_NODES = 1024
 CHASE_NODE_BYTES = 64
 
-#: Perf-measurement shape: one warm-up run (which also pays the decode),
-#: then best-of-``REPEATS`` timed runs.
+#: Perf-measurement shape: one warm-up run per engine (which also pays
+#: the decode), then ``REPEATS`` rounds of one timed run per engine.
 REPEATS = 5
 
 #: Tolerance band for the decoded-vs-legacy speedup gate: the measured
@@ -159,42 +159,43 @@ def fingerprint_run(build: Callable[[], Module]) -> Dict[str, object]:
     }
 
 
-def measure_ops(
-    build: Callable[[], Module], engine: str, repeats: int = REPEATS
-) -> Dict[str, float]:
-    """Best-of-``repeats`` interpretation rate of the raw module.
+def measure_rates(
+    build: Callable[[], Module], rounds: int = REPEATS
+) -> Tuple[float, float, int]:
+    """Best decoded and legacy rates (ops/s) on the raw module, and its steps.
 
-    The first (untimed) run pays the pre-decode, so the timed runs
-    measure steady-state interpretation — the quantity the decode cache
-    exists to make fast.
+    An untimed run per engine pays the pre-decode.  Each round then times
+    one run of each engine, so both keep a best of ``rounds`` samples and
+    a change in host speed reaches them alike.
     """
     from repro.sim.interpreter import Interpreter
 
     module = build()
-    Interpreter(module, engine=engine).run("main")
-    best = float("inf")
+    engines = ("decoded", "legacy")
+    for engine in engines:
+        Interpreter(module, engine=engine).run("main")
+    best = dict.fromkeys(engines, float("inf"))
     steps = 0
-    for _ in range(repeats):
-        interp = Interpreter(module, engine=engine)
-        t0 = time.perf_counter()
-        result = interp.run("main")
-        best = min(best, time.perf_counter() - t0)
-        steps = result.steps
-    return {"steps": steps, "seconds": best, "ops_per_sec": steps / best}
+    for _ in range(rounds):
+        for engine in engines:
+            interp = Interpreter(module, engine=engine)
+            t0 = time.perf_counter()
+            steps = interp.run("main").steps
+            best[engine] = min(best[engine], time.perf_counter() - t0)
+    return steps / best["decoded"], steps / best["legacy"], steps
 
 
 def measure_bench(name: str) -> Dict[str, object]:
     """Full measurement for one workload: fingerprint + both engines."""
     build = WORKLOADS[name]
-    decoded = measure_ops(build, "decoded")
-    legacy = measure_ops(build, "legacy")
+    decoded, legacy, steps = measure_rates(build)
     return {
         "bench": f"interp_{name}",
         "fingerprint": fingerprint_run(build),
-        "ops_per_sec": decoded["ops_per_sec"],
-        "legacy_ops_per_sec": legacy["ops_per_sec"],
-        "speedup_vs_legacy": decoded["ops_per_sec"] / legacy["ops_per_sec"],
-        "interp_steps": decoded["steps"],
+        "ops_per_sec": decoded,
+        "legacy_ops_per_sec": legacy,
+        "speedup_vs_legacy": decoded / legacy,
+        "interp_steps": steps,
     }
 
 

@@ -157,20 +157,36 @@ class FastswapRuntime:
         """Undo a rolled-back writeback: page resident + dirty again.
 
         Mirrors the object pool's recovery hook: cycles (reclaim +
-        victim writeback) are self-accounted into ``metrics.cycles``.
+        journaled victim writeback) are self-accounted into
+        ``metrics.cycles``.
         """
         outcome = self.residency.access(page, write=True)
         cycles = 0.0
-        for _victim, dirty in outcome.evicted:
+        for victim, dirty in outcome.evicted:
             cycles += self.config.reclaim_cycles
             self.metrics.evictions += 1
             if dirty:
-                wb = self.backend.link.wire_cycles(self.page_size)
-                cycles += wb * self.config.writeback_sync_fraction
-                self.metrics.bytes_evacuated += self.page_size
-                self.backend.link.stats.bytes_evicted += self.page_size
+                cycles += self._write_back_page(victim)
         self.metrics.cycles += cycles
         return cycles
+
+    def _write_back_page(self, page: int) -> float:
+        """Journaled writeback of one dirty page; returns its sync cycles.
+
+        Books the page's bytes (``bytes_evacuated``, the link's
+        ``bytes_evicted``) but not the cycles: the caller adds them.
+        ``_touch_page``'s reclaim keeps an inline copy of this rule.
+        """
+        integrity = self.backend.integrity
+        if integrity is not None:
+            integrity.begin_writeback(page)
+        link = self.backend.link
+        wb = link.wire_cycles(self.page_size)
+        self.metrics.bytes_evacuated += self.page_size
+        link.stats.bytes_evicted += self.page_size
+        if integrity is not None:
+            integrity.finish_writeback(page)
+        return wb * self.config.writeback_sync_fraction
 
     def page_table_entry(self, page: int) -> Tuple[bool, bool, Optional[int]]:
         """Simulated PTE view: ``(resident, dirty, checksum tag)``.

@@ -250,7 +250,7 @@ class _TierRouter:
     """A guard-engine-shaped proxy that routes each access by placement.
 
     Implements the :class:`~repro.trackfm.guards.GuardEngine` surface
-    (``guard``/``boundary_check``/``locality_guard``) so the inherited
+    (``guard``/``locality_guard``) so the inherited
     TrackFM access paths and the IR interpreter bridge work unchanged.
     OBJECTS regions take the real guard engine; PAGES regions skip guard
     code entirely and touch the page tier (the whole point of paging:
@@ -354,9 +354,6 @@ class _TierRouter:
         # add them exactly once, alongside the local access.
         cycles = self._touch_page(page, kind)
         return _guard_result((_NONE, cycles, True, True))
-
-    def boundary_check(self) -> float:
-        return self.object_guards.boundary_check()
 
     def locality_guard(
         self, addr: int, kind: AccessKind, depth: int = 1
@@ -606,8 +603,6 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         shadow = self._shadow.get(region)
         if shadow is not None:
             metrics = self.pool.metrics
-            # Journaled like _touch_page's reclaim writeback.
-            integrity = fs.backend.integrity
             first_page = fs.page_of(shadow)
             for page in range(first_page, first_page + self.region_bytes // fs.page_size):
                 if page not in fs.residency:
@@ -616,15 +611,7 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
                 fs.residency.discard(page)
                 metrics.evictions += 1
                 if dirty:
-                    if integrity is not None:
-                        integrity.begin_writeback(page)
-                    wb = fs.backend.link.wire_cycles(fs.page_size)
-                    cycles = wb * fs.config.writeback_sync_fraction
-                    metrics.bytes_evacuated += fs.page_size
-                    fs.backend.link.stats.bytes_evicted += fs.page_size
-                    metrics.cycles += cycles
-                    if integrity is not None:
-                        integrity.finish_writeback(page)
+                    metrics.cycles += fs._write_back_page(page)
         return count
 
     def _on_evict(self, obj_id: int, dirty: bool) -> float:

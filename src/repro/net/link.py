@@ -116,11 +116,13 @@ class NetworkLink:
             raise RuntimeConfigError("pipeline depth must be >= 1")
         faults = self.faults
         extra = faults.roll(size_bytes) if faults is not None else 0.0
-        cost = (
-            self.transfer_cycles(size_bytes)
-            if depth == 1
-            else self.pipelined_cycles(size_bytes, depth)
-        ) + extra
+        # transfer_cycles/pipelined_cycles + extra: same float operations, one frame.
+        wire = size_bytes / self.bytes_per_cycle
+        if depth == 1:
+            cost = self.latency_cycles + self.per_message_cycles + wire + extra
+        else:
+            overlap = (self.latency_cycles + self.per_message_cycles) / depth
+            cost = max(wire, overlap) + self.per_message_cycles / depth + extra
         self.stats.messages += 1
         if direction is _FETCH:
             self.stats.bytes_fetched += size_bytes

@@ -111,9 +111,6 @@ class MemoryRegion:
     def end(self) -> int:
         return self.start + len(self.data)
 
-    def contains(self, addr: int, size: int = 1) -> bool:
-        return self.start <= addr and addr + size <= self.end
-
 
 #: The hot-region cache's empty state: no access (size >= 1) fits in it.
 _NO_REGION: Tuple[int, int, bytearray] = (0, 0, bytearray())
@@ -125,6 +122,8 @@ class AddressSpace:
     def __init__(self) -> None:
         self._starts: List[int] = []
         self._regions: List[MemoryRegion] = []
+        #: ``(start, end, data)`` of each region, parallel to ``_starts``.
+        self._spans: List[Tuple[int, int, bytearray]] = []
         #: ``(start, end, data)`` of the region the last typed access
         #: used, and of the one used before it; an entry is cleared when
         #: its region is unmapped.
@@ -145,6 +144,7 @@ class AddressSpace:
         region = MemoryRegion(start, bytearray(size), label)
         self._starts.insert(idx, start)
         self._regions.insert(idx, region)
+        self._spans.insert(idx, (start, start + size, region.data))
         return region
 
     def unmap(self, start: int) -> None:
@@ -154,17 +154,16 @@ class AddressSpace:
             raise InterpError(f"no region starts at {start:#x}")
         del self._starts[idx]
         del self._regions[idx]
+        del self._spans[idx]
         if self._hot[0] == start:
             self._hot = _NO_REGION
         if self._prev[0] == start:
             self._prev = _NO_REGION
 
     def region_for(self, addr: int, size: int = 1) -> MemoryRegion:
-        idx = bisect.bisect_right(self._starts, addr) - 1
-        if idx >= 0:
-            region = self._regions[idx]
-            if region.contains(addr, size):
-                return region
+        idx = bisect.bisect_right(self._starts, addr) - 1  # start <= addr
+        if idx >= 0 and addr + size <= self._spans[idx][1]:
+            return self._regions[idx]
         raise SegmentationFault(
             f"access to unmapped address {addr:#x} (size {size})"
         )
@@ -194,11 +193,13 @@ class AddressSpace:
     # -- typed accessors --------------------------------------------------
 
     def _make_hot(self, addr: int, size: int) -> Tuple[int, int, bytearray]:
-        """Cache miss: find the region (or fault) and make it the first
-        entry; the old first entry becomes the second."""
-        region = self.region_for(addr, size)
+        """Cache miss: find the region's span (or fault) and make it the
+        first entry; the old first entry becomes the second."""
+        idx = bisect.bisect_right(self._starts, addr) - 1  # start <= addr
+        if idx < 0 or addr + size > self._spans[idx][1]:
+            self.region_for(addr, size)  # raises SegmentationFault
         self._prev = self._hot
-        hot = self._hot = (region.start, region.end, region.data)
+        hot = self._hot = self._spans[idx]
         return hot
 
     def load(self, addr: int, codec: Codec):

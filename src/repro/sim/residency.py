@@ -15,6 +15,7 @@ enough for the shapes this reproduction targets.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from repro.errors import EvacuationError, RuntimeConfigError
@@ -36,8 +37,8 @@ class AccessOutcome(NamedTuple):
 _HIT = AccessOutcome(True, ())
 #: Every miss into a set with room: nothing was evicted either.
 _MISS = AccessOutcome(False, ())
-#: Builds an :class:`AccessOutcome`, skipping the keyword-capable call.
-_outcome = AccessOutcome._make
+#: Builds an :class:`AccessOutcome` from a tuple, without ``_make``'s frame.
+_outcome = partial(tuple.__new__, AccessOutcome)
 
 
 class ResidencySet:

@@ -14,13 +14,15 @@ This module reproduces the control flow of Fig. 4 in cost-model form:
    object through AIFM (a remote fetch if needed) and triggers a
    collection point.
 
-Loop chunking's two helpers also live here: the 3-instruction
-**boundary check** and the **locality-invariant guard** that pins one
-object for a whole loop chunk (§3.4).
+Loop chunking's **locality-invariant guard**, which pins one object for
+a whole loop chunk (§3.4), also lives here; its per-iteration
+3-instruction boundary check is booked by
+:meth:`~repro.trackfm.runtime.TrackFMRuntime.chunk_access`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
 from repro.aifm.objectmeta import UNSAFE_MASK
@@ -36,7 +38,6 @@ _WRITE = AccessKind.WRITE
 _FAST = GuardKind.FAST
 _SLOW = GuardKind.SLOW
 _LOCALITY = GuardKind.LOCALITY
-_BOUNDARY = GuardKind.BOUNDARY
 _CUSTODY_MISS = GuardKind.CUSTODY_MISS
 
 
@@ -55,8 +56,8 @@ class GuardResult(NamedTuple):
     remote_fetch: bool = False
 
 
-#: Builds a :class:`GuardResult`, skipping the keyword-capable call.
-_result = GuardResult._make
+#: Builds a :class:`GuardResult` from a tuple, without ``_make``'s frame.
+_result = partial(tuple.__new__, GuardResult)
 
 
 class GuardEngine:
@@ -96,6 +97,8 @@ class GuardEngine:
             GuardResult(_FAST, c.fast_guard_write_uncached, False),
             GuardResult(_FAST, c.fast_guard_write_cached),
         )
+        self._slow_read = (c.slow_guard_read_uncached, c.slow_guard_read_cached)
+        self._slow_write = (c.slow_guard_write_uncached, c.slow_guard_write_cached)
         self._custody_miss = GuardResult(_CUSTODY_MISS, c.custody_miss)
 
     # -- the full guard (naive transformation) ----------------------------
@@ -153,19 +156,15 @@ class GuardEngine:
         self, obj_id: int, kind: AccessKind, cache_hit: bool, depth: int
     ) -> GuardResult:
         was_local, movement = self.pool.ensure_local(obj_id, kind is _WRITE, depth)
-        cycles = self.costs.slow_guard_local(kind, cache_hit) + movement
-        self.metrics.count_guard(_SLOW)
+        cycles = (self._slow_write if kind is _WRITE else self._slow_read)[cache_hit] + movement
+        guards = self.metrics.guards
+        guards[_SLOW] = guards.get(_SLOW, 0) + 1
         tracer = self.tracer
         if tracer.enabled:
             tracer.guard(_SLOW, obj_id, kind, self.metrics.cycles, cycles)
         return _result((_SLOW, cycles, cache_hit, not was_local))
 
-    # -- loop-chunking helpers (optimized transformation) ------------------
-
-    def boundary_check(self) -> float:
-        """The per-iteration object-boundary test (3 instructions)."""
-        self.metrics.count_guard(_BOUNDARY)
-        return self.costs.boundary_check
+    # -- loop chunking (optimized transformation) --------------------------
 
     def locality_guard(
         self, addr: int, kind: AccessKind, depth: int = 1
@@ -181,7 +180,8 @@ class GuardEngine:
         obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
         was_local, movement = self.pool.ensure_local(obj_id, kind is _WRITE, depth)
         cycles = self.costs.locality_guard + movement
-        self.metrics.count_guard(_LOCALITY)
+        guards = self.metrics.guards
+        guards[_LOCALITY] = guards.get(_LOCALITY, 0) + 1
         tracer = self.tracer
         if tracer.enabled:
             tracer.guard(_LOCALITY, obj_id, kind, self.metrics.cycles, cycles)

@@ -71,6 +71,7 @@ TWIN_BASE = 1 << 43
 
 # Enum members bound once: a class lookup is slow (docs/performance.md).
 _WRITE = AccessKind.WRITE
+_BOUNDARY = GuardKind.BOUNDARY
 
 
 class GuardStrategy(enum.Enum):
@@ -443,16 +444,20 @@ class TrackFMRuntime:
             raise RuntimeConfigError(
                 f"chunk_access on stream {stream} before chunk_begin"
             )
-        cycles = self.guards.boundary_check()
+        # The per-iteration boundary check (3 instructions, Fig. 5).
+        guards = self._metrics.guards
+        guards[_BOUNDARY] = guards.get(_BOUNDARY, 0) + 1
+        cycles = self.config.costs.boundary_check
         if (ptr & U64_MASK) >> TFM_TAG_SHIFT:
             obj_id = (ptr & MAX_HEAP_OFFSET) >> self.pool.object_shift
             if obj_id != state.current_obj:
                 if state.pinned and state.current_obj is not None:
-                    self.pool.unpin(state.current_obj)
+                    self.pool.residency.unpin(state.current_obj)
                 depth = self.prefetch_depth if prefetch else 1
                 result = self.guards.locality_guard(ptr, kind, depth=depth)
                 cycles += result.cycles
-                self.pool.pin(obj_id)
+                # The locality guard has range-checked ``obj_id``.
+                self.pool.residency.pin(obj_id)
                 state.current_obj = obj_id
                 state.pinned = True
                 sched = self._psched.get(stream)

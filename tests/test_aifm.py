@@ -1,6 +1,8 @@
 """AIFM substrate: metadata formats, allocator, pool, scope, prefetcher."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aifm.allocator import RegionAllocator
 from repro.aifm.objectmeta import (
@@ -206,8 +208,12 @@ class TestObjectPool:
 
     def test_bad_object_id(self):
         pool = self.make_pool()
-        with pytest.raises(PointerError):
-            pool.ensure_local(9999)
+        for obj_id in (9999, 64, -1):
+            with pytest.raises(PointerError):
+                pool.ensure_local(obj_id)
+            with pytest.raises(PointerError):
+                pool.prefetch(obj_id)
+        assert pool.resident_objects == 0
 
     def test_free_object_drops_residency(self):
         pool = self.make_pool()
@@ -221,12 +227,93 @@ class TestObjectPool:
             PoolConfig(object_size=100, local_memory=1 * MB, heap_size=1 * MB)
         with pytest.raises(RuntimeConfigError):
             PoolConfig(object_size=4 * KB, local_memory=1 * KB, heap_size=1 * MB)
+        # Object ids must fit the remote word's 38-bit field.
+        PoolConfig(object_size=1, local_memory=1, heap_size=1 << 38)
+        with pytest.raises(RuntimeConfigError):
+            PoolConfig(object_size=1, local_memory=1, heap_size=(1 << 38) + 1)
 
     def test_local_bytes_in_use(self):
         pool = self.make_pool(local_objects=4)
         pool.ensure_local(0)
         pool.ensure_local(1)
         assert pool.local_bytes_in_use == 8 * KB
+
+
+_POOL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["read", "write", "prefetch", "expel", "materialize", "free",
+             "reinstate", "pin", "unpin"]
+        ),
+        st.integers(0, 7),
+    ),
+    max_size=40,
+)
+
+
+class TestMetadataWords:
+    """Every pool operation leaves ``meta_words`` equal to a reference
+    that writes each word it touches with ``encode_local``/``encode_remote``."""
+
+    @staticmethod
+    def _local(obj_id, size, dirty):
+        return encode_local((obj_id * size) & ((1 << 47) - 1), dirty=dirty, hot=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        object_size=st.sampled_from([64, 256, 4 * KB, 64 * KB]),
+        capacity=st.integers(1, 4),
+        use_clock=st.booleans(),
+        ops=_POOL_OPS,
+    )
+    def test_words_match_the_encoders(self, object_size, capacity, use_clock, ops):
+        pool = ObjectPool(PoolConfig(
+            object_size=object_size,
+            local_memory=capacity * object_size,
+            heap_size=8 * object_size,
+            use_clock=use_clock,
+        ))
+        residency = pool.residency
+        size_field = min(object_size, (1 << 16) - 1)
+        want = [encode_remote(i, size_field) for i in range(8)]
+        assert pool.meta_words.tolist() == want
+        for op, obj_id in ops:
+            before = set(residency.resident_ids())
+            try:
+                if op in ("read", "write"):
+                    pool.ensure_local(obj_id, write=op == "write")
+                elif op == "prefetch":
+                    pool.prefetch(obj_id)
+                elif op == "expel":
+                    pool.expel(obj_id)
+                elif op == "materialize":
+                    pool.materialize(obj_id)
+                elif op == "free":
+                    pool.free_object(obj_id)
+                elif op == "reinstate":
+                    pool.reinstate_dirty(obj_id)
+                elif op == "pin":
+                    pool.pin(obj_id)
+                elif residency.is_pinned(obj_id):
+                    pool.unpin(obj_id)
+            except EvacuationError:
+                # Every resident object is pinned: no word moved.
+                assert pool.meta_words.tolist() == want
+                continue
+            after = set(residency.resident_ids())
+            for victim in before - after:
+                want[victim] = encode_remote(victim, size_field)
+            if op in ("read", "write"):
+                want[obj_id] = self._local(obj_id, object_size, residency.is_dirty(obj_id))
+            elif op == "prefetch" and obj_id not in before:
+                want[obj_id] = self._local(obj_id, object_size, False)
+            elif op == "materialize":
+                want[obj_id] = self._local(obj_id, object_size, False)
+            elif op == "free":
+                want[obj_id] = encode_remote(obj_id, size_field)
+            elif op == "reinstate":
+                want[obj_id] = self._local(obj_id, object_size, True)
+            assert pool.meta_words.tolist() == want, (op, obj_id)
 
 
 class TestDerefScope:

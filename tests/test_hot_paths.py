@@ -1,4 +1,5 @@
-"""Lint the per-access hot paths for two costs no profiler line names.
+"""Lint the per-access hot paths for two costs no profiler line names,
+and hold the object miss path to a Python frame budget.
 
 * **Enum class lookups.** ``EnumType`` defines ``__getattr__``, so on
   CPython 3.11 ``AccessKind.WRITE`` in a function body takes the slow
@@ -15,16 +16,20 @@ Each function is walked with :mod:`dis`: a global that resolves to an
 :class:`enum.Enum` subclass and is followed by an attribute load fails.
 The check reads instruction ``argval`` only, so it means the same on
 3.10 to 3.12.
+
+``test_miss_path_frame_budget`` counts the Python frames one slow guard
+and one prefetching chunk crossing enter, exactly.
 """
 
 import dis
 import enum
 import inspect
+import sys
 
 import pytest
 
 from repro.aifm.evacuator import Evacuator
-from repro.aifm.pool import ObjectPool
+from repro.aifm.pool import ObjectPool, PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.fastswap.runtime import FastswapRuntime
 from repro.hybrid.profiler import DensityProfiler, RegionStats
@@ -36,6 +41,7 @@ from repro.net.faults import CircuitBreaker
 from repro.net.link import NetworkLink
 from repro.serve.cluster import Shard, ShardedCluster
 from repro.serve.simulation import ServingSimulation
+from repro.sim.memory import AddressSpace
 from repro.sim.residency import AccessOutcome, ResidencySet
 from repro.trace.histogram import StreamingHistogram
 from repro.trackfm.guards import GuardEngine, GuardResult
@@ -57,6 +63,10 @@ HOT_PATHS = [
     # residency: hit, miss, eviction
     ResidencySet.access,
     ResidencySet.touch,
+    # the interpreter's typed loads and stores, and a hot-region miss
+    AddressSpace.load,
+    AddressSpace.store,
+    AddressSpace._make_hot,
     # object miss, prefetch and evacuation
     ObjectPool.ensure_local,
     ObjectPool.prefetch,
@@ -151,3 +161,56 @@ def test_the_lint_reads_enum_member_loads(fn, expected):
 @pytest.mark.parametrize("cls", [GuardResult, AccessOutcome, RegionStats])
 def test_per_access_results_are_tuples(cls):
     assert issubclass(cls, tuple)
+
+
+# -- frame budget -------------------------------------------------------------
+
+
+def _frames(fn, *args):
+    """Python frames entered by ``fn(*args)``, ``fn``'s own included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _runtime():
+    """Room for four objects; a 16-object allocation at heap offset 0."""
+    rt = TrackFMRuntime(PoolConfig(object_size=256, local_memory=1024, heap_size=65536))
+    return rt, rt.tfm_malloc(16 * 256)
+
+
+#: Frames per call, the entry's own included.  They read 22, 27 and 123
+#: while every word write, link price, guard count and id check on the
+#: miss path was a call of its own.
+@pytest.mark.parametrize("case, frames", [
+    ("slow guard, clean victim", 9),
+    ("slow guard, dirty victim", 12),
+    ("crossing, 8 prefetches", 46),
+])
+def test_miss_path_frame_budget(case, frames):
+    rt, ptr = _runtime()
+    if case.startswith("slow"):
+        fill = rt.tfm_guard_write if "dirty" in case else rt.tfm_guard_read
+        for obj in range(4):
+            fill(ptr + obj * 256)
+        got = _frames(rt.tfm_guard_read, ptr + 4 * 256)
+        assert rt.metrics.evictions == 1
+        assert rt.metrics.bytes_evacuated == (256 if "dirty" in case else 0)
+    else:
+        rt.chunk_begin(1, prefetch=True)
+        rt.tfm_chunk_deref(ptr, 1)
+        rt.tfm_chunk_deref(ptr + 256, 1)  # the stride is seen; confident next
+        issued = rt.metrics.prefetches_issued
+        got = _frames(rt.tfm_chunk_deref, ptr + 2 * 256, 1)
+        assert rt.metrics.prefetches_issued - issued == 8
+    assert got == frames

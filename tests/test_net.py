@@ -1,8 +1,10 @@
 """Network link model, the calibrated backends, and fault-spec parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import RuntimeConfigError
+from repro.errors import RuntimeConfigError, TransientNetworkError
 from repro.net.backends import make_rdma_backend, make_tcp_backend
 from repro.net.faults import FAULT_SPEC_KEYS, FaultPlan, parse_fault_spec
 from repro.net.link import (
@@ -108,6 +110,75 @@ class TestLinkEdgeCases:
         assert costs == sorted(costs, reverse=True)
         # And never better than the bandwidth bound.
         assert costs[-1] >= link.wire_cycles(500)
+
+
+_FAULT_PLANS = st.one_of(
+    st.none(),
+    st.builds(
+        FaultPlan,
+        seed=st.integers(0, 2**32),
+        drop_rate=st.sampled_from([0.0, 0.2]),
+        spike_rate=st.floats(0.0, 1.0),
+        spike_cycles=st.floats(0.0, 1e5),
+        jitter_cycles=st.floats(0.0, 1e3),
+    ),
+)
+
+
+class TestTransferPricing:
+    """``transfer`` prices a message exactly as ``transfer_cycles`` (depth
+    1) or ``pipelined_cycles`` (deeper) do, plus the fault schedule's
+    extra, and books the same ``LinkStats`` as a reference fold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        latency=st.floats(0.0, 1e6),
+        bytes_per_cycle=st.floats(1e-3, 1e3),
+        per_message=st.floats(0.0, 1e5),
+        plan=_FAULT_PLANS,
+        messages=st.lists(
+            st.tuples(
+                st.integers(0, 1 << 20),
+                st.integers(1, 64),
+                st.sampled_from(list(TransferDirection)),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_transfer_matches_closed_forms(
+        self, latency, bytes_per_cycle, per_message, plan, messages
+    ):
+        link = NetworkLink(latency, bytes_per_cycle, per_message)
+        twin = None
+        if plan is not None:
+            link.faults, twin = plan.schedule(), plan.schedule()
+        count = fetched = evicted = 0
+        busy = 0.0
+        for size, depth, direction in messages:
+            try:
+                extra = twin.roll(size) if twin is not None else 0.0
+            except TransientNetworkError:
+                with pytest.raises(TransientNetworkError):
+                    link.transfer(size, direction, depth)
+                continue
+            base = (
+                link.transfer_cycles(size)
+                if depth == 1
+                else link.pipelined_cycles(size, depth)
+            )
+            assert link.transfer(size, direction, depth) == base + extra
+            count += 1
+            if direction is TransferDirection.FETCH:
+                fetched += size
+            else:
+                evicted += size
+            busy += base + extra
+            stats = link.stats
+            assert (stats.messages, stats.bytes_fetched, stats.bytes_evicted) == (
+                count, fetched, evicted
+            )
+            assert stats.busy_cycles == busy
 
 
 class TestBackendsCalibration:

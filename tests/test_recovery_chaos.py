@@ -17,7 +17,8 @@ from repro.aifm.pool import PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.errors import DataIntegrityError, RuntimeConfigError, SimulatedCrashError
 from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-from repro.hybrid.runtime import HybridRuntime, Placement
+from repro.hybrid.runtime import AdaptiveHybridRuntime, HybridRuntime, Placement
+from repro.hybrid.selector import SelectorConfig
 from repro.integrity import IntegrityConfig, RecordKind, default_integrity_config
 from repro.machine.costs import AccessKind
 from repro.net.faults import FaultPlan
@@ -243,6 +244,87 @@ class TestFastswapCrashRecovery:
         )
         with pytest.raises(RuntimeConfigError):
             rt.recover()
+
+
+def _writeback_records(victims):
+    """INTENT, PAYLOAD and COMMIT of one writeback per victim, in order."""
+    return [
+        (kind, victim)
+        for victim in victims
+        for kind in (RecordKind.INTENT, RecordKind.PAYLOAD, RecordKind.COMMIT)
+    ]
+
+
+class TestPageReinstateJournal:
+    """Reinstating a page over a full page tier writes its dirty victim
+    back through the journal, as a fault's reclaim does, from both
+    callers: the adaptive hybrid's eviction hook and recovery's rollback."""
+
+    def test_hybrid_migration_journals_dirty_victims(self):
+        rt = AdaptiveHybridRuntime(
+            16 * KB, 64 * KB, epoch_accesses=512,
+            selector_config=SelectorConfig(hysteresis=0.05, min_accesses=4),
+        )
+        rt.enable_integrity()
+        fs = rt.fastswap  # a 2-page page tier
+        journal = fs.integrity.journal
+        reinstate, calls = fs._reinstate_page, []
+
+        def spy(page):
+            resident = set(fs.residency.resident_ids())
+            evacuated, records = fs.metrics.bytes_evacuated, len(journal)
+            cycles = reinstate(page)
+            calls.append((
+                sorted(resident - set(fs.residency.resident_ids())),
+                fs.metrics.bytes_evacuated - evacuated,
+                [(r.kind, r.obj_id, r.version) for r in journal.records[records:]],
+            ))
+            return cycles
+
+        fs._reinstate_page = spy
+        ptr = rt.tfm_malloc(6 * 4 * KB)
+        for region in range(6):
+            for _sweep in range(3):
+                for offset in range(0, 4 * KB, 8):
+                    rt.access(ptr + region * 4 * KB + offset, AccessKind.WRITE)
+        evicting = [call for call in calls if call[0]]
+        assert len(calls) == 96 and len(evicting) == 4
+        for victims, evacuated, records in evicting:
+            assert evacuated == 4 * KB * len(victims)
+            assert [(kind, obj) for kind, obj, _v in records] == _writeback_records(victims)
+            assert len({version for _k, _o, version in records}) == 1
+
+    def test_rollback_journals_its_victim_and_recovers_once(self):
+        rt = FastswapRuntime(FastswapConfig(local_memory=8 * KB, heap_size=64 * KB))
+        checker = rt.enable_integrity(IntegrityConfig(seed=1, crash_at_record=1))
+        rt.allocate(32 * KB)
+        rt.access(0, AccessKind.WRITE)
+        rt.access(4 * KB, AccessKind.WRITE)
+        with pytest.raises(SimulatedCrashError):
+            # Page 0 is the dirty victim: its INTENT record crashes.
+            rt.access(8 * KB, AccessKind.WRITE)
+        assert rt.metrics.bytes_evacuated == 0
+        report = rt.recover()
+        # Rolling page 0 back displaces dirty page 1, written back in full.
+        assert report.rolled_back == 1
+        assert [(r.kind, r.obj_id) for r in checker.journal.records] == (
+            [(RecordKind.INTENT, 0)] + _writeback_records([1]) + [(RecordKind.ABORT, 0)]
+        )
+        assert rt.metrics.bytes_evacuated == 4 * KB
+        assert sorted(rt.residency.resident_ids()) == [0, 2]
+
+        def state():
+            return (
+                rt.metrics.as_dict(),
+                checker.journal.records,
+                sorted(rt.residency.resident_ids()),
+                sorted(rt.residency._dirty),
+            )
+
+        before = state()
+        again = rt.recover()
+        assert again.total_actions == 0 and again.cycles == 0.0
+        assert state() == before
 
 
 CORRUPTING = FaultPlan(

@@ -324,7 +324,8 @@ class TestCodecs:
         steps=st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["load", "load", "store", "store", "unmap_first", "unmap_second", "remap"]
+                    ["load", "load", "store", "store", "unmap_first", "unmap_second",
+                     "unmap", "remap"]
                 ),
                 st.integers(0, 4),  # region, by index
                 # Offset from its start (straddling either edge), or, as
@@ -342,7 +343,10 @@ class TestCodecs:
         # the regions it should hold (most recent first), so the
         # ``unmap_first``/``unmap_second`` steps drop exactly the region
         # in one entry, and a later remap at the same start gets fresh
-        # zeroed bytes that a stale entry would not serve.
+        # zeroed bytes that a stale entry would not serve.  ``unmap``
+        # drops any region, cached or not, and ``remap`` maps one back
+        # at its start with a drawn size no larger than its slot, so the
+        # cache's misses see regions come and go at every position.
         layout, start = {}, _BASE
         for size, gap in zip(sizes, gaps):
             layout[start] = size
@@ -359,8 +363,15 @@ class TestCodecs:
             start = starts[index % len(starts)]
             if kind == "remap":
                 if start not in oracle:
-                    mem.map_region(start, layout[start])
-                    oracle[start] = bytearray(layout[start])
+                    size = layout[start] if isinstance(off, tuple) else 1 + off % layout[start]
+                    mem.map_region(start, size)
+                    oracle[start] = bytearray(size)
+                continue
+            if kind == "unmap":
+                if start in oracle:
+                    mem.unmap(start)
+                    del oracle[start]
+                    recent = [r for r in recent if r != start]
                 continue
             if kind.startswith("unmap"):
                 slot = 0 if kind == "unmap_first" else 1
@@ -369,7 +380,7 @@ class TestCodecs:
                     del oracle[recent.pop(slot)]
                 continue
             if isinstance(off, tuple):
-                off = layout[start] - off[1]
+                off = (len(oracle.get(start, b"")) or layout[start]) - off[1]
             addr, size = start + off, _oracle_size(name)
             codec = codec_for(_TYPES[name])
             want_exc = want = None
