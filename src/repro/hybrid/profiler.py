@@ -17,6 +17,7 @@ downstream decision is bit-reproducible.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple
 
 from repro.errors import RuntimeConfigError
@@ -115,8 +116,8 @@ class DensityProfiler:
         return self.window_transitions / self.window_accesses
 
     def _freeze(self, min_accesses: int) -> Dict[int, RegionStats]:
-        # One per region and epoch: ``_make`` skips the keyword-capable call.
-        make = RegionStats._make
+        # One per region and epoch, built without ``_make``'s frame.
+        make = partial(tuple.__new__, RegionStats)
         accesses = self._accesses
         objects = self._objects
         pages = self._pages

@@ -19,6 +19,7 @@ Two planes share the two tiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.aifm.pool import PoolConfig
@@ -46,8 +47,8 @@ _WRITE = AccessKind.WRITE
 _NONE = GuardKind.NONE
 _OBJECTS = Placement.OBJECTS
 _PAGES = Placement.PAGES
-#: Builds a page fault's :class:`GuardResult`, skipping the keyword-capable call.
-_guard_result = GuardResult._make
+#: Builds a page fault's :class:`GuardResult` without ``_make``'s frame.
+_guard_result = partial(tuple.__new__, GuardResult)
 
 __all__ = [
     "AdaptiveHybridRuntime",

@@ -55,6 +55,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import AbstractSet, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DataIntegrityError, RuntimeConfigError
@@ -315,6 +316,8 @@ class Shard:
         self.counters: Metrics = (
             self.runtime.extra_metrics if config.runtime == "hybrid" else self.runtime.metrics
         )
+        #: Bound once: every request calls it.
+        self._access = self.runtime.access
         self._enable_degraded()
 
     def _enable_degraded(self) -> None:
@@ -407,15 +410,15 @@ class Shard:
         if self._kind != "hybrid":
             counters = self.counters
             before = counters.degraded_accesses
-            cycles = self.runtime.access(self._base + offset, kind, SLOT_BYTES)
+            cycles = self._access(self._base + offset, kind, SLOT_BYTES)
             if self._quota is not None:
                 cycles += self._enforce_quota(tenant, offset)
             return cycles, counters.degraded_accesses > before
         before = self._hybrid_degraded_accesses()
         if offset < self._obj_half:
-            cycles = self.runtime.access(self._obj_handle, offset, kind, SLOT_BYTES)
+            cycles = self._access(self._obj_handle, offset, kind, SLOT_BYTES)
         else:
-            cycles = self.runtime.access(
+            cycles = self._access(
                 self._page_handle, offset - self._obj_half, kind, SLOT_BYTES
             )
         if self._quota is not None:
@@ -523,10 +526,17 @@ class RequestResult(NamedTuple):
     acks: int = 0
 
 
-#: Builds a :class:`RequestResult` from a tuple of every field, skipping
-#: the keyword-capable ``__new__`` a class call goes through (one per
-#: request, so it shows in ``serve-read`` throughput).
-_result = RequestResult._make
+#: Builds a :class:`RequestResult` from a tuple of every field, without
+#: the keyword-capable ``__new__`` or ``_make``'s frame (one per request).
+_result = partial(tuple.__new__, RequestResult)
+
+
+class _Seeds(dict):
+    """Key -> :func:`default_value`, derived on a key's first lookup."""
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = default_value(key)
+        return value
 
 
 @dataclass
@@ -596,6 +606,8 @@ class ShardedCluster:
         self._next_shard_id = config.n_shards
         # Fixed by the (frozen) config; read on every request.
         self._n_keys = config.n_keys
+        #: Each key's seed value, memoized: a never-written read enters no frame.
+        self._seeds = _Seeds()
         self._write_quorum, self._read_quorum = config.quorums
         # Only a replicated cluster detects failures on its own and books
         # the replication counters; R=1 reports keep their historical form.
@@ -673,7 +685,7 @@ class ShardedCluster:
             if version > best_version:
                 best, best_tag, best_version = shard, tag, version
         if best_tag is None:
-            return default_value(key), None
+            return self._seeds[key], None
         return best.store[key], best_tag
 
     def serve(self, key: int, tenant: int = 0, write: bool = False) -> RequestResult:
@@ -711,7 +723,7 @@ class ShardedCluster:
             if degraded:
                 self.stats.degraded_requests += 1
             if tag is None:
-                return _result((primary, default_value(key), cycles, degraded, 0, 1))
+                return _result((primary, self._seeds[key], cycles, degraded, 0, 1))
             return _result((primary, shard.store[key], cycles, degraded, tag.version, 1))
         routable = self._routable(reps) if self._suspected else reps
         coordinator = routable[0]

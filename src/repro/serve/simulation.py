@@ -27,7 +27,10 @@ bit-identical across reruns.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeConfigError
@@ -135,7 +138,9 @@ class ServingSimulation:
         busy_until: Dict[int, float] = {}
         makespan = 0.0
         completions_acc = 0xCBF29CE484222325
-        shards = cluster.shards
+        # Each shard's request latencies, in arrival order, folded into
+        # its histogram after the traffic (nothing reads it mid-run).
+        latencies: Dict[int, array] = defaultdict(partial(array, "d"))
         serve = cluster.serve
         # The control plane runs only once something is due.
         due = self._next_due(actions)
@@ -158,9 +163,7 @@ class ServingSimulation:
             if completion > makespan:
                 makespan = completion
             latency = completion - now
-            shard = shards[sid]
-            shard.requests += 1
-            shard.latency.record(latency)
+            latencies[sid].append(latency)
             completions_acc = (
                 (completions_acc ^ (value + sid + (1 if degraded else 2)))
                 * 0x100000001B3
@@ -176,6 +179,10 @@ class ServingSimulation:
                     latency=latency,
                     degraded=degraded,
                 )
+        for sid, shard_latencies in latencies.items():
+            shard = cluster.shards[sid]
+            shard.requests += len(shard_latencies)
+            shard.latency.record_many(shard_latencies)
 
         # Chaos scripted past the last arrival still runs (e.g. a final
         # rebalance whose re-seeding the report must reflect), with the

@@ -394,7 +394,7 @@ class _Emitter:
             emit(inner, "else:", offset)
             emit(inner + 1, f"c = {fast}[t_cache_access(a)]", offset)
             kind = GuardKind.FAST
-        # ResidencySet.touch's hit: a CLOCK hot bit or an LRU move.
+        # ResidencySet.access's hit: a CLOCK hot bit or an LRU move.
         emit(inner, "if o in t_resident:", offset)
         emit(inner + 1, "if t_use_clock:", offset)
         emit(inner + 2, "t_resident[o] = True", offset)

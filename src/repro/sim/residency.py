@@ -88,34 +88,17 @@ class ResidencySet:
 
     # -- the core access path ---------------------------------------------
 
-    def touch(self, granule: int, write: bool = False) -> bool:
-        """Record a hit on ``granule`` if it is resident; never evicts.
-
-        Returns False, changing nothing, when ``granule`` is not
-        resident.  The hit half of :meth:`access`, for callers that only
-        need to know whether the granule was local.
-        """
-        resident = self._resident
-        if granule not in resident:
-            return False
-        if self.use_clock:
-            resident[granule] = True
-        else:
-            resident.move_to_end(granule)
-        if write:
-            self._dirty.add(granule)
-        return True
-
     def access(self, granule: int, write: bool = False) -> AccessOutcome:
         """Touch ``granule``; fetch + evict as needed.
 
         Returns whether it was a hit and which granules were evicted.
-        The hit half is :meth:`touch`, repeated here without its frame
-        (this is every page fault's and object miss's first step).  The
-        set never exceeds ``capacity``, so a miss into a full set evicts
-        one victim: LRU's least recent unpinned granule, or the first
-        cold unpinned one CLOCK's sweep reaches (clearing hot bits on
-        the way, at most ``2n + 1`` steps); if all are pinned it raises
+        A hit sets a CLOCK granule's hot bit or moves an LRU one to the
+        recent end, and a write marks it dirty; the guard engine and the
+        adaptive hybrid's router book this hit in place.  The set never
+        exceeds ``capacity``, so a miss into a full set evicts one
+        victim: LRU's least recent unpinned granule, or the first cold
+        unpinned one CLOCK's sweep reaches (clearing hot bits on the
+        way, at most ``2n + 1`` steps); if all are pinned it raises
         :class:`EvacuationError`.
         """
         resident = self._resident

@@ -15,7 +15,9 @@ lets per-runtime traces be folded into one report.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import TraceError
 
@@ -77,6 +79,38 @@ class StreamingHistogram:
             self.min = v
         if v > self.max:
             self.max = v
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """Record each of ``values`` once: exactly what :meth:`record`
+        applied to each value in turn leaves.
+
+        The bucket indexes are computed in bulk (``rint`` rounds half to
+        even like ``round``; an integer's ``frexp`` exponent is its bit
+        length) and the total is summed left to right (``np.sum`` sums
+        pairwise).  A batch holding NaN, infinity or a value from 2**53
+        up, where float64 stops holding every integer, goes value by
+        value, so it raises and buckets as :meth:`record` does.
+        """
+        v = np.asarray(values, dtype=np.float64)
+        if not v.size:
+            return
+        v = np.where(v < 0.0, 0.0, v)
+        if not (v < 2.0**53).all():
+            for value in values:
+                self.record(value)
+            return
+        n = np.rint(v).astype(np.int64)
+        shift = np.maximum(np.frexp(n)[1] - (self.sub_bits + 1), 0)
+        base = self._base
+        idx, counts = np.unique(np.where(n < base, n, shift * base + (n >> shift)),
+                                return_counts=True)
+        buckets = self.buckets
+        for i, c in zip(idx.tolist(), counts.tolist()):
+            buckets[i] = buckets.get(i, 0) + c
+        self.count += v.size
+        self.total = np.add.accumulate(np.concatenate(([self.total], v)))[-1].item()
+        self.min = min(self.min, v.min().item())
+        self.max = max(self.max, v.max().item())
 
     # -- queries -----------------------------------------------------------
 

@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 
 from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.aifm.pool import ObjectPool
+from repro.machine.cache import CacheModel
 from repro.machine.costs import AccessKind, CostTable, GuardKind
 from repro.sim.metrics import Metrics
 from repro.trace.tracer import NULL_TRACER
@@ -81,14 +82,25 @@ class GuardEngine:
         # prebuilt value indexed by the cache hit (False=0, True=1).
         c = self.costs
         self._object_shift = pool.object_shift
-        # The state-table read, inlined: the table's cache and base
-        # address are fixed at construction, and its words are a view of
-        # the pool's metadata array, which recovery rebuilds in place
-        # (indexing a memoryview is cheaper than ``ndarray.item``).
-        self._cache_access = table.cache.access
+        # The state-table read and the residency hit, inlined: the cache,
+        # the residency set and the pool's metadata words (a memoryview:
+        # cheaper to index than ``ndarray.item``) are only ever updated in
+        # place.  A cache class with its own ``access`` gets an empty set
+        # table, so every lookup takes that method.
+        cache = table.cache
+        self._sets = cache._sets if type(cache) is CacheModel else {}
+        self._line_size = cache.line_size
+        self._num_sets = cache.num_sets
+        self._cache_stats = cache.stats
+        self._cache_access = cache.access
         self._table_base = table.base_addr
         self._words = memoryview(pool.meta_words)
         self._num_objects = pool.num_objects
+        residency = pool.residency
+        self._resident = residency._resident
+        self._dirty = residency._dirty
+        self._use_clock = residency.use_clock
+        self._residency_access = residency.access
         self._fast_read = (
             GuardResult(_FAST, c.fast_guard_read_uncached, False),
             GuardResult(_FAST, c.fast_guard_read_cached),
@@ -115,9 +127,19 @@ class GuardEngine:
             return self._custody(kind)
         # The pointer is decoded once: heap offset >> log2(object size).
         obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
-        # ObjectStateTable.lookup without its frames: the cache access
-        # first, then the word; meta_word rejects an out-of-heap id.
-        cache_hit = self._cache_access(self._table_base + obj_id * ENTRY_BYTES)
+        # ObjectStateTable.lookup without its frames: CacheModel.access's
+        # hit (a miss fills through it), then the word; meta_word rejects
+        # an out-of-heap id.
+        entry = self._table_base + obj_id * ENTRY_BYTES
+        line = entry // self._line_size
+        entries = self._sets.get(line % self._num_sets)
+        tag = line // self._num_sets
+        if entries is not None and tag in entries:
+            entries.move_to_end(tag)
+            self._cache_stats.hits += 1
+            cache_hit = True
+        else:
+            cache_hit = self._cache_access(entry)
         if obj_id < self._num_objects:
             word = self._words[obj_id]
         else:
@@ -127,12 +149,18 @@ class GuardEngine:
         # The evacuator barrier (§3.3) guarantees no TOCTOU: while a
         # thread is inside a guard it is never "out-of-scope", so the
         # object cannot be delocalized between the test and the access.
-        # A safe object is resident: recording the hit is all the
-        # residency set has to do.
+        # A safe object is resident: this is ResidencySet.access's hit.
         write = kind is _WRITE
-        residency = self.pool.residency
-        if not residency.touch(obj_id, write):
-            residency.access(obj_id, write=write)
+        resident = self._resident
+        if obj_id in resident:
+            if self._use_clock:
+                resident[obj_id] = True
+            else:
+                resident.move_to_end(obj_id)
+            if write:
+                self._dirty.add(obj_id)
+        else:
+            self._residency_access(obj_id, write)
         result = (self._fast_write if write else self._fast_read)[cache_hit]
         guards = self.metrics.guards
         guards[_FAST] = guards.get(_FAST, 0) + 1

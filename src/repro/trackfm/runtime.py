@@ -372,7 +372,7 @@ class TrackFMRuntime:
             last = ((ptr + size - 1) & MAX_HEAP_OFFSET) >> shift
             for obj_id in range(first + 1, last + 1):
                 cycles += guard(TFM_BASE | (obj_id << shift), kind, depth).cycles
-        metrics = self.pool.metrics
+        metrics = self._metrics
         metrics.accesses += 1
         metrics.cycles += cycles
         return cycles
@@ -501,27 +501,25 @@ class TrackFMRuntime:
         guards = self.guards
         if type(guards) is not GuardEngine or self.tracer.enabled or guards.tracer.enabled:
             return None
-        pool = self.pool
-        cache = self.table.cache
-        residency = pool.residency
         costs = self.costs
         local = self._local_access
+        # The guard engine's own bindings, so both hits read one state.
         return InlineState(
             metrics=self._metrics,
             guards=self._metrics.guards,
-            words=memoryview(pool.meta_words),
-            num_objects=pool.num_objects,
-            object_shift=pool.object_shift,
-            sets=cache._sets if type(cache) is CacheModel else {},
-            table_base=self.table.base_addr,
-            line_size=cache.line_size,
-            num_sets=cache.num_sets,
-            cache_stats=cache.stats,
-            cache_access=cache.access,
-            resident=residency._resident,
-            dirty=residency._dirty,
-            use_clock=residency.use_clock,
-            residency_access=residency.access,
+            words=guards._words,
+            num_objects=guards._num_objects,
+            object_shift=guards._object_shift,
+            sets=guards._sets,
+            table_base=guards._table_base,
+            line_size=guards._line_size,
+            num_sets=guards._num_sets,
+            cache_stats=guards._cache_stats,
+            cache_access=guards._cache_access,
+            resident=guards._resident,
+            dirty=guards._dirty,
+            use_clock=guards._use_clock,
+            residency_access=guards._residency_access,
             chunks=self._chunks,
             fast_read=(costs.fast_guard_read_uncached + local,
                        costs.fast_guard_read_cached + local),

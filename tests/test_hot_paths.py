@@ -1,5 +1,5 @@
-"""Lint the per-access hot paths for two costs no profiler line names,
-and hold the object miss path to a Python frame budget.
+"""Lint the per-access hot paths for costs no profiler line names, and
+hold the object miss path and a served request to a Python frame budget.
 
 * **Enum class lookups.** ``EnumType`` defines ``__getattr__``, so on
   CPython 3.11 ``AccessKind.WRITE`` in a function body takes the slow
@@ -9,22 +9,28 @@ and hold the object miss path to a Python frame budget.
 * **Frozen-dataclass results.** Building a frozen dataclass costs about
   three times as much as building a tuple, so the per-access results
   are ``NamedTuple`` subclasses.
+* **Namedtuple ``_make``.** ``_make`` is a Python function, a frame per
+  result; hot paths build results with ``partial(tuple.__new__, cls)``.
 
 ``HOT_PATHS`` lists what a guarded access, object miss, page fault,
 eviction, transfer, epoch fold, region decision or served request runs.
 Each function is walked with :mod:`dis`: a global that resolves to an
-:class:`enum.Enum` subclass and is followed by an attribute load fails.
-The check reads instruction ``argval`` only, so it means the same on
-3.10 to 3.12.
+:class:`enum.Enum` subclass and is followed by an attribute load fails,
+and so does a global that is a namedtuple's bound ``_make`` or a
+namedtuple class followed by a ``_make`` load.  The checks read
+instruction ``argval`` only, so they mean the same on 3.10 to 3.12.
 
-``test_miss_path_frame_budget`` counts the Python frames one slow guard
-and one prefetching chunk crossing enter, exactly.
+The frame budgets count, exactly, the Python frames one slow guard, one
+prefetching chunk crossing and one served read enter, and what each
+request adds to a read-only serving run.
 """
 
 import dis
 import enum
 import inspect
 import sys
+from functools import partial
+from typing import NamedTuple
 
 import pytest
 
@@ -39,13 +45,15 @@ from repro.machine.costs import AccessKind, CostTable
 from repro.net.backends import RemoteBackend
 from repro.net.faults import CircuitBreaker
 from repro.net.link import NetworkLink
-from repro.serve.cluster import Shard, ShardedCluster
+from repro.serve.cluster import ClusterConfig, RequestResult, Shard, ShardedCluster
 from repro.serve.simulation import ServingSimulation
+from repro.serve.traffic import Schedule, TrafficConfig, generate_schedule
 from repro.sim.memory import AddressSpace
 from repro.sim.residency import AccessOutcome, ResidencySet
 from repro.trace.histogram import StreamingHistogram
 from repro.trackfm.guards import GuardEngine, GuardResult
 from repro.trackfm.runtime import TrackFMRuntime
+from repro.units import KB
 
 _WRITE = AccessKind.WRITE
 
@@ -62,7 +70,6 @@ HOT_PATHS = [
     TrackFMRuntime.chunk_access,
     # residency: hit, miss, eviction
     ResidencySet.access,
-    ResidencySet.touch,
     # the interpreter's typed loads and stores, and a hot-region miss
     AddressSpace.load,
     AddressSpace.store,
@@ -98,7 +105,9 @@ HOT_PATHS = [
     ShardedCluster.serve,
     Shard.service,
     ServingSimulation.run,
+    Schedule.rows,
     StreamingHistogram.record,
+    StreamingHistogram.record_many,
 ]
 
 #: Opcodes that load an attribute of the object on top of the stack
@@ -114,19 +123,40 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-def enum_class_lookups(fn):
-    """Every ``Enum.MEMBER`` load in ``fn``, as ``"Class.MEMBER"`` strings:
-    a global that resolves to an enum class, then an attribute load."""
+def _global_loads(fn):
+    """``(name, value, next instruction)`` for every global ``fn`` loads."""
     namespace = fn.__globals__
-    found = []
     for code in _code_objects(fn.__code__):
         instructions = list(dis.get_instructions(code))
         for load, nxt in zip(instructions, instructions[1:]):
-            if load.opname != "LOAD_GLOBAL" or nxt.opname not in _ATTRIBUTE_LOADS:
-                continue
-            value = namespace.get(load.argval)
-            if isinstance(value, type) and issubclass(value, enum.Enum):
-                found.append(f"{load.argval}.{nxt.argval}")
+            if load.opname == "LOAD_GLOBAL":
+                yield load.argval, namespace.get(load.argval), nxt
+
+
+def enum_class_lookups(fn):
+    """Every ``Enum.MEMBER`` load in ``fn``, as ``"Class.MEMBER"`` strings:
+    a global that resolves to an enum class, then an attribute load."""
+    return [
+        f"{name}.{nxt.argval}"
+        for name, value, nxt in _global_loads(fn)
+        if nxt.opname in _ATTRIBUTE_LOADS
+        and isinstance(value, type) and issubclass(value, enum.Enum)
+    ]
+
+
+def _is_namedtuple(value):
+    return isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+
+
+def namedtuple_make_loads(fn):
+    """Every namedtuple ``_make`` ``fn`` loads: a global bound to one (by
+    name), or a namedtuple class global then ``_make`` (``"Class._make"``)."""
+    found = []
+    for name, value, nxt in _global_loads(fn):
+        if inspect.ismethod(value) and value.__name__ == "_make" and _is_namedtuple(value.__self__):
+            found.append(name)
+        elif _is_namedtuple(value) and nxt.opname in _ATTRIBUTE_LOADS and nxt.argval == "_make":
+            found.append(f"{name}._make")
     return found
 
 
@@ -158,7 +188,50 @@ def test_the_lint_reads_enum_member_loads(fn, expected):
     assert enum_class_lookups(fn) == expected
 
 
-@pytest.mark.parametrize("cls", [GuardResult, AccessOutcome, RegionStats])
+@pytest.mark.parametrize("fn", HOT_PATHS, ids=lambda fn: fn.__qualname__)
+def test_no_namedtuple_make_on_a_hot_path(fn):
+    assert namedtuple_make_loads(fn) == [], (
+        f"{fn.__qualname__} builds a result with _make; bind "
+        "partial(tuple.__new__, cls) instead"
+    )
+
+
+class _Pair(NamedTuple):
+    a: int
+    b: int
+
+
+_pair_make = _Pair._make
+_pair = partial(tuple.__new__, _Pair)
+
+
+def _builds_with_bound_make():
+    return _pair_make((1, 2))
+
+
+def _builds_with_class_make():
+    return _Pair._make((1, 2))
+
+
+def _builds_with_tuple_new():
+    return _pair((1, 2))
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        (_builds_with_bound_make, ["_pair_make"]),
+        (_builds_with_class_make, ["_Pair._make"]),
+        (_builds_with_tuple_new, []),
+    ],
+    ids=["bound", "class", "tuple-new"],
+)
+def test_the_lint_reads_namedtuple_make_loads(fn, expected):
+    assert namedtuple_make_loads(fn) == expected
+    assert fn() == _Pair(1, 2)
+
+
+@pytest.mark.parametrize("cls", [GuardResult, AccessOutcome, RegionStats, RequestResult])
 def test_per_access_results_are_tuples(cls):
     assert issubclass(cls, tuple)
 
@@ -191,10 +264,11 @@ def _runtime():
 
 #: Frames per call, the entry's own included.  They read 22, 27 and 123
 #: while every word write, link price, guard count and id check on the
-#: miss path was a call of its own.
+#: miss path was a call of its own, and the slow guards 9 and 12 while
+#: the guard's state-table cache hit entered ``CacheModel.access``.
 @pytest.mark.parametrize("case, frames", [
-    ("slow guard, clean victim", 9),
-    ("slow guard, dirty victim", 12),
+    ("slow guard, clean victim", 8),
+    ("slow guard, dirty victim", 11),
     ("crossing, 8 prefetches", 46),
 ])
 def test_miss_path_frame_budget(case, frames):
@@ -214,3 +288,54 @@ def test_miss_path_frame_budget(case, frames):
         got = _frames(rt.tfm_chunk_deref, ptr + 2 * 256, 1)
         assert rt.metrics.prefetches_issued - issued == 8
     assert got == frames
+
+
+def _cluster():
+    """Four TrackFM shards over 64 keys, 4 KB local memory each: every
+    key's object stays resident once served."""
+    return ShardedCluster(
+        ClusterConfig(n_shards=4, n_keys=64, runtime="trackfm", local_memory=4 * KB)
+    )
+
+
+#: A resident R=1 read enters the four spans the host benchmark wraps:
+#: ``serve``, ``service``, ``access`` and ``guard``.  It entered 7 (a
+#: written key) and 9 (a never-written one) while the guard called
+#: ``CacheModel.access`` and ``ResidencySet.touch``, the result was
+#: built with ``_make`` and the seed value was derived on every read.
+@pytest.mark.parametrize("case", ["written key", "never-written key"])
+def test_served_read_frame_budget(case):
+    cluster = _cluster()
+    if case == "written key":
+        cluster.serve(5, write=True)
+    first = cluster.serve(5)  # localizes the slot and memoizes the seed
+    assert _frames(cluster.serve, 5) == 4
+    assert cluster.serve(5).value == first.value
+
+
+def _read_only_run_frames(requests_per_client):
+    schedule = generate_schedule(TrafficConfig(
+        clients=8, requests_per_client=requests_per_client, n_keys=64, write_fraction=0.0,
+    ))
+    cluster = _cluster()
+    for key in range(64):
+        cluster.serve(key)
+    return _frames(ServingSimulation(cluster, schedule).run), len(schedule)
+
+
+def test_served_request_frame_budget_in_the_event_loop():
+    """Each request of a read-only run adds exactly its four spans: the
+    rows are chained C iterators and the latencies fold once per shard.
+
+    The difference of two runs is what a request adds; the run's fixed
+    part (the final-value pass, one histogram fold per shard) includes
+    numpy's Python-level functions, whose count is numpy's own.  Each
+    request added 11 while rows came from a generator, each latency was
+    recorded with ``record``, and each read entered ``CacheModel.access``,
+    ``ResidencySet.touch``, ``_make``, ``default_value`` and
+    ``splitmix64`` (no key of this run is ever written)."""
+    short, short_n = _read_only_run_frames(25)
+    long, long_n = _read_only_run_frames(100)
+    assert long - short == 4 * (long_n - short_n)
+    # Fixed costs included, an 800-request run stays under 5 per request.
+    assert long < 5 * long_n

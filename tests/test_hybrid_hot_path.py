@@ -21,8 +21,7 @@ properties pin each shortcut to its definition:
   and dirty set as ``ResidencySet.access`` would;
 * the runtime's public knobs stay live: assigning ``epoch_accesses``,
   ``adaptive`` or ``selector.config`` on a running runtime changes
-  when epochs end and what the selector decides;
-* ``ResidencySet.touch`` is the hit half of ``access``.
+  when epochs end and what the selector decides.
 """
 
 from __future__ import annotations
@@ -346,30 +345,3 @@ class TestLiveKnobs:
         rt.rebalance()
         assert rt.placement_of(0) is Placement.OBJECTS
         assert rt.migration_log == []
-
-
-class TestResidencyTouch:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=80),
-        st.booleans(),
-    )
-    def test_touch_is_the_hit_half_of_access(self, ops, use_clock):
-        """``touch`` then ``access`` on a miss equals ``access`` alone."""
-        a = ResidencySet(4, use_clock=use_clock)
-        b = ResidencySet(4, use_clock=use_clock)
-        for granule, write in ops:
-            expected = a.access(granule, write)
-            if b.touch(granule, write):
-                assert expected.hit and not expected.evicted
-            else:
-                assert not expected.hit
-                assert b.access(granule, write) == expected
-            assert list(a._resident.items()) == list(b._resident.items())
-            assert a._dirty == b._dirty
-
-    def test_touch_misses_change_nothing(self):
-        rs = ResidencySet(2)
-        rs.access(1)
-        assert not rs.touch(7, write=True)
-        assert 7 not in rs and not rs.is_dirty(7) and len(rs) == 1

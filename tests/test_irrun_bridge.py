@@ -18,7 +18,7 @@ from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.integrity import IntegrityConfig
 from repro.ir import IRBuilder, I64, PTR, VOID, Module
 from repro.ir.values import Constant
-from repro.machine.cache import AlwaysHitCache, CacheModel
+from repro.machine.cache import AlwaysHitCache, AlwaysMissCache, CacheModel
 from repro.machine.costs import AccessKind, GuardKind
 from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TWIN_BASE, TrackFMProgram
@@ -389,39 +389,108 @@ class TestEntryPointsMatchReference:
         assert rt.metrics.as_dict() == _trackfm_runtime().metrics.as_dict()
 
 
+def _guarded_runtime(cache, use_clock):
+    return TrackFMRuntime(
+        PoolConfig(object_size=_OBJ, local_memory=2 * KB, heap_size=_HEAP, use_clock=use_clock),
+        cache=cache(),
+    )
+
+
+def _lookup_guard(rt, ptr, kind):
+    """``GuardEngine.guard`` on a TrackFM pointer, decomposed: the word
+    through ``ObjectStateTable.lookup``, then the slow path, or
+    ``ResidencySet.access`` plus the fast guard's count and cycles."""
+    obj_id = decode_tfm_pointer(ptr) // _OBJ
+    word, hit = rt.table.lookup(obj_id)
+    if word & UNSAFE_MASK:
+        return rt.guards._slow_path(obj_id, kind, hit, 1)
+    write = kind is AccessKind.WRITE
+    rt.pool.residency.access(obj_id, write)
+    rt.metrics.count_guard(GuardKind.FAST)
+    costs = rt.costs
+    if write:
+        cycles = costs.fast_guard_write_cached if hit else costs.fast_guard_write_uncached
+    else:
+        cycles = costs.fast_guard_read_cached if hit else costs.fast_guard_read_uncached
+    return (GuardKind.FAST, cycles, hit, False)
+
+
+def _guard_state(rt):
+    """What a guard may change: each cache set's LRU order, the cache
+    counters, the resident order with CLOCK hot bits, the dirty set and
+    the metrics."""
+    cache = rt.table.cache
+    residency = rt.pool.residency
+    return {
+        "sets": {idx: list(entries) for idx, entries in cache._sets.items()},
+        "cache": (cache.stats.hits, cache.stats.misses),
+        "resident": list(residency._resident.items()),
+        "dirty": set(residency._dirty),
+        "metrics": rt.metrics.as_dict(),
+    }
+
+
+def _guard_outcome(guard, *args):
+    try:
+        return ("ok", tuple(guard(*args)))
+    except Exception as exc:  # noqa: BLE001 - the types are what is compared
+        return ("raised", type(exc))
+
+
+# In the heap two times in three, else past it (the guard raises).
+_GUARD_OFFSET = st.one_of(
+    st.integers(0, _HEAP - 1), st.integers(0, _HEAP - 1), st.integers(_HEAP, 2 * _HEAP),
+)
+_GUARD_STEP = st.one_of(
+    st.tuples(st.just("guard"), _GUARD_OFFSET, _KIND),
+    st.tuples(st.just("guard"), _GUARD_OFFSET, _KIND),
+    st.tuples(st.just("guard"), _GUARD_OFFSET, _KIND),
+    st.just(("flush",)),
+)
+_CACHES = pytest.mark.parametrize(
+    "cache", [_small_cache, AlwaysHitCache, AlwaysMissCache], ids=["small", "hit", "miss"]
+)
+_POLICIES = pytest.mark.parametrize("use_clock", [False, True], ids=["lru", "clock"])
+
+
 class TestInlineStateTableRead:
-    """GuardEngine.guard's inline read equals ObjectStateTable.lookup."""
+    """GuardEngine.guard books its cache and residency hits in place:
+    after every guard, the cache's set order and counters, the residency
+    order, hot bits and dirty set, and the metrics equal those of a twin
+    driven through ``ObjectStateTable.lookup`` and ``ResidencySet.access``."""
 
     @staticmethod
-    def _probe_agrees(a, b, ptr, kind):
-        # ``b`` reads the table the long way first, then both guard:
-        # touching the same cache line twice leaves it where once does.
-        obj_id = decode_tfm_pointer(ptr) // _OBJ
-        word, hit = b.table.lookup(obj_id)
-        result = a.guards.guard(ptr, kind)
-        b.guards.guard(ptr, kind)
-        assert result.cache_hit == hit
-        assert (result.kind is GuardKind.FAST) == (not word & UNSAFE_MASK)
+    def _steps_agree(a, b, steps):
+        for step in steps:
+            if step[0] == "flush":
+                a.table.cache.flush()
+                b.table.cache.flush()
+            else:
+                ptr, kind = TFM_BASE | step[1], step[2]
+                got = _guard_outcome(a.guards.guard, ptr, kind)
+                assert got == _guard_outcome(_lookup_guard, b, ptr, kind), step
+            assert _guard_state(a) == _guard_state(b), step
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        offsets=st.lists(st.integers(0, _HEAP - 1), min_size=1, max_size=80),
-        kinds=st.lists(_KIND, min_size=80, max_size=80),
-    )
-    def test_guard_reads_what_lookup_reads(self, offsets, kinds):
-        a, b = _trackfm_runtime(), _trackfm_runtime()
-        for offset, kind in zip(offsets, kinds):
-            self._probe_agrees(a, b, TFM_BASE | offset, kind)
+    @_CACHES
+    @_POLICIES
+    @settings(max_examples=40, deadline=None)
+    @given(steps=st.lists(_GUARD_STEP, min_size=1, max_size=80))
+    def test_guard_books_what_lookup_and_access_book(self, cache, use_clock, steps):
+        a, b = _guarded_runtime(cache, use_clock), _guarded_runtime(cache, use_clock)
+        self._steps_agree(a, b, steps)
 
-    @settings(max_examples=25, deadline=None)
+    @_CACHES
+    @_POLICIES
+    @settings(max_examples=15, deadline=None)
     @given(
         crash_at=st.integers(2, 24),
-        offsets=st.lists(st.integers(0, _HEAP - 1), min_size=1, max_size=40),
+        steps=st.lists(_GUARD_STEP, min_size=1, max_size=40),
     )
-    def test_after_recover(self, crash_at, offsets):
+    def test_after_recover(self, cache, use_clock, crash_at, steps):
         # A crash mid-writeback, then recovery, which rebuilds the
-        # pool's metadata words in place: the inline read must see them.
-        runtimes = (_trackfm_runtime(), _trackfm_runtime())
+        # pool's metadata words and reconciles residency in place: the
+        # guard's bound state must see both.
+        runtimes = (_guarded_runtime(cache, use_clock), _guarded_runtime(cache, use_clock))
         for rt in runtimes:
             rt.enable_integrity(IntegrityConfig(seed=1, crash_at_record=crash_at))
             try:
@@ -430,9 +499,7 @@ class TestInlineStateTableRead:
             except SimulatedCrashError:
                 pass
             rt.recover()
-        a, b = runtimes
-        for offset in offsets:
-            self._probe_agrees(a, b, TFM_BASE | offset, AccessKind.READ)
+        self._steps_agree(*runtimes, steps)
 
 
 # -- guard and deref calls on both engines -----------------------------------

@@ -3,16 +3,19 @@
 Hypothesis-generated counter bundles and sample streams check the
 algebra the observability layer leans on: ``merge`` is associative and
 commutative, ``snapshot`` isolates, ``as_dict``/``from_dict`` round-trip
-losslessly, histogram percentiles are monotone, and merging histograms
-equals recording the concatenated stream.
+losslessly, histogram percentiles are monotone, merging histograms
+equals recording the concatenated stream, and ``record_many`` leaves
+exactly what ``record`` per value leaves.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.machine.costs import GuardKind
 from repro.sim.metrics import Metrics
@@ -183,3 +186,67 @@ class TestHistogramProperties:
         if h.count:
             assert back.percentile(50) == h.percentile(50)
             assert back.mean == h.mean
+
+
+#: What ``record_many`` is fed: zero, negatives (clamped to 0), values
+#: below ``2**sub_bits``, .5 ties (rounded half to even) and floats up to
+#: 2**53, from where a batch is recorded value by value.
+batch_value = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e9, max_value=0.0),
+    st.integers(0, 4095).map(float),
+    st.integers(0, 1 << 20).map(lambda n: n + 0.5),
+    st.floats(min_value=0.0, max_value=2.0**53),
+)
+
+
+def _recorded(sub_bits, values):
+    h = StreamingHistogram(sub_bits)
+    for value in values:
+        h.record(value)
+    return h
+
+
+class TestRecordMany:
+    @given(
+        st.integers(1, 12),
+        st.lists(batch_value, max_size=8),
+        st.lists(batch_value, max_size=80),
+        st.booleans(),
+    )
+    # Sequential and pairwise sums differ: [1e16] goes value by value,
+    # [2**52] through the bulk fold, so an ``np.sum`` total fails here.
+    @example(4, [], [1e16] + [1.0] * 10, False)
+    @example(4, [], [2.0**52] + [0.5] * 10, True)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_record_per_value(self, sub_bits, before, values, as_array):
+        """On a histogram that may already hold samples, the buckets,
+        count, left-to-right total, min and max equal a twin's that
+        recorded each value in turn."""
+        bulk = _recorded(sub_bits, before)
+        bulk.record_many(array("d", values) if as_array else values)
+        twin = _recorded(sub_bits, before + values)
+        assert bulk.to_dict() == twin.to_dict()
+        assert (bulk.count, bulk.total, bulk.min, bulk.max) == (
+            twin.count, twin.total, twin.min, twin.max
+        )
+
+    @given(
+        st.integers(1, 12),
+        st.lists(batch_value, max_size=20),
+        st.sampled_from([math.nan, math.inf]),
+        st.lists(batch_value, max_size=20),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_raises_like_record(self, sub_bits, head, bad, tail):
+        """NaN and infinity raise the exception ``record`` raises, after
+        the same values went in."""
+        values = head + [bad] + tail
+        twin = StreamingHistogram(sub_bits)
+        with pytest.raises(Exception) as want:
+            for value in values:
+                twin.record(value)
+        bulk = StreamingHistogram(sub_bits)
+        with pytest.raises(want.type):
+            bulk.record_many(values)
+        assert bulk.to_dict() == twin.to_dict()

@@ -128,7 +128,7 @@ class _ResidencyModel:
         self.dirty = set()
         self.pins = {}
 
-    def touch(self, granule, write):
+    def _hit(self, granule, write):
         if granule not in self.order:
             return False
         if self.use_clock:
@@ -165,7 +165,7 @@ class _ResidencyModel:
         return evicted
 
     def access(self, granule, write):
-        if self.touch(granule, write):
+        if self._hit(granule, write):
             return SimpleNamespace(hit=True, evicted=[])
         evicted = self._make_room()
         self.order.append(granule)
@@ -202,7 +202,7 @@ class _ResidencyModel:
         self.pins.pop(granule, None)
 
 
-_OP_NAMES = ["access", "touch", "insert", "pin", "unpin", "discard"]
+_OP_NAMES = ["access", "insert", "pin", "unpin", "discard"]
 
 
 @st.composite
@@ -229,8 +229,6 @@ def _run_op(target, op, granule, write):
         if op == "access":
             out = target.access(granule, write)
             result = (out.hit, list(out.evicted))
-        elif op == "touch":
-            result = target.touch(granule, write)
         elif op == "insert":
             result = list(target.insert(granule))
         else:
@@ -245,7 +243,7 @@ class TestResidencyReferenceModel:
     # Every resident pinned under CLOCK, one of them hot and one dirty:
     # the sweep that finds no victim still rotates the order by one.
     @example((3, True, [("access", 0, True), ("access", 1, False), ("access", 2, False),
-                        ("touch", 1, False), ("pin", 0, False), ("pin", 1, False),
+                        ("access", 1, False), ("pin", 0, False), ("pin", 1, False),
                         ("pin", 2, False), ("access", 3, False)]))
     @settings(max_examples=300, deadline=None)
     def test_matches_list_model(self, script):
