@@ -3,11 +3,12 @@
 The resilience layer's hot-path contract (see ``repro.net.faults``)
 mirrors the tracer's: a link without a fault schedule pays exactly one
 attribute load + ``is None`` test in :meth:`NetworkLink.transfer`, and a
-backend without a retry policy or breaker takes a two-check fast path in
-``fetch``/``evict``.  This file asserts the structural facts (a healthy
-run touches none of the resilience machinery) and bounds the timing
-ratio, so a change that does real work on the fault-free path fails the
-suite instead of silently taxing every simulation.
+backend without a breaker, or whose breaker is ``quiet``, calls the
+link straight from ``fetch``/``evict``.  This file asserts the
+structural facts (a healthy run touches none of the resilience
+machinery) and bounds the timing ratio, so a change that does real
+work on the fault-free path fails the suite instead of silently taxing
+every simulation.
 """
 
 from __future__ import annotations

@@ -148,7 +148,3 @@ class RegionAllocator:
 
     def live_allocations(self) -> List[Allocation]:
         return list(self._live.values())
-
-    @property
-    def regions_in_use(self) -> int:
-        return self._next_region - len(self._free_regions)

@@ -36,9 +36,6 @@ class Loop:
             node = node.parent
         return d
 
-    def contains_block(self, block: BasicBlock) -> bool:
-        return block in self.blocks
-
     def exit_edges(self, cfg: CFG) -> List[tuple]:
         """(inside_block, outside_block) pairs leaving the loop."""
         edges = []

@@ -159,12 +159,6 @@ class ModuleAudit:
     def strided_partial(self) -> List[LoopAudit]:
         return self.by_class(LoopClass.STRIDED_PARTIAL)
 
-    def audit_of(self, loop: Loop) -> Optional[LoopAudit]:
-        for a in self.loops:
-            if a.loop is loop:
-                return a
-        return None
-
     def program_prediction(self) -> ProgramPrediction:
         """Union object sets across loops, per allocation base.
 

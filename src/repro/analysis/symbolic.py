@@ -150,17 +150,6 @@ class SymbolicAddressAnalysis:
         """The affine stream of a load/store, or None when opaque."""
         return self._streams.get(access)
 
-    def loop_streams(self, loop: Loop) -> List[SymbolicStream]:
-        """Resolved (non-opaque) streams of accesses innermost to ``loop``."""
-        out = []
-        for access, stream in self._streams.items():
-            if stream is None:
-                continue
-            block = access.parent
-            if block is not None and self.loop_info.loop_of(block) is loop:
-                out.append(stream)
-        return out
-
     def loop_trips(self, loop: Loop) -> Optional[int]:
         """Trip count of ``loop``'s governing IV, when statically known."""
         iv = self.induction.governing_iv(loop)

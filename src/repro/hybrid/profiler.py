@@ -36,13 +36,6 @@ class RegionStats(NamedTuple):
     #: How many of the accesses were writes.
     writes: int
 
-    @property
-    def page_density(self) -> float:
-        """Accesses per touched page — the crossover's x-axis."""
-        if self.distinct_pages <= 0:
-            return 0.0
-        return self.accesses / self.distinct_pages
-
 
 class DensityProfiler:
     """Folds per-base access counters into windowed region stats.

@@ -95,11 +95,3 @@ I64 = IntType(64)
 F64 = FloatType()
 PTR = PointerType()
 VOID = VoidType()
-
-
-def common_int(a: IRType, b: IRType) -> IntType:
-    """Require both types to be the same integer type and return it."""
-    if not (a.is_int() and b.is_int() and a == b):
-        raise IRTypeError(f"expected matching integer types, got {a} and {b}")
-    assert isinstance(a, IntType)
-    return a

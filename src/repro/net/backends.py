@@ -18,7 +18,7 @@ in the Fastswap runtime itself).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import FarMemoryUnavailableError, TransientNetworkError
@@ -41,12 +41,19 @@ class RemoteBackend:
     """A far node reachable over a link; counts fetches and evictions.
 
     Without a :class:`RetryPolicy` or :class:`CircuitBreaker` the
-    backend is a thin pass-through to the link (two ``is None`` checks
-    on the hot path).  With either installed, ``fetch``/``evict`` absorb
-    :class:`TransientNetworkError` from a fault-injected link: each loss
-    is charged a detection timeout plus backoff, retried up to the
-    policy's limits, and fed to the breaker; exhaustion or an open
-    breaker raises :class:`FarMemoryUnavailableError`.
+    backend is a thin pass-through to the link.  With either installed,
+    ``fetch``/``evict`` absorb :class:`TransientNetworkError` from a
+    fault-injected link: each loss is charged a detection timeout plus
+    backoff, retried up to the policy's limits, and fed to the breaker;
+    exhaustion or an open breaker raises
+    :class:`FarMemoryUnavailableError`.
+
+    While there is no breaker or it is ``quiet`` (closed, no failure on
+    record), a message goes straight to the link, exactly as on a bare
+    backend: a quiet breaker's ``allow`` and ``record_success`` would
+    change nothing.  The retry loop (:meth:`_resilient_cost`) starts at
+    the message's first loss, or before the first attempt while the
+    breaker is not quiet.
     """
 
     link: NetworkLink
@@ -78,23 +85,27 @@ class RemoteBackend:
         → quarantine); without either, the extra cost is one ``is
         None`` check.
         """
-        if self.retry_policy is None and self.breaker is None:
-            cost = self.link.transfer(size_bytes, _FETCH, depth)
+        breaker = self.breaker
+        if breaker is None or breaker.quiet:
+            try:
+                cost = self.link.transfer(size_bytes, _FETCH, depth)
+            except TransientNetworkError as loss:
+                cost = self._resilient_cost(loss, self.link.transfer, size_bytes, _FETCH, depth)
         else:
-            cost = self._resilient_cost(
-                lambda: self.link.transfer(size_bytes, _FETCH, depth)
-            )
+            cost = self._resilient_cost(None, self.link.transfer, size_bytes, _FETCH, depth)
         if self.integrity is not None and obj_id is not None:
             cost += self.verify_payload(obj_id, size_bytes, depth)
         return cost
 
     def evict(self, size_bytes: int, depth: int = 1) -> float:
         """Push ``size_bytes`` back to the remote node; returns cycles."""
-        if self.retry_policy is None and self.breaker is None:
-            return self.link.transfer(size_bytes, _EVICT, depth)
-        return self._resilient_cost(
-            lambda: self.link.transfer(size_bytes, _EVICT, depth)
-        )
+        breaker = self.breaker
+        if breaker is None or breaker.quiet:
+            try:
+                return self.link.transfer(size_bytes, _EVICT, depth)
+            except TransientNetworkError as loss:
+                return self._resilient_cost(loss, self.link.transfer, size_bytes, _EVICT, depth)
+        return self._resilient_cost(None, self.link.transfer, size_bytes, _EVICT, depth)
 
     def admit(self, size_bytes: int) -> float:
         """Resilience penalty for one transfer whose base cost lives elsewhere.
@@ -108,19 +119,15 @@ class RemoteBackend:
         faults = self.link.faults
         if faults is None:
             return 0.0
-        if self.retry_policy is None and self.breaker is None:
-            return faults.roll(size_bytes)
-        return self._resilient_cost(lambda: faults.roll(size_bytes))
+        breaker = self.breaker
+        if breaker is None or breaker.quiet:
+            try:
+                return faults.roll(size_bytes)
+            except TransientNetworkError as loss:
+                return self._resilient_cost(loss, faults.roll, size_bytes)
+        return self._resilient_cost(None, faults.roll, size_bytes)
 
     # -- integrity ---------------------------------------------------------
-
-    def _payload_transfer(self, size_bytes: int, direction, depth: int) -> float:
-        """One repair transfer, under the retry machinery when armed."""
-        if self.retry_policy is None and self.breaker is None:
-            return self.link.transfer(size_bytes, direction, depth)
-        return self._resilient_cost(
-            lambda: self.link.transfer(size_bytes, direction, depth)
-        )
 
     def verify_payload(self, obj_id: int, size_bytes: int, depth: int = 1) -> float:
         """Checksum-verify one already-fetched payload; returns cycles.
@@ -136,13 +143,13 @@ class RemoteBackend:
         return integrity.verify_fetch(
             obj_id,
             size_bytes,
-            refetch=lambda: self._payload_transfer(size_bytes, _FETCH, depth),
-            rewrite=lambda: self._payload_transfer(size_bytes, _EVICT, depth),
+            refetch=lambda: self.fetch(size_bytes, depth),
+            rewrite=lambda: self.evict(size_bytes, depth),
         )
 
     def payload_rewrite(self, size_bytes: int, depth: int = 1) -> float:
         """Re-drive one writeback payload (journal replay); returns cycles."""
-        return self._payload_transfer(size_bytes, _EVICT, depth)
+        return self.evict(size_bytes, depth)
 
     def set_tracer(self, tracer) -> None:
         """Point the backend (and its integrity checker) at ``tracer``."""
@@ -152,51 +159,64 @@ class RemoteBackend:
 
     # -- retry / breaker core ---------------------------------------------
 
-    def _resilient_cost(self, attempt_fn: Callable[[], float]) -> float:
-        """Run ``attempt_fn`` under the retry policy and breaker.
+    def _resilient_cost(
+        self, loss: Optional[TransientNetworkError], send: Callable[..., float], *args
+    ) -> float:
+        """Send ``send(*args)`` under the retry policy and breaker.
 
-        Returns the attempt's cost plus all accumulated penalty cycles
-        (timeouts + backoffs).  Raises ``FarMemoryUnavailableError``
-        when the breaker rejects the request or retries are exhausted.
+        ``loss`` is the first attempt's :class:`TransientNetworkError`
+        when a quiet breaker (or none) already let it go straight to the
+        link (the attempt is booked here, as if this loop had made it),
+        or None to start with a first attempt.  Returns the successful
+        attempt's cost plus all accumulated penalty cycles (timeouts +
+        backoffs).  Raises ``FarMemoryUnavailableError`` when the
+        breaker rejects the request or retries are exhausted; with
+        neither a policy nor a breaker, nothing absorbs the loss and it
+        propagates as it is.
         """
         policy = self.retry_policy
         breaker = self.breaker
+        if policy is None and breaker is None:
+            raise loss
         penalty = 0.0
-        attempt = 0
+        attempt = 0 if loss is None else 1
         while True:
-            if breaker is not None and not breaker.allow():
-                raise FarMemoryUnavailableError(
-                    f"{self.name}: circuit breaker open "
-                    f"({breaker.consecutive_failures} consecutive failures)"
-                )
-            attempt += 1
-            try:
-                cost = attempt_fn()
-            except TransientNetworkError as err:
-                if breaker is not None:
-                    breaker.record_failure()
-                timeout = policy.timeout_cycles if policy is not None else 0.0
-                penalty += timeout
-                self._count("drops")
-                self._count("timeouts")
-                tracer = self.tracer
-                if tracer is not None and tracer.enabled:
-                    tracer.fault(err.kind, err.message_index, self._now())
-                if policy is None or not policy.should_retry(attempt):
+            if loss is None:
+                if breaker is not None and not breaker.allow():
                     raise FarMemoryUnavailableError(
-                        f"{self.name}: gave up after {attempt} attempt(s) "
-                        f"(last loss: {err})"
-                    ) from err
-                backoff = policy.backoff_cycles(attempt)
-                policy.consume_retry()
-                penalty += backoff
-                self._count("retries")
-                if tracer is not None and tracer.enabled:
-                    tracer.retry(attempt, backoff, self._now())
-                continue
+                        f"{self.name}: circuit breaker open "
+                        f"({breaker.consecutive_failures} consecutive failures)"
+                    )
+                attempt += 1
+                try:
+                    cost = send(*args)
+                except TransientNetworkError as err:
+                    loss = err
+                else:
+                    if breaker is not None:
+                        breaker.record_success()
+                    return cost + penalty
             if breaker is not None:
-                breaker.record_success()
-            return cost + penalty
+                breaker.record_failure()
+            timeout = policy.timeout_cycles if policy is not None else 0.0
+            penalty += timeout
+            self._count("drops")
+            self._count("timeouts")
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                tracer.fault(loss.kind, loss.message_index, self._now())
+            if policy is None or not policy.should_retry(attempt):
+                raise FarMemoryUnavailableError(
+                    f"{self.name}: gave up after {attempt} attempt(s) "
+                    f"(last loss: {loss})"
+                ) from loss
+            backoff = policy.backoff_cycles(attempt)
+            policy.consume_retry()
+            penalty += backoff
+            self._count("retries")
+            if tracer is not None and tracer.enabled:
+                tracer.retry(attempt, backoff, self._now())
+            loss = None
 
     def _count(self, counter: str, n: int = 1) -> None:
         metrics = self.metrics

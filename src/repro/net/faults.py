@@ -26,9 +26,11 @@ machinery that survives it:
   which is how the ``--faults`` CLI knobs reach harness-built runtimes.
 
 The healthy-path contract mirrors the tracer's: a link without faults
-pays exactly one attribute check in ``transfer`` and a backend without a
-policy or breaker takes a two-check fast path in ``fetch``/``evict``
-(verified by ``benchmarks/bench_fault_overhead.py``).
+pays exactly one attribute check in ``transfer`` (verified by
+``benchmarks/bench_fault_overhead.py``), and a backend without a
+breaker, or whose breaker is ``quiet`` (closed, no failure on record),
+sends straight to the link from ``fetch``/``evict``: its retry loop
+starts only at a message's first loss.
 """
 
 from __future__ import annotations
@@ -445,6 +447,11 @@ class CircuitBreaker:
     requests, the clock never moves).  Instead the breaker counts the
     requests it *rejects* while open; after ``cooldown_rejections`` of
     them the next request is admitted as the half-open probe.
+
+    ``quiet`` is True exactly while the breaker is CLOSED with no
+    failure on record: then ``allow`` admits without changing anything
+    and ``record_success`` has nothing to reset, so a sender may skip
+    both (``RemoteBackend.fetch``/``evict``/``admit`` do).
     """
 
     def __init__(
@@ -461,6 +468,7 @@ class CircuitBreaker:
         self.rejections_while_open = 0
         #: Times the breaker transitioned into OPEN.
         self.trips = 0
+        self.quiet = True
 
     def allow(self) -> bool:
         """May the next request go out?  (Mutates: rejections count.)"""
@@ -475,12 +483,14 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         self.consecutive_failures = 0
+        self.quiet = True
         if self.state is not _CLOSED:
             self.state = _CLOSED
             self.rejections_while_open = 0
 
     def record_failure(self) -> None:
         self.consecutive_failures += 1
+        self.quiet = False
         state = self.state
         if state is _HALF_OPEN:
             self._trip()

@@ -107,10 +107,6 @@ class Diagnostic:
             instruction=inst.render(),
         )
 
-    @property
-    def is_error(self) -> bool:
-        return self.severity is Severity.ERROR
-
     def matches(self, codes) -> bool:
         """True when the code matches any entry (exact or prefix).
 

@@ -231,6 +231,7 @@ class Shard:
         # Fixed by the (frozen) config; read on every request.
         self._kind = config.runtime
         self._quota = config.tenant_quota_objects
+        self._heap_bytes = config.shard_heap_bytes
         self._build_runtime()
 
     # -- runtime adapters ---------------------------------------------------
@@ -238,7 +239,7 @@ class Shard:
     def _build_runtime(self) -> None:
         config = self.config
         plan = config.fault_plan
-        heap = config.shard_heap_bytes
+        heap = self._heap_bytes
         if config.runtime == "aifm":
             from repro.aifm.pool import PoolConfig
             from repro.aifm.runtime import AIFMRuntime
@@ -363,7 +364,7 @@ class Shard:
                 offset = heapq.heappop(self._free_slots)
             else:
                 offset = self._next_slot
-                if offset + SLOT_BYTES > self.config.shard_heap_bytes:
+                if offset + SLOT_BYTES > self._heap_bytes:
                     raise RuntimeConfigError(
                         f"shard {self.shard_id} heap exhausted at key {key}"
                     )
@@ -652,16 +653,16 @@ class ShardedCluster:
         return [sid for sid, shard in sorted(self.shards.items()) if not shard.lost]
 
     def _routable(self, replicas: Tuple[int, ...]) -> Sequence[int]:
-        """Replicas requests are sent to: the not-yet-suspected ones.
+        """Replicas requests are sent to while one of them is suspected:
+        the others (all of them when every one is suspected).
 
         Before the failure detector fires, a dead replica is still
         routed to (and pays degraded service) — suspicion, not an
         oracle, is what removes it from the request path.  While none
-        of them is suspected, the cached replica set is the route.
+        of them is suspected, :meth:`serve` routes on the cached
+        replica set itself.
         """
         suspected = self._suspected
-        if suspected.isdisjoint(replicas):
-            return replicas
         routable = [sid for sid in replicas if sid not in suspected]
         return routable if routable else list(replicas)
 
@@ -709,10 +710,17 @@ class ShardedCluster:
         reps = self._replica_sets.get(key)
         if reps is None:
             reps = self.replicas(key)
-        if not write and self._read_quorum == 1 and not self._suspected:
-            # Read-one with nothing suspected (every read at R=1, and the
-            # default at every R): the primary's copy is the answer, and
-            # a quorum of one has nothing to repair.
+        suspected = self._suspected
+        # No replica of this key suspected (always at R=1; at R >= 2
+        # until one is, and again once failover has taken it off every
+        # replica set): the cached set is the route.
+        unsuspected = not suspected or suspected.isdisjoint(reps)
+        if not write and self._read_quorum == 1 and unsuspected:
+            # Read-one (every read at R=1, and the default at every R):
+            # the primary's copy is the answer, and a quorum of one has
+            # nothing to repair.  A suspect can exist only on a
+            # replicated cluster, so the general path below would book
+            # the same ``quorum_reads`` on the same shard.
             primary = reps[0]
             shard = self.shards[primary]
             cycles, degraded = shard.service(key, _READ, tenant)
@@ -725,7 +733,7 @@ class ShardedCluster:
             if tag is None:
                 return _result((primary, self._seeds[key], cycles, degraded, 0, 1))
             return _result((primary, shard.store[key], cycles, degraded, tag.version, 1))
-        routable = self._routable(reps) if self._suspected else reps
+        routable = reps if unsuspected else self._routable(reps)
         coordinator = routable[0]
         shards = self.shards
         if write:
@@ -749,7 +757,7 @@ class ShardedCluster:
             if acks < self._write_quorum and acks < len(reps):
                 degraded = True
         else:
-            # A quorum read, or a read-one while some shard is suspected.
+            # A quorum read, or a read-one while a replica is suspected.
             targets = routable[: self._read_quorum]
             cycles = 0.0
             degraded = False
@@ -858,7 +866,7 @@ class ShardedCluster:
         reseeded = 0
         for key in sorted(self._replica_sets):
             old = self._replica_sets[key]
-            if not dead_set.intersection(old):
+            if dead_set.isdisjoint(old):
                 continue
             new = self.ring.place_n(key, self._copies)
             self._replica_sets[key] = new

@@ -25,6 +25,7 @@ Three small pieces, all deterministic:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import RuntimeConfigError
@@ -76,15 +77,21 @@ class ReplicaTag(NamedTuple):
     version: int
     checksum: int
 
-    @classmethod
-    def at(cls, key: int, version: int) -> "ReplicaTag":
-        return cls(version, _CODEC.object_checksum(key, version))
+    @staticmethod
+    def at(key: int, version: int) -> "ReplicaTag":
+        """The tag of ``key`` at ``version``, its checksum computed now."""
+        return _tag((version, _CODEC.object_checksum(key, version)))
 
     def verify(self, key: int) -> bool:
         """Does the checksum match ``(key, version)``?  A mismatch means
         a copy path handed over torn metadata — never expected; the
         repair paths assert it before trusting a source replica."""
         return self.checksum == _CODEC.object_checksum(key, self.version)
+
+
+#: Builds a :class:`ReplicaTag` from a ``(version, checksum)`` tuple,
+#: without the namedtuple ``__new__``'s frame (one per write).
+_tag = partial(tuple.__new__, ReplicaTag)
 
 
 #: The tag every key starts with (version 0 = the seeded default value).
@@ -140,11 +147,6 @@ class FailureDetector:
     def watch(self, shard_id: int, channel: HeartbeatChannel) -> None:
         self.channels[shard_id] = channel
         self.misses[shard_id] = 0
-
-    def unwatch(self, shard_id: int) -> None:
-        self.channels.pop(shard_id, None)
-        self.misses.pop(shard_id, None)
-        self.suspected.discard(shard_id)
 
     def is_suspected(self, shard_id: int) -> bool:
         return shard_id in self.suspected

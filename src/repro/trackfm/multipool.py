@@ -155,20 +155,6 @@ class MultiPoolRuntime:
             body_cycles,
         )
 
-    # -- evacuation hooks ----------------------------------------------------
-
-    def install_evacuation_hook(self, hook) -> None:
-        """Install one ``(obj_id, dirty) -> cycles`` eviction hook per class.
-
-        Each class pool's :class:`~repro.aifm.evacuator.Evacuator` calls
-        the hook for every eviction it processes (the adaptive hybrid
-        plane uses this as its migration point; see
-        :attr:`repro.aifm.evacuator.Evacuator.on_evict`).  Pass ``None``
-        to uninstall.
-        """
-        for runtime in self._runtimes.values():
-            runtime.pool.evacuator.on_evict = hook
-
     # -- metrics -------------------------------------------------------------
 
     @property

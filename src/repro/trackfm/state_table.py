@@ -46,9 +46,6 @@ class ObjectStateTable:
         """Total table footprint (the single-level-page-table math of §3.2)."""
         return self.num_entries * ENTRY_BYTES
 
-    def entry_addr(self, obj_id: int) -> int:
-        return self.base_addr + obj_id * ENTRY_BYTES
-
     def lookup(self, obj_id: int) -> Tuple[int, bool]:
         """Read the metadata word for ``obj_id``.
 

@@ -132,7 +132,3 @@ class GraphTraversalWorkload:
             acc = _fnv_fold(acc, (u << 32) | dist[u])
         acc = _fnv_fold(acc, len(order))
         return acc
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)

@@ -53,10 +53,6 @@ class MemcachedResult:
             return 0.0
         return self.n_ops / (self.cycles / cpu_hz) / 1e3
 
-    def data_transferred_gb(self) -> float:
-        """Fig. 16c's metric."""
-        return self.metrics.total_bytes_transferred / (1 << 30)
-
 
 @dataclass
 class MemcachedWorkload:
@@ -154,9 +150,6 @@ class MemcachedWorkload:
         from repro.sim.che import lru_hit_rate
 
         return lru_hit_rate(self._region_heat(granule, region), cache_granules)
-
-    def _mean_item_size(self) -> float:
-        return float(self._item_sizes.mean())
 
     # -- system models --------------------------------------------------------
 

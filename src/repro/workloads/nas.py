@@ -168,10 +168,6 @@ class NasModel:
 # -- real IR kernels for the O1 study (Fig. 17b) ------------------------------
 
 
-def _store_local(b: IRBuilder, slot, value) -> None:
-    b.store(value, slot)
-
-
 def build_nas_ir(name: str, n: int = 64, unoptimized: bool = True) -> Module:
     """Build a NAS-kernel-shaped IR module.
 

@@ -17,7 +17,7 @@ latency percentiles the ablation scorer consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from typing import TYPE_CHECKING
 
@@ -120,9 +120,6 @@ class WebCacheWorkload:
     def value(self, runtime: str = "aifm") -> int:
         """The fault-free run's completions fingerprint (pure in config)."""
         return self.run(runtime=runtime).completions_fingerprint
-
-    def report_dict(self, **kwargs) -> Dict[str, object]:
-        return self.run(**kwargs).to_dict()
 
     def with_seed(self, seed: int) -> "WebCacheWorkload":
         return WebCacheWorkload(replace(self.config, seed=seed))

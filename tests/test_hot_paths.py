@@ -20,9 +20,10 @@ and so does a global that is a namedtuple's bound ``_make`` or a
 namedtuple class followed by a ``_make`` load.  The checks read
 instruction ``argval`` only, so they mean the same on 3.10 to 3.12.
 
-The frame budgets count, exactly, the Python frames one slow guard, one
-prefetching chunk crossing and one served read enter, and what each
-request adds to a read-only serving run.
+The frame budgets count, exactly, the Python frames one slow guard (on
+a bare link and on a serving shard's armed one), one prefetching chunk
+crossing, one served read and one replicated write (also after a
+failover) enter, and what each request adds to a read-only serving run.
 """
 
 import dis
@@ -33,19 +34,22 @@ from functools import partial
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.aifm.evacuator import Evacuator
 from repro.aifm.pool import ObjectPool, PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.fastswap.runtime import FastswapRuntime
+from repro.hashing import splitmix64
 from repro.hybrid.profiler import DensityProfiler, RegionStats
 from repro.hybrid.runtime import AdaptiveHybridRuntime, _TierRouter
 from repro.hybrid.selector import PathSelector
 from repro.machine.costs import AccessKind, CostTable
-from repro.net.backends import RemoteBackend
+from repro.net.backends import RemoteBackend, make_shard_backend
 from repro.net.faults import CircuitBreaker
 from repro.net.link import NetworkLink
 from repro.serve.cluster import ClusterConfig, RequestResult, Shard, ShardedCluster
+from repro.serve.replication import ReplicaTag
 from repro.serve.simulation import ServingSimulation
 from repro.serve.traffic import Schedule, TrafficConfig, generate_schedule
 from repro.sim.memory import AddressSpace
@@ -84,6 +88,7 @@ HOT_PATHS = [
     RemoteBackend.fetch,
     RemoteBackend.evict,
     RemoteBackend.admit,
+    RemoteBackend._resilient_cost,
     CircuitBreaker.allow,
     CircuitBreaker.record_success,
     CircuitBreaker.record_failure,
@@ -101,9 +106,12 @@ HOT_PATHS = [
     PathSelector.tier_costs,
     AdaptiveHybridRuntime.rebalance,
     AIFMRuntime.access,
-    # served request
+    # served request, a write's tag, the final-value pass
     ShardedCluster.serve,
+    ShardedCluster.read_value,
     Shard.service,
+    ReplicaTag.at,
+    splitmix64,
     ServingSimulation.run,
     Schedule.rows,
     StreamingHistogram.record,
@@ -256,9 +264,11 @@ def _frames(fn, *args):
     return calls
 
 
-def _runtime():
+def _runtime(backend=None):
     """Room for four objects; a 16-object allocation at heap offset 0."""
-    rt = TrackFMRuntime(PoolConfig(object_size=256, local_memory=1024, heap_size=65536))
+    rt = TrackFMRuntime(
+        PoolConfig(object_size=256, local_memory=1024, heap_size=65536), backend=backend
+    )
     return rt, rt.tfm_malloc(16 * 256)
 
 
@@ -266,20 +276,29 @@ def _runtime():
 #: while every word write, link price, guard count and id check on the
 #: miss path was a call of its own, and the slow guards 9 and 12 while
 #: the guard's state-table cache hit entered ``CacheModel.access``.
+#: A serving shard's link arms a retry policy and a breaker
+#: (``make_shard_backend``); while the breaker is quiet, a message goes
+#: straight to the link, so the armed slow guards enter what the bare
+#: ones do.  They read 12 and 19 while every message entered
+#: ``_resilient_cost``, a closure, ``allow`` and ``record_success``.
 @pytest.mark.parametrize("case, frames", [
     ("slow guard, clean victim", 8),
     ("slow guard, dirty victim", 11),
+    ("armed slow guard, clean victim", 8),
+    ("armed slow guard, dirty victim", 11),
     ("crossing, 8 prefetches", 46),
 ])
 def test_miss_path_frame_budget(case, frames):
-    rt, ptr = _runtime()
-    if case.startswith("slow"):
+    rt, ptr = _runtime(make_shard_backend("tcp", 0) if case.startswith("armed") else None)
+    if "slow" in case:
         fill = rt.tfm_guard_write if "dirty" in case else rt.tfm_guard_read
         for obj in range(4):
             fill(ptr + obj * 256)
         got = _frames(rt.tfm_guard_read, ptr + 4 * 256)
         assert rt.metrics.evictions == 1
         assert rt.metrics.bytes_evacuated == (256 if "dirty" in case else 0)
+        breaker = rt.pool.backend.breaker
+        assert breaker is None or breaker.quiet
     else:
         rt.chunk_begin(1, prefetch=True)
         rt.tfm_chunk_deref(ptr, 1)
@@ -290,12 +309,13 @@ def test_miss_path_frame_budget(case, frames):
     assert got == frames
 
 
-def _cluster():
+def _cluster(replication=1):
     """Four TrackFM shards over 64 keys, 4 KB local memory each: every
     key's object stays resident once served."""
-    return ShardedCluster(
-        ClusterConfig(n_shards=4, n_keys=64, runtime="trackfm", local_memory=4 * KB)
-    )
+    return ShardedCluster(ClusterConfig(
+        n_shards=4, n_keys=64, runtime="trackfm", local_memory=4 * KB,
+        replication=replication,
+    ))
 
 
 #: A resident R=1 read enters the four spans the host benchmark wraps:
@@ -311,6 +331,42 @@ def test_served_read_frame_budget(case):
     first = cluster.serve(5)  # localizes the slot and memoizes the seed
     assert _frames(cluster.serve, 5) == 4
     assert cluster.serve(5).value == first.value
+
+
+#: A resident R=2 write enters ``serve``, ``_freshest``, ``next_value``,
+#: the tag's ``ReplicaTag.at``, ``object_checksum`` and two
+#: ``splitmix64``, and on each replica ``service``, ``access``, ``guard``
+#: and ``apply_write``: 15.  It entered 16 while the tag was built by
+#: the namedtuple's ``__new__``.
+def test_replicated_write_frame_budget():
+    cluster = _cluster(replication=2)
+    cluster.serve(5, write=True)  # localizes both replicas' slots
+    version = cluster.serve(5).version
+    assert _frames(cluster.serve, 5, 0, True) == 15
+    assert cluster.serve(5).version == version + 1
+
+
+#: A failed-over shard stays suspected for good, but no replica set
+#: holds it any more, so a request routes on its cached replica set: a
+#: read takes the read-one line (4 frames) and a write enters the 15 of
+#: ``test_replicated_write_frame_budget``.  They entered 6 and 17 while
+#: any suspect sent every request through ``_routable``, and a read
+#: through the quorum branch and ``_freshest``.
+@pytest.mark.parametrize("lost", ["a replica of the key", "another shard"])
+def test_request_frame_budget_after_failover(lost):
+    cluster = _cluster(replication=2)
+    for key in range(64):
+        cluster.serve(key, write=True)
+    reps = cluster.replicas(5)
+    victim = reps[0] if lost == "a replica of the key" else min(set(range(4)) - set(reps))
+    cluster.lose_shard(victim)
+    cluster.failover([victim])
+    assert cluster.detector.is_suspected(victim)
+    assert victim not in cluster.replicas(5)
+    cluster.serve(5, write=True)  # localizes a promoted replica's slot
+    assert _frames(cluster.serve, 5) == 4
+    assert cluster.serve(5).value == cluster.read_value(5)
+    assert _frames(cluster.serve, 5, 0, True) == 15
 
 
 def _read_only_run_frames(requests_per_client):
@@ -339,3 +395,32 @@ def test_served_request_frame_budget_in_the_event_loop():
     assert long - short == 4 * (long_n - short_n)
     # Fixed costs included, an 800-request run stays under 5 per request.
     assert long < 5 * long_n
+
+
+# -- splitmix64 ---------------------------------------------------------------
+
+
+def _splitmix64_masked(x):
+    """splitmix64 with every step masked, the last one included."""
+    mask = (1 << 64) - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return (x ^ (x >> 31)) & mask
+
+
+@pytest.mark.parametrize("x, mixed", [
+    (0, 0xE220A8397B1DCDAF),
+    (0x9E3779B97F4A7C15, 0x6E789E6AA1B965F4),
+])
+def test_splitmix64_known_answers(x, mixed):
+    assert splitmix64(x) == mixed
+
+
+@given(st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=-(2**80), max_value=2**80),
+))
+@settings(max_examples=500, deadline=None)
+def test_splitmix64_needs_no_last_mask(x):
+    assert splitmix64(x) == _splitmix64_masked(x)

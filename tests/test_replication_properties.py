@@ -241,6 +241,29 @@ def test_read_repair_is_idempotent(seed, key):
     assert cluster.anti_entropy() == 0
 
 
+@given(seed=SEEDS, key=st.integers(min_value=0, max_value=31))
+@settings(max_examples=15, deadline=None)
+def test_read_value_skips_lost_replicas(seed, key):
+    """A write only a since-lost replica applied is gone: ``read_value``
+    takes the freshest copy among the replicas that are not lost, and
+    among all of them once every one is lost."""
+    cluster = ShardedCluster(ClusterConfig(
+        n_shards=3, n_keys=32, seed=seed,
+        replication=2, write_quorum=1, read_quorum=2,
+    ))
+    stale, fresh = cluster.replicas(key)
+    seeded = cluster.read_value(key)
+    cluster.partition_shard(stale)
+    written = cluster.serve(key, write=True).value
+    assert written != seeded
+    assert cluster.read_value(key) == written
+    cluster.heal_shard(stale)
+    cluster.lose_shard(fresh)
+    assert cluster.read_value(key) == seeded
+    cluster.lose_shard(stale)
+    assert cluster.read_value(key) == written
+
+
 # -- the request path against a per-replica model --------------------------
 
 #: Every valid ``(R, W, Rq)`` with ``R <= 3``: ``W + Rq > R``.

@@ -1,15 +1,20 @@
-"""Unreplicated (R=1) serving runs against a recorded golden.
+"""Serving runs at replication 1, 2 and 3 against recorded goldens.
 
-``tests/goldens/serving_r1.json`` holds the exact
+``tests/goldens/serving_r<R>.json`` holds the exact
 :meth:`ServingReport.to_dict` and final key values of a fixed matrix of
-R=1 runs: every runtime kind, with and without a fault plan, under
-chaos scripts built from ``lose``, ``rebalance``, ``join`` and
-``anti_entropy`` (two losses before one rebalance, a join while a lost
-shard is still on the ring, a lost joiner, a rebalance after the last
-arrival).  The checked-in serving baselines run trackfm shards only and
-never join; this golden covers the rest of the R=1 request path, leaf
-by leaf.  Partitions are left out: a write to a partitioned R=1 shard
-is not durable, which the partition tests pin on their own.
+runs at replication R: every runtime kind, with and without a fault
+plan, under chaos scripts built from ``lose``, ``rebalance``, ``join``
+and ``anti_entropy`` (two losses before one rebalance, a join while a
+lost shard is still on the ring, a lost joiner, a rebalance after the
+last arrival).  The checked-in serving baselines run trackfm shards only
+and never join; these goldens cover the rest of the request path, leaf
+by leaf.  At R=2 and R=3 that includes what an R=1 run never does:
+write quorums, the failure detector's suspicion and failover, promotion
+onto new replica-set members, requests routed around a suspected shard
+and read-one after failover, all over shard links whose retry policy
+and circuit breaker see real losses.  Partitions are left out: a write
+to a partitioned R=1 shard is not durable, which the partition tests
+pin on their own.
 
 Regenerate only for an intended change, and review the diff::
 
@@ -36,7 +41,9 @@ from repro.serve import (
 )
 from repro.serve.cluster import RUNTIME_KINDS
 
-GOLDEN = Path(__file__).parent / "goldens" / "serving_r1.json"
+GOLDENS = Path(__file__).parent / "goldens"
+
+REPLICATIONS = (1, 2, 3)
 
 N_SHARDS = 4
 
@@ -87,7 +94,11 @@ def _case_id(runtime: str, faulty: bool, script: str) -> str:
     return f"{runtime}-{'faults' if faulty else 'clean'}-{script}"
 
 
-def _observe(runtime: str, faulty: bool, script: str) -> dict:
+def _golden_path(replication: int) -> Path:
+    return GOLDENS / f"serving_r{replication}.json"
+
+
+def _observe(replication: int, runtime: str, faulty: bool, script: str) -> dict:
     schedule = generate_schedule(TRAFFIC)
     end = float(schedule.times[-1])
     chaos = [
@@ -97,7 +108,7 @@ def _observe(runtime: str, faulty: bool, script: str) -> dict:
     cluster = ShardedCluster(ClusterConfig(
         n_shards=N_SHARDS, n_keys=TRAFFIC.n_keys, runtime=runtime,
         object_size=64, local_memory=512, seed=5,
-        fault_plan=FAULTS if faulty else None,
+        fault_plan=FAULTS if faulty else None, replication=replication,
     ))
     report, values = run_serving(cluster, schedule, chaos)
     # Keys still at their seed value are left out (the same on both
@@ -112,27 +123,36 @@ def _observe(runtime: str, faulty: bool, script: str) -> dict:
 
 
 @pytest.fixture(scope="module")
-def golden(request):
+def goldens(request):
     if request.config.getoption("--update-goldens"):
-        recorded = {_case_id(*case): _observe(*case) for case in CASES}
-        GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-        pytest.skip(f"golden rewritten: {GOLDEN}")
-    assert GOLDEN.exists(), (
-        f"missing golden {GOLDEN}; generate it with "
+        GOLDENS.mkdir(exist_ok=True)
+        for replication in REPLICATIONS:
+            recorded = {_case_id(*case): _observe(replication, *case) for case in CASES}
+            _golden_path(replication).write_text(
+                json.dumps(recorded, indent=1, sort_keys=True) + "\n"
+            )
+        pytest.skip(f"goldens rewritten: {GOLDENS}/serving_r*.json")
+    missing = [str(_golden_path(r)) for r in REPLICATIONS if not _golden_path(r).exists()]
+    assert not missing, (
+        f"missing goldens {missing}; generate them with "
         "pytest tests/test_serving_r1_golden.py --update-goldens"
     )
-    return json.loads(GOLDEN.read_text())
+    return {r: json.loads(_golden_path(r).read_text()) for r in REPLICATIONS}
 
 
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(_case_id(*case) for case in CASES)
+@pytest.mark.parametrize("replication", REPLICATIONS, ids=lambda r: f"r{r}")
+def test_golden_covers_every_case(goldens, replication):
+    assert sorted(goldens[replication]) == sorted(_case_id(*case) for case in CASES)
 
 
 @pytest.mark.parametrize(
-    "runtime,faulty,script",
-    [pytest.param(*case, id=_case_id(*case)) for case in CASES],
+    "replication,runtime,faulty,script",
+    [
+        pytest.param(replication, *case, id=f"r{replication}-{_case_id(*case)}")
+        for replication in REPLICATIONS
+        for case in CASES
+    ],
 )
-def test_r1_run_matches_golden(golden, runtime, faulty, script):
-    observed = _observe(runtime, faulty, script)
-    assert diff(golden[_case_id(runtime, faulty, script)], observed) == []
+def test_run_matches_golden(goldens, replication, runtime, faulty, script):
+    observed = _observe(replication, runtime, faulty, script)
+    assert diff(goldens[replication][_case_id(runtime, faulty, script)], observed) == []

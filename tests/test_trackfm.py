@@ -225,6 +225,46 @@ class TestChunkStreams:
         fetched_bytes = rt.metrics.bytes_fetched
         assert fetched_bytes <= 4 * 64
 
+    def test_chunk_prefetch_clip_follows_the_allocator(self):
+        """Each prefetching crossing clips its targets to the allocation
+        the allocator holds at the pointer right then: the clip moves
+        when the stream walks into the next allocation, and when the
+        stream's memory is freed and re-allocated between two crossings."""
+        rt = make_runtime(object_size=64, local_objects=32, heap_objects=128)
+        issued = []
+        prefetch = rt.pool.prefetch
+
+        def spy(obj_id, *rest):
+            issued.append(obj_id)
+            return prefetch(obj_id, *rest)
+
+        rt.pool.prefetch = spy
+        a = rt.tfm_malloc(4 * 64)  # objects 0-3
+        b = rt.tfm_malloc(16 * 64)  # objects 4-19
+        rt.chunk_begin(0, prefetch=True)
+
+        def cross(obj, prefetch=True):
+            before = len(issued)
+            rt.chunk_access(a + obj * 64, AccessKind.READ, stream=0, prefetch=prefetch)
+            return issued[before:]
+
+        # The stride prefetcher runs 8 ahead: clipped to a, then to b.
+        assert [cross(obj) for obj in range(6)] == [[], [], [3], [], [19], []]
+        # Leave b without a prefetching crossing, free it, and fill its
+        # regions with one-object allocations.
+        cross(0, prefetch=False)
+        rt.tfm_free(b)
+        small = [rt.tfm_malloc(64) for _ in range(16)]
+        # Stride 2 from object 14: 16, 18, ... lie in b's old range but
+        # past object 14's own allocation.
+        assert [cross(obj) for obj in (10, 12, 14)] == [[], [], []]
+        cross(0, prefetch=False)
+        for ptr in small:
+            rt.tfm_free(ptr)
+        # Outside every allocation: the whole heap is the clip.
+        assert cross(16) == [32, 34, 36, 38, 40, 42, 44, 46]
+        assert cross(18) == [48, 50, 52, 54, 56, 58, 60, 62]
+
     def test_chunk_end_unknown_stream_is_noop(self):
         rt = make_runtime()
         rt.chunk_end(42)  # must not raise
