@@ -38,13 +38,12 @@ from repro.analysis.provenance import (
     return_provenance_summaries,
 )
 from repro.analysis.symbolic import (
-    CHASE_DEREFS,
     TRANSPARENT_DEREFS,
     SymbolicAddressAnalysis,
     SymbolicStream,
 )
 from repro.compiler.cost_model import ChunkingCostModel, LoopShape
-from repro.ir.instructions import Call, Instruction, Load, Store
+from repro.ir.instructions import Call, Instruction
 from repro.ir.module import Module
 from repro.ir.values import Value
 from repro.machine.costs import CostTable, DEFAULT_COSTS

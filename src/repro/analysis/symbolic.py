@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.induction import InductionAnalysis, InductionVariable
+from repro.analysis.induction import InductionAnalysis
 from repro.analysis.loops import Loop, LoopInfo, find_loops
 from repro.ir.function import Function
 from repro.ir.instructions import (

@@ -7,7 +7,9 @@ so a checked-in JSON document pins it exactly.  A bench declares one
 document compared exactly and an optional acceptance predicate), and
 this module does the rest:
 
-* :func:`record` writes ``gate.measure(name)`` as sorted, indented JSON;
+* :func:`record` writes ``gate.measure(name)`` as sorted, indented JSON
+  when the file is missing or its exact part moved, and otherwise leaves
+  the file's bytes alone;
 * :func:`check` re-measures, passes the document through that same
   JSON encoding, and compares it with the recorded one using ``==``.
   A difference is ``mismatch``, named by its leaf paths (:func:`diff`).
@@ -100,15 +102,23 @@ def record(
     baseline_dir: Optional[Path] = None,
     names: Optional[Sequence[str]] = None,
 ) -> Dict[Path, Document]:
-    """Measure and (re)write each bench's file; returns the documents
-    written, by path."""
-    written = {}
+    """Measure each bench and write its file when the file is missing or
+    the gate's exact part moved, so re-recording unchanged code keeps a
+    wall-clock part as it was; returns, by path, the document on disk."""
+    on_disk = {}
     for name in names or gate.names:
         path = gate.path(name, baseline_dir)
+        text = dumps(gate.measure(name))
+        measured = json.loads(text)
+        if path.exists():
+            recorded = json.loads(path.read_text())
+            if not mismatch(gate, measured, recorded):
+                on_disk[path] = recorded
+                continue
         path.parent.mkdir(parents=True, exist_ok=True)
-        written[path] = gate.measure(name)
-        path.write_text(dumps(written[path]))
-    return written
+        path.write_text(text)
+        on_disk[path] = measured
+    return on_disk
 
 
 def mismatch(gate: Gate, measured: Document, recorded: Document) -> List[Document]:

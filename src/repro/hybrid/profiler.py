@@ -37,6 +37,10 @@ class RegionStats(NamedTuple):
     writes: int
 
 
+#: Builds a :class:`RegionStats` from a tuple, without ``_make``'s frame.
+_region_stats = partial(tuple.__new__, RegionStats)
+
+
 class DensityProfiler:
     """Folds per-base access counters into windowed region stats.
 
@@ -50,15 +54,22 @@ class DensityProfiler:
     the id instead of clearing the stamps.  The lists are sized once, to
     ``regions`` regions: one stamp per object and per page of the
     profiled heap.
+
+    Object and page sizes are powers of two (given as shifts), so a
+    granule of the coarser size is a union of finer ones: a window
+    counts it exactly when it first counts one of them, and a recorder
+    tests the :attr:`coarse` stamp only behind a fresh :attr:`fine` one.
     """
 
     def __init__(
-        self, region_bytes: int, object_size: int, page_size: int, regions: int
+        self, region_bytes: int, object_shift: int, page_shift: int, regions: int
     ) -> None:
-        if region_bytes <= 0 or object_size <= 0 or page_size <= 0:
+        if region_bytes <= 0 or object_shift < 0 or page_shift < 0:
             raise RuntimeConfigError("profiler granularities must be positive")
         if regions < 1:
             raise RuntimeConfigError("the profiler needs at least one region")
+        self.object_size = object_size = 1 << object_shift
+        self.page_size = page_size = 1 << page_shift
         if region_bytes % object_size != 0:
             raise RuntimeConfigError(
                 f"region_bytes {region_bytes} must be a multiple of "
@@ -70,8 +81,6 @@ class DensityProfiler:
                 f"page_size {page_size}"
             )
         self.region_bytes = region_bytes
-        self.object_size = object_size
-        self.page_size = page_size
         #: Bytes of heap the window covers: ``regions`` whole regions.
         self.heap_bytes = regions * region_bytes
         # Per region, this window: accesses, writes, distinct objects and
@@ -82,8 +91,14 @@ class DensityProfiler:
         self._pages = [0] * regions
         self._touched: List[int] = []
         # Per object / per page: the id of the last window that counted it.
-        self._object_stamp = [0] * (self.heap_bytes // object_size)
-        self._page_stamp = [0] * (self.heap_bytes // page_size)
+        objects = ([0] * (self.heap_bytes // object_size), object_shift, self._objects)
+        pages = ([0] * (self.heap_bytes // page_size), page_shift, self._pages)
+        #: The finer and the coarser granule layout, each ``(stamps, shift,
+        #: per-region counts)``: objects are the finer one unless they are
+        #: larger than pages.
+        self.fine, self.coarse = (
+            (objects, pages) if object_shift <= page_shift else (pages, objects)
+        )
         self._window = 1
         #: Region-to-region transitions this window (scan-vs-random
         #: signal: sequential sweeps run long in one region, random
@@ -91,9 +106,14 @@ class DensityProfiler:
         self.window_transitions = 0
         self.window_accesses = 0
         self._last_region: int = -1
-        #: Lifetime totals (observability only; never fed to the selector).
-        self.total_accesses = 0
+        # Accesses of the windows folded so far.
+        self._folded_accesses = 0
         self.epochs_folded = 0
+
+    @property
+    def total_accesses(self) -> int:
+        """Lifetime accesses (observability only; never fed to the selector)."""
+        return self._folded_accesses + self.window_accesses
 
     def interleave_rate(self) -> float:
         """Fraction of this window's accesses that changed region.
@@ -108,37 +128,28 @@ class DensityProfiler:
             return 0.0
         return self.window_transitions / self.window_accesses
 
-    def _freeze(self, min_accesses: int) -> Dict[int, RegionStats]:
-        # One per region and epoch, built without ``_make``'s frame.
-        make = partial(tuple.__new__, RegionStats)
-        accesses = self._accesses
-        objects = self._objects
-        pages = self._pages
-        writes = self._writes
-        return {
-            region: make(
-                (region, accesses[region], objects[region], pages[region], writes[region])
-            )
-            for region in sorted(r for r in self._touched if accesses[r] >= min_accesses)
-        }
-
     def fold(self, min_accesses: int = 1) -> Dict[int, RegionStats]:
         """Freeze the regions with at least ``min_accesses`` accesses,
         keyed by region and sorted, then clear the whole window."""
-        stats = self._freeze(min_accesses)
-        for region in self._touched:
-            self._accesses[region] = 0
-            self._writes[region] = 0
-            self._objects[region] = 0
-            self._pages[region] = 0
-        self._touched.clear()
+        accesses = self._accesses
+        writes = self._writes
+        objects = self._objects
+        pages = self._pages
+        touched = self._touched
+        touched.sort()
+        stats: Dict[int, RegionStats] = {}
+        for region in touched:
+            count = accesses[region]
+            if count >= min_accesses:
+                stats[region] = _region_stats(
+                    (region, count, objects[region], pages[region], writes[region])
+                )
+            accesses[region] = writes[region] = objects[region] = pages[region] = 0
+        touched.clear()
         self._window += 1
+        self._folded_accesses += self.window_accesses
         self.window_transitions = 0
         self.window_accesses = 0
         self._last_region = -1
         self.epochs_folded += 1
         return stats
-
-    def peek(self) -> Dict[int, RegionStats]:
-        """Every window, like ``fold()``, but left intact (diagnostics)."""
-        return self._freeze(1)

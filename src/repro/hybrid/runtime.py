@@ -38,7 +38,7 @@ from repro.integrity import IntegrityConfig, RecoveryReport
 from repro.machine.costs import AccessKind, GuardKind
 from repro.sim.metrics import Metrics
 from repro.trackfm.guards import GuardResult
-from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK, is_tfm_pointer
+from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK, is_tfm_pointer
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import BASE_PAGE, ceil_div
 
@@ -279,12 +279,10 @@ class _TierRouter:
         profiler = self._profiler = runtime.profiler
         self._accesses = profiler._accesses
         self._writes = profiler._writes
-        self._objects = profiler._objects
-        self._pages = profiler._pages
         self._touched = profiler._touched
-        self._object_stamp = profiler._object_stamp
-        self._page_stamp = profiler._page_stamp
-        self._object_shift = runtime.pool.object_shift
+        # The profiler's granule layouts, finer first (see DensityProfiler).
+        self._fine_stamp, self._fine_shift, self._fine_counts = profiler.fine
+        self._coarse_stamp, self._coarse_shift, self._coarse_counts = profiler.coarse
         self._paged = runtime._paged
         self._shadow = runtime._shadow
         self._region_bytes = runtime.region_bytes
@@ -301,7 +299,7 @@ class _TierRouter:
 
     def guard(self, addr: int, kind: AccessKind, depth: int = 1) -> GuardResult:
         # Custody check (bits 60..63), then the heap offset, once.
-        if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
+        if not addr & TFM_TAG_MASK:
             return self.object_guards.guard(addr, kind, depth)
         offset = addr & MAX_HEAP_OFFSET
         if offset >= self._heap_end:
@@ -319,22 +317,22 @@ class _TierRouter:
             if write:
                 self._writes[region] += 1
             window = profiler._window
-            stamps = self._object_stamp
-            granule = offset >> self._object_shift
+            stamps = self._fine_stamp
+            granule = offset >> self._fine_shift
             if stamps[granule] != window:
                 stamps[granule] = window
-                self._objects[region] += 1
-            stamps = self._page_stamp
-            granule = offset >> self._page_shift
-            if stamps[granule] != window:
-                stamps[granule] = window
-                self._pages[region] += 1
+                self._fine_counts[region] += 1
+                # Only a fresh fine granule can start a fresh coarse one.
+                stamps = self._coarse_stamp
+                granule = offset >> self._coarse_shift
+                if stamps[granule] != window:
+                    stamps[granule] = window
+                    self._coarse_counts[region] += 1
             last = profiler._last_region
             if region != last:
                 if last >= 0:
                     profiler.window_transitions += 1
                 profiler._last_region = region
-            profiler.total_accesses += 1
             profiler.window_accesses = count = profiler.window_accesses + 1
             if count >= runtime.epoch_accesses:
                 runtime.rebalance()
@@ -434,6 +432,11 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
                 "region_bytes must be a multiple of the page size so "
                 "region shadows stay page-aligned"
             )
+        # The page tier's geometry, read once: nothing reassigns a live
+        # runtime's FastswapConfig, and the residency set was sized from
+        # its local_capacity_pages.
+        self._region_pages = self.region_bytes // self.fastswap.page_size
+        self._page_capacity = self.fastswap.residency.capacity
         self.epoch_accesses = epoch_accesses
         #: Windows whose region-interleave rate is at or below this are
         #: sweep-shaped: page-tier over-commit is cheap for them (one
@@ -442,7 +445,7 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         self.adaptive = adaptive
         regions = ceil_div(self.pool.num_objects * object_size, self.region_bytes)
         self.profiler = DensityProfiler(
-            self.region_bytes, object_size, self.fastswap.page_size, regions
+            self.region_bytes, self.pool.object_shift, self.fastswap.page_shift, regions
         )
         self.selector = PathSelector(
             ChunkingCostModel(object_size, self.config.costs), selector_config
@@ -547,8 +550,8 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         # matter the capacity).  Over-commit is allowed for sweep-shaped
         # windows and refused for interleaved ones, where it would turn
         # every access into a fault.
-        region_pages = self.region_bytes // self.fastswap.page_size
-        capacity = self.fastswap.config.local_capacity_pages
+        region_pages = self._region_pages
+        capacity = self._page_capacity
         sweep_shaped = interleave <= self.overcommit_interleave_max
         placed = sum(self._paged) * region_pages
         decide = self.selector.decide
@@ -605,7 +608,7 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         if shadow is not None:
             metrics = self.pool.metrics
             first_page = fs.page_of(shadow)
-            for page in range(first_page, first_page + self.region_bytes // fs.page_size):
+            for page in range(first_page, first_page + self._region_pages):
                 if page not in fs.residency:
                     continue
                 dirty = fs.residency.is_dirty(page)

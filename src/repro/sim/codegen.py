@@ -71,7 +71,7 @@ from repro.errors import InterpError
 from repro.machine.costs import GuardKind
 from repro.sim import decode
 from repro.sim.decode import DecodedFunction, DecodedModule
-from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
+from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK
 from repro.trackfm.runtime import TWIN_BASE, InlineState
 from repro.trackfm.state_table import ENTRY_BYTES
 
@@ -370,7 +370,7 @@ class _Emitter:
         _tag, dest, _cid, args = op
         ptr = f"r{args[0]}"
         heap = f"({ptr} & {MAX_HEAP_OFFSET})"
-        custody = f"tfm is not None and ({ptr} & {U64_MASK}) >> {TFM_TAG_SHIFT}"
+        custody = f"tfm is not None and {ptr} & {TFM_TAG_MASK}"
         inner = depth + 1
         if deref:
             # Fig. 5's boundary check: still on the object the stream pinned.

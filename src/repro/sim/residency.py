@@ -120,8 +120,9 @@ class ResidencySet:
             else:
                 victim = None
                 for _ in range(2 * len(resident) + 1):
-                    candidate, hot = next(iter(resident.items()))
-                    if hot:
+                    # The head's key, then its bit: no items view or pair.
+                    candidate = next(iter(resident))
+                    if resident[candidate]:
                         resident[candidate] = False
                     elif candidate not in pinned:
                         victim = candidate

@@ -31,7 +31,7 @@ from repro.machine.cache import CacheModel
 from repro.machine.costs import AccessKind, CostTable, GuardKind
 from repro.sim.metrics import Metrics
 from repro.trace.tracer import NULL_TRACER
-from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_SHIFT, U64_MASK
+from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK
 from repro.trackfm.state_table import ENTRY_BYTES, ObjectStateTable
 
 # Enum members bound once: a class lookup is slow (docs/performance.md).
@@ -123,7 +123,7 @@ class GuardEngine:
         accounting matches Table 1's "additional overhead" framing.
         """
         # Custody check (Fig. 4b line 0): are any of bits 60..63 set?
-        if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
+        if not addr & TFM_TAG_MASK:
             return self._custody(kind)
         # The pointer is decoded once: heap offset >> log2(object size).
         obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
@@ -203,7 +203,7 @@ class GuardEngine:
         localizes the object (remote fetch if needed) and pins it so the
         chunk's unguarded accesses are safe.
         """
-        if not (addr & U64_MASK) >> TFM_TAG_SHIFT:
+        if not addr & TFM_TAG_MASK:
             return self._custody(kind)
         obj_id = (addr & MAX_HEAP_OFFSET) >> self._object_shift
         was_local, movement = self.pool.ensure_local(obj_id, kind is _WRITE, depth)

@@ -18,7 +18,6 @@ with shifts (§3.2's constraint is preserved).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.aifm.pool import PoolConfig

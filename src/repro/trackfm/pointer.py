@@ -28,10 +28,15 @@ MAX_HEAP_OFFSET = TFM_BASE - 1
 #: Addresses are 64-bit: the custody check looks at bits 60..63 only.
 U64_MASK = (1 << 64) - 1
 
+#: Bits 60..63.  ``addr & TFM_TAG_MASK`` is the custody check in one
+#: operation: it is non-zero exactly when ``(addr & U64_MASK) >>
+#: TFM_TAG_SHIFT`` is, for every int, negative and >= 2**64 included.
+TFM_TAG_MASK = 0xF << TFM_TAG_SHIFT
+
 
 def is_tfm_pointer(addr: int) -> bool:
     """The custody check: are any of bits 60..63 set?"""
-    return ((addr & U64_MASK) >> TFM_TAG_SHIFT) != 0
+    return (addr & TFM_TAG_MASK) != 0
 
 
 def encode_tfm_pointer(heap_offset: int) -> int:

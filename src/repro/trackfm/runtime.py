@@ -51,12 +51,11 @@ from repro.machine.costs import AccessKind, GuardKind
 from repro.net.backends import RemoteBackend
 from repro.sim.metrics import Metrics
 from repro.trace.tracer import NULL_TRACER
-from repro.trackfm.guards import GuardEngine, GuardResult
+from repro.trackfm.guards import GuardEngine
 from repro.trackfm.pointer import (
     MAX_HEAP_OFFSET,
     TFM_BASE,
-    TFM_TAG_SHIFT,
-    U64_MASK,
+    TFM_TAG_MASK,
     decode_tfm_pointer,
     encode_tfm_pointer,
     is_tfm_pointer,
@@ -103,7 +102,7 @@ def _guard_entry(kind: AccessKind):
         # a tier router after construction.
         cycles = self.guards.guard(ptr, kind).cycles
         metrics = self._metrics
-        if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+        if not ptr & TFM_TAG_MASK:
             # Custody miss: the original pointer is used untouched.
             metrics.cycles += cycles
             return ptr
@@ -121,7 +120,7 @@ def _deref_entry(kind: AccessKind):
     charged, returning the twin."""
 
     def entry(self: "TrackFMRuntime", ptr: int, stream: int) -> int:
-        if not (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+        if not ptr & TFM_TAG_MASK:
             return ptr
         # A stream that was never begun is rejected by chunk_access.
         state = self._chunks.get(stream)
@@ -364,7 +363,7 @@ class TrackFMRuntime:
         # Accesses spanning an object boundary guard the tail object too.
         if (
             (ptr & self._object_mask) + size > self.object_size
-            and (ptr & U64_MASK) >> TFM_TAG_SHIFT
+            and ptr & TFM_TAG_MASK
         ):
             guard = self.guards.guard
             shift = self.pool.object_shift
@@ -448,7 +447,7 @@ class TrackFMRuntime:
         guards = self._metrics.guards
         guards[_BOUNDARY] = guards.get(_BOUNDARY, 0) + 1
         cycles = self.config.costs.boundary_check
-        if (ptr & U64_MASK) >> TFM_TAG_SHIFT:
+        if ptr & TFM_TAG_MASK:
             obj_id = (ptr & MAX_HEAP_OFFSET) >> self.pool.object_shift
             if obj_id != state.current_obj:
                 if state.pinned and state.current_obj is not None:

@@ -21,14 +21,14 @@ re-loaded at every use) so the O1 study runs the real pass pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.errors import WorkloadError
 from repro.ir import IRBuilder, Module
 from repro.ir.types import I64, PTR
 from repro.ir.values import Constant
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
-from repro.net.backends import make_rdma_backend, make_tcp_backend
+from repro.net.backends import make_tcp_backend
 from repro.sim.metrics import Metrics
 from repro.units import BASE_PAGE, GB, ceil_div
 

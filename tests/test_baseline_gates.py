@@ -292,6 +292,45 @@ class TestAcceptance:
         assert paths == ["fingerprint.steps"]
 
 
+class TestRecordKeepsAnUnchangedFile:
+    """``record`` rewrites a file only when it is missing or the gate's
+    exact part moved, and returns the document on disk either way: a
+    re-record of unchanged code leaves the wall-clock series alone."""
+
+    @staticmethod
+    def _gate(directory, documents):
+        measures = iter(documents)
+        return replace(
+            report.GATE, names=("compile_costs",), directory=directory,
+            measure=lambda name: next(measures),
+        )
+
+    @staticmethod
+    def _timed(document, shift):
+        timed = copy.deepcopy(document)
+        timed["wall_clock"]["compile time (x)"][0] += shift
+        return timed
+
+    def test_a_moved_wall_clock_leaves_the_file_byte_identical(self, tmp_path):
+        document = _recorded_report("compile_costs")
+        gate = self._gate(tmp_path, [document, self._timed(document, 1.5)])
+        ((path, first),) = baseline.record(gate).items()
+        text = path.read_text()
+        ((_, second),) = baseline.record(gate).items()
+        assert path.read_text() == text
+        assert first == second == json.loads(text) == document
+
+    def test_a_moved_result_rewrites_the_file(self, tmp_path):
+        document = _recorded_report("compile_costs")
+        moved = self._timed(document, 1.5)
+        moved["result"]["series"]["code size (x)"][0] += 1.0
+        gate = self._gate(tmp_path, [document, moved])
+        baseline.record(gate)
+        ((path, second),) = baseline.record(gate).items()
+        assert path.read_text() == baseline.dumps(moved)
+        assert second == moved
+
+
 def test_diff_names_leaf_paths_and_stops_at_the_cap():
     expected = {"a": {"b": 1, "c": [1, 2]}, "d": 1, "e": [1]}
     got = {"a": {"b": 2, "c": [1, 3]}, "e": [1, 2], "f": 1}

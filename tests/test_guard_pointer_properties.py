@@ -6,7 +6,8 @@ with one mask and one shift instead of calling ``is_tfm_pointer`` /
 over every plausible object size, heap offset and access size: the
 same objects are guarded, in the same order, with the same counts, a
 canonical address still takes the custody-miss exit, and an id past the
-heap is still rejected.
+heap is still rejected.  The custody check itself is one mask of bits
+60..63; it agrees with the 64-bit shift it replaces on every int.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,15 @@ from repro.aifm.pool import PoolConfig
 from repro.errors import PointerError
 from repro.machine.costs import AccessKind, GuardKind
 from repro.trace import Tracer
-from repro.trackfm.pointer import MAX_HEAP_OFFSET, encode_tfm_pointer, object_id_of
+from repro.trackfm.pointer import (
+    MAX_HEAP_OFFSET,
+    TFM_BASE,
+    TFM_TAG_SHIFT,
+    U64_MASK,
+    encode_tfm_pointer,
+    is_tfm_pointer,
+    object_id_of,
+)
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import PLAUSIBLE_OBJECT_SIZES
 
@@ -99,3 +108,24 @@ def test_object_id_past_the_heap_raises(object_size, data, size, kind):
         rt.guards.guard(ptr, kind)
     with pytest.raises(PointerError):
         rt.access(ptr, kind, size)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.integers(min_value=0, max_value=15).map(lambda tag: tag << TFM_TAG_SHIFT),
+))
+def test_custody_mask_equals_the_64_bit_shift(x):
+    assert is_tfm_pointer(x) == bool((x & U64_MASK) >> TFM_TAG_SHIFT)
+
+
+@pytest.mark.parametrize("addr, tracked", [
+    (TFM_BASE, True),
+    (TFM_BASE - 1, False),
+    (1 << 63, True),
+    (1 << 64, False),  # bit 64 is outside the 64-bit address
+    (-1, True),  # all ones: bits 60..63 set
+], ids=["TFM_BASE", "TFM_BASE - 1", "1 << 63", "1 << 64", "-1"])
+def test_custody_mask_known_answers(addr, tracked):
+    assert is_tfm_pointer(addr) is tracked

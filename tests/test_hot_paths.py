@@ -23,7 +23,8 @@ instruction ``argval`` only, so they mean the same on 3.10 to 3.12.
 The frame budgets count, exactly, the Python frames one slow guard (on
 a bare link and on a serving shard's armed one), one prefetching chunk
 crossing, one served read and one replicated write (also after a
-failover) enter, and what each request adds to a read-only serving run.
+failover) enter, what each request adds to a read-only serving run, and
+what the adaptive hybrid's page hit, page fault and epochs enter.
 """
 
 import dis
@@ -39,8 +40,10 @@ from hypothesis import given, settings, strategies as st
 from repro.aifm.evacuator import Evacuator
 from repro.aifm.pool import ObjectPool, PoolConfig
 from repro.aifm.runtime import AIFMRuntime
+from repro.bench.hybrid import SELECTOR
 from repro.fastswap.runtime import FastswapRuntime
 from repro.hashing import splitmix64
+from repro.hybrid.placement import Placement
 from repro.hybrid.profiler import DensityProfiler, RegionStats
 from repro.hybrid.runtime import AdaptiveHybridRuntime, _TierRouter
 from repro.hybrid.selector import PathSelector
@@ -101,7 +104,6 @@ HOT_PATHS = [
     _TierRouter.guard,
     DensityProfiler.interleave_rate,
     DensityProfiler.fold,
-    DensityProfiler._freeze,
     PathSelector.decide,
     PathSelector.tier_costs,
     AdaptiveHybridRuntime.rebalance,
@@ -395,6 +397,65 @@ def test_served_request_frame_budget_in_the_event_loop():
     assert long - short == 4 * (long_n - short_n)
     # Fixed costs included, an 800-request run stays under 5 per request.
     assert long < 5 * long_n
+
+
+# -- the adaptive hybrid ------------------------------------------------------
+
+
+def _paged_hybrid():
+    """``hybrid-phase``'s shape (32 KB local, a 128 KB heap, 256 B objects,
+    4 KB regions, epochs of 32, its selector) with regions 0..4 swept
+    until each is page-placed: the page tier holds 4 pages, so region
+    0's page has been evicted, and a new window has just begun."""
+    rt = AdaptiveHybridRuntime(
+        local_memory=32 * KB, heap_size=128 * KB, object_size=256,
+        epoch_accesses=32, selector_config=SELECTOR,
+    )
+    ptr = rt.tfm_malloc(128 * KB)
+    for region in range(5):
+        for word in range(32):
+            rt.access(ptr + region * 4 * KB + word * 64, AccessKind.READ, 8)
+        assert rt.placement_of(region * 4 * KB) is Placement.PAGES
+    assert rt.fastswap.residency.capacity == 4
+    assert rt.profiler.window_accesses == 0
+    return rt, ptr
+
+
+#: A page hit enters ``access`` and the router; a fault into a full page
+#: tier adds ``_touch_page`` and ``ResidencySet.access``.  An epoch
+#: enters ``rebalance``, ``interleave_rate`` and ``fold``, and a window
+#: at or above the floor adds ``decide``, ``tier_costs``, ``_wire_terms``
+#: and the two tier costs.  The epochs entered 14 and 6 while ``fold``
+#: froze through ``_freeze`` (a generator and a dict comprehension) and
+#: ``rebalance`` read the page size and the page tier's capacity through
+#: two properties.
+@pytest.mark.parametrize("case, frames", [
+    ("page hit", 2),
+    ("page fault", 4),
+    ("epoch, one window at the floor or above", 8),
+    ("epoch, eight windows under the floor", 3),
+])
+def test_adaptive_hybrid_frame_budget(case, frames):
+    rt, ptr = _paged_hybrid()
+    faults = rt.metrics.major_faults
+    if case.startswith("page"):
+        if case == "page hit":
+            rt.access(ptr, AccessKind.READ, 8)
+            faults += 1
+        got = _frames(rt.access, ptr + 8, AccessKind.WRITE, 8)
+        assert rt.metrics.major_faults == faults + (case == "page fault")
+    else:
+        rt.epoch_accesses = 10**9  # the test ends the window itself
+        if "one window" in case:
+            for word in range(32):
+                rt.access(ptr + word * 64, AccessKind.READ, 8)
+        else:
+            for region in range(8, 16):
+                rt.access(ptr + region * 4 * KB, AccessKind.READ, 8)
+        migrations = len(rt.migration_log)
+        got = _frames(rt.rebalance)
+        assert len(rt.migration_log) == migrations
+    assert got == frames
 
 
 # -- splitmix64 ---------------------------------------------------------------
