@@ -10,8 +10,9 @@ over the hot set and the two converge.
 Run:  python examples/memcached_skew.py
 """
 
-from repro.bench.harness import CPU_HZ
+from repro.bench.harness import CPU_HZ, model_fastswap, model_trackfm
 from repro.machine.scale import ScaleModel
+from repro.sim.local import LocalRuntime
 from repro.units import GB, fmt_bytes
 from repro.workloads.memcached import MemcachedWorkload
 
@@ -36,9 +37,9 @@ def main() -> None:
         wl = MemcachedWorkload(
             working_set=WORKING_SET, n_keys=N_OPS, n_ops=N_OPS, skew=skew
         )
-        tfm = wl.run_trackfm(object_size=64, local_memory=LOCAL)
-        fsw = wl.run_fastswap(local_memory=LOCAL)
-        loc = wl.run_local()
+        tfm = wl.run_trackfm(model_trackfm(64, LOCAL))
+        fsw = wl.run_fastswap(model_fastswap(LOCAL))
+        loc = wl.run_local(LocalRuntime())
         print(
             f"{skew:>5.2f} | "
             f"{tfm.throughput_kops(CPU_HZ):>7.1f}K {fsw.throughput_kops(CPU_HZ):>7.1f}K "
@@ -54,7 +55,7 @@ def main() -> None:
     print("\nobject-size sensitivity at skew 1.05:")
     wl = MemcachedWorkload(working_set=WORKING_SET, n_keys=N_OPS, n_ops=N_OPS, skew=1.05)
     for size in (64, 256, 1024, 4096):
-        res = wl.run_trackfm(object_size=size, local_memory=LOCAL)
+        res = wl.run_trackfm(model_trackfm(size, LOCAL))
         print(
             f"  {size:>5}B objects: {res.throughput_kops(CPU_HZ):6.1f} KOps/s, "
             f"{fmt_bytes(res.metrics.total_bytes_transferred)} moved"

@@ -2,21 +2,20 @@
 """Taxi-trip analytics on far memory (the paper's §4.5 application).
 
 Runs a real (synthetic-data) analysis with the columnar dataframe
-substrate, then costs the *same access plans* under the four systems of
-Fig. 14 — local-only, TrackFM, Fastswap, AIFM — across a local-memory
-sweep, and shows the Fig. 15 chunking-policy comparison.
+substrate, then costs the *same access plans* on the runtimes of the
+four systems of Fig. 14 — local-only, TrackFM, Fastswap, AIFM — across
+a local-memory sweep, and shows the Fig. 15 chunking-policy comparison.
 
 Run:  python examples/taxi_analytics.py
 """
 
-from repro.bench.harness import CPU_HZ
-from repro.units import MB, fmt_bytes
+from repro.bench.harness import model_aifm, model_fastswap, model_trackfm
+from repro.sim.local import LocalRuntime
+from repro.units import BASE_PAGE, MB, fmt_bytes
 from repro.workloads.analytics import (
     AnalyticsChunking,
     AnalyticsWorkload,
-    System,
     build_taxi_frame,
-    run_taxi_pipeline,
 )
 
 WORKING_SET = 31 * MB  # the paper's 31 GB, scaled 1024x
@@ -42,15 +41,18 @@ def run_real_analysis() -> None:
 def run_far_memory_comparison() -> None:
     print(f"\n== far-memory comparison ({fmt_bytes(WORKING_SET)} working set) ==")
     wl = AnalyticsWorkload(working_set=WORKING_SET)
-    local_cycles, _ = wl.run_local()
+    local_cycles, _ = wl.run_local(LocalRuntime())
     header = f"{'local mem':>10} | {'TrackFM':>8} {'Fastswap':>9} {'AIFM':>7}"
     print(header)
     print("-" * len(header))
     for frac in SWEEP:
-        local = max(4096, int(WORKING_SET * frac))
+        local = max(BASE_PAGE, int(WORKING_SET * frac))
         row = [f"{frac:>9.0%}"]
-        for system in (System.TRACKFM, System.FASTSWAP, System.AIFM):
-            cycles, _ = wl.run(system, local)
+        for cycles, _ in (
+            wl.run_trackfm(model_trackfm(BASE_PAGE, local)),
+            wl.run_fastswap(model_fastswap(local)),
+            wl.run_aifm(model_aifm(BASE_PAGE, local)),
+        ):
             row.append(f"{cycles / local_cycles:>8.2f}x")
         print(" | ".join([row[0], " ".join(row[1:])]))
     print("(slowdown vs local-only; paper: TrackFM within 10% of AIFM)")
@@ -59,10 +61,10 @@ def run_far_memory_comparison() -> None:
 def run_chunking_policy_study() -> None:
     print("\n== chunking policy (Fig. 15) at 25% local memory ==")
     wl = AnalyticsWorkload(working_set=WORKING_SET)
-    local_cycles, _ = wl.run_local()
+    local_cycles, _ = wl.run_local(LocalRuntime())
     local = WORKING_SET // 4
     for policy in AnalyticsChunking:
-        cycles, metrics = wl.run_trackfm(local, policy)
+        cycles, metrics = wl.run_trackfm(model_trackfm(BASE_PAGE, local), policy)
         print(
             f"  {policy.value:<24}: {cycles / local_cycles:5.2f}x slowdown, "
             f"{metrics.slow_path_guards:,} slow/locality guards"

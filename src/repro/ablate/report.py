@@ -32,7 +32,7 @@ from repro.ablate.matrix import (
     applicable_components,
     generate_matrix,
 )
-from repro.ablate.registry import BASELINE, COMPONENTS, component
+from repro.ablate.registry import BASELINE, COMPONENTS
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import WEIGHTS, rank_components, score_pair
 from repro.bench.baseline import Gate, dumps, rounded

@@ -10,13 +10,12 @@ they make the transparency contrast concrete — compare
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 from repro.aifm.allocator import Allocation
 from repro.aifm.runtime import AIFMRuntime
 from repro.aifm.scope import DerefScope
 from repro.errors import PointerError, WorkloadError
 from repro.machine.costs import AccessKind
+from repro.sim.plan import AccessPattern, AccessPlan
 
 
 class RemoteArray:
@@ -62,8 +61,11 @@ class RemoteArray:
 
     def scan(self, kind: AccessKind = AccessKind.READ) -> float:
         """Iterate the whole array with the library iterator (prefetching)."""
-        return self.runtime.sequential_scan(
-            self.allocation.offset, self.length, self.elem_size, kind
+        return self.runtime.cost_plan(
+            AccessPlan(
+                AccessPattern.SEQUENTIAL, self.length, self.elem_size,
+                is_write=kind is AccessKind.WRITE,
+            )
         )
 
     def free(self) -> None:

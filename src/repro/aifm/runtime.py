@@ -9,14 +9,13 @@ the developer.  TrackFM reuses everything below the smart-pointer layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.aifm.allocator import Allocation, RegionAllocator
 from repro.aifm.pool import ObjectPool, PoolConfig
 from repro.aifm.prefetcher import StridePrefetcher
 from repro.aifm.scope import DerefScope
-from repro.errors import PointerError
+from repro.errors import PointerError, RuntimeConfigError
 from repro.integrity import (
     IntegrityChecker,
     IntegrityConfig,
@@ -27,7 +26,7 @@ from repro.integrity import (
 from repro.machine.costs import AccessKind
 from repro.net.backends import RemoteBackend
 from repro.sim.metrics import Metrics
-from repro.units import ceil_div
+from repro.sim.plan import AccessPattern, AccessPlan
 
 # Enum members bound once: a class lookup is slow (docs/performance.md).
 _WRITE = AccessKind.WRITE
@@ -38,6 +37,10 @@ _WRITE = AccessKind.WRITE
 #: is no custody check or state-table load; the unique pointer embeds
 #: the state.
 AIFM_DEREF_OVERHEAD = 9.0
+
+#: DerefScope construction + remote-iterator setup, per loop entry of a
+#: short loop (the hand-ported analytics aggregations).
+AIFM_SCOPE_CYCLES = 120.0
 
 
 class AIFMRuntime:
@@ -170,64 +173,68 @@ class AIFMRuntime:
         self.metrics.cycles += cycles
         return cycles
 
-    # -- bulk helper used by the executor for closed-form scans --------------
+    # -- the closed form -------------------------------------------------------
 
-    def sequential_scan(
-        self,
-        offset: int,
-        n_elems: int,
-        elem_size: int,
-        kind: AccessKind = AccessKind.READ,
-        resident_fraction: float = 0.0,
-    ) -> float:
-        """Closed-form cost of a sequential scan (library iterator).
+    def cost_plan(self, plan: AccessPlan, resident_fraction: float = 0.0) -> float:
+        """Bulk cost of one scan plan (:mod:`repro.sim.plan`).
 
         AIFM's iterators localize object-by-object and prefetch ahead,
-        so per element: smart-pointer overhead + local access, plus per
-        object: a pipelined fetch for the non-resident fraction.
-        ``resident_fraction`` is the probability an object is already
-        local (0 for a cold scan larger than local memory).
+        so per access: smart-pointer overhead + the plan's body, plus
+        per object: a pipelined fetch for the non-resident fraction
+        (``resident_fraction`` is the probability an object is already
+        local).  A short loop also builds a DerefScope and a remote
+        iterator per entry (Listing 1).  The closed form models the
+        iterator only: lookups go through :meth:`access`.
         """
-        costs = self.config.costs
-        total_bytes = n_elems * elem_size
-        n_objects = max(1, ceil_div(total_bytes, self.object_size))
-        per_elem = self.deref_overhead + costs.local_access
-        cycles = n_elems * per_elem
-        misses = int(round(n_objects * (1.0 - resident_fraction)))
+        if plan.pattern is AccessPattern.RANDOM:
+            raise RuntimeConfigError("AIFM's closed form prices iterator scans only")
+        n_elems = plan.n_elems
+        if n_elems <= 0:
+            return 0.0
+        _, misses = plan.misses(self.object_size, resident_fraction)
+        body = (
+            self.config.costs.local_access
+            if plan.body_cycles is None
+            else plan.body_cycles
+        )
+        cycles = n_elems * (self.deref_overhead + body)
+        if plan.pattern is AccessPattern.SHORT_LOOPS:
+            cycles += plan.entries * AIFM_SCOPE_CYCLES
+        metrics = self.metrics
         if misses:
-            wire = self.pool.backend.link.wire_cycles(self.object_size)
+            link = self.pool.backend.link
+            wire = link.wire_cycles(self.object_size)
             cycles += misses * wire
             integrity = self.pool.backend.integrity
             if integrity is not None:
-                # Closed-form scans verify each fetched object's
-                # checksum (no corruption rolls: the closed form models
-                # the healthy-payload cost envelope).
+                # Closed forms verify each fetched object's checksum (no
+                # corruption rolls: the closed form models the
+                # healthy-payload cost envelope).
                 cycles += misses * integrity.config.verify_cycles
-            self.metrics.remote_fetches += misses
-            self.metrics.bytes_fetched += misses * self.object_size
-            self.pool.backend.link.stats.bytes_fetched += misses * self.object_size
-            self.metrics.prefetches_issued += misses
-            self.metrics.prefetches_useful += misses
+            metrics.remote_fetches += misses
+            metrics.bytes_fetched += misses * self.object_size
+            link.stats.bytes_fetched += misses * self.object_size
+            metrics.prefetches_issued += misses
+            metrics.prefetches_useful += misses
             tracer = self.pool.tracer
             if tracer.enabled:
                 tracer.fetch(
-                    misses * self.object_size, wire, self.metrics.cycles,
+                    misses * self.object_size, wire, metrics.cycles,
                     n=misses, name="scan_fetch",
                 )
                 tracer.prefetch(
-                    misses * self.object_size, self.metrics.cycles,
+                    misses * self.object_size, metrics.cycles,
                     useful=True, n=misses, name="scan_prefetch",
                 )
-            if kind is AccessKind.WRITE:
-                evict = self.pool.backend.link.wire_cycles(self.object_size)
-                cycles += misses * evict * self.pool.evacuator.sync_fraction
-                self.metrics.bytes_evacuated += misses * self.object_size
-                self.metrics.evictions += misses
+            if plan.writes_back:
+                cycles += misses * wire * self.pool.evacuator.sync_fraction
+                metrics.bytes_evacuated += misses * self.object_size
+                metrics.evictions += misses
                 if tracer.enabled:
                     tracer.evict(
-                        misses * self.object_size, self.metrics.cycles,
+                        misses * self.object_size, metrics.cycles,
                         n=misses, dirty=misses, name="scan_evict",
                     )
-        self.metrics.accesses += n_elems
-        self.metrics.cycles += cycles
+        metrics.accesses += n_elems
+        metrics.cycles += cycles
         return cycles

@@ -9,7 +9,7 @@ converge while a thread is inside a guard).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List
 
 from repro.aifm.pool import ObjectPool
 from repro.errors import EvacuationError

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.ir.function import Function
 from repro.ir.instructions import Call
 from repro.ir.module import Module
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.ir.function import Function
-from repro.ir.instructions import Instruction, Phi
+from repro.ir.instructions import Instruction
 from repro.ir.values import Value
 
 

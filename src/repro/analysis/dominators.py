@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.cfg import CFG, reverse_postorder
 from repro.ir.basicblock import BasicBlock

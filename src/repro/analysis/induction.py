@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.cfg import CFG
 from repro.analysis.loops import Loop, LoopInfo
-from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import BinOp, CondBr, Gep, ICmp, Phi
 from repro.ir.values import Constant, Value

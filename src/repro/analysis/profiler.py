@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.loops import Loop, LoopInfo, find_loops
+from repro.analysis.loops import find_loops
 from repro.ir.function import Function
 from repro.ir.module import Module
 

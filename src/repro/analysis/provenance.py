@@ -19,7 +19,7 @@ correctness.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional, Set
 
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -35,7 +35,7 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
-from repro.ir.values import Argument, Constant, Value
+from repro.ir.values import Constant, Value
 
 #: Allocation entry points whose results are heap pointers.  After the
 #: libc transformation pass these become ``tfm_*`` calls, which are also

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
-from repro.bench.harness import CPU_HZ, ExperimentResult
+from repro.bench.harness import CPU_HZ, ExperimentResult, model_fastswap, model_trackfm
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.scale import ScaleModel
 from repro.net.backends import make_tcp_backend
@@ -334,9 +332,9 @@ def ablation_multisize(
         "cycles / bytes fetched",
     )
     runs = [
-        wl.run_trackfm(object_size=64, local_memory=local),
-        wl.run_trackfm(object_size=4 * KB, local_memory=local),
-        wl.run_trackfm_multisize(64, 4 * KB, local),
+        wl.run_trackfm(model_trackfm(64, local)),
+        wl.run_trackfm(model_trackfm(4 * KB, local)),
+        wl.run_trackfm_multisize(model_trackfm(64, local), model_trackfm(4 * KB, local)),
     ]
     result.add_series("cycles", [r.cycles for r in runs])
     result.add_series(
@@ -437,9 +435,11 @@ def ablation_hybrid_memcached(
     tfm_tp, fsw_tp, hyb_tp = [], [], []
     for skew in skews:
         wl = MemcachedWorkload(working_set=working_set, n_keys=n, n_ops=n, skew=skew)
-        tfm_tp.append(wl.run_trackfm(64, local).throughput_kops(CPU_HZ))
-        fsw_tp.append(wl.run_fastswap(local).throughput_kops(CPU_HZ))
-        hyb_tp.append(wl.run_hybrid(64, local).throughput_kops(CPU_HZ))
+        tfm_tp.append(wl.run_trackfm(model_trackfm(64, local)).throughput_kops(CPU_HZ))
+        fsw_tp.append(wl.run_fastswap(model_fastswap(local)).throughput_kops(CPU_HZ))
+        bucket_local, item_local = wl.hybrid_split(local, 64)
+        hybrid = wl.run_hybrid(model_fastswap(bucket_local), model_trackfm(64, item_local))
+        hyb_tp.append(hybrid.throughput_kops(CPU_HZ))
     result.add_series("TrackFM", tfm_tp)
     result.add_series("Fastswap", fsw_tp)
     result.add_series("Hybrid", hyb_tp)

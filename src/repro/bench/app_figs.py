@@ -9,6 +9,9 @@ from repro.bench.harness import (
     DEFAULT_BENCH_SCALE,
     ExperimentResult,
     geomean,
+    model_aifm,
+    model_fastswap,
+    model_trackfm,
 )
 from repro.compiler.pass_manager import PassContext, PassManager
 from repro.compiler.optimize import O1Pipeline
@@ -16,8 +19,9 @@ from repro.compiler.pipeline import CompilerConfig
 from repro.ir.instructions import Load, Store
 from repro.machine.scale import ScaleModel
 from repro.sim.interpreter import Interpreter
-from repro.units import GB, KB, MB
-from repro.workloads.analytics import AnalyticsChunking, AnalyticsWorkload, System
+from repro.sim.local import LocalRuntime
+from repro.units import BASE_PAGE, GB, KB
+from repro.workloads.analytics import AnalyticsChunking, AnalyticsWorkload
 from repro.workloads.kmeans import ChunkMode, KMeansWorkload
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.nas import NAS_SUITE, NasModel, build_nas_ir
@@ -50,7 +54,7 @@ def fig08(
         series: List[float] = []
         for frac in fractions:
             local = max(obj, int(wl.working_set * frac))
-            series.append(wl.speedup_vs_baseline(mode, obj, local))
+            series.append(wl.speedup_vs_baseline(mode, model_trackfm(obj, local)))
         result.add_series(label, series)
     result.note("paper: all-loops ~4x slowdown (0.25x); filtered ~2.5x speedup")
     return result
@@ -66,7 +70,7 @@ def fig14(
     """Analytics on TrackFM vs Fastswap vs AIFM (31 GB working set)."""
     working_set = scale.bytes(31 * GB)
     wl = AnalyticsWorkload(working_set=working_set)
-    local_cycles, _ = wl.run_local()
+    local_cycles, _ = wl.run_local(LocalRuntime())
     result = ExperimentResult(
         "fig14",
         "Analytics application: slowdown vs local-only (a) and event counts (b)",
@@ -74,26 +78,27 @@ def fig14(
         [f"{f:.0%}" for f in fractions],
         "slowdown vs local-only / events (paper-scale, x10M)",
     )
-    slow = {System.TRACKFM: [], System.FASTSWAP: [], System.AIFM: []}
+    tfm: List[float] = []
+    fsw: List[float] = []
+    aifm: List[float] = []
     guards: List[float] = []
     faults: List[float] = []
     for frac in fractions:
-        local = max(4096, int(working_set * frac))
-        for system in slow:
-            cycles, metrics = wl.run(system, local)
-            slow[system].append(cycles / local_cycles)
-            if system is System.TRACKFM:
-                guards.append(
-                    metrics.slow_path_guards * scale.factor / 1e7
-                )
-            elif system is System.FASTSWAP:
-                faults.append(metrics.major_faults * scale.factor / 1e7)
-    result.add_series("TrackFM", slow[System.TRACKFM])
-    result.add_series("Fastswap", slow[System.FASTSWAP])
-    result.add_series("AIFM", slow[System.AIFM])
+        local = max(BASE_PAGE, int(working_set * frac))
+        cycles, metrics = wl.run_trackfm(model_trackfm(BASE_PAGE, local))
+        tfm.append(cycles / local_cycles)
+        guards.append(metrics.slow_path_guards * scale.factor / 1e7)
+        cycles, metrics = wl.run_fastswap(model_fastswap(local))
+        fsw.append(cycles / local_cycles)
+        faults.append(metrics.major_faults * scale.factor / 1e7)
+        cycles, _ = wl.run_aifm(model_aifm(BASE_PAGE, local))
+        aifm.append(cycles / local_cycles)
+    result.add_series("TrackFM", tfm)
+    result.add_series("Fastswap", fsw)
+    result.add_series("AIFM", aifm)
     result.add_series("TrackFM guards (x10M)", guards)
     result.add_series("Fastswap faults (x10M)", faults)
-    gap = slow[System.TRACKFM][0] / slow[System.AIFM][0]
+    gap = tfm[0] / aifm[0]
     result.note(
         f"TrackFM within {100 * (gap - 1):.0f}% of AIFM at the lowest local "
         "memory (paper: within 10%)"
@@ -108,7 +113,7 @@ def fig15(
     """Chunking policy on the analytics app (low-density aggregations)."""
     working_set = scale.bytes(31 * GB)
     wl = AnalyticsWorkload(working_set=working_set)
-    local_cycles, _ = wl.run_local()
+    local_cycles, _ = wl.run_local(LocalRuntime())
     result = ExperimentResult(
         "fig15",
         "Analytics: loop chunking policy vs slowdown",
@@ -123,8 +128,8 @@ def fig15(
     ):
         series: List[float] = []
         for frac in fractions:
-            local = max(4096, int(working_set * frac))
-            cycles, _ = wl.run_trackfm(local, policy)
+            local = max(BASE_PAGE, int(working_set * frac))
+            cycles, _ = wl.run_trackfm(model_trackfm(BASE_PAGE, local), policy)
             series.append(cycles / local_cycles)
         result.add_series(label, series)
     result.note("paper: chunking the low-density aggregation loops hurts")
@@ -158,9 +163,9 @@ def fig16(
         wl = MemcachedWorkload(
             working_set=working_set, n_keys=n_keys, n_ops=n_ops, skew=skew
         )
-        tfm = wl.run_trackfm(object_size=object_size, local_memory=local)
-        fsw = wl.run_fastswap(local_memory=local)
-        loc = wl.run_local()
+        tfm = wl.run_trackfm(model_trackfm(object_size, local))
+        fsw = wl.run_fastswap(model_fastswap(local))
+        loc = wl.run_local(LocalRuntime())
         tfm_tp.append(tfm.throughput_kops(CPU_HZ))
         fsw_tp.append(fsw.throughput_kops(CPU_HZ))
         local_tp.append(loc.throughput_kops(CPU_HZ))
@@ -201,8 +206,8 @@ def fig17a(
         ws = bench.working_set(scale.factor)
         model = NasModel(bench, working_set=ws)
         local = int(ws * local_fraction)
-        fsw.append(model.slowdown("fastswap", local))
-        tfm.append(model.slowdown("trackfm", local))
+        fsw.append(model.slowdown(model_fastswap(local)))
+        tfm.append(model.slowdown(model_trackfm(BASE_PAGE, local)))
     fsw.append(geomean(fsw))
     tfm.append(geomean(tfm))
     result.add_series("Fastswap", fsw)
@@ -251,9 +256,9 @@ def fig17b(
         ws = bench.working_set(scale.factor)
         model = NasModel(bench, working_set=ws)
         local = int(ws * local_fraction)
-        fsw.append(model.slowdown("fastswap", local))
-        tfm.append(model.slowdown("trackfm", local, o1=False))
-        tfm_o1.append(model.slowdown("trackfm", local, o1=True))
+        fsw.append(model.slowdown(model_fastswap(local)))
+        tfm.append(model.slowdown(model_trackfm(BASE_PAGE, local), o1=False))
+        tfm_o1.append(model.slowdown(model_trackfm(BASE_PAGE, local), o1=True))
         # Measure the real reduction with the real passes.
         unopt = build_nas_ir(name, n=64)
         before = _dynamic_mem_ops(unopt)

@@ -11,7 +11,7 @@ native-expansion estimate, compile time as (full TrackFM pipeline) /
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.bench.harness import ExperimentResult, geomean
 from repro.compiler.optimize import O1Pipeline

@@ -1,13 +1,19 @@
-"""Shared benchmark plumbing: result containers and text rendering."""
+"""Shared benchmark plumbing: result containers, text rendering and the
+runtimes the workload models cost their plans on."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
+from repro.aifm.pool import PoolConfig
+from repro.aifm.runtime import AIFMRuntime
 from repro.errors import BenchError
+from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
 from repro.machine.scale import ScaleModel
+from repro.trackfm.runtime import TrackFMRuntime
+from repro.units import BASE_PAGE
 
 #: The testbed's clock (Xeon E5-2640v4 @ 2.40 GHz).
 CPU_HZ = 2.4e9
@@ -112,3 +118,26 @@ def local_memory_sweep(fractions: Sequence[float], working_set: int) -> List[int
             raise BenchError(f"local-memory fraction {f} out of (0, 1]")
         out.append(max(4096, int(working_set * f) // 4096 * 4096))
     return out
+
+
+# -- runtimes for the workload models --------------------------------------
+#
+# A model prices plans through a runtime's closed form (``cost_plan``),
+# which reads the runtime's config, costs and link but never its heap,
+# so a one-granule heap is enough.
+
+
+def model_trackfm(object_size: int, local_memory: int) -> TrackFMRuntime:
+    return TrackFMRuntime(
+        PoolConfig(object_size=object_size, local_memory=local_memory, heap_size=object_size)
+    )
+
+
+def model_aifm(object_size: int, local_memory: int) -> AIFMRuntime:
+    return AIFMRuntime(
+        PoolConfig(object_size=object_size, local_memory=local_memory, heap_size=object_size)
+    )
+
+
+def model_fastswap(local_memory: int) -> FastswapRuntime:
+    return FastswapRuntime(FastswapConfig(local_memory=local_memory, heap_size=BASE_PAGE))

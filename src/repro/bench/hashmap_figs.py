@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.bench.harness import CPU_HZ, ExperimentResult
+from repro.bench.harness import CPU_HZ, ExperimentResult, model_fastswap, model_trackfm
 from repro.machine.scale import ScaleModel
 from repro.units import GB, KB, MB
 from repro.workloads.hashmap import HashmapWorkload
@@ -48,7 +48,7 @@ def fig09(
         series: List[float] = []
         for frac in fractions:
             local = max(size, int(wl.working_set * frac))
-            res = wl.run_trackfm(object_size=size, local_memory=local)
+            res = wl.run_trackfm(model_trackfm(size, local))
             series.append(res.throughput_mops(CPU_HZ))
         label = f"{size // KB}KB" if size >= KB else f"{size}B"
         result.add_series(label, series)
@@ -79,8 +79,8 @@ def fig13(
     fsw_data: List[float] = []
     for frac in fractions:
         local = max(64, int(wl.working_set * frac))
-        tfm = wl.run_trackfm(object_size=64, local_memory=local)
-        fsw = wl.run_fastswap(local_memory=local)
+        tfm = wl.run_trackfm(model_trackfm(64, local))
+        fsw = wl.run_fastswap(model_fastswap(local))
         # Paper-scale wall time and bytes: the scale factor shrinks both
         # the working set and the op count linearly, so multiply back.
         tfm_time.append(tfm.execution_seconds(CPU_HZ) * scale.factor)
@@ -91,8 +91,9 @@ def fig13(
     result.add_series("Fastswap time (s)", fsw_time)
     result.add_series("TrackFM 64B data (GB)", tfm_data)
     result.add_series("Fastswap data (GB)", fsw_data)
-    tfm_amp = wl.run_trackfm(64, int(wl.working_set * 0.25)).amplification(wl.working_set)
-    fsw_amp = wl.run_fastswap(int(wl.working_set * 0.25)).amplification(wl.working_set)
+    quarter = int(wl.working_set * 0.25)
+    tfm_amp = wl.run_trackfm(model_trackfm(64, quarter)).amplification(wl.working_set)
+    fsw_amp = wl.run_fastswap(model_fastswap(quarter)).amplification(wl.working_set)
     result.note(
         f"amplification at 25% local: TrackFM {tfm_amp:.1f}x vs Fastswap "
         f"{fsw_amp:.1f}x (paper: 2.3x vs 43x)"

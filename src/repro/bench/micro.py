@@ -20,7 +20,7 @@ from repro.bench.harness import ExperimentResult
 from repro.compiler.cost_model import ChunkingCostModel, LoopShape
 from repro.machine.cache import AlwaysHitCache
 from repro.machine.costs import AccessKind
-from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
+from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import KB, MB
 
 #: Loop body cost per element in the microloop.

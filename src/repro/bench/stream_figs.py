@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.aifm.pool import PoolConfig
-from repro.bench.harness import CPU_HZ, DEFAULT_BENCH_SCALE, ExperimentResult
-from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
+from repro.bench.harness import (
+    CPU_HZ,
+    DEFAULT_BENCH_SCALE,
+    ExperimentResult,
+    model_fastswap,
+    model_trackfm,
+)
+from repro.fastswap.runtime import FastswapRuntime
 from repro.machine.scale import ScaleModel
 from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
-from repro.units import GB, KB
+from repro.units import BASE_PAGE, GB, KB
 from repro.workloads.stream import StreamKernel, StreamWorkload
 
 #: Fractions of the working set granted as local memory (the x-axes).
@@ -17,21 +22,11 @@ LOCAL_FRACTIONS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 def _trackfm(working_set: int, local_frac: float, object_size: int) -> TrackFMRuntime:
-    local = max(object_size, int(working_set * local_frac))
-    return TrackFMRuntime(
-        PoolConfig(
-            object_size=object_size,
-            local_memory=local,
-            heap_size=working_set * 2,
-        )
-    )
+    return model_trackfm(object_size, max(object_size, int(working_set * local_frac)))
 
 
 def _fastswap(working_set: int, local_frac: float) -> FastswapRuntime:
-    local = max(4096, int(working_set * local_frac))
-    return FastswapRuntime(
-        FastswapConfig(local_memory=local, heap_size=working_set * 2)
-    )
+    return model_fastswap(max(BASE_PAGE, int(working_set * local_frac)))
 
 
 def _stream_cycles(

@@ -26,7 +26,7 @@ from repro.analysis.loops import Loop, find_loops
 from repro.compiler.guard_analysis import GUARD_MD
 from repro.compiler.pass_manager import Pass, PassContext
 from repro.ir.function import Function
-from repro.ir.instructions import Call, Gep, Instruction, Load, Phi, Store
+from repro.ir.instructions import Call, Gep, Load, Phi, Store
 from repro.ir.module import Module
 from repro.ir.types import I64, PTR
 from repro.ir.values import Constant, Value

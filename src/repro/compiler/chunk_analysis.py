@@ -28,7 +28,7 @@ from repro.compiler.cost_model import ChunkingCostModel, LoopShape
 from repro.compiler.guard_analysis import GUARD_MD
 from repro.compiler.pass_manager import Pass, PassContext
 from repro.ir.function import Function
-from repro.ir.instructions import Gep, Instruction, Load, Phi, Store
+from repro.ir.instructions import Gep, Instruction, Load, Store
 from repro.ir.module import Module
 from repro.ir.values import Argument, Constant, Value
 

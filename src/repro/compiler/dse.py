@@ -10,11 +10,11 @@ instruction counts the §4.6 statistics track.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Set
 
 from repro.compiler.pass_manager import Pass, PassContext
 from repro.ir.function import Function
-from repro.ir.instructions import Alloca, Load, Store
+from repro.ir.instructions import Alloca, Store
 from repro.ir.module import Module
 
 

@@ -21,7 +21,7 @@ followed by trivial-phi elimination.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.cfg import CFG
 from repro.compiler.pass_manager import Pass, PassContext

@@ -29,7 +29,7 @@ writeback), so the remote computes over current data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.cfg import CFG
 from repro.analysis.induction import InductionAnalysis, InductionVariable

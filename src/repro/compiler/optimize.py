@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.defuse import DefUse
 from repro.compiler.pass_manager import Pass, PassContext
-from repro.ir.function import Function
 from repro.ir.instructions import (
     Alloca,
     BinOp,
@@ -33,7 +32,6 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.module import Module
-from repro.ir.types import IntType
 from repro.ir.values import Constant, Value
 
 

@@ -13,13 +13,11 @@ make stale blocks an outright hazard.  This pass cleans up:
 
 from __future__ import annotations
 
-from typing import List, Set
-
 from repro.analysis.cfg import CFG
 from repro.compiler.pass_manager import Pass, PassContext
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Br, CondBr, Phi
+from repro.ir.instructions import Br, CondBr
 from repro.ir.module import Module
 from repro.ir.values import Constant
 

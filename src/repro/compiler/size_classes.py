@@ -17,7 +17,7 @@ heap-pruning module's pointer-to-site tracing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.compiler.chunk_analysis import ChunkAnalysisPass, ChunkPlan
 from repro.compiler.guard_analysis import GUARD_MD, GuardAnalysisPass

@@ -21,12 +21,16 @@ from repro.integrity import (
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS
 from repro.net.backends import RemoteBackend, make_rdma_backend
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPlan
 from repro.sim.residency import ResidencySet
 from repro.trace.tracer import NULL_TRACER
 from repro.units import BASE_PAGE, align_up, ceil_div, is_power_of_two, log2_exact
 
 # Enum members bound once: a class lookup is slow (docs/performance.md).
 _WRITE = AccessKind.WRITE
+
+#: Default direct-reclaim cycles per evicted page (``FastswapConfig``).
+RECLAIM_CYCLES = 2_000.0
 
 
 @dataclass
@@ -41,7 +45,7 @@ class FastswapConfig:
     page_size: int = BASE_PAGE
     #: Kernel cycles of direct reclaim per evicted page under pressure
     #: (cgroup accounting + unmap + TLB shootdown).
-    reclaim_cycles: float = 2_000.0
+    reclaim_cycles: float = RECLAIM_CYCLES
     #: Fraction of dirty-page writeback charged synchronously.
     writeback_sync_fraction: float = 0.25
     #: Reclaim victim selection: CLOCK second-chance (the Linux
@@ -338,66 +342,70 @@ class FastswapRuntime:
                 )
         return cycles
 
-    # -- closed-form scan ------------------------------------------------------
+    # -- the closed form -------------------------------------------------------
 
-    def sequential_scan(
+    def cost_plan(
         self,
-        offset: int,
-        n_elems: int,
-        elem_size: int,
-        kind: AccessKind = AccessKind.READ,
+        plan: AccessPlan,
         resident_fraction: float = 0.0,
-        body_cycles: Optional[float] = None,
         under_pressure: bool = True,
+        refaults: float = 1.0,
+        fault_share: float = 1.0,
     ) -> float:
-        """Bulk cost of a sequential loop at page granularity.
+        """Bulk cost of one access plan at page granularity.
 
-        ``under_pressure`` adds per-page direct reclaim when local
-        memory is full (the common case in the sweeps).
+        ``resident_fraction`` is the probability a page is already
+        local when a scan first touches it, or a lookup's hit rate.
+        ``under_pressure`` adds per-fault direct reclaim when local
+        memory is full (the common case in the sweeps).  ``refaults``
+        scales a scan's misses when reclaim evicts live pages that fault
+        again, and ``fault_share`` is the share of each fault's cost
+        that blocks (swap readahead clusters sequential swap-ins).
         """
+        n_elems = plan.n_elems
         if n_elems <= 0:
             return 0.0
-        if not 0.0 <= resident_fraction <= 1.0:
-            raise RuntimeConfigError("resident_fraction must be in [0, 1]")
-        costs = self.config.costs
-        body = costs.local_access if body_cycles is None else body_cycles
-        total_bytes = n_elems * elem_size
-        n_pages = max(1, ceil_div(total_bytes, self.page_size))
-        misses = int(round(n_pages * (1.0 - resident_fraction)))
+        _, misses = plan.misses(self.page_size, resident_fraction, refaults)
+        config = self.config
+        costs = config.costs
+        body = costs.local_access if plan.body_cycles is None else plan.body_cycles
+        fault = costs.fastswap_fault(plan.kind, remote=True) * fault_share
+        metrics = self.metrics
+        link = self.backend.link
 
         cycles = n_elems * body
-        cycles += misses * costs.fastswap_fault(kind, remote=True)
+        cycles += misses * fault
         if misses and self.backend.integrity is not None:
-            # Closed-form scans verify each swapped-in page's checksum
-            # (no corruption rolls: the closed form models the
+            # Closed forms verify each swapped-in page's checksum (no
+            # corruption rolls: the closed form models the
             # healthy-payload cost envelope).
             cycles += misses * self.backend.integrity.config.verify_cycles
         if under_pressure:
-            cycles += misses * self.config.reclaim_cycles
-            self.metrics.evictions += misses
-        self.metrics.major_faults += misses
-        self.metrics.remote_fetches += misses
-        self.metrics.bytes_fetched += misses * self.page_size
-        self.backend.link.stats.messages += misses
-        self.backend.link.stats.bytes_fetched += misses * self.page_size
+            cycles += misses * config.reclaim_cycles
+            metrics.evictions += misses
+        metrics.major_faults += misses
+        metrics.remote_fetches += misses
+        metrics.bytes_fetched += misses * self.page_size
+        link.stats.messages += misses
+        link.stats.bytes_fetched += misses * self.page_size
         tracer = self.tracer
         if tracer.enabled and misses:
             tracer.fetch(
-                misses * self.page_size, costs.fastswap_fault(kind, remote=True),
-                self.metrics.cycles, n=misses, name="scan_fault",
+                misses * self.page_size, fault,
+                metrics.cycles, n=misses, name="scan_fault",
             )
-        if kind is AccessKind.WRITE and misses:
-            wb = self.backend.link.wire_cycles(self.page_size)
-            cycles += misses * wb * self.config.writeback_sync_fraction
-            self.metrics.bytes_evacuated += misses * self.page_size
-            self.backend.link.stats.bytes_evicted += misses * self.page_size
+        if plan.writes_back and misses:
+            wb = link.wire_cycles(self.page_size)
+            cycles += misses * wb * config.writeback_sync_fraction
+            metrics.bytes_evacuated += misses * self.page_size
+            link.stats.bytes_evicted += misses * self.page_size
             if tracer.enabled:
                 tracer.evict(
-                    misses * self.page_size, self.metrics.cycles,
+                    misses * self.page_size, metrics.cycles,
                     n=misses, dirty=misses, name="scan_writeback",
                 )
-        self.metrics.accesses += n_elems
-        self.metrics.cycles += cycles
+        metrics.accesses += n_elems
+        metrics.cycles += cycles
         return cycles
 
     # -- Table 2 probes -------------------------------------------------------

@@ -35,6 +35,7 @@ from typing import Tuple
 
 from repro.compiler.cost_model import ChunkingCostModel
 from repro.errors import RuntimeConfigError
+from repro.fastswap.runtime import RECLAIM_CYCLES
 from repro.hybrid.placement import Placement
 from repro.hybrid.profiler import RegionStats
 from repro.net.link import BYTES_PER_CYCLE_25G
@@ -55,8 +56,8 @@ class SelectorConfig:
     #: the selector deliberately prices the cold worst case by default.
     resident_fraction: float = 0.0
     #: Kernel reclaim charged per page fault under memory pressure
-    #: (mirrors :class:`repro.fastswap.runtime.FastswapConfig`).
-    reclaim_cycles: float = 2_000.0
+    #: (:class:`repro.fastswap.runtime.FastswapConfig`'s default).
+    reclaim_cycles: float = RECLAIM_CYCLES
     #: Windows with fewer accesses than this are too noisy to act on.
     min_accesses: int = 8
     #: Page size the wire-amplification term prices a fault at.

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import IRTypeError
-from repro.ir.types import IRType, IntType, I1, I64, F64, PTR, VOID
-from repro.ir.values import Value, Constant
+from repro.ir.types import IRType, I1, I64, F64, PTR, VOID
+from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.basicblock import BasicBlock

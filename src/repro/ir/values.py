@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import IRTypeError
 from repro.ir.types import IRType, IntType, F64, PTR
 

@@ -11,7 +11,7 @@ state table's cache lines.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import RuntimeConfigError

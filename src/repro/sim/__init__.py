@@ -6,8 +6,9 @@ Two tiers, sharing one cost table:
   accurate, with runtime intrinsics bridged in (:mod:`repro.sim.irrun`)
   — used by tests, examples and the Fig. 6 microbenchmark.
 * the runtimes' per-access ``access`` paths replay irregular access
-  streams, and their closed-form ``sequential_scan`` bulk paths drive
-  the GB-shaped sweeps behind Figs. 7–17.
+  streams, and their closed forms (``cost_plan`` over a
+  :class:`repro.sim.plan.AccessPlan`) drive the GB-shaped sweeps
+  behind Figs. 7–17.
 """
 
 from repro.sim.memory import AddressSpace, MemoryRegion

@@ -76,7 +76,8 @@ def lru_hit_rate(masses: np.ndarray, capacity: int) -> float:
     t = characteristic_time(m, capacity)
     if t == float("inf"):
         return 1.0
-    return float(np.sum(m * -np.expm1(-m * t)))
+    # The sum of per-granule rates can round a hair above 1.
+    return min(1.0, float(np.sum(m * -np.expm1(-m * t))))
 
 
 def per_granule_hit_rates(masses: np.ndarray, capacity: int) -> np.ndarray:

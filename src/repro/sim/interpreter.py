@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import InterpError, SegmentationFault
+from repro.errors import InterpError
 from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -62,7 +62,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import Module
 from repro.ir.types import IntType
-from repro.ir.values import Argument, Constant, UndefValue, Value
+from repro.ir.values import Constant, UndefValue, Value
 from repro.sim.memory import AddressSpace
 
 #: Address-space layout (canonical ranges).

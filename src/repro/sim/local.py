@@ -7,10 +7,9 @@ far-memory runtimes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPlan
 
 
 class LocalRuntime:
@@ -31,16 +30,10 @@ class LocalRuntime:
         self.metrics.cycles += cycles
         return cycles
 
-    def sequential_scan(
-        self,
-        offset: int,
-        n_elems: int,
-        elem_size: int,
-        kind: AccessKind = AccessKind.READ,
-        body_cycles: Optional[float] = None,
-    ) -> float:
-        body = self.costs.local_access if body_cycles is None else body_cycles
-        cycles = n_elems * body
-        self.metrics.accesses += n_elems
+    def cost_plan(self, plan: AccessPlan) -> float:
+        """Accesses × body: everything is local."""
+        body = self.costs.local_access if plan.body_cycles is None else plan.body_cycles
+        cycles = plan.n_elems * body
+        self.metrics.accesses += plan.n_elems
         self.metrics.cycles += cycles
         return cycles

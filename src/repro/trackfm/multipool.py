@@ -24,6 +24,7 @@ from repro.aifm.pool import PoolConfig
 from repro.errors import PointerError, RuntimeConfigError
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPlan
 from repro.trackfm.pointer import decode_tfm_pointer, encode_tfm_pointer, is_tfm_pointer
 from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
 from repro.units import is_power_of_two
@@ -133,26 +134,15 @@ class MultiPoolRuntime:
         runtime, inner = self._inner_ptr(ptr)
         return runtime.access(inner, kind, size)
 
-    def sequential_scan(
+    def cost_plan(
         self,
         ptr: int,
-        n_elems: int,
-        elem_size: int,
-        kind: AccessKind = AccessKind.READ,
-        strategy: GuardStrategy = GuardStrategy.CHUNKED_PREFETCH,
+        plan: AccessPlan,
         resident_fraction: float = 0.0,
-        body_cycles: Optional[float] = None,
+        strategy: GuardStrategy = GuardStrategy.CHUNKED_PREFETCH,
     ) -> float:
-        runtime, inner = self._inner_ptr(ptr)
-        return runtime.sequential_scan(
-            decode_tfm_pointer(inner),
-            n_elems,
-            elem_size,
-            kind,
-            strategy,
-            resident_fraction,
-            body_cycles,
-        )
+        """Price ``plan`` on the class runtime ``ptr`` belongs to."""
+        return self.runtime_for(ptr).cost_plan(plan, resident_fraction, strategy)
 
     # -- metrics -------------------------------------------------------------
 

@@ -10,9 +10,9 @@ Two execution styles are provided, with identical accounting:
 * **per-access replay** (``access``/``chunk_*``): every memory access is
   simulated individually — used for irregular access streams and the IR
   interpreter bridge;
-* **closed-form scans** (``sequential_scan``): the same arithmetic
-  evaluated in bulk for regular loops, so 12 GB-shaped STREAM sweeps run
-  in milliseconds.
+* **the closed form** (``cost_plan``): the same arithmetic evaluated
+  in bulk for an :class:`~repro.sim.plan.AccessPlan`, so 12 GB-shaped
+  STREAM sweeps run in milliseconds.
 
 Every guarded access of an interpreted program goes through one of four
 entry points: ``tfm_guard_read``/``tfm_guard_write`` and
@@ -50,6 +50,7 @@ from repro.machine.cache import CacheModel, CacheStats
 from repro.machine.costs import AccessKind, GuardKind
 from repro.net.backends import RemoteBackend
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPattern, AccessPlan
 from repro.trace.tracer import NULL_TRACER
 from repro.trackfm.guards import GuardEngine
 from repro.trackfm.pointer import (
@@ -61,7 +62,6 @@ from repro.trackfm.pointer import (
     is_tfm_pointer,
 )
 from repro.trackfm.state_table import ObjectStateTable
-from repro.units import ceil_div
 
 
 #: Canonical twin base: 2^43, comfortably inside the 47-bit canonical
@@ -535,116 +535,118 @@ class TrackFMRuntime:
         self.prefetcher.reset(stream)
         self._psched.pop(stream, None)
 
-    # -- closed-form scans ----------------------------------------------------
+    # -- the closed form -------------------------------------------------------
 
-    def sequential_scan(
+    def cost_plan(
         self,
-        ptr: int,
-        n_elems: int,
-        elem_size: int,
-        kind: AccessKind = AccessKind.READ,
-        strategy: GuardStrategy = GuardStrategy.NAIVE,
+        plan: AccessPlan,
         resident_fraction: float = 0.0,
-        body_cycles: Optional[float] = None,
-        loop_entries: int = 1,
+        strategy: GuardStrategy = GuardStrategy.NAIVE,
     ) -> float:
-        """Bulk cost of a sequential loop over ``n_elems`` elements.
+        """Bulk cost of one access plan (:mod:`repro.sim.plan`).
 
         ``resident_fraction`` is the probability an object is already
-        local when first touched by the scan.  ``body_cycles`` is the
-        per-access base cost inside the loop (defaults to the cost
-        table's standalone local access; tight loops pass less).
-        ``loop_entries`` is how many times the loop is *entered* — the
-        chunk setup is paid per entry, which is what penalizes chunking
-        nested short loops (Fig. 8/15).
+        local when a scan first touches it, or a lookup's hit rate.
+        ``strategy`` is how the compiler guarded a scan's loop: the
+        chunk setup is paid per loop entry, which is what penalizes
+        chunking nested short loops (Fig. 8/15).  A lookup is guarded
+        on its own: a hit pays a cached fast guard, a miss an uncached
+        slow guard plus the fetch, and evicts a victim.
         """
+        n_elems = plan.n_elems
         if n_elems <= 0:
             return 0.0
-        if not 0.0 <= resident_fraction <= 1.0:
-            raise RuntimeConfigError("resident_fraction must be in [0, 1]")
+        n_objects, misses = plan.misses(self.object_size, resident_fraction)
         costs = self.costs
-        body = costs.local_access if body_cycles is None else body_cycles
-        total_bytes = n_elems * elem_size
-        n_objects = max(1, ceil_div(total_bytes, self.object_size))
-        misses = int(round(n_objects * (1.0 - resident_fraction)))
-        hits = n_objects - misses
-
+        kind = plan.kind
+        body = costs.local_access if plan.body_cycles is None else plan.body_cycles
         cycles = n_elems * body
+        metrics = self.metrics
         link = self.pool.backend.link
+        fetch_each = link.transfer_cycles(self.object_size)
 
         tracer = self.tracer
-        if strategy is GuardStrategy.NAIVE:
+        if plan.pattern is AccessPattern.RANDOM:
+            hits = n_elems - misses
+            cycles += hits * costs.fast_guard(kind, cached=True)
+            cycles += misses * (
+                costs.slow_guard_local(kind, cached=False) + fetch_each
+            )
+            metrics.count_guard(GuardKind.FAST, hits)
+            metrics.count_guard(GuardKind.SLOW, misses)
+            metrics.evictions += misses
+            if tracer.enabled:
+                tracer.counter(
+                    "scan_guards", metrics.cycles, fast=hits, slow=misses,
+                )
+        elif strategy is GuardStrategy.NAIVE:
             # One slow-path guard per object (its first touch), fast-path
             # guards for the rest.  State-table lookups for one object's
             # elements share a cache line, so fast guards are cached.
-            fast = n_elems - n_objects
-            fetch_each = link.transfer_cycles(self.object_size)
+            fast = max(n_elems - n_objects, 0)
             cycles += fast * costs.fast_guard(kind, cached=True)
             cycles += misses * (
                 costs.slow_guard_local(kind, cached=False) + fetch_each
             )
-            cycles += hits * costs.slow_guard_local(kind, cached=True)
-            self.metrics.count_guard(GuardKind.FAST, max(fast, 0))
-            self.metrics.count_guard(GuardKind.SLOW, n_objects)
+            cycles += (n_objects - misses) * costs.slow_guard_local(kind, cached=True)
+            metrics.count_guard(GuardKind.FAST, fast)
+            metrics.count_guard(GuardKind.SLOW, n_objects)
             if tracer.enabled:
                 tracer.counter(
-                    "scan_guards", self.metrics.cycles,
-                    fast=max(fast, 0), slow=n_objects,
+                    "scan_guards", metrics.cycles, fast=fast, slow=n_objects,
                 )
         else:
-            prefetch = strategy is GuardStrategy.CHUNKED_PREFETCH
-            cycles += loop_entries * costs.chunk_setup
+            cycles += plan.entries * costs.chunk_setup
             cycles += n_elems * costs.boundary_check
             cycles += n_objects * costs.locality_guard
-            if prefetch:
+            if strategy is GuardStrategy.CHUNKED_PREFETCH:
                 fetch_each = link.wire_cycles(self.object_size)
-                self.metrics.prefetches_issued += misses
-                self.metrics.prefetches_useful += misses
+                metrics.prefetches_issued += misses
+                metrics.prefetches_useful += misses
                 if tracer.enabled and misses:
                     tracer.prefetch(
-                        misses * self.object_size, self.metrics.cycles,
+                        misses * self.object_size, metrics.cycles,
                         useful=True, n=misses, name="scan_prefetch",
                     )
-            else:
-                fetch_each = link.transfer_cycles(self.object_size)
             cycles += misses * fetch_each
-            self.metrics.count_guard(GuardKind.BOUNDARY, n_elems)
-            self.metrics.count_guard(GuardKind.LOCALITY, n_objects)
+            metrics.count_guard(GuardKind.BOUNDARY, n_elems)
+            metrics.count_guard(GuardKind.LOCALITY, n_objects)
             if tracer.enabled:
                 tracer.counter(
-                    "scan_guards", self.metrics.cycles,
+                    "scan_guards", metrics.cycles,
                     boundary=n_elems, locality=n_objects,
                 )
 
         if misses:
             integrity = self.pool.backend.integrity
             if integrity is not None:
-                # Closed-form scans verify each fetched object's checksum
-                # (no corruption rolls: the closed form models the
+                # Closed forms verify each fetched object's checksum (no
+                # corruption rolls: the closed form models the
                 # healthy-payload cost envelope).
                 cycles += misses * integrity.config.verify_cycles
-            self.metrics.remote_fetches += misses
-            self.metrics.bytes_fetched += misses * self.object_size
+            metrics.remote_fetches += misses
+            metrics.bytes_fetched += misses * self.object_size
             link.stats.messages += misses
             link.stats.bytes_fetched += misses * self.object_size
             if tracer.enabled:
                 tracer.fetch(
-                    misses * self.object_size, fetch_each, self.metrics.cycles,
+                    misses * self.object_size, fetch_each, metrics.cycles,
                     n=misses, name="scan_fetch",
                 )
-            if kind is AccessKind.WRITE:
+            if plan.writes_back:
                 # Displaced dirty objects are written back by the evacuator.
                 wb = link.wire_cycles(self.object_size)
                 cycles += misses * wb * self.pool.evacuator.sync_fraction
-                self.metrics.bytes_evacuated += misses * self.object_size
-                self.metrics.evictions += misses
+                metrics.bytes_evacuated += misses * self.object_size
+                if plan.pattern is not AccessPattern.RANDOM:
+                    metrics.evictions += misses
                 link.stats.bytes_evicted += misses * self.object_size
                 if tracer.enabled:
                     tracer.evict(
-                        misses * self.object_size, self.metrics.cycles,
+                        misses * self.object_size, metrics.cycles,
                         n=misses, dirty=misses, name="scan_evict",
                     )
 
-        self.metrics.accesses += n_elems
-        self.metrics.cycles += cycles
+        metrics.accesses += n_elems
+        metrics.cycles += cycles
         return cycles

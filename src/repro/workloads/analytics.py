@@ -7,7 +7,7 @@ aggregation operations that involve loops that iterate over small
 collections of table rows (low object density)".
 
 We synthesize a taxi-shaped dataframe, run the analysis pipeline to get
-its access plans, and cost those plans under each system.  The plans
+its access plans, and cost those plans on each system's runtime.  The plans
 are decided exactly the way the compiler decides them: the chunking
 cost model approves the long scans and (under the profile-guided
 policy) rejects the short aggregation loops.
@@ -16,23 +16,20 @@ policy) rejects the short aggregation loops.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.aifm.runtime import AIFMRuntime
 from repro.compiler.cost_model import ChunkingCostModel, LoopShape
 from repro.errors import WorkloadError
-from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
-from repro.net.backends import make_rdma_backend, make_tcp_backend
+from repro.fastswap.runtime import FastswapRuntime
+from repro.sim.local import LocalRuntime
 from repro.sim.metrics import Metrics
-from repro.units import BASE_PAGE, ceil_div
-from repro.workloads.dataframe import (
-    AccessPattern,
-    AccessPlan,
-    Column,
-    DataFrame,
-)
+from repro.sim.plan import AccessPattern, AccessPlan
+from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
+from repro.workloads.dataframe import Column, DataFrame
 
 #: Tight column-scan loop body cost per element.
 SCAN_BODY_CYCLES = 12.0
@@ -42,17 +39,16 @@ AGG_BODY_CYCLES = 20.0
 #: Rows per aggregation group in the taxi pipeline (small collections).
 ROWS_PER_GROUP = 8
 
-#: DerefScope construction + per-group iterator setup in the AIFM port.
-AIFM_SCOPE_CYCLES = 120.0
-
-
-class System(enum.Enum):
-    """The four systems Fig. 14 compares."""
-
-    LOCAL = "local"
-    TRACKFM = "trackfm"
-    FASTSWAP = "fastswap"
-    AIFM = "aifm"
+#: Fastswap refaults under cgroup pressure: the kernel's reclaim evicts
+#: pages that are still live (readahead pollution + coarse LRU), so at
+#: resident fraction r each non-resident page faults
+#: ``1 + FASTSWAP_THRASH * (1 - r)`` times, refaults TrackFM's
+#: object-hotness tracking avoids (§4.5).
+FASTSWAP_THRASH = 0.75
+#: Swap readahead credit: the kernel clusters a sequential scan's
+#: swap-ins, so each of its faults blocks for half its cost (the fault
+#: still occurs and is counted).
+READAHEAD_FAULT_SHARE = 0.5
 
 
 class AnalyticsChunking(enum.Enum):
@@ -104,11 +100,14 @@ def run_taxi_pipeline(frame: DataFrame) -> List[AccessPlan]:
 
 @dataclass
 class AnalyticsWorkload:
-    """The 31 GB-shaped analytics run (sizes already scaled)."""
+    """The 31 GB-shaped analytics run (sizes already scaled).
+
+    Each run costs the pipeline's plans onto the runtime a caller
+    passes and returns the runtime's metrics, so pass a fresh runtime
+    per run.
+    """
 
     working_set: int
-    object_size: int = BASE_PAGE
-    costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
         if self.working_set <= 0:
@@ -116,177 +115,71 @@ class AnalyticsWorkload:
         # 5 base columns x 8 bytes.
         self.n_rows = max(1, self.working_set // 40)
         frame = build_taxi_frame(self.n_rows)
-        self.plans = run_taxi_pipeline(frame)
-
-    # -- plan costing -------------------------------------------------------
-
-    def _plan_chunk_decision(
-        self, plan: AccessPlan, policy: AnalyticsChunking
-    ) -> bool:
-        """Would the compiler chunk this plan's loop?"""
-        if policy is AnalyticsChunking.BASELINE:
-            return False
-        if policy is AnalyticsChunking.ALL_LOOPS:
-            return True
-        model = ChunkingCostModel(self.object_size, self.costs)
-        shape = LoopShape(
-            iterations_per_entry=plan.iterations_per_entry,
-            elem_size=plan.elem_size,
-            entries=plan.entries,
-        )
-        return model.should_chunk(shape)
-
-    def _cost_trackfm_plan(
-        self,
-        plan: AccessPlan,
-        resident: float,
-        chunked: bool,
-        metrics: Metrics,
-        link,
-    ) -> float:
-        c = self.costs
-        kind = AccessKind.WRITE if plan.is_write else AccessKind.READ
-        body = (
-            SCAN_BODY_CYCLES
-            if plan.pattern is AccessPattern.SEQUENTIAL
-            else AGG_BODY_CYCLES
-        )
-        n = plan.n_elems
-        n_objects = max(1, ceil_div(n * plan.elem_size, self.object_size))
-        misses = int(round(n_objects * (1.0 - resident)))
-        cycles = n * body
-        if chunked:
-            cycles += plan.entries * c.chunk_setup
-            cycles += n * c.boundary_check
-            cycles += n_objects * c.locality_guard
-            cycles += misses * link.wire_cycles(self.object_size)
-            metrics.count_guard(GuardKind.BOUNDARY, n)
-            metrics.count_guard(GuardKind.LOCALITY, n_objects)
-        else:
-            fast = max(n - n_objects, 0)
-            cycles += fast * c.fast_guard(kind, cached=True)
-            cycles += (n_objects - misses) * c.slow_guard_local(kind, cached=True)
-            cycles += misses * (
-                c.slow_guard_local(kind, cached=False)
-                + link.transfer_cycles(self.object_size)
+        self.plans = [
+            replace(
+                plan,
+                body_cycles=SCAN_BODY_CYCLES
+                if plan.pattern is AccessPattern.SEQUENTIAL
+                else AGG_BODY_CYCLES,
             )
-            metrics.count_guard(GuardKind.FAST, fast)
-            metrics.count_guard(GuardKind.SLOW, n_objects)
-        metrics.remote_fetches += misses
-        metrics.bytes_fetched += misses * self.object_size
-        if plan.is_write and misses:
-            cycles += misses * link.wire_cycles(self.object_size) * 0.25
-            metrics.bytes_evacuated += misses * self.object_size
-        metrics.accesses += n
-        return cycles
+            for plan in run_taxi_pipeline(frame)
+        ]
+
+    def _resident(self, runtime) -> float:
+        return min(1.0, runtime.config.local_memory / self.working_set)
 
     def run_trackfm(
         self,
-        local_memory: int,
+        runtime: TrackFMRuntime,
         policy: AnalyticsChunking = AnalyticsChunking.HIGH_DENSITY,
     ) -> Tuple[float, Metrics]:
-        metrics = Metrics()
-        link = make_tcp_backend().link
-        resident = min(1.0, local_memory / self.working_set)
+        """The compiler chunks a plan's loop as ``policy`` says; the
+        profile-guided policy asks the chunking cost model."""
+        model = ChunkingCostModel(runtime.object_size, runtime.costs)
+        resident = self._resident(runtime)
         cycles = 0.0
         for plan in self.plans:
-            chunked = self._plan_chunk_decision(plan, policy)
-            cycles += self._cost_trackfm_plan(plan, resident, chunked, metrics, link)
-        metrics.cycles = cycles
-        return cycles, metrics
-
-    def run_fastswap(self, local_memory: int) -> Tuple[float, Metrics]:
-        metrics = Metrics()
-        link = make_rdma_backend().link
-        c = self.costs
-        page = BASE_PAGE
-        resident = min(1.0, local_memory / self.working_set)
-        # Under cgroup pressure the kernel's reclaim evicts pages that
-        # are still live (readahead pollution + coarse LRU), causing
-        # refaults TrackFM's object-hotness tracking avoids (§4.5).
-        thrash = 1.0 + 0.75 * (1.0 - resident)
-        cycles = 0.0
-        for plan in self.plans:
-            kind = AccessKind.WRITE if plan.is_write else AccessKind.READ
-            body = (
-                SCAN_BODY_CYCLES
-                if plan.pattern is AccessPattern.SEQUENTIAL
-                else AGG_BODY_CYCLES
+            if policy is AnalyticsChunking.HIGH_DENSITY:
+                chunked = model.should_chunk(
+                    LoopShape(
+                        iterations_per_entry=plan.iterations_per_entry,
+                        elem_size=plan.elem_size,
+                        entries=plan.entries,
+                    )
+                )
+            else:
+                chunked = policy is AnalyticsChunking.ALL_LOOPS
+            strategy = (
+                GuardStrategy.CHUNKED_PREFETCH if chunked else GuardStrategy.NAIVE
             )
-            n = plan.n_elems
-            n_pages = max(1, ceil_div(n * plan.elem_size, page))
-            misses = int(round(n_pages * (1.0 - resident) * thrash))
-            cycles += n * body
-            # Sequential scans get partial swap-readahead credit: the
-            # kernel clusters swap-ins, halving the blocking cost; the
-            # fault still occurs (and is counted).
-            fault = c.fastswap_fault(kind, remote=True)
-            if plan.pattern is AccessPattern.SEQUENTIAL:
-                fault *= 0.5
-            cycles += misses * (fault + 2_000.0)
-            metrics.major_faults += misses
-            metrics.remote_fetches += misses
-            metrics.bytes_fetched += misses * page
-            if plan.is_write and misses:
-                cycles += misses * link.wire_cycles(page) * 0.25
-                metrics.bytes_evacuated += misses * page
-            metrics.accesses += n
-        metrics.cycles = cycles
-        return cycles, metrics
+            cycles += runtime.cost_plan(plan, resident, strategy)
+        return cycles, runtime.metrics
 
-    def run_aifm(self, local_memory: int) -> Tuple[float, Metrics]:
+    def run_fastswap(self, runtime: FastswapRuntime) -> Tuple[float, Metrics]:
+        resident = self._resident(runtime)
+        refaults = 1.0 + FASTSWAP_THRASH * (1.0 - resident)
+        cycles = 0.0
+        for plan in self.plans:
+            share = (
+                READAHEAD_FAULT_SHARE
+                if plan.pattern is AccessPattern.SEQUENTIAL
+                else 1.0
+            )
+            cycles += runtime.cost_plan(
+                plan, resident, refaults=refaults, fault_share=share
+            )
+        return cycles, runtime.metrics
+
+    def run_aifm(self, runtime: AIFMRuntime) -> Tuple[float, Metrics]:
         """The hand-ported AIFM version: library iterators + prefetch."""
-        metrics = Metrics()
-        link = make_tcp_backend().link
-        c = self.costs
-        resident = min(1.0, local_memory / self.working_set)
-        deref = 9.0  # smart-pointer indirection
+        resident = self._resident(runtime)
         cycles = 0.0
         for plan in self.plans:
-            body = (
-                SCAN_BODY_CYCLES
-                if plan.pattern is AccessPattern.SEQUENTIAL
-                else AGG_BODY_CYCLES
-            )
-            n = plan.n_elems
-            n_objects = max(1, ceil_div(n * plan.elem_size, self.object_size))
-            misses = int(round(n_objects * (1.0 - resident)))
-            cycles += n * (body + deref)
-            # Each aggregation group constructs a DerefScope and a
-            # remote-iterator (Listing 1), paid per loop entry.
-            if plan.pattern is AccessPattern.SHORT_LOOPS:
-                cycles += plan.entries * AIFM_SCOPE_CYCLES
-            # Library iterators prefetch scans; aggregations issue
-            # concurrent fetches (AIFM's deep request pipeline).
-            cycles += misses * link.wire_cycles(self.object_size)
-            metrics.remote_fetches += misses
-            metrics.bytes_fetched += misses * self.object_size
-            if plan.is_write and misses:
-                cycles += misses * link.wire_cycles(self.object_size) * 0.25
-                metrics.bytes_evacuated += misses * self.object_size
-            metrics.accesses += n
-        metrics.cycles = cycles
-        return cycles, metrics
+            cycles += runtime.cost_plan(plan, resident)
+        return cycles, runtime.metrics
 
-    def run_local(self) -> Tuple[float, Metrics]:
-        metrics = Metrics()
+    def run_local(self, runtime: LocalRuntime) -> Tuple[float, Metrics]:
         cycles = 0.0
         for plan in self.plans:
-            body = (
-                SCAN_BODY_CYCLES
-                if plan.pattern is AccessPattern.SEQUENTIAL
-                else AGG_BODY_CYCLES
-            )
-            cycles += plan.n_elems * body
-            metrics.accesses += plan.n_elems
-        metrics.cycles = cycles
-        return cycles, metrics
-
-    def run(self, system: System, local_memory: int) -> Tuple[float, Metrics]:
-        if system is System.LOCAL:
-            return self.run_local()
-        if system is System.TRACKFM:
-            return self.run_trackfm(local_memory)
-        if system is System.FASTSWAP:
-            return self.run_fastswap(local_memory)
-        return self.run_aifm(local_memory)
+            cycles += runtime.cost_plan(plan)
+        return cycles, runtime.metrics

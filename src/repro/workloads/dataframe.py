@@ -8,46 +8,18 @@ masters:
 
 * the examples use it as a *real* in-memory dataframe (columns carry
   numpy arrays and the operations compute actual results);
-* the benchmarks use the *access plans* each operation reports — the
-  sequence of (pattern, element count, element size, loop entries)
-  tuples the far-memory cost models consume.
+* the benchmarks use the :class:`~repro.sim.plan.AccessPlan` each
+  operation reports, which the runtimes' closed forms price.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import WorkloadError
-
-
-class AccessPattern(enum.Enum):
-    """The two loop shapes the analytics app exhibits (§4.5)."""
-
-    #: Long sequential column scan: high density, chunk-friendly.
-    SEQUENTIAL = "sequential"
-    #: Many short loops over small row collections: chunk-hostile.
-    SHORT_LOOPS = "short_loops"
-
-
-@dataclass(frozen=True)
-class AccessPlan:
-    """One operation's memory behaviour, as the compiler would see it."""
-
-    pattern: AccessPattern
-    n_elems: int
-    elem_size: int
-    #: Loop entries (1 for a scan; the group count for aggregations).
-    entries: int = 1
-    #: Writes (projections/materializations) vs reads (scans/aggs).
-    is_write: bool = False
-
-    @property
-    def iterations_per_entry(self) -> float:
-        return self.n_elems / max(self.entries, 1)
+from repro.sim.plan import AccessPattern, AccessPlan
 
 
 class Column:

@@ -21,15 +21,17 @@ numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
-from repro.net.backends import make_tcp_backend
+from repro.fastswap.runtime import FastswapRuntime
+from repro.sim.local import LocalRuntime
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPattern, AccessPlan
+from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
 from repro.units import is_power_of_two
 
 #: Per-lookup base cost (hashing, comparisons, call overhead).
@@ -38,6 +40,13 @@ LOOKUP_BODY_CYCLES = 60.0
 #: STL layout: 8-byte bucket slots, ~32-byte nodes (key+value+next+hash).
 BUCKET_BYTES = 8
 NODE_BYTES = 32
+#: 4-byte keys and values.
+KEY_BYTES = 4
+
+#: Local slots the streaming key trace keeps claimed: a prefetch window
+#: of objects under TrackFM, a readahead window of pages under Fastswap.
+TRACE_WINDOW_OBJECTS = 16
+TRACE_WINDOW_PAGES = 8
 
 
 @dataclass
@@ -72,7 +81,6 @@ class HashmapWorkload:
     #: The on-heap array holding the pre-generated key trace.
     trace_bytes: int = 0
     seed: int = 7
-    costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
     body_cycles: float = LOOKUP_BODY_CYCLES
 
     def __post_init__(self) -> None:
@@ -132,153 +140,89 @@ class HashmapWorkload:
         return lru_hit_rate(heat, cache_granules)
 
     # -- runtime models ---------------------------------------------------------
+    #
+    # Each run costs its plans onto the runtime(s) a caller passes and
+    # returns the runtime's metrics, so pass fresh runtimes per run.
 
-    def _trace_costs(
-        self, granule_size: int, metrics: Metrics, chunked: bool
-    ) -> float:
-        """Cycles for streaming the key trace once (sequential reads)."""
-        if self.trace_bytes <= 0:
-            return 0.0
-        c = self.costs
-        backend = make_tcp_backend()
-        n_granules = max(1, self.trace_bytes // granule_size)
-        cycles = 0.0
-        if chunked:
-            # Chunked + prefetched: boundary per lookup, locality + wire
-            # per granule.
-            cycles += c.chunk_setup
-            cycles += self.n_lookups * c.boundary_check
-            cycles += n_granules * c.locality_guard
-            cycles += n_granules * backend.link.wire_cycles(granule_size)
-            metrics.count_guard(GuardKind.BOUNDARY, self.n_lookups)
-            metrics.count_guard(GuardKind.LOCALITY, n_granules)
-            metrics.prefetches_issued += n_granules
-            metrics.prefetches_useful += n_granules
-        else:
-            fast = max(self.n_lookups - n_granules, 0)
-            cycles += fast * c.fast_guard(AccessKind.READ, cached=True)
-            cycles += n_granules * (
-                c.slow_guard_local(AccessKind.READ, cached=False)
-                + backend.link.transfer_cycles(granule_size)
-            )
-            metrics.count_guard(GuardKind.FAST, fast)
-            metrics.count_guard(GuardKind.SLOW, n_granules)
-        metrics.remote_fetches += n_granules
-        metrics.bytes_fetched += n_granules * granule_size
-        return cycles
+    def _lookups(self) -> AccessPlan:
+        """Bucket + node per lookup, each hitting with the granule hit rate."""
+        return AccessPlan(AccessPattern.RANDOM, 2 * self.n_lookups, KEY_BYTES)
 
-    def run_trackfm(
-        self,
-        object_size: int,
-        local_memory: int,
-        chunk_trace: bool = True,
-    ) -> HashmapResult:
-        """TrackFM at a given compile-time object size."""
-        c = self.costs
-        metrics = Metrics()
-        backend = make_tcp_backend()
-        capacity = max(1, local_memory // object_size)
-        # The streaming trace continuously claims a prefetch window's
-        # worth of residency; the rest caches hot bucket/node objects.
-        trace_window = 16 if self.trace_bytes else 0
-        cache = max(1, capacity - trace_window)
-        hr = self.hit_rate(object_size, cache)
-        deps = 2 * self.n_lookups  # bucket + node per lookup
-        hits = int(round(deps * hr))
-        misses = deps - hits
-
-        cycles = self.n_lookups * self.body_cycles + deps * c.local_access
-        cycles += hits * c.fast_guard(AccessKind.READ, cached=True)
-        cycles += misses * (
-            c.slow_guard_local(AccessKind.READ, cached=False)
-            + backend.link.transfer_cycles(object_size)
+    def _trace(self, granule: int) -> AccessPlan:
+        """Streaming the key trace once: one read per lookup, no body
+        (the lookup's covers it), over whole granules (floor division,
+        where a scan rounds up)."""
+        return AccessPlan(
+            AccessPattern.SEQUENTIAL, self.n_lookups, KEY_BYTES,
+            footprint=max(1, self.trace_bytes // granule) * granule,
+            body_cycles=0.0,
         )
-        metrics.count_guard(GuardKind.FAST, hits)
-        metrics.count_guard(GuardKind.SLOW, misses)
-        metrics.remote_fetches += misses
-        metrics.bytes_fetched += misses * object_size
-        metrics.evictions += misses
-        cycles += self._trace_costs(object_size, metrics, chunked=chunk_trace)
-        metrics.accesses = deps + self.n_lookups
-        metrics.cycles = cycles
+
+    def _cache_granules(self, capacity: int, window: int) -> int:
+        """Local slots left for buckets and nodes beside the trace window."""
+        return max(1, capacity - (window if self.trace_bytes else 0))
+
+    def _result(self, cycles: float, metrics: Metrics) -> HashmapResult:
+        cycles += self.n_lookups * self.body_cycles
         return HashmapResult(cycles=cycles, metrics=metrics, n_lookups=self.n_lookups)
 
+    def _cost_lookups(self, runtime: TrackFMRuntime) -> float:
+        hr = self.hit_rate(
+            runtime.object_size,
+            self._cache_granules(
+                runtime.config.local_capacity_objects, TRACE_WINDOW_OBJECTS
+            ),
+        )
+        return runtime.cost_plan(self._lookups(), hr)
+
+    def _cost_trace(self, runtime: TrackFMRuntime, chunked: bool) -> float:
+        if not self.trace_bytes:
+            return 0.0
+        strategy = (
+            GuardStrategy.CHUNKED_PREFETCH if chunked else GuardStrategy.NAIVE
+        )
+        return runtime.cost_plan(self._trace(runtime.object_size), 0.0, strategy)
+
+    def run_trackfm(
+        self, runtime: TrackFMRuntime, chunk_trace: bool = True
+    ) -> HashmapResult:
+        """TrackFM at the runtime's compile-time object size."""
+        cycles = self._cost_lookups(runtime)
+        cycles += self._cost_trace(runtime, chunk_trace)
+        return self._result(cycles, runtime.metrics)
+
     def run_trackfm_multisize(
-        self,
-        bucket_object_size: int,
-        trace_object_size: int,
-        local_memory: int,
+        self, buckets: TrackFMRuntime, trace: TrackFMRuntime
     ) -> HashmapResult:
         """Multiple object sizes (§3.2 future work): per-region classes.
 
         The buckets/nodes (fine-grained, random) use a small class; the
         streaming key trace (sequential) uses a large one — the per-site
         recommendation :func:`repro.compiler.size_classes.recommend_object_sizes`
-        produces for exactly this shape.
+        produces for exactly this shape.  Each class is its own runtime.
         """
-        c = self.costs
-        metrics = Metrics()
-        backend = make_tcp_backend()
-        capacity = max(1, local_memory // bucket_object_size)
-        trace_window = 16 if self.trace_bytes else 0
-        cache = max(1, capacity - trace_window)
-        hr = self.hit_rate(bucket_object_size, cache)
-        deps = 2 * self.n_lookups
-        hits = int(round(deps * hr))
-        misses = deps - hits
-
-        cycles = self.n_lookups * self.body_cycles + deps * c.local_access
-        cycles += hits * c.fast_guard(AccessKind.READ, cached=True)
-        cycles += misses * (
-            c.slow_guard_local(AccessKind.READ, cached=False)
-            + backend.link.transfer_cycles(bucket_object_size)
+        cycles = self._cost_lookups(buckets)
+        cycles += self._cost_trace(trace, chunked=True)
+        return self._result(
+            cycles, Metrics.aggregate((buckets.metrics, trace.metrics))
         )
-        metrics.count_guard(GuardKind.FAST, hits)
-        metrics.count_guard(GuardKind.SLOW, misses)
-        metrics.remote_fetches += misses
-        metrics.bytes_fetched += misses * bucket_object_size
-        metrics.evictions += misses
-        cycles += self._trace_costs(trace_object_size, metrics, chunked=True)
-        metrics.accesses = deps + self.n_lookups
-        metrics.cycles = cycles
-        return HashmapResult(cycles=cycles, metrics=metrics, n_lookups=self.n_lookups)
 
-    def run_fastswap(self, local_memory: int, page_size: int = 4096) -> HashmapResult:
+    def run_fastswap(self, runtime: FastswapRuntime) -> HashmapResult:
         """Fastswap: same workload at page granularity."""
-        c = self.costs
-        metrics = Metrics()
-        capacity = max(1, local_memory // page_size)
-        trace_window = 8 if self.trace_bytes else 0
-        cache = max(1, capacity - trace_window)
-        hr = self.hit_rate(page_size, cache)
-        deps = 2 * self.n_lookups
-        hits = int(round(deps * hr))
-        misses = deps - hits
-
-        cycles = self.n_lookups * self.body_cycles + deps * c.local_access
-        cycles += misses * (
-            c.fastswap_fault(AccessKind.READ, remote=True) + 2_000.0
+        page = runtime.page_size
+        hr = self.hit_rate(
+            page,
+            self._cache_granules(
+                runtime.config.local_capacity_pages, TRACE_WINDOW_PAGES
+            ),
         )
-        metrics.major_faults += misses
-        metrics.remote_fetches += misses
-        metrics.bytes_fetched += misses * page_size
-        metrics.evictions += misses
-        # Trace streaming: one major fault per page, no readahead credit
-        # (swap readahead thrashes under the random bucket traffic).
+        cycles = runtime.cost_plan(self._lookups(), hr)
         if self.trace_bytes:
-            trace_pages = max(1, self.trace_bytes // page_size)
-            cycles += trace_pages * c.fastswap_fault(AccessKind.READ, remote=True)
-            metrics.major_faults += trace_pages
-            metrics.remote_fetches += trace_pages
-            metrics.bytes_fetched += trace_pages * page_size
-        metrics.accesses = deps + self.n_lookups
-        metrics.cycles = cycles
-        return HashmapResult(cycles=cycles, metrics=metrics, n_lookups=self.n_lookups)
+            # One major fault per trace page, no reclaim and no
+            # readahead credit (swap readahead thrashes under the
+            # random bucket traffic).
+            cycles += runtime.cost_plan(self._trace(page), 0.0, under_pressure=False)
+        return self._result(cycles, runtime.metrics)
 
-    def run_local(self) -> HashmapResult:
-        metrics = Metrics()
-        deps = 2 * self.n_lookups
-        cycles = self.n_lookups * self.body_cycles + deps * self.costs.local_access
-        metrics.accesses = deps + self.n_lookups
-        metrics.cycles = cycles
-        return HashmapResult(cycles=cycles, metrics=metrics, n_lookups=self.n_lookups)
+    def run_local(self, runtime: LocalRuntime) -> HashmapResult:
+        return self._result(runtime.cost_plan(self._lookups()), runtime.metrics)

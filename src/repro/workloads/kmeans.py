@@ -20,13 +20,11 @@ Loop structure modelled (per k-means iteration):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import WorkloadError
-from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
-from repro.net.backends import make_tcp_backend
-from repro.sim.metrics import Metrics
-from repro.units import ceil_div
+from repro.sim.plan import AccessPattern, AccessPlan
+from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
 
 #: Distance-kernel base cost per coordinate access (fused mul/add).
 KMEANS_BODY_CYCLES = 12.0
@@ -52,7 +50,6 @@ class KMeansWorkload:
     k: int = 10
     iterations: int = 2
     coord_size: int = 4
-    costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
     body_cycles: float = KMEANS_BODY_CYCLES
 
     def __post_init__(self) -> None:
@@ -71,72 +68,38 @@ class KMeansWorkload:
         # Assignment (k distance loops per point) + update scan.
         return self.n_points * self.dims * (self.k + 1)
 
-    def run(
-        self,
-        mode: ChunkMode,
-        object_size: int,
-        local_memory: int,
-    ) -> tuple:
-        """(cycles, Metrics) for the whole run under one chunk policy."""
-        c = self.costs
-        metrics = Metrics()
-        backend = make_tcp_backend()
-        n_objects = max(1, ceil_div(self.working_set, object_size))
-        resident = min(1.0, local_memory / self.working_set)
-        misses_per_pass = int(round(n_objects * (1.0 - resident)))
-        accesses = self.accesses_per_iteration()
+    def run(self, runtime: TrackFMRuntime, mode: ChunkMode) -> tuple:
+        """(cycles, the runtime's Metrics) for the whole run under one
+        chunk policy; pass a fresh runtime per run."""
+        # Chunk setups per pass: one per point when the per-point
+        # distance loop is chunked too, else one each for the assignment
+        # and update sweeps.  The point array is read k + 1 times a pass.
+        plan = AccessPlan(
+            AccessPattern.SEQUENTIAL,
+            self.accesses_per_iteration(),
+            self.coord_size,
+            entries=self.n_points if mode is ChunkMode.ALL_LOOPS else 2,
+            footprint=self.working_set,
+            body_cycles=self.body_cycles,
+        )
+        resident = min(1.0, runtime.config.local_memory / self.working_set)
+        strategy = (
+            GuardStrategy.NAIVE if mode is ChunkMode.BASELINE
+            else GuardStrategy.CHUNKED_PREFETCH
+        )
         cycles = 0.0
-
         for _ in range(self.iterations):
-            cycles += accesses * self.body_cycles
-            if mode is ChunkMode.BASELINE:
-                fast = accesses - n_objects
-                cycles += fast * c.fast_guard(AccessKind.READ, cached=True)
-                cycles += (n_objects - misses_per_pass) * c.slow_guard_local(
-                    AccessKind.READ, cached=True
-                )
-                cycles += misses_per_pass * (
-                    c.slow_guard_local(AccessKind.READ, cached=False)
-                    + backend.link.transfer_cycles(object_size)
-                )
-                metrics.count_guard(GuardKind.FAST, fast)
-                metrics.count_guard(GuardKind.SLOW, n_objects)
-            elif mode is ChunkMode.ALL_LOOPS:
-                # The per-point distance loop is chunked too: one chunk
-                # setup per point (its loop entry), per k-means pass.
-                entries = self.n_points
-                cycles += entries * c.chunk_setup
-                cycles += accesses * c.boundary_check
-                cycles += n_objects * c.locality_guard
-                cycles += misses_per_pass * backend.link.wire_cycles(object_size)
-                metrics.count_guard(GuardKind.BOUNDARY, accesses)
-                metrics.count_guard(GuardKind.LOCALITY, n_objects)
-                metrics.prefetches_issued += misses_per_pass
-                metrics.prefetches_useful += misses_per_pass
-            else:
-                # Only the long scans are chunked: one setup per pass for
-                # the assignment sweep and one for the update sweep.
-                cycles += 2 * c.chunk_setup
-                cycles += accesses * c.boundary_check
-                cycles += n_objects * c.locality_guard
-                cycles += misses_per_pass * backend.link.wire_cycles(object_size)
-                metrics.count_guard(GuardKind.BOUNDARY, accesses)
-                metrics.count_guard(GuardKind.LOCALITY, n_objects)
-                metrics.prefetches_issued += misses_per_pass
-                metrics.prefetches_useful += misses_per_pass
-            metrics.remote_fetches += misses_per_pass
-            metrics.bytes_fetched += misses_per_pass * object_size
-            metrics.accesses += accesses
+            cycles += runtime.cost_plan(plan, resident, strategy)
+        return cycles, runtime.metrics
 
-        metrics.cycles = cycles
-        return cycles, metrics
+    def speedup_vs_baseline(self, mode: ChunkMode, runtime: TrackFMRuntime) -> float:
+        """The Fig. 8 y-axis: baseline cycles / mode cycles.
 
-    def speedup_vs_baseline(
-        self, mode: ChunkMode, object_size: int, local_memory: int
-    ) -> float:
-        """The Fig. 8 y-axis: baseline cycles / mode cycles."""
-        base, _ = self.run(ChunkMode.BASELINE, object_size, local_memory)
-        other, _ = self.run(mode, object_size, local_memory)
+        Both runs cost onto ``runtime``: the ratio reads only the cycles
+        each returns.
+        """
+        base, _ = self.run(runtime, ChunkMode.BASELINE)
+        other, _ = self.run(runtime, mode)
         if other <= 0:
             return 0.0
         return base / other

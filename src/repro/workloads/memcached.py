@@ -22,15 +22,17 @@ item itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
-from repro.net.backends import make_rdma_backend, make_tcp_backend
+from repro.fastswap.runtime import FastswapRuntime
+from repro.sim.local import LocalRuntime
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPattern, AccessPlan
+from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import BASE_PAGE, is_power_of_two
 
 #: Request-path cycles per GET (network + protocol), calibrated so the
@@ -65,7 +67,6 @@ class MemcachedWorkload:
     #: Hash-table entry bytes (pointer-sized buckets).
     bucket_size: int = 8
     seed: int = 11
-    costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
 
     def __post_init__(self) -> None:
         if min(self.working_set, self.n_keys, self.n_ops) <= 0:
@@ -151,125 +152,69 @@ class MemcachedWorkload:
 
         return lru_hit_rate(self._region_heat(granule, region), cache_granules)
 
-    # -- system models --------------------------------------------------------
+    # -- system models ----------------------------------------------------------
+    #
+    # Each run costs its plans onto the runtime(s) a caller passes and
+    # returns the runtime's metrics, so pass fresh runtimes per run.
 
-    def run_trackfm(self, object_size: int, local_memory: int) -> MemcachedResult:
-        c = self.costs
-        metrics = Metrics()
-        link = make_tcp_backend().link
-        capacity = max(1, local_memory // object_size)
-        hr = self.hit_rate(object_size, capacity)
-        # Two memory dependencies per GET; each hits/misses with the
-        # aggregate rate.
-        deps = 2 * self.n_ops
-        hits = int(round(deps * hr))
-        misses = deps - hits
-        cycles = self.n_ops * GET_BASE_CYCLES
-        cycles += hits * (c.local_access + c.fast_guard(AccessKind.READ, cached=True))
-        cycles += misses * (
-            c.local_access
-            + c.slow_guard_local(AccessKind.READ, cached=False)
-            + link.transfer_cycles(object_size)
+    def _gets(self, deps: int, dirty: bool = True) -> AccessPlan:
+        """``deps`` lookups.  GETs write LRU-list bookkeeping into the
+        item, so displaced items are dirty and written back, though
+        the guards are reads."""
+        return AccessPlan(AccessPattern.RANDOM, deps, self.bucket_size, dirty=dirty)
+
+    def _result(self, cycles: float, metrics: Metrics) -> MemcachedResult:
+        return MemcachedResult(self.n_ops * GET_BASE_CYCLES + cycles, metrics, self.n_ops)
+
+    def run_trackfm(self, runtime: TrackFMRuntime) -> MemcachedResult:
+        # Two memory dependencies per GET (bucket and item); each
+        # hits or misses with the aggregate rate.
+        hr = self.hit_rate(runtime.object_size, runtime.config.local_capacity_objects)
+        return self._result(
+            runtime.cost_plan(self._gets(2 * self.n_ops), hr), runtime.metrics
         )
-        # memcached GETs write LRU-list bookkeeping into the item, so
-        # displaced objects are dirty and must be written back.
-        cycles += misses * link.wire_cycles(object_size) * 0.25
-        metrics.bytes_evacuated += misses * object_size
-        metrics.count_guard(GuardKind.FAST, hits)
-        metrics.count_guard(GuardKind.SLOW, misses)
-        metrics.remote_fetches += misses
-        metrics.bytes_fetched += misses * object_size
-        metrics.evictions += misses
-        metrics.accesses = deps
-        metrics.cycles = cycles
-        return MemcachedResult(cycles, metrics, self.n_ops)
 
-    def run_fastswap(self, local_memory: int, page_size: int = BASE_PAGE) -> MemcachedResult:
-        c = self.costs
-        metrics = Metrics()
-        capacity = max(1, local_memory // page_size)
-        hr = self.hit_rate(page_size, capacity)
-        deps = 2 * self.n_ops
-        hits = int(round(deps * hr))
-        misses = deps - hits
-        cycles = self.n_ops * GET_BASE_CYCLES
-        cycles += deps * c.local_access
-        cycles += misses * (c.fastswap_fault(AccessKind.READ, remote=True) + 2_000.0)
-        # GETs dirty the pages (LRU bookkeeping), so reclaim must swap
-        # them out: synchronous share of the writeback wire time.
-        link = make_rdma_backend().link
-        cycles += misses * link.wire_cycles(page_size) * 0.25
-        metrics.bytes_evacuated += misses * page_size
-        metrics.major_faults += misses
-        metrics.remote_fetches += misses
-        metrics.bytes_fetched += misses * page_size
-        metrics.evictions += misses
-        metrics.accesses = deps
-        metrics.cycles = cycles
-        return MemcachedResult(cycles, metrics, self.n_ops)
+    def run_fastswap(self, runtime: FastswapRuntime) -> MemcachedResult:
+        hr = self.hit_rate(runtime.page_size, runtime.config.local_capacity_pages)
+        return self._result(
+            runtime.cost_plan(self._gets(2 * self.n_ops), hr), runtime.metrics
+        )
+
+    def hybrid_split(
+        self, local_memory: int, object_size: int, page_size: int = BASE_PAGE
+    ) -> Tuple[int, int]:
+        """(bucket, item) local memory under the §5 hybrid placement.
+
+        The bucket array is dense (every byte of a cached page is a
+        useful bucket), so it gets memory first — up to its full
+        footprint or half the budget; items take the rest.
+        """
+        bucket_local = max(page_size, min(self.buckets_bytes, local_memory // 2))
+        return bucket_local, max(object_size, local_memory - bucket_local)
 
     def run_hybrid(
-        self,
-        object_size: int,
-        local_memory: int,
-        page_size: int = BASE_PAGE,
+        self, buckets: FastswapRuntime, items: TrackFMRuntime
     ) -> MemcachedResult:
         """The §5 hybrid: bucket array on kernel pages, items on objects.
 
-        The bucket array is dense (every byte of a hot page is a hot
-        bucket) and intensely reused — ideal for pages, whose hits cost
-        nothing.  Items are sparse and fine-grained — ideal for small
-        objects.  Local memory is split proportionally to each region's
-        footprint.
+        The bucket array is dense and intensely reused — ideal for
+        pages, whose hits cost nothing and which GETs do not dirty.
+        Items are sparse and fine-grained — ideal for small objects.
+        Size the two runtimes with :meth:`hybrid_split`.
         """
-        c = self.costs
-        metrics = Metrics()
-        tcp = make_tcp_backend().link
-        # Placement policy: the bucket array is dense (every byte of a
-        # cached page is a useful bucket), so it gets memory first — up
-        # to its full footprint or half the budget; items take the rest.
-        bucket_local = max(
-            page_size, min(self.buckets_bytes, local_memory // 2)
-        )
-        item_local = max(object_size, local_memory - bucket_local)
-
         bucket_hr = self.region_hit_rate(
-            page_size, "buckets", max(1, bucket_local // page_size)
+            buckets.page_size, "buckets", buckets.config.local_capacity_pages
         )
         item_hr = self.region_hit_rate(
-            object_size, "items", max(1, item_local // object_size)
+            items.object_size, "items", items.config.local_capacity_objects
         )
-        bucket_misses = int(round(self.n_ops * (1.0 - bucket_hr)))
-        item_misses = int(round(self.n_ops * (1.0 - item_hr)))
-        item_hits = self.n_ops - item_misses
-
-        cycles = self.n_ops * GET_BASE_CYCLES + 2 * self.n_ops * c.local_access
-        # Bucket side: unguarded; faults only on misses.
-        cycles += bucket_misses * (c.fastswap_fault(AccessKind.READ, remote=True) + 2_000.0)
-        metrics.major_faults += bucket_misses
-        metrics.bytes_fetched += bucket_misses * page_size
-        # Item side: guarded objects.
-        cycles += item_hits * c.fast_guard(AccessKind.READ, cached=True)
-        cycles += item_misses * (
-            c.slow_guard_local(AccessKind.READ, cached=False)
-            + tcp.transfer_cycles(object_size)
+        cycles = buckets.cost_plan(self._gets(self.n_ops, dirty=False), bucket_hr)
+        cycles += items.cost_plan(self._gets(self.n_ops), item_hr)
+        return self._result(
+            cycles, Metrics.aggregate((buckets.metrics, items.metrics))
         )
-        cycles += item_misses * tcp.wire_cycles(object_size) * 0.25
-        metrics.count_guard(GuardKind.FAST, item_hits)
-        metrics.count_guard(GuardKind.SLOW, item_misses)
-        metrics.bytes_fetched += item_misses * object_size
-        metrics.bytes_evacuated += item_misses * object_size
-        metrics.remote_fetches += bucket_misses + item_misses
-        metrics.evictions += bucket_misses + item_misses
-        metrics.accesses = 2 * self.n_ops
-        metrics.cycles = cycles
-        return MemcachedResult(cycles, metrics, self.n_ops)
 
-    def run_local(self) -> MemcachedResult:
-        c = self.costs
-        metrics = Metrics()
-        deps = 2 * self.n_ops
-        cycles = self.n_ops * GET_BASE_CYCLES + deps * c.local_access
-        metrics.accesses = deps
-        metrics.cycles = cycles
-        return MemcachedResult(cycles, metrics, self.n_ops)
+    def run_local(self, runtime: LocalRuntime) -> MemcachedResult:
+        return self._result(
+            runtime.cost_plan(self._gets(2 * self.n_ops)), runtime.metrics
+        )

@@ -20,17 +20,19 @@ re-loaded at every use) so the O1 study runs the real pass pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import WorkloadError
+from repro.fastswap.runtime import FastswapRuntime
 from repro.ir import IRBuilder, Module
 from repro.ir.types import I64, PTR
 from repro.ir.values import Constant
-from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
-from repro.net.backends import make_tcp_backend
+from repro.sim.local import LocalRuntime
 from repro.sim.metrics import Metrics
-from repro.units import BASE_PAGE, GB, ceil_div
+from repro.sim.plan import AccessPattern, AccessPlan
+from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
+from repro.units import GB
 
 NAS_BODY_CYCLES = 14.0
 
@@ -78,91 +80,66 @@ def nas_by_name(name: str) -> NasBenchmark:
 
 @dataclass
 class NasModel:
-    """Cost model for one kernel at one local-memory setting."""
+    """Plans for one kernel, costed on the runtime a caller passes.
+
+    Each run costs its plans onto the runtime and returns the runtime's
+    metrics, so pass a fresh runtime per run.
+    """
 
     bench: NasBenchmark
     working_set: int
-    object_size: int = BASE_PAGE
     elem_size: int = 8
-    costs: CostTable = field(default_factory=lambda: DEFAULT_COSTS)
 
-    def _accesses_per_pass(self) -> int:
-        return max(1, self.working_set // self.elem_size)
+    def _plan(self, inflation: float = 1.0) -> AccessPlan:
+        """One pass: ``inflation`` times the accesses over the same data."""
+        n = int(max(1, self.working_set // self.elem_size) * inflation)
+        return AccessPlan(
+            AccessPattern.SEQUENTIAL, n, self.elem_size,
+            footprint=self.working_set, body_cycles=NAS_BODY_CYCLES,
+        )
 
     def _effective_resident(self, local_memory: int) -> float:
+        """Resident share of first touches: what fits, plus temporal reuse."""
         base = min(1.0, local_memory / self.working_set)
         reuse = self.bench.temporal_reuse
         return min(1.0, base + reuse * (1.0 - base))
 
-    def run_local(self) -> float:
-        return self.bench.passes * self._accesses_per_pass() * NAS_BODY_CYCLES
+    def run_local(self, runtime: LocalRuntime) -> float:
+        plan = self._plan()
+        return sum(runtime.cost_plan(plan) for _ in range(self.bench.passes))
 
-    def run_fastswap(self, local_memory: int) -> Tuple[float, Metrics]:
-        c = self.costs
-        metrics = Metrics()
-        page = BASE_PAGE
-        n = self._accesses_per_pass()
-        n_pages = max(1, ceil_div(self.working_set, page))
-        resident = self._effective_resident(local_memory)
-        misses = int(round(n_pages * (1.0 - resident)))
+    def run_fastswap(self, runtime: FastswapRuntime) -> Tuple[float, Metrics]:
+        plan = self._plan()
+        resident = self._effective_resident(runtime.config.local_memory)
         cycles = 0.0
         for _ in range(self.bench.passes):
-            cycles += n * NAS_BODY_CYCLES
-            cycles += misses * (c.fastswap_fault(AccessKind.READ, remote=True) + 2_000.0)
-            metrics.major_faults += misses
-            metrics.bytes_fetched += misses * page
-            metrics.accesses += n
-        metrics.cycles = cycles
-        return cycles, metrics
+            cycles += runtime.cost_plan(plan, resident)
+        return cycles, runtime.metrics
 
     def run_trackfm(
-        self, local_memory: int, o1: bool = True
+        self, runtime: TrackFMRuntime, o1: bool = True
     ) -> Tuple[float, Metrics]:
-        c = self.costs
-        metrics = Metrics()
-        link = make_tcp_backend().link
-        inflation = 1.0 if o1 else self.bench.unopt_mem_inflation
-        n = int(self._accesses_per_pass() * inflation)
-        n_objects = max(1, ceil_div(self.working_set, self.object_size))
-        resident = self._effective_resident(local_memory)
-        misses = int(round(n_objects * (1.0 - resident)))
+        """Without O1, NOELLE sees ``unopt_mem_inflation`` times the accesses."""
+        plan = self._plan(1.0 if o1 else self.bench.unopt_mem_inflation)
+        resident = self._effective_resident(runtime.config.local_memory)
+        strategy = (
+            GuardStrategy.CHUNKED_PREFETCH if self.bench.chunkable
+            else GuardStrategy.NAIVE
+        )
         cycles = 0.0
         for _ in range(self.bench.passes):
-            cycles += n * NAS_BODY_CYCLES
-            if self.bench.chunkable:
-                cycles += c.chunk_setup
-                cycles += n * c.boundary_check
-                cycles += n_objects * c.locality_guard
-                cycles += misses * link.wire_cycles(self.object_size)
-                metrics.count_guard(GuardKind.BOUNDARY, n)
-                metrics.count_guard(GuardKind.LOCALITY, n_objects)
-            else:
-                fast = max(n - n_objects, 0)
-                cycles += fast * c.fast_guard(AccessKind.READ, cached=True)
-                cycles += (n_objects - misses) * c.slow_guard_local(
-                    AccessKind.READ, cached=True
-                )
-                cycles += misses * (
-                    c.slow_guard_local(AccessKind.READ, cached=False)
-                    + link.transfer_cycles(self.object_size)
-                )
-                metrics.count_guard(GuardKind.FAST, fast)
-                metrics.count_guard(GuardKind.SLOW, n_objects)
-            metrics.bytes_fetched += misses * self.object_size
-            metrics.accesses += n
-        metrics.cycles = cycles
-        return cycles, metrics
+            cycles += runtime.cost_plan(plan, resident, strategy)
+        return cycles, runtime.metrics
 
-    def slowdown(self, system: str, local_memory: int, o1: bool = True) -> float:
-        """Fig. 17's y-axis: cycles / local-only cycles."""
-        base = self.run_local()
-        if system == "fastswap":
-            cycles, _ = self.run_fastswap(local_memory)
-        elif system == "trackfm":
-            cycles, _ = self.run_trackfm(local_memory, o1=o1)
+    def slowdown(self, runtime, o1: bool = True) -> float:
+        """Fig. 17's y-axis: cycles on ``runtime`` / local-only cycles."""
+        if isinstance(runtime, FastswapRuntime):
+            cycles, _ = self.run_fastswap(runtime)
+        elif isinstance(runtime, TrackFMRuntime):
+            cycles, _ = self.run_trackfm(runtime, o1=o1)
         else:
-            raise WorkloadError(f"unknown system {system!r}")
-        return cycles / base
+            raise WorkloadError(f"no NAS model for {type(runtime).__name__}")
+        return cycles / self.run_local(LocalRuntime(runtime.config.costs))
 
 
 # -- real IR kernels for the O1 study (Fig. 17b) ------------------------------

@@ -7,7 +7,7 @@ tiny elements — the best case for loop chunking and prefetching and the
 worst case for per-access guards.
 
 The workload runs against any of the four runtimes through their
-closed-form scan paths; per-pass residency follows the steady-state
+closed forms (``cost_plan``); per-pass residency follows the steady-state
 assumption that a fraction ``local/working_set`` of a cyclically
 scanned array is found local (pass 0 starts cold).
 """
@@ -15,13 +15,14 @@ scanned array is found local (pass 0 starts cold).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.aifm.runtime import AIFMRuntime
 from repro.errors import WorkloadError
 from repro.fastswap.runtime import FastswapRuntime
-from repro.machine.costs import AccessKind
 from repro.sim.local import LocalRuntime
+from repro.sim.plan import AccessPattern, AccessPlan
 from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
 
 #: Per-access cost inside a tight streaming loop: the load/store plus its
@@ -98,15 +99,14 @@ class StreamWorkload:
             return 0.0
         return min(1.0, local_memory / self.working_set)
 
-    def _scans(self):
-        """(array offset, AccessKind) per scan of one kernel pass."""
+    def _plans(self, body_cycles: Optional[float]):
+        """One plan per scan of a kernel pass: its reads, then its writes."""
         reads, writes, _arrays = self._shape
-        scans = []
-        for r in range(reads):
-            scans.append((r * self.array_bytes, AccessKind.READ))
-        for w in range(writes):
-            scans.append(((reads + w) * self.array_bytes, AccessKind.WRITE))
-        return scans
+        read = AccessPlan(
+            AccessPattern.SEQUENTIAL, self.elems_per_array, self.elem_size,
+            body_cycles=body_cycles,
+        )
+        return [read] * reads + [replace(read, is_write=True)] * writes
 
     # -- per-runtime drivers ------------------------------------------------
 
@@ -115,48 +115,42 @@ class StreamWorkload:
     ) -> float:
         """Total cycles for all passes under one guard strategy."""
         local = runtime.config.local_memory
+        plans = self._plans(self.body_cycles)
         total = 0.0
         for p in range(self.passes):
             frac = self._resident_fraction(local, p)
-            for offset, kind in self._scans():
-                total += runtime.sequential_scan(
-                    offset, self.elems_per_array, self.elem_size,
-                    kind, strategy, frac, self.body_cycles,
-                )
+            for plan in plans:
+                total += runtime.cost_plan(plan, frac, strategy)
         return total
 
     def run_fastswap(self, runtime: FastswapRuntime) -> float:
         local = runtime.config.local_memory
+        plans = self._plans(self.body_cycles)
+        under_pressure = local < self.working_set
         total = 0.0
         for p in range(self.passes):
             frac = self._resident_fraction(local, p)
-            under_pressure = local < self.working_set
-            for offset, kind in self._scans():
-                total += runtime.sequential_scan(
-                    offset, self.elems_per_array, self.elem_size,
-                    kind, frac, self.body_cycles, under_pressure,
-                )
+            for plan in plans:
+                total += runtime.cost_plan(plan, frac, under_pressure)
         return total
 
     def run_aifm(self, runtime: AIFMRuntime) -> float:
         local = runtime.config.local_memory
+        # AIFM's iterator body is the standalone access, not the tight loop's.
+        plans = self._plans(None)
         total = 0.0
         for p in range(self.passes):
             frac = self._resident_fraction(local, p)
-            for offset, kind in self._scans():
-                total += runtime.sequential_scan(
-                    offset, self.elems_per_array, self.elem_size, kind, frac
-                )
+            for plan in plans:
+                total += runtime.cost_plan(plan, frac)
         return total
 
     def run_local(self, runtime: LocalRuntime) -> float:
+        plans = self._plans(self.body_cycles)
         total = 0.0
         for _ in range(self.passes):
-            for _offset, _kind in self._scans():
-                total += runtime.sequential_scan(
-                    0, self.elems_per_array, self.elem_size,
-                    AccessKind.READ, self.body_cycles,
-                )
+            for plan in plans:
+                total += runtime.cost_plan(plan)
         return total
 
     # -- metrics the figures report --------------------------------------------

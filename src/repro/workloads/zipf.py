@@ -9,8 +9,6 @@ numpy.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import WorkloadError

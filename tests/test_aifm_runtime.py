@@ -6,7 +6,7 @@ from repro.aifm.pool import PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.aifm.datastructures import RemoteArray, RemoteHashMap
 from repro.errors import PointerError, WorkloadError
-from repro.machine.costs import AccessKind
+from repro.sim.plan import AccessPattern, AccessPlan
 from repro.units import KB, MB
 
 
@@ -73,14 +73,19 @@ class TestAIFMRuntime:
 
     def test_sequential_scan_metrics(self):
         rt = make_runtime()
-        rt.sequential_scan(0, 4096, 8, AccessKind.READ)
+        rt.cost_plan(AccessPlan(AccessPattern.SEQUENTIAL, 4096, 8))
         assert rt.metrics.accesses == 4096
         assert rt.metrics.bytes_fetched == 8 * 4 * KB
         assert rt.metrics.prefetches_useful == 8
 
+    def test_empty_scan_costs_nothing(self):
+        rt = make_runtime()
+        assert rt.cost_plan(AccessPlan(AccessPattern.SEQUENTIAL, 0, 8)) == 0.0
+        assert rt.metrics.remote_fetches == 0
+
     def test_write_scan_evacuates(self):
         rt = make_runtime()
-        rt.sequential_scan(0, 4096, 8, AccessKind.WRITE)
+        rt.cost_plan(AccessPlan(AccessPattern.SEQUENTIAL, 4096, 8, is_write=True))
         assert rt.metrics.bytes_evacuated > 0
 
 

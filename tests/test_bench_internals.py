@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import ExperimentResult
+from repro.bench.harness import ExperimentResult, model_fastswap, model_trackfm
 from repro.bench.stream_figs import fig07, fig10, fig11, fig12
 from repro.bench.hashmap_figs import fig09
 from repro.bench.app_figs import fig08, fig14
@@ -93,16 +93,20 @@ class TestMemcachedRegions:
         item_hr = wl.region_hit_rate(page, "items", 16)
         assert bucket_hr > item_hr
 
+    def hybrid(self, wl, local):
+        bucket_local, item_local = wl.hybrid_split(local, 64)
+        return wl.run_hybrid(model_fastswap(bucket_local), model_trackfm(64, item_local))
+
     def test_hybrid_between_or_above_pure_systems(self):
         wl = self.make()
         local = 1 * MB
-        hybrid = wl.run_hybrid(64, local)
-        fsw = wl.run_fastswap(local)
+        hybrid = self.hybrid(wl, local)
+        fsw = wl.run_fastswap(model_fastswap(local))
         assert hybrid.cycles < fsw.cycles
 
     def test_hybrid_splits_traffic(self):
         wl = self.make()
-        res = wl.run_hybrid(64, 1 * MB)
+        res = self.hybrid(wl, 1 * MB)
         # Both mechanisms moved data: pages for buckets, objects for items.
         assert res.metrics.major_faults > 0
         assert res.metrics.slow_path_guards > 0

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import PointerError, RuntimeConfigError
 from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
 from repro.machine.costs import AccessKind
+from repro.sim.plan import AccessPattern, AccessPlan
 from repro.units import KB, MB
 
 
@@ -94,10 +95,14 @@ class TestAccessPath:
             rt.allocate(4 * KB)
 
 
+def scan(n, elem, is_write=False):
+    return AccessPlan(AccessPattern.SEQUENTIAL, n, elem, is_write=is_write)
+
+
 class TestScan:
     def test_page_granularity_io(self):
         rt = make_runtime(local_pages=2, heap_pages=64)
-        rt.sequential_scan(0, 512 * 4, 8)  # 16 KB = 4 pages
+        rt.cost_plan(scan(512 * 4, 8))  # 16 KB = 4 pages
         assert rt.metrics.major_faults == 4
         assert rt.metrics.bytes_fetched == 4 * 4 * KB
 
@@ -105,26 +110,26 @@ class TestScan:
         # Fastswap always moves whole pages; with 8-byte elements and a
         # sparse touch pattern the amplification shows in bytes moved.
         rt = make_runtime()
-        rt.sequential_scan(0, 100, 8)  # 800 bytes -> still a whole page
+        rt.cost_plan(scan(100, 8))  # 800 bytes -> still a whole page
         assert rt.metrics.bytes_fetched == 4 * KB
 
     def test_resident_fraction(self):
         rt1 = make_runtime()
-        cold = rt1.sequential_scan(0, 10_000, 8)
+        cold = rt1.cost_plan(scan(10_000, 8))
         rt2 = make_runtime()
-        warm = rt2.sequential_scan(0, 10_000, 8, resident_fraction=0.9)
+        warm = rt2.cost_plan(scan(10_000, 8), resident_fraction=0.9)
         assert warm < cold
 
     def test_write_scan_writes_back(self):
         rt = make_runtime()
-        rt.sequential_scan(0, 10_000, 8, kind=AccessKind.WRITE)
+        rt.cost_plan(scan(10_000, 8, is_write=True))
         assert rt.metrics.bytes_evacuated > 0
 
     def test_pressure_flag(self):
         rt1 = make_runtime()
-        relaxed = rt1.sequential_scan(0, 10_000, 8, under_pressure=False)
+        relaxed = rt1.cost_plan(scan(10_000, 8), under_pressure=False)
         rt2 = make_runtime()
-        pressured = rt2.sequential_scan(0, 10_000, 8, under_pressure=True)
+        pressured = rt2.cost_plan(scan(10_000, 8), under_pressure=True)
         assert pressured > relaxed
 
 

@@ -7,6 +7,7 @@ from repro.errors import PointerError, RuntimeConfigError
 from repro.ir import IRBuilder, I64, PTR, Module
 from repro.ir.values import Constant
 from repro.machine.costs import AccessKind, GuardKind
+from repro.sim.plan import AccessPattern, AccessPlan
 from repro.trackfm.multipool import DEFAULT_CLASSES, MultiPoolRuntime
 from repro.trackfm.pointer import is_tfm_pointer
 from repro.units import KB, MB
@@ -67,7 +68,7 @@ class TestMultiPoolRuntime:
     def test_sequential_scan_delegates(self):
         rt = make_multipool()
         p = rt.tfm_malloc(64 * KB, object_size=4096)
-        cycles = rt.sequential_scan(p, 8192, 8)
+        cycles = rt.cost_plan(p, AccessPlan(AccessPattern.SEQUENTIAL, 8192, 8))
         assert cycles > 0
         assert rt.per_class_metrics()[4096].accesses == 8192
 

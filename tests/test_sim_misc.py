@@ -8,6 +8,7 @@ from repro.machine.costs import GuardKind
 from repro.sim.che import characteristic_time, lru_hit_rate, per_granule_hit_rates
 from repro.sim.local import LocalRuntime
 from repro.sim.metrics import Metrics
+from repro.sim.plan import AccessPattern, AccessPlan
 
 
 class TestMetrics:
@@ -66,7 +67,8 @@ class TestLocalRuntime:
 
     def test_scan_with_body_override(self):
         rt = LocalRuntime()
-        assert rt.sequential_scan(0, 100, 8, body_cycles=10.0) == 1000.0
+        plan = AccessPlan(AccessPattern.SEQUENTIAL, 100, 8, body_cycles=10.0)
+        assert rt.cost_plan(plan) == 1000.0
 
     def test_never_faults(self):
         rt = LocalRuntime()
@@ -91,6 +93,18 @@ class TestChe:
 
     def test_zero_capacity(self):
         assert lru_hit_rate(np.ones(10), 0) == 0.0
+
+    def test_hit_rate_never_exceeds_one(self):
+        # This memcached item region's per-granule rates sum to
+        # 1 + 2**-52, which a lookup plan would reject as a hit rate.
+        from repro.workloads.memcached import MemcachedWorkload
+
+        wl = MemcachedWorkload(
+            working_set=2_499_261, n_keys=58_535, n_ops=67_640, skew=0.9539656310470499
+        )
+        heat = wl._region_heat(128, "items")
+        assert len(heat) > 18_240
+        assert lru_hit_rate(heat, 18_240) == 1.0
 
     def test_capacity_exceeds_granules(self):
         assert lru_hit_rate(np.ones(10), 100) == 1.0

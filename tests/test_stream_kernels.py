@@ -40,18 +40,18 @@ class TestKernelShapes:
             wl = StreamWorkload(ws, kernel=kernel)
             assert wl.array_bytes * wl.arrays == pytest.approx(ws, rel=0.01)
 
-    def test_scan_offsets_disjoint(self):
-        wl = StreamWorkload(12 * MB, kernel=StreamKernel.TRIAD)
-        offsets = [off for off, _ in wl._scans()]
-        assert len(set(offsets)) == 3
+    def test_one_scan_per_array(self):
+        for kernel in StreamKernel:
+            wl = StreamWorkload(12 * MB, kernel=kernel)
+            plans = wl._plans(None)
+            assert len(plans) == wl.arrays
+            assert {p.n_elems for p in plans} == {wl.elems_per_array}
 
     def test_triad_has_one_write(self):
-        from repro.machine.costs import AccessKind
-
         wl = StreamWorkload(12 * MB, kernel=StreamKernel.TRIAD)
-        kinds = [k for _, k in wl._scans()]
-        assert kinds.count(AccessKind.WRITE) == 1
-        assert kinds.count(AccessKind.READ) == 2
+        writes = [p.is_write for p in wl._plans(None)]
+        assert writes.count(True) == 1
+        assert writes.count(False) == 2
 
 
 class TestKernelBehaviour:

@@ -6,6 +6,7 @@ from repro.aifm.pool import PoolConfig
 from repro.errors import PointerError, RuntimeConfigError
 from repro.machine.cache import AlwaysHitCache, AlwaysMissCache
 from repro.machine.costs import AccessKind, GuardKind
+from repro.sim.plan import AccessPattern, AccessPlan
 from repro.trackfm.pointer import (
     TFM_BASE,
     decode_tfm_pointer,
@@ -25,6 +26,10 @@ def make_runtime(object_size=4 * KB, local_objects=4, heap_objects=64, cache=Non
         heap_size=heap_objects * object_size,
     )
     return TrackFMRuntime(config, cache=cache or AlwaysHitCache())
+
+
+def scan(n, elem, write=False, entries=1):
+    return AccessPlan(AccessPattern.SEQUENTIAL, n, elem, entries=entries, is_write=write)
 
 
 class TestPointers:
@@ -273,9 +278,7 @@ class TestChunkStreams:
 class TestSequentialScan:
     def test_naive_counts_guards(self):
         rt = make_runtime(object_size=4 * KB, local_objects=8, heap_objects=64)
-        cycles = rt.sequential_scan(
-            0, 1024, 8, AccessKind.READ, GuardStrategy.NAIVE, resident_fraction=0.0
-        )
+        cycles = rt.cost_plan(scan(1024, 8), 0.0, GuardStrategy.NAIVE)
         assert cycles > 0
         m = rt.metrics
         # 1024 elems * 8B = 2 objects: 2 slow guards, rest fast.
@@ -285,57 +288,55 @@ class TestSequentialScan:
 
     def test_chunked_cheaper_than_naive_for_dense_loops(self):
         rt1 = make_runtime()
-        naive = rt1.sequential_scan(
-            0, 100_000, 4, AccessKind.READ, GuardStrategy.NAIVE
-        )
+        naive = rt1.cost_plan(scan(100_000, 4), 0.0, GuardStrategy.NAIVE)
         rt2 = make_runtime()
-        chunked = rt2.sequential_scan(
-            0, 100_000, 4, AccessKind.READ, GuardStrategy.CHUNKED
-        )
+        chunked = rt2.cost_plan(scan(100_000, 4), 0.0, GuardStrategy.CHUNKED)
         assert chunked < naive
 
     def test_prefetch_cheaper_than_blocking(self):
         rt1 = make_runtime()
-        plain = rt1.sequential_scan(
-            0, 100_000, 4, AccessKind.READ, GuardStrategy.CHUNKED
-        )
+        plain = rt1.cost_plan(scan(100_000, 4), 0.0, GuardStrategy.CHUNKED)
         rt2 = make_runtime()
-        pref = rt2.sequential_scan(
-            0, 100_000, 4, AccessKind.READ, GuardStrategy.CHUNKED_PREFETCH
-        )
+        pref = rt2.cost_plan(scan(100_000, 4), 0.0, GuardStrategy.CHUNKED_PREFETCH)
         assert pref < plain
 
     def test_resident_fraction_reduces_cost(self):
         rt1 = make_runtime()
-        cold = rt1.sequential_scan(0, 10_000, 8, AccessKind.READ, GuardStrategy.NAIVE, 0.0)
+        cold = rt1.cost_plan(scan(10_000, 8), 0.0, GuardStrategy.NAIVE)
         rt2 = make_runtime()
-        warm = rt2.sequential_scan(0, 10_000, 8, AccessKind.READ, GuardStrategy.NAIVE, 0.9)
+        warm = rt2.cost_plan(scan(10_000, 8), 0.9, GuardStrategy.NAIVE)
         assert warm < cold
 
     def test_write_scan_accounts_evacuation(self):
         rt = make_runtime()
-        rt.sequential_scan(0, 10_000, 8, AccessKind.WRITE, GuardStrategy.CHUNKED)
+        rt.cost_plan(scan(10_000, 8, write=True), 0.0, GuardStrategy.CHUNKED)
         assert rt.metrics.bytes_evacuated > 0
 
     def test_loop_entries_multiply_setup(self):
         rt1 = make_runtime()
-        once = rt1.sequential_scan(
-            0, 1000, 8, AccessKind.READ, GuardStrategy.CHUNKED, loop_entries=1
-        )
+        once = rt1.cost_plan(scan(1000, 8), 0.0, GuardStrategy.CHUNKED)
         rt2 = make_runtime()
-        many = rt2.sequential_scan(
-            0, 1000, 8, AccessKind.READ, GuardStrategy.CHUNKED, loop_entries=100
-        )
+        many = rt2.cost_plan(scan(1000, 8, entries=100), 0.0, GuardStrategy.CHUNKED)
         assert many - once == pytest.approx(99 * rt1.costs.chunk_setup)
 
     def test_invalid_fraction(self):
         rt = make_runtime()
         with pytest.raises(RuntimeConfigError):
-            rt.sequential_scan(0, 10, 8, AccessKind.READ, GuardStrategy.NAIVE, 1.5)
+            rt.cost_plan(scan(10, 8), 1.5, GuardStrategy.NAIVE)
 
     def test_zero_elements(self):
         rt = make_runtime()
-        assert rt.sequential_scan(0, 0, 8) == 0.0
+        assert rt.cost_plan(scan(0, 8)) == 0.0
+
+    def test_naive_plan_with_fewer_accesses_than_objects(self):
+        # 4 accesses of 8 KB span 8 objects: 8 slow guards, no fast one.
+        rt = make_runtime()
+        cycles = rt.cost_plan(scan(4, 8 * KB), 0.0, GuardStrategy.NAIVE)
+        c = rt.costs
+        fetch = rt.pool.backend.link.transfer_cycles(4 * KB)
+        assert cycles == 4 * c.local_access + 8 * (c.slow_guard_read_uncached + fetch)
+        assert rt.metrics.guard_count(GuardKind.FAST) == 0
+        assert rt.metrics.guard_count(GuardKind.SLOW) == 8
 
 
 class TestTierConsistency:
@@ -349,9 +350,7 @@ class TestTierConsistency:
             replay.access(ptr + i * elem, AccessKind.READ, size=elem)
 
         closed = make_runtime(local_objects=8)
-        closed.sequential_scan(
-            0, n, elem, AccessKind.READ, GuardStrategy.NAIVE, resident_fraction=0.0
-        )
+        closed.cost_plan(scan(n, elem), 0.0, GuardStrategy.NAIVE)
 
         rm, cm = replay.metrics, closed.metrics
         assert rm.guard_count(GuardKind.SLOW) == cm.guard_count(GuardKind.SLOW)
@@ -372,9 +371,7 @@ class TestTierConsistency:
             for i in range(n)
         )
         closed = make_runtime(local_objects=8)
-        closed_cycles = closed.sequential_scan(
-            0, n, elem, AccessKind.READ, GuardStrategy.NAIVE, resident_fraction=0.0
-        )
+        closed_cycles = closed.cost_plan(scan(n, elem), 0.0, GuardStrategy.NAIVE)
         assert replay_cycles == pytest.approx(closed_cycles, rel=0.02)
 
     def test_chunked_scan_counts_match_replay(self):
@@ -387,9 +384,7 @@ class TestTierConsistency:
         replay.chunk_end(0)
 
         closed = make_runtime(local_objects=8)
-        closed.sequential_scan(
-            0, n, elem, AccessKind.READ, GuardStrategy.CHUNKED, resident_fraction=0.0
-        )
+        closed.cost_plan(scan(n, elem), 0.0, GuardStrategy.CHUNKED)
         rm, cm = replay.metrics, closed.metrics
         assert rm.guard_count(GuardKind.BOUNDARY) == cm.guard_count(GuardKind.BOUNDARY)
         assert rm.guard_count(GuardKind.LOCALITY) == cm.guard_count(GuardKind.LOCALITY)

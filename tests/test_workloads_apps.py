@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import model_aifm, model_fastswap, model_trackfm
 from repro.errors import WorkloadError
+from repro.sim.local import LocalRuntime
 from repro.units import KB, MB
 from repro.workloads.analytics import (
     AnalyticsChunking,
     AnalyticsWorkload,
-    System,
     build_taxi_frame,
     run_taxi_pipeline,
 )
@@ -93,6 +94,9 @@ class TestAnalytics:
     def make(self):
         return AnalyticsWorkload(working_set=31 * MB)
 
+    def trackfm(self, wl, local, policy=AnalyticsChunking.HIGH_DENSITY):
+        return wl.run_trackfm(model_trackfm(4 * KB, local), policy)
+
     def test_taxi_pipeline_produces_both_patterns(self):
         frame = build_taxi_frame(10_000, with_values=True)
         plans = run_taxi_pipeline(frame)
@@ -103,40 +107,40 @@ class TestAnalytics:
         # Fig. 14: AIFM <= TrackFM << Fastswap.
         wl = self.make()
         local = wl.working_set // 10
-        t, _ = wl.run(System.TRACKFM, local)
-        f, _ = wl.run(System.FASTSWAP, local)
-        a, _ = wl.run(System.AIFM, local)
-        l, _ = wl.run(System.LOCAL, local)
+        t, _ = self.trackfm(wl, local)
+        f, _ = wl.run_fastswap(model_fastswap(local))
+        a, _ = wl.run_aifm(model_aifm(4 * KB, local))
+        l, _ = wl.run_local(LocalRuntime())
         assert l < a < t < f
 
     def test_trackfm_within_25_percent_of_aifm(self):
         wl = self.make()
         local = wl.working_set // 10
-        t, _ = wl.run(System.TRACKFM, local)
-        a, _ = wl.run(System.AIFM, local)
+        t, _ = self.trackfm(wl, local)
+        a, _ = wl.run_aifm(model_aifm(4 * KB, local))
         assert t / a < 1.25
 
     def test_chunking_policy_ordering(self):
         # Fig. 15: filtered < baseline < all-loops (at moderate memory).
         wl = self.make()
         local = wl.working_set // 2
-        base, _ = wl.run_trackfm(local, AnalyticsChunking.BASELINE)
-        alll, _ = wl.run_trackfm(local, AnalyticsChunking.ALL_LOOPS)
-        filt, _ = wl.run_trackfm(local, AnalyticsChunking.HIGH_DENSITY)
+        base, _ = self.trackfm(wl, local, AnalyticsChunking.BASELINE)
+        alll, _ = self.trackfm(wl, local, AnalyticsChunking.ALL_LOOPS)
+        filt, _ = self.trackfm(wl, local, AnalyticsChunking.HIGH_DENSITY)
         assert filt < base < alll
 
     def test_fastswap_converges_with_memory(self):
         wl = self.make()
-        low, _ = wl.run_fastswap(wl.working_set // 10)
-        high, _ = wl.run_fastswap(wl.working_set)
+        low, _ = wl.run_fastswap(model_fastswap(wl.working_set // 10))
+        high, _ = wl.run_fastswap(model_fastswap(wl.working_set))
         assert high < low / 3
 
     def test_fault_counts_exceed_guard_counts(self):
         # Fig. 14b: Fastswap faults > TrackFM slow guards.
         wl = self.make()
         local = wl.working_set // 10
-        _, tm = wl.run_trackfm(local)
-        _, fm = wl.run_fastswap(local)
+        _, tm = self.trackfm(wl, local)
+        _, fm = wl.run_fastswap(model_fastswap(local))
         assert fm.major_faults > tm.slow_path_guards
 
     def test_validation(self):
@@ -153,28 +157,30 @@ class TestMemcached:
     def test_trackfm_beats_fastswap_at_low_skew(self):
         wl = self.make(skew=1.0)
         local = 1 * MB
-        tfm = wl.run_trackfm(64, local)
-        fsw = wl.run_fastswap(local)
+        tfm = wl.run_trackfm(model_trackfm(64, local))
+        fsw = wl.run_fastswap(model_fastswap(local))
         assert tfm.cycles < fsw.cycles
 
     def test_gap_narrows_with_skew(self):
         # Fig. 16a: Fastswap converges as temporal locality rises.
         def ratio(skew):
             wl = self.make(skew=skew)
-            return wl.run_fastswap(1 * MB).cycles / wl.run_trackfm(64, 1 * MB).cycles
+            fsw = wl.run_fastswap(model_fastswap(1 * MB))
+            return fsw.cycles / wl.run_trackfm(model_trackfm(64, 1 * MB)).cycles
 
         assert ratio(1.0) > ratio(1.3)
 
     def test_io_amplification_gap(self):
         # Fig. 16c: Fastswap moves far more data.
         wl = self.make(skew=1.0)
-        tfm = wl.run_trackfm(64, 1 * MB)
-        fsw = wl.run_fastswap(1 * MB)
+        tfm = wl.run_trackfm(model_trackfm(64, 1 * MB))
+        fsw = wl.run_fastswap(model_fastswap(1 * MB))
         assert fsw.metrics.total_bytes_transferred > 20 * tfm.metrics.total_bytes_transferred
 
     def test_all_local_fastest(self):
         wl = self.make()
-        assert wl.run_local().cycles < wl.run_trackfm(64, 1 * MB).cycles
+        local = wl.run_local(LocalRuntime())
+        assert local.cycles < wl.run_trackfm(model_trackfm(64, 1 * MB)).cycles
 
     def test_slab_layout_groups_size_classes(self):
         wl = self.make()
@@ -185,7 +191,7 @@ class TestMemcached:
             assert np.all(np.diff(cls_offsets) == cls)
 
     def test_throughput_unit(self):
-        res = self.make().run_local()
+        res = self.make().run_local(LocalRuntime())
         assert 0 < res.throughput_kops() < 1e6
 
     def test_validation(self):
@@ -212,8 +218,8 @@ class TestNas:
             ws = bench.working_set(1024)
             model = NasModel(bench, working_set=ws)
             local = ws // 4
-            tfm = model.slowdown("trackfm", local)
-            fsw = model.slowdown("fastswap", local)
+            tfm = model.slowdown(model_trackfm(4 * KB, local))
+            fsw = model.slowdown(model_fastswap(local))
             if bench.name == "FT":
                 assert tfm > fsw
             else:
@@ -223,14 +229,14 @@ class TestNas:
         bench = nas_by_name("FT")
         ws = bench.working_set(1024)
         model = NasModel(bench, working_set=ws)
-        assert model.slowdown("trackfm", ws // 4, o1=True) < model.slowdown(
-            "trackfm", ws // 4, o1=False
-        ) / 3
+        o1 = model.slowdown(model_trackfm(4 * KB, ws // 4), o1=True)
+        unopt = model.slowdown(model_trackfm(4 * KB, ws // 4), o1=False)
+        assert o1 < unopt / 3
 
     def test_unknown_system(self):
         model = NasModel(nas_by_name("CG"), working_set=1 * MB)
         with pytest.raises(WorkloadError):
-            model.slowdown("bogus", 1 * MB)
+            model.slowdown(LocalRuntime())
 
     def test_ir_kernels_execute(self):
         from repro.sim.interpreter import Interpreter

@@ -5,6 +5,7 @@ import pytest
 
 from repro.aifm.pool import PoolConfig
 from repro.aifm.runtime import AIFMRuntime
+from repro.bench.harness import model_fastswap, model_trackfm
 from repro.errors import WorkloadError
 from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
 from repro.sim.local import LocalRuntime
@@ -136,21 +137,22 @@ class TestHashmap:
         # Fig. 9's claim at constrained local memory.
         wl = self.make()
         local = wl.working_set // 4
-        t_small = wl.run_trackfm(256, local).throughput_mops()
-        t_big = wl.run_trackfm(4 * KB, local).throughput_mops()
+        t_small = wl.run_trackfm(model_trackfm(256, local)).throughput_mops()
+        t_big = wl.run_trackfm(model_trackfm(4 * KB, local)).throughput_mops()
         assert t_small > t_big
 
     def test_trackfm_moves_less_data_than_fastswap(self):
         wl = self.make()
         local = wl.working_set // 4
-        tfm = wl.run_trackfm(64, local)
-        fsw = wl.run_fastswap(local)
+        tfm = wl.run_trackfm(model_trackfm(64, local))
+        fsw = wl.run_fastswap(model_fastswap(local))
         assert tfm.metrics.total_bytes_transferred < fsw.metrics.total_bytes_transferred / 10
 
     def test_trackfm_faster_than_fastswap(self):
         wl = self.make()
         local = wl.working_set // 4
-        assert wl.run_trackfm(64, local).cycles < wl.run_fastswap(local).cycles
+        tfm = wl.run_trackfm(model_trackfm(64, local))
+        assert tfm.cycles < wl.run_fastswap(model_fastswap(local)).cycles
 
     def test_hit_rate_monotone_in_cache_size(self):
         wl = self.make()
@@ -158,19 +160,19 @@ class TestHashmap:
         assert rates == sorted(rates)
 
     def test_local_run_has_no_faults(self):
-        res = self.make().run_local()
+        res = self.make().run_local(LocalRuntime())
         assert res.metrics.total_guards == 0
         assert res.metrics.major_faults == 0
 
     def test_more_local_memory_faster(self):
         wl = self.make()
-        slow = wl.run_trackfm(256, wl.working_set // 20)
-        fast = wl.run_trackfm(256, wl.working_set // 2)
+        slow = wl.run_trackfm(model_trackfm(256, wl.working_set // 20))
+        fast = wl.run_trackfm(model_trackfm(256, wl.working_set // 2))
         assert fast.cycles < slow.cycles
 
     def test_amplification_metric(self):
         wl = self.make()
-        res = wl.run_fastswap(wl.working_set // 10)
+        res = wl.run_fastswap(model_fastswap(wl.working_set // 10))
         assert res.amplification(wl.working_set) > 1.0
 
     def test_validation(self):
@@ -184,21 +186,25 @@ class TestKMeans:
 
     def test_all_loops_slows_down(self):
         wl = self.make()
-        s = wl.speedup_vs_baseline(ChunkMode.ALL_LOOPS, 4 * KB, wl.working_set // 4)
+        rt = model_trackfm(4 * KB, wl.working_set // 4)
+        s = wl.speedup_vs_baseline(ChunkMode.ALL_LOOPS, rt)
         assert s < 0.5  # the ~4x slowdown of Fig. 8
 
     def test_filtered_speeds_up(self):
         wl = self.make()
-        s = wl.speedup_vs_baseline(ChunkMode.HIGH_DENSITY, 4 * KB, wl.working_set // 4)
+        rt = model_trackfm(4 * KB, wl.working_set // 4)
+        s = wl.speedup_vs_baseline(ChunkMode.HIGH_DENSITY, rt)
         assert 1.5 < s < 3.5  # the ~2.5x speedup of Fig. 8
 
     def test_baseline_speedup_is_one(self):
         wl = self.make()
-        assert wl.speedup_vs_baseline(ChunkMode.BASELINE, 4 * KB, wl.working_set) == 1.0
+        rt = model_trackfm(4 * KB, wl.working_set)
+        assert wl.speedup_vs_baseline(ChunkMode.BASELINE, rt) == 1.0
 
     def test_metrics_populated(self):
         wl = self.make()
-        _, metrics = wl.run(ChunkMode.HIGH_DENSITY, 4 * KB, wl.working_set // 4)
+        rt = model_trackfm(4 * KB, wl.working_set // 4)
+        _, metrics = wl.run(rt, ChunkMode.HIGH_DENSITY)
         assert metrics.accesses == wl.accesses_per_iteration() * wl.iterations
         assert metrics.remote_fetches > 0
 
