@@ -146,5 +146,10 @@ class RegionAllocator:
                 return candidate
         return None
 
+    def is_live(self, alloc: Allocation) -> bool:
+        """Whether ``alloc`` itself, not a later allocation at its
+        offset, is still allocated."""
+        return self._live.get(alloc.offset) is alloc
+
     def live_allocations(self) -> List[Allocation]:
         return list(self._live.values())

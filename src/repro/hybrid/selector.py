@@ -91,19 +91,21 @@ class PathSelector:
         #: selector from its next window on.
         self.config = config
 
-    def _wire_terms(self) -> Tuple[float, float]:
-        """Per-miss wire serialization (object, page): I/O amplification."""
-        cfg = self.config
-        return (
-            self.cost_model.object_size / cfg.wire_bytes_per_cycle,
-            cfg.page_bytes / cfg.wire_bytes_per_cycle,
-        )
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "config":
+            #: Per-miss wire serialization (object, page): I/O
+            #: amplification, worked out once per config.
+            object.__setattr__(self, "_wire", (
+                self.cost_model.object_size / value.wire_bytes_per_cycle,
+                value.page_bytes / value.wire_bytes_per_cycle,
+            ))
 
     def tier_costs(self, stats: RegionStats) -> Tuple[float, float]:
         """``(object_cycles, page_cycles)`` predicted for the window."""
         cfg = self.config
         model = self.cost_model
-        wire_object, wire_page = self._wire_terms()
+        wire_object, wire_page = self._wire
         return (
             model.object_tier_cost(
                 stats.accesses,
@@ -138,7 +140,7 @@ class PathSelector:
     def crossover_density(self, stats: RegionStats) -> float:
         """The window's break-even accesses/page (diagnostics/figures)."""
         pages = max(1, stats.distinct_pages)
-        wire_object, wire_page = self._wire_terms()
+        wire_object, wire_page = self._wire
         return self.cost_model.paging_crossover_density(
             objects_touched_per_page=stats.distinct_objects / pages,
             resident_fraction=self.config.resident_fraction,

@@ -56,6 +56,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
+from itertools import filterfalse
 from typing import AbstractSet, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DataIntegrityError, RuntimeConfigError
@@ -791,12 +792,25 @@ class ShardedCluster:
         return _result((coordinator, value, cycles, degraded, version, acks))
 
     def read_value(self, key: int) -> int:
-        """The durable value of ``key`` right now (no cost accounting):
-        the freshest copy among its replicas that are not lost (among
-        all of them when every one is)."""
-        reps = self.replicas(key)
-        reachable = [sid for sid in reps if not self.shards[sid].lost]
-        return self._freshest(key, reachable or reps)[0]
+        """The durable value of ``key`` right now (no cost accounting)."""
+        return self.durable_values((key,))[0]
+
+    def durable_values(self, keys: Optional[Iterable[int]] = None) -> List[int]:
+        """The durable value of each of ``keys`` (every key of the
+        keyspace by default) right now, in order, with no cost
+        accounting: the freshest copy among the key's replicas that are
+        not lost, or among all of them when every one is."""
+        lost = {sid for sid, shard in self.shards.items() if shard.lost}
+        not_lost = partial(filterfalse, lost.__contains__)
+        replica_sets = self._replica_sets
+        freshest = self._freshest
+        values = []
+        for key in range(self.config.n_keys) if keys is None else keys:
+            reps = replica_sets.get(key) or self.replicas(key)
+            if lost:
+                reps = tuple(not_lost(reps)) or reps
+            values.append(freshest(key, reps)[0])
+        return values
 
     # -- chaos: loss, rebalance, join ---------------------------------------
 

@@ -206,8 +206,7 @@ class ServingSimulation:
         # folds it into the report's FNV digest.
         final_values = self.final_values
         values_checksum = 0xCBF29CE484222325
-        for key in range(config.n_keys):
-            value = cluster.read_value(key)
+        for key, value in enumerate(cluster.durable_values()):
             final_values[key] = value
             values_checksum = ((values_checksum ^ value) * 0x100000001B3) & _MASK64
 

@@ -33,6 +33,29 @@ classic compiler pipeline, aimed at Python source:
   for the run (``interp.inline_state``).  A cache or residency miss
   calls that object's own ``access``; a slow path, an object crossing,
   a custody miss or an unbound state calls the entry.
+* **Inline hits post their counts at the next call.**  A hit adds one
+  to a frame local: ``nf`` (a FAST guard), ``nb`` (a BOUNDARY deref) or
+  ``nh`` (a state-table cache hit); ``cycles`` is still added per hit,
+  since the order of float additions is part of every exact baseline.
+  Before every call, return and block hook, and in the exception
+  handler for an op's line, one line hands the counts to ``POST``,
+  which adds them to ``metrics.guards``, ``metrics.accesses`` and the
+  cache's ``hits``, so whatever can observe them sees the legacy
+  engine's values.  A segment that crosses ``max_steps`` posts them
+  before its checked build runs, which books its own hits directly.
+* **Each load or store site keeps a span.**  Site ``k`` holds in frame
+  locals the ``(start, last, data)`` of the region its access used last:
+  ``ms<k>``, ``ml<k>`` (the last address an access of its size fits at)
+  and ``md<k>``.  An access with ``ms<k> <= addr <= ml<k>`` unpacks or
+  packs on ``md<k>`` in place; any other one asks
+  :meth:`~repro.sim.memory.AddressSpace.span` (which raises the
+  :class:`~repro.errors.SegmentationFault`) and keeps what it returns.
+  A store converts its value first, as ``AddressSpace.store`` does.
+  Every span is dropped (its limit set to ``-inf``) after each call
+  and block hook: only they can unmap a region (a callee's allocas,
+  ``free``, ``realloc``, ``tfm_free``), and a freed TrackFM offset can
+  be mapped again, with new bytes, at the same twin address.  The
+  inline hits' own ``access`` calls and a global's address keep them.
 * **Steps are counted per segment.**  A block splits into straight-line
   segments, each ending after a call to an internal function (the
   callee's steps land mid-block).  A segment adds its op count, plus
@@ -48,10 +71,14 @@ classic compiler pipeline, aimed at Python source:
   in its segment, so a load or store that faults (or a hook or a cast
   that raises) leaves ``interp.steps`` where the legacy engine leaves
   it, at no cost on the path that does not raise.
+* **Division takes the floor when both signs are known.**  ``sdiv`` and
+  ``srem`` with a non-negative dividend and a positive divisor are
+  Python's ``//`` and ``%``; every other sign pair, a zero divisor and
+  ``INT64_MIN / -1`` truncate through ``abs`` as the legacy engine does.
 
 No IR text reaches the source: it holds only identifiers and integers
 the generator computes (slots, block indices, sizes, widths and masks).
-Codecs, operators, constants, messages, block names and the ``Function``
+Codec functions, operators, constants, messages, block names and the ``Function``
 reach the code through its namespace.  Each source is registered with
 :mod:`linecache` under a file name that names the IR function, such as
 ``<decoded @main #3>``, so tracebacks and profiles show the generated
@@ -68,14 +95,19 @@ from typing import Callable, Dict, List, Optional
 
 from repro.aifm.objectmeta import UNSAFE_MASK
 from repro.errors import InterpError
+from repro.machine.cache import CacheStats
 from repro.machine.costs import GuardKind
 from repro.sim import decode
 from repro.sim.decode import DecodedFunction, DecodedModule
+from repro.sim.metrics import Metrics
 from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK
 from repro.trackfm.runtime import TWIN_BASE, InlineState
 from repro.trackfm.state_table import ENTRY_BYTES
 
 _M64 = (1 << 64) - 1
+# Enum members bound once: a class lookup is slow (docs/performance.md).
+_FAST = GuardKind.FAST
+_BOUNDARY = GuardKind.BOUNDARY
 
 #: Tells generated files apart in :mod:`linecache` (several modules may
 #: each define a ``@main``).
@@ -123,8 +155,28 @@ _INLINE_SITES = {
 }
 
 
+#: A dropped span's limit, ``-inf``: no address fits under it, so the
+#: site's next access looks its region up.
+_NO_SPAN = "-1e999"
+
+
 def _exceeded(max_steps: int) -> InterpError:
     return InterpError(f"exceeded max_steps={max_steps}")
+
+
+def _post(metrics: Metrics, cache_stats: CacheStats, fast: int, hits: int,
+          boundary: int) -> int:
+    """Add a frame's counted inline hits to the run's metrics and cache
+    stats; returns the counts' new value, 0.  A kind never counted gains
+    no zero entry in ``metrics.guards``."""
+    guards = metrics.guards
+    if fast:
+        guards[_FAST] = guards.get(_FAST, 0) + fast
+    if boundary:
+        guards[_BOUNDARY] = guards.get(_BOUNDARY, 0) + boundary
+    metrics.accesses += fast + boundary
+    cache_stats.hits += hits
+    return 0
 
 
 def _fdiv_by_zero(fa: float) -> float:
@@ -169,14 +221,32 @@ class _Source:
 
 
 class _Emitter:
-    """Writes the ops of one decoded function as Python statements."""
+    """Writes the ops of one decoded function as Python statements.
 
-    def __init__(self, dmod: DecodedModule, df: DecodedFunction, src: _Source) -> None:
+    ``ops`` are the ops it will write: the function's, or one segment's
+    for a ``checked`` build, which books its inline hits directly.
+    """
+
+    def __init__(self, dmod: DecodedModule, df: DecodedFunction, src: _Source,
+                 ops: List[tuple], checked: bool = False) -> None:
         self.dmod = dmod
         self.df = df
         self.src = src
+        self.checked = checked
         #: Callee ids of the internal functions this code calls.
         self.internal: List[int] = []
+        #: Memory op (by identity) -> its site number ``k``, whose span
+        #: is the locals ``ms<k>`` (start), ``ml<k>`` (the last address
+        #: its access fits at) and ``md<k>`` (the region's bytes).
+        self.sites: Dict[int, int] = {}
+        for op in ops:
+            if op[0] in (decode.OP_LOAD, decode.OP_STORE):
+                self.sites.setdefault(id(op), len(self.sites))
+        inline = {self.inline_site(op) for op in ops} - {None}
+        #: Whether the frame counts FAST (``nf``, with the state-table
+        #: cache's hits in ``nh``) and BOUNDARY (``nb``) inline hits.
+        self.fast = not checked and any(not deref for deref, _write in inline)
+        self.boundary = not checked and any(deref for deref, _write in inline)
 
     def wrap(self, depth: int, dst: str, expr: str, bits: int, offset: int) -> None:
         """``dst = expr`` wrapped to two's complement at ``bits``."""
@@ -186,7 +256,8 @@ class _Emitter:
             emit(depth, f"{dst} = ({expr}) & 1", offset)
             return
         half = 1 << (bits - 1)
-        emit(depth, f"{dst} = {expr}", offset)
+        if expr != dst:
+            emit(depth, f"{dst} = {expr}", offset)
         emit(depth, f"if not {-half} <= {dst} <= {half - 1}:", offset)
         emit(depth + 1, f"{dst} = (({dst} + {half}) & {(1 << bits) - 1}) - {half}", offset)
 
@@ -196,6 +267,38 @@ class _Emitter:
 
     def writeback(self, depth: int, offset: int) -> None:
         self.src.emit(depth, "interp.steps = steps" + (f" - {offset}" if offset else ""))
+
+    def flush(self, depth: int) -> None:
+        """Post the frame's inline-hit counts to the run's metrics."""
+        counts = [n if on else "0" for n, on in (
+            ("nf", self.fast), ("nh", self.fast), ("nb", self.boundary))]
+        held = [n for n in counts if n != "0"]
+        if held:
+            self.src.emit(depth, f"if {' or '.join(held)}: {' = '.join(held)} = "
+                                 f"POST(t_metrics, t_cache_stats, {', '.join(counts)})")
+
+    def before_call(self, depth: int, offset: int) -> None:
+        """Post the counts and write ``steps`` back, for the callee (or
+        the caller, at a return) to read."""
+        self.flush(depth)
+        self.writeback(depth, offset)
+
+    def drop(self, depth: int) -> None:
+        """Drop every span: a call or a hook may have unmapped its region."""
+        if self.sites:
+            limits = " = ".join(f"ml{k}" for k in self.sites.values())
+            self.src.emit(depth, f"{limits} = {_NO_SPAN}")
+
+    def span(self, depth: int, op: tuple, ptr: str, size: int, offset: int) -> tuple:
+        """Make ``op``'s site span hold ``size`` bytes at ``ptr``; returns
+        the names of its start and its bytes."""
+        emit = self.src.emit
+        k = self.sites[id(op)]
+        size = _lit(size)
+        emit(depth, f"if not ms{k} <= {ptr} <= ml{k}:", offset)
+        emit(depth + 1, f"ms{k}, ml{k}, md{k} = span({ptr}, {size})", offset)
+        emit(depth + 1, f"ml{k} -= {size}", offset)
+        return f"ms{k}", f"md{k}"
 
     def copies(self, depth: int, dests, srcs, offset: int) -> None:
         if dests:
@@ -240,16 +343,29 @@ class _Emitter:
             scaled = f"r{op[3]}" if op[4] == 1 else f"r{op[3]} * {_lit(op[4])}"
             emit(depth, f"r{op[1]} = (r{op[2]} + {scaled}) & {_M64}", offset)
         elif tag == decode.OP_LOAD:
-            emit(depth, f"r{op[1]} = load(r{op[2]}, {self.src.bind('C', op[3])})", offset)
+            codec = op[3]
+            start, data = self.span(depth, op, f"r{op[2]}", codec[0], offset)
+            unpack = self.src.bind("U", codec[1])
+            emit(depth, f"r{op[1]} = {unpack}({data}, r{op[2]} - {start})[0]", offset)
         elif tag == decode.OP_STORE:
-            emit(depth, f"store(r{op[3]}, {self.src.bind('C', op[2])}, r{op[1]})", offset)
+            codec = op[2]
+            # The value is converted before the address is checked.
+            if codec[3]:
+                emit(depth, f"v = int(r{op[1]}) & {_lit(codec[3])}", offset)
+            elif codec[4] is float:
+                emit(depth, f"v = float(r{op[1]})", offset)
+            else:
+                emit(depth, f"v = {self.src.bind('V', codec[4])}(r{op[1]})", offset)
+            start, data = self.span(depth, op, f"r{op[3]}", codec[0], offset)
+            pack = self.src.bind("P", codec[2])
+            emit(depth, f"{pack}({data}, r{op[3]} - {start}, v)", offset)
         elif tag == decode.OP_BR:
             self.copies(depth, op[2], op[3], offset)
             emit(depth, f"b = {op[1]}", offset)
         elif tag == decode.OP_CONDBR:
             self.condbr(depth, op, offset)
         elif tag == decode.OP_RET:
-            self.writeback(depth, offset)
+            self.before_call(depth, offset)
             emit(depth, "return None" if op[1] is None else f"return r{op[1]}")
         elif tag == decode.OP_CALL:
             self.call(depth, op, offset)
@@ -313,18 +429,24 @@ class _Emitter:
 
     def division(self, depth: int, op: tuple, offset: int) -> None:
         emit = self.src.emit
+        sdiv = op[0] == decode.OP_SDIV
+        dst = f"r{op[1]}"
         emit(depth, f"ia = int(r{op[2]})", offset)
         emit(depth, f"ib = int(r{op[3]})", offset)
-        emit(depth, "if ib == 0:", offset)
-        message = "sdiv by zero" if op[0] == decode.OP_SDIV else "srem by zero"
-        self.raise_(depth + 1, message, offset)
-        emit(depth, "q = abs(ia) // abs(ib)", offset)
-        if op[0] == decode.OP_SDIV:
-            self.wrap(depth, f"r{op[1]}", "-q if (ia < 0) != (ib < 0) else q", op[4], offset)
+        # Both signs known: floor division is the truncating one.
+        emit(depth, "if ia >= 0 < ib:", offset)
+        emit(depth + 1, f"{dst} = ia // ib" if sdiv else f"{dst} = ia % ib", offset)
+        emit(depth, "else:", offset)
+        emit(depth + 1, "if ib == 0:", offset)
+        self.raise_(depth + 2, "sdiv by zero" if sdiv else "srem by zero", offset)
+        emit(depth + 1, "q = abs(ia) // abs(ib)", offset)
+        if sdiv:
+            emit(depth + 1, f"{dst} = -q if (ia < 0) != (ib < 0) else q", offset)
         else:
-            emit(depth, "if (ia < 0) != (ib < 0):", offset)
-            emit(depth + 1, "q = -q", offset)
-            self.wrap(depth, f"r{op[1]}", "ia - q * ib", op[4], offset)
+            emit(depth + 1, "if (ia < 0) != (ib < 0):", offset)
+            emit(depth + 2, "q = -q", offset)
+            emit(depth + 1, f"{dst} = ia - q * ib", offset)
+        self.wrap(depth, dst, dst, op[4], offset)
 
     def call(self, depth: int, op: tuple, offset: int) -> None:
         emit = self.src.emit
@@ -341,8 +463,9 @@ class _Emitter:
                 self.inline_hit(depth, op, *site, offset)
                 emit(depth, "else:", offset)
                 depth += 1
-            self.writeback(depth, offset)
+            self.before_call(depth, offset)
             emit(depth, f"{lhs}(callees[{cid}] or resolve({cid}))({argv})")
+            self.drop(depth)
             return
         callee = self.dmod.functions[name]
         if len(args) != callee.nargs:
@@ -352,9 +475,10 @@ class _Emitter:
             return
         if cid not in self.internal:
             self.internal.append(cid)
-        self.writeback(depth, offset)
+        self.before_call(depth, offset)
         emit(depth, f"{lhs}f{cid}(interp{', ' if argv else ''}{argv})")
         emit(depth, "steps = interp.steps")
+        self.drop(depth)
 
     def inline_hit(self, depth: int, op: tuple, deref: bool, write: bool,
                    offset: int) -> None:
@@ -389,7 +513,7 @@ class _Emitter:
             emit(inner, "e = t_sets.get(line % t_num_sets)", offset)
             emit(inner, "if e is not None and tag in e:", offset)
             emit(inner + 1, "e.move_to_end(tag)", offset)
-            emit(inner + 1, "t_cache_stats.hits += 1", offset)
+            emit(inner + 1, "t_cache_stats.hits += 1" if self.checked else "nh += 1", offset)
             emit(inner + 1, f"c = {fast}[1]", offset)
             emit(inner, "else:", offset)
             emit(inner + 1, f"c = {fast}[t_cache_access(a)]", offset)
@@ -404,9 +528,12 @@ class _Emitter:
             emit(inner + 1, "t_dirty.add(o)", offset)
         emit(inner, "else:", offset)
         emit(inner + 1, f"t_residency_access(o, {write})", offset)
-        name = self.src.bind("K", kind)
-        emit(inner, f"t_guards[{name}] = t_guards.get({name}, 0) + 1", offset)
-        emit(inner, "t_metrics.accesses += 1", offset)
+        if self.checked:
+            name = self.src.bind("K", kind)
+            emit(inner, f"t_guards[{name}] = t_guards.get({name}, 0) + 1", offset)
+            emit(inner, "t_metrics.accesses += 1", offset)
+        else:
+            emit(inner, "nb += 1" if deref else "nf += 1", offset)
         emit(inner, f"t_metrics.cycles += {'t_chunk_hit' if deref else 'c'}", offset)
         emit(inner, f"r{dest} = {TWIN_BASE} + {heap}", offset)
 
@@ -447,16 +574,15 @@ def _emit_segment_ops(em: _Emitter, depth: int, ops: List[tuple], steps: int) ->
 
 
 def _prologue(src: _Source, em: _Emitter, depth: int, full: bool) -> None:
-    """Bind the interpreter state the ops use (all of it when ``full``)."""
+    """Bind the interpreter state the ops use (all of it when ``full``),
+    with every span dropped and no hit counted."""
     tags = {op[0] for block in em.df.blocks for op in block}
     calls = [op for block in em.df.blocks for op in block if op[0] == decode.OP_CALL]
     uses_cache = any(em.dmod.callee_static[op[2]][0] != decode.CALLEE_INTERNAL for op in calls)
     if full or tags & {decode.OP_LOAD, decode.OP_STORE, decode.OP_ALLOCA}:
         src.emit(depth, "memory = interp.memory")
-    if full or decode.OP_LOAD in tags:
-        src.emit(depth, "load = memory.load")
-    if full or decode.OP_STORE in tags:
-        src.emit(depth, "store = memory.store")
+    if full or tags & {decode.OP_LOAD, decode.OP_STORE}:
+        src.emit(depth, "span = memory.span")
     if full or uses_cache:
         src.emit(depth, "callees = interp._callee_cache")
         src.emit(depth, "resolve = interp._resolve_callee")
@@ -466,6 +592,12 @@ def _prologue(src: _Source, em: _Emitter, depth: int, full: bool) -> None:
         src.emit(depth, "tfm = interp.inline_state")
         src.emit(depth, "if tfm is not None:")
         src.emit(depth + 1, ", ".join(f"t_{f}" for f in InlineState._fields) + " = tfm")
+    if em.sites:
+        names = " = ".join(f"ms{k} = ml{k}" for k in em.sites.values())
+        src.emit(depth, f"{names} = {_NO_SPAN}")
+    counts = ["nf", "nh"] * em.fast + ["nb"] * em.boundary
+    if counts:
+        src.emit(depth, " = ".join(counts) + " = 0")
 
 
 def _register(source: str, filename: str, fn: Callable) -> None:
@@ -500,6 +632,10 @@ class _Crossing:
         fn = self.built.get(seg)
         if fn is None:
             fn = self.built[seg] = self._build(seg)
+        counts = [frame.get(n, 0) for n in ("nf", "nh", "nb")]
+        if any(counts):
+            # The frame's hits, posted before anything the segment calls.
+            _post(interp.inline_state.metrics, interp.inline_state.cache_stats, *counts)
         regs = tuple(frame[f"r{i}"] for i in range(len(self.df.template)))
         fn(interp, steps, frame.get("allocas"), regs)
         raise AssertionError("a segment that crosses max_steps ran to its end")
@@ -507,7 +643,7 @@ class _Crossing:
     def _build(self, seg: int) -> Callable:
         phis, ops = self.segments[seg]
         src = _Source(self.src.ns, self.src.bound)
-        em = _Emitter(self.dmod, self.df, src)
+        em = _Emitter(self.dmod, self.df, src, ops, checked=True)
         src.emit(0, "def decoded(interp, steps, allocas, regs):")
         src.emit(1, ", ".join(f"r{i}" for i in range(len(self.df.template))) + ", = regs")
         src.emit(1, "max_steps = interp.max_steps")
@@ -530,12 +666,13 @@ def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
         "InterpError": InterpError,
         "EXCEEDED": _exceeded,
         "FDIV0": _fdiv_by_zero,
+        "POST": _post,
         "F": df.func,
         "NAMES": tuple(df.names),
         "T": tuple(df.template[df.nargs:]),
     }
     src = _Source(ns, {})
-    em = _Emitter(dmod, df, src)
+    em = _Emitter(dmod, df, src, [op for block in df.blocks for op in block])
     segments: List[tuple] = []
 
     params = "".join(f", r{i}" for i in range(df.nargs))
@@ -554,7 +691,9 @@ def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
     src.emit(1, "try:")
     src.emit(2, "while True:")
     src.emit(3, "if hook is not None:")
+    em.flush(4)
     src.emit(4, "hook(F, NAMES[b])", 0)
+    em.drop(4)
 
     def block(depth: int, bi: int) -> None:
         phis = df.phis[bi]
@@ -563,7 +702,8 @@ def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
             if steps > phis:
                 src.emit(depth, f"steps += {steps}")
                 src.emit(depth, "if steps > max_steps:")
-                # The checked build reads the registers from the frame.
+                # The checked build reads the registers and the hit
+                # counts from the frame.
                 src.emit(depth + 1, f"X(interp, {len(segments)}, steps - {steps}, locals())")
                 segments.append((phis, ops))
             elif steps:
@@ -586,6 +726,9 @@ def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
     src.emit(2, "d = LINES.get(exc.__traceback__.tb_lineno)")
     src.emit(2, "if d is not None:")
     src.emit(3, "interp.steps = steps - d")
+    # Only an op's line can raise with hits not posted: a call, the hook
+    # and a crossing's checked build post them first.
+    em.flush(3)
     src.emit(2, "raise")
     if has_allocas:
         src.emit(1, "finally:")

@@ -9,16 +9,15 @@ pointer triggers on real x86 when it escapes to an unguarded load/store
 Typed accesses go through a codec (:data:`Codec`), resolved once per IR
 type by :func:`codec_for`: the decoder bakes one into every load and store, so
 the per-access path never re-derives a type's width, signedness or
-float-ness.  :meth:`AddressSpace.load`/:meth:`AddressSpace.store` are
-the only typed-access implementation; ``read_value``/``write_value``
-look the codec up and call them.  Both keep a two-entry hot-region
-cache, the most recently used region and the one used before it: an
-access inside the first costs one bounds test, one inside the second
-two tests and a swap of the entries, and any other falls back to the
-sorted-region bisect and becomes the first entry.  Two entries cover a
-loop that alternates between two arrays (a stencil's source and
-destination, a histogram's keys and counts).  :meth:`AddressSpace.unmap`
-clears whichever entries hold the region it removes.
+float-ness.  :meth:`AddressSpace.span` is the one region rule: the
+``(start, end, data)`` of the region that holds an access, found by a
+bisect of the sorted region starts, or a :class:`SegmentationFault`.
+:meth:`AddressSpace.load`/:meth:`AddressSpace.store` (the legacy engine's
+typed accesses, through ``read_value``/``write_value``) look every access
+up there.  Code generated by :mod:`repro.sim.codegen` keeps the span each
+load or store site used last and calls ``span`` only for an access
+outside it; a span holds the region's ``bytearray`` by reference, which
+is why a mapped region's ``data`` is never replaced or resized.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ class MemoryRegion:
     """One mapped range [start, start+len(data)).
 
     ``data`` is never replaced or resized while the region is mapped:
-    the address space caches it by reference.
+    spans hold it by reference.
     """
 
     start: int
@@ -112,23 +111,20 @@ class MemoryRegion:
         return self.start + len(self.data)
 
 
-#: The hot-region cache's empty state: no access (size >= 1) fits in it.
-_NO_REGION: Tuple[int, int, bytearray] = (0, 0, bytearray())
-
-
 class AddressSpace:
-    """Sorted, non-overlapping memory regions with typed accessors."""
+    """Sorted, non-overlapping memory regions with typed accessors.
+
+    :meth:`span` is the one lookup of the region an access falls in.
+    Generated code keeps what it returns per load or store site until
+    its frame's next call or block hook, so only code a generated frame
+    calls (an intrinsic, a callee, the hook) may unmap a region.
+    """
 
     def __init__(self) -> None:
         self._starts: List[int] = []
         self._regions: List[MemoryRegion] = []
         #: ``(start, end, data)`` of each region, parallel to ``_starts``.
         self._spans: List[Tuple[int, int, bytearray]] = []
-        #: ``(start, end, data)`` of the region the last typed access
-        #: used, and of the one used before it; an entry is cleared when
-        #: its region is unmapped.
-        self._hot: Tuple[int, int, bytearray] = _NO_REGION
-        self._prev: Tuple[int, int, bytearray] = _NO_REGION
 
     # -- mapping --------------------------------------------------------
 
@@ -155,18 +151,24 @@ class AddressSpace:
         del self._starts[idx]
         del self._regions[idx]
         del self._spans[idx]
-        if self._hot[0] == start:
-            self._hot = _NO_REGION
-        if self._prev[0] == start:
-            self._prev = _NO_REGION
 
-    def region_for(self, addr: int, size: int = 1) -> MemoryRegion:
+    def span(self, addr: int, size: int) -> Tuple[int, int, bytearray]:
+        """``(start, end, data)`` of the region that holds all ``size``
+        bytes at ``addr``; an unmapped or straddling access raises
+        :class:`SegmentationFault`.  The one region rule: every typed
+        access and :meth:`region_for` look regions up here."""
         idx = bisect.bisect_right(self._starts, addr) - 1  # start <= addr
-        if idx >= 0 and addr + size <= self._spans[idx][1]:
-            return self._regions[idx]
+        if idx >= 0:
+            span = self._spans[idx]
+            if addr + size <= span[1]:
+                return span
         raise SegmentationFault(
             f"access to unmapped address {addr:#x} (size {size})"
         )
+
+    def region_for(self, addr: int, size: int = 1) -> MemoryRegion:
+        start = self.span(addr, size)[0]
+        return self._regions[bisect.bisect_left(self._starts, start)]
 
     def is_mapped(self, addr: int, size: int = 1) -> bool:
         try:
@@ -192,27 +194,9 @@ class AddressSpace:
 
     # -- typed accessors --------------------------------------------------
 
-    def _make_hot(self, addr: int, size: int) -> Tuple[int, int, bytearray]:
-        """Cache miss: find the region's span (or fault) and make it the
-        first entry; the old first entry becomes the second."""
-        idx = bisect.bisect_right(self._starts, addr) - 1  # start <= addr
-        if idx < 0 or addr + size > self._spans[idx][1]:
-            self.region_for(addr, size)  # raises SegmentationFault
-        self._prev = self._hot
-        hot = self._hot = self._spans[idx]
-        return hot
-
     def load(self, addr: int, codec: Codec):
         """Load one value of ``codec``'s type from ``addr``."""
-        start, end, data = self._hot
-        if not (start <= addr and addr + codec[0] <= end):
-            prev = self._prev
-            start, end, data = prev
-            if start <= addr and addr + codec[0] <= end:
-                self._prev = self._hot
-                self._hot = prev
-            else:
-                start, end, data = self._make_hot(addr, codec[0])
+        start, _end, data = self.span(addr, codec[0])
         return codec[1](data, addr - start)[0]
 
     def store(self, addr: int, codec: Codec, value) -> None:
@@ -223,15 +207,7 @@ class AddressSpace:
         """
         mask = codec[3]
         value = int(value) & mask if mask else codec[4](value)
-        start, end, data = self._hot
-        if not (start <= addr and addr + codec[0] <= end):
-            prev = self._prev
-            start, end, data = prev
-            if start <= addr and addr + codec[0] <= end:
-                self._prev = self._hot
-                self._hot = prev
-            else:
-                start, end, data = self._make_hot(addr, codec[0])
+        start, _end, data = self.span(addr, codec[0])
         codec[2](data, addr - start, value)
 
     def read_value(self, addr: int, ty: IRType):

@@ -92,6 +92,10 @@ class _ChunkState:
     pinned: bool = False
     #: Whether the compiler asked for stride prefetching on this stream.
     prefetch: bool = False
+    #: The allocation the stream's last prefetching crossing landed in,
+    #: and its object range, which clips the stream's prefetches.
+    clip_alloc: Optional[Allocation] = None
+    clip: Tuple[int, int] = (0, 0)
 
 
 def _guard_entry(kind: AccessKind):
@@ -467,10 +471,20 @@ class TrackFMRuntime:
                 elif prefetch:
                     # Clip prefetch targets to the allocation the pointer
                     # belongs to; fetching past it would be pure waste.
-                    lo, hi = 0, self.pool.num_objects
-                    alloc = self.allocator.allocation_at(ptr & MAX_HEAP_OFFSET)
-                    if alloc is not None:
-                        lo, hi = alloc.object_range(self.object_size)
+                    # The stream keeps the clip while the allocation is
+                    # live and holds the pointer.
+                    offset = ptr & MAX_HEAP_OFFSET
+                    alloc = state.clip_alloc
+                    if alloc is None or not (
+                        alloc.offset <= offset < alloc.offset + alloc.size
+                        and self.allocator.is_live(alloc)
+                    ):
+                        alloc = state.clip_alloc = self.allocator.allocation_at(offset)
+                        state.clip = (
+                            (0, self.pool.num_objects) if alloc is None
+                            else alloc.object_range(self.object_size)
+                        )
+                    lo, hi = state.clip
                     for target in self.prefetcher.observe(obj_id, stream=stream):
                         if lo <= target < hi:
                             cycles += self.pool.prefetch(target)

@@ -11,23 +11,35 @@ work to do) that exercises every shape the TrackFM pipeline transforms:
   from the running state;
 * **calls** — a generated helper function with baked-in constants.
 
-Everything is derived from ``random.Random(seed)`` at *build* time; the
-emitted IR is deterministic, loop trips are bounded, and all indices are
-reduced mod the array length, so any (seed, pipeline) pair terminates
-with a defined result.  Differential tests interpret the raw module and
-the fully compiled module and demand identical values.
+With ``heap=True`` the main loop also works through a heap **buffer**
+that it moves or renews every iteration: it loads and stores through
+the buffer, then either calls a callee whose locals live in stack slots
+and ``realloc``s the buffer (one iteration in three) or ``free``s it and
+``malloc``s a new one.  Each iteration's first access goes to memory
+unmapped since the last one, and after TrackFM's ``tfm_free`` the new
+buffer takes the freed offset: new bytes at the same address.
+
+Everything is derived from ``random.Random(seed)`` at *build* time (the
+buffer's choices from a second generator, so ``heap=False`` programs do
+not change); the emitted IR is deterministic, loop trips are bounded,
+and all indices are reduced mod the array length, so any (seed,
+pipeline) pair terminates with a defined result.  Differential tests
+interpret the raw module and the fully compiled module and demand
+identical values.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.ir import IRBuilder, I64, PTR, Module
+from repro.ir import IRBuilder, I64, PTR, VOID, Module
 from repro.ir.values import Constant
 
 #: Heap array length (elements); every index is taken mod this.
 ARRAY_ELEMS = 64
 ELEM = 8
+#: Length of the ``heap=True`` buffer (elements).
+BUFFER_ELEMS = 8
 
 #: Body op kinds the generator draws from (weights roughly even, with
 #: arithmetic slightly favoured so programs aren't all memory traffic).
@@ -59,11 +71,64 @@ def _build_helper(m: Module, rng: random.Random) -> str:
     return name
 
 
-def generate_module(seed: int) -> Module:
-    """One deterministic random program for ``seed``."""
+def _build_scratch(m: Module, rng: random.Random) -> str:
+    """A callee that mixes its two arguments through stack slots."""
+    name = "scratch"
+    f = m.add_function(name, I64, [I64, I64], ["a", "b"])
+    b = IRBuilder(f.add_block("entry"))
+    s1 = b.alloca(8, name="s1")
+    s2 = b.alloca(8, name="s2")
+    b.store(f.args[0], s1)
+    b.store(f.args[1], s2)
+    mixed = _arith(b, rng.choice(_ARITH), b.load(I64, s1), b.load(I64, s2))
+    b.store(b.add(mixed, rng.randrange(-50, 51)), s2)
+    b.ret(b.load(I64, s2))
+    return name
+
+
+def _buffer_round(b: IRBuilder, f, rng: random.Random, slots: dict, scratch: str) -> None:
+    """One iteration's work on the heap buffer, at the end of the body.
+
+    ``slots`` holds the stack slots of the buffer pointer and of ``i``,
+    ``x`` and ``y``; the builder is left in the join block.  Two
+    iterations in three renew the buffer, so a renewed buffer is often
+    renewed again: freed, and allocated anew where it was.  No call runs
+    between the buffer's accesses and the renewal.
+    """
+    size = Constant(I64, BUFFER_ELEMS * ELEM)
+    buf = b.load(PTR, slots["buf"])
+    i = b.load(I64, slots["i"])
+    j = b.srem(b.mul(i, rng.randrange(1, 9)), BUFFER_ELEMS)
+    v = b.load(I64, b.gep(buf, j, ELEM))
+    x = b.load(I64, slots["x"])
+    k = b.srem(b.add(j, rng.randrange(1, BUFFER_ELEMS)), BUFFER_ELEMS)
+    b.store(b.add(v, x), b.gep(buf, k, ELEM))
+    move = f.add_block("buf_move")
+    renew = f.add_block("buf_renew")
+    join = f.add_block("buf_join")
+    b.condbr(b.icmp("eq", b.srem(i, 3), 0), move, renew)
+    b.set_block(move)
+    y = b.load(I64, slots["y"])
+    b.store(b.add(y, b.call(I64, scratch, [v, x])), slots["y"])
+    b.store(b.call(PTR, "realloc", [buf, size]), slots["buf"])
+    b.br(join)
+    b.set_block(renew)
+    b.call(VOID, "free", [buf])
+    fresh = b.call(PTR, "malloc", [size])
+    b.store(b.add(i, rng.randrange(-50, 51)), b.gep(fresh, j, ELEM))
+    b.store(fresh, slots["buf"])
+    b.br(join)
+    b.set_block(join)
+
+
+def generate_module(seed: int, heap: bool = False) -> Module:
+    """One deterministic random program for ``seed``; ``heap`` adds the
+    buffer the loop moves or renews every iteration."""
     rng = random.Random(seed)
-    m = Module(f"fuzz_seed{seed}")
+    m = Module(f"fuzz_seed{seed}" + ("_heap" if heap else ""))
     helper = _build_helper(m, rng)
+    hrng = random.Random(f"heap{seed}")
+    scratch = _build_scratch(m, hrng) if heap else None
 
     f = m.add_function("main", I64)
     entry = f.add_block("entry")
@@ -80,6 +145,11 @@ def generate_module(seed: int) -> Module:
     y_slot = b.alloca(8, name="y")
     i_slot = b.alloca(8, name="islot")
     j_slot = b.alloca(8, name="jslot")
+    slots = {"i": i_slot, "x": x_slot, "y": y_slot}
+    if heap:
+        slots["buf"] = b.alloca(8, name="bufslot")
+        size = Constant(I64, BUFFER_ELEMS * ELEM)
+        b.store(b.call(PTR, "malloc", [size], name="buf"), slots["buf"])
     b.store(rng.randrange(1, 8), x_slot)
     b.store(rng.randrange(1, 8), y_slot)
     b.store(0, i_slot)
@@ -170,6 +240,8 @@ def generate_module(seed: int) -> Module:
             v = b.load(I64, b.gep(data, j, ELEM))
             y = b.load(I64, y_slot)
             b.store(b.add(y, v), y_slot)
+    if heap:
+        _buffer_round(b, f, hrng, slots, scratch)
     i = b.load(I64, i_slot)
     b.store(b.add(i, 1), i_slot)
     b.br(hdr_check)

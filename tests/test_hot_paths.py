@@ -24,7 +24,9 @@ The frame budgets count, exactly, the Python frames one slow guard (on
 a bare link and on a serving shard's armed one), one prefetching chunk
 crossing, one served read and one replicated write (also after a
 failover) enter, what each request adds to a read-only serving run, and
-what the adaptive hybrid's page hit, page fault and epochs enter.
+what the adaptive hybrid's page hit, page fault and epochs enter.  A
+budget also holds the interpreter's region lookups in one seed-1 ``nas``
+rep.
 """
 
 import dis
@@ -32,6 +34,7 @@ import enum
 import inspect
 import sys
 from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -41,6 +44,7 @@ from repro.aifm.evacuator import Evacuator
 from repro.aifm.pool import ObjectPool, PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.bench.hybrid import SELECTOR
+from repro.compiler import CompilerConfig, TrackFMCompiler
 from repro.fastswap.runtime import FastswapRuntime
 from repro.hashing import splitmix64
 from repro.hybrid.placement import Placement
@@ -55,6 +59,7 @@ from repro.serve.cluster import ClusterConfig, RequestResult, Shard, ShardedClus
 from repro.serve.replication import ReplicaTag
 from repro.serve.simulation import ServingSimulation
 from repro.serve.traffic import Schedule, TrafficConfig, generate_schedule
+from repro.sim.irrun import TrackFMProgram
 from repro.sim.memory import AddressSpace
 from repro.sim.residency import AccessOutcome, ResidencySet
 from repro.trace.histogram import StreamingHistogram
@@ -77,10 +82,10 @@ HOT_PATHS = [
     TrackFMRuntime.chunk_access,
     # residency: hit, miss, eviction
     ResidencySet.access,
-    # the interpreter's typed loads and stores, and a hot-region miss
+    # the interpreter's typed loads and stores, and their region lookup
     AddressSpace.load,
     AddressSpace.store,
-    AddressSpace._make_hot,
+    AddressSpace.span,
     # object miss, prefetch and evacuation
     ObjectPool.ensure_local,
     ObjectPool.prefetch,
@@ -111,6 +116,7 @@ HOT_PATHS = [
     # served request, a write's tag, the final-value pass
     ShardedCluster.serve,
     ShardedCluster.read_value,
+    ShardedCluster.durable_values,
     Shard.service,
     ReplicaTag.at,
     splitmix64,
@@ -283,12 +289,16 @@ def _runtime(backend=None):
 #: straight to the link, so the armed slow guards enter what the bare
 #: ones do.  They read 12 and 19 while every message entered
 #: ``_resilient_cost``, a closure, ``allow`` and ``record_success``.
+#: The crossing read 46 while each prefetching crossing derived its clip
+#: from the allocator (``allocation_at``, ``object_range``, ``ceil_div``
+#: and ``Allocation.end`` twice); the stream now keeps the clip and asks
+#: ``RegionAllocator.is_live``.
 @pytest.mark.parametrize("case, frames", [
     ("slow guard, clean victim", 8),
     ("slow guard, dirty victim", 11),
     ("armed slow guard, clean victim", 8),
     ("armed slow guard, dirty victim", 11),
-    ("crossing, 8 prefetches", 46),
+    ("crossing, 8 prefetches", 42),
 ])
 def test_miss_path_frame_budget(case, frames):
     rt, ptr = _runtime(make_shard_backend("tcp", 0) if case.startswith("armed") else None)
@@ -424,15 +434,16 @@ def _paged_hybrid():
 #: A page hit enters ``access`` and the router; a fault into a full page
 #: tier adds ``_touch_page`` and ``ResidencySet.access``.  An epoch
 #: enters ``rebalance``, ``interleave_rate`` and ``fold``, and a window
-#: at or above the floor adds ``decide``, ``tier_costs``, ``_wire_terms``
-#: and the two tier costs.  The epochs entered 14 and 6 while ``fold``
-#: froze through ``_freeze`` (a generator and a dict comprehension) and
-#: ``rebalance`` read the page size and the page tier's capacity through
-#: two properties.
+#: at or above the floor adds ``decide``, ``tier_costs`` and the two
+#: tier costs.  The epochs entered 14 and 6 while ``fold`` froze through
+#: ``_freeze`` (a generator and a dict comprehension) and ``rebalance``
+#: read the page size and the page tier's capacity through two
+#: properties, and a window entered ``_wire_terms`` too while the
+#: selector divided its config's wire terms again for every window.
 @pytest.mark.parametrize("case, frames", [
     ("page hit", 2),
     ("page fault", 4),
-    ("epoch, one window at the floor or above", 8),
+    ("epoch, one window at the floor or above", 7),
     ("epoch, eight windows under the floor", 3),
 ])
 def test_adaptive_hybrid_frame_budget(case, frames):
@@ -456,6 +467,39 @@ def test_adaptive_hybrid_frame_budget(case, frames):
         got = _frames(rt.rebalance)
         assert len(rt.migration_log) == migrations
     assert got == frames
+
+
+# -- the interpreter's typed accesses -----------------------------------------
+
+#: Region lookups (``AddressSpace.span``) in one seed-1 ``nas`` rep of the
+#: benchmark's five kernels.  There were 181,152 typed-access calls while
+#: every load and store called ``AddressSpace.load``/``store`` (24,993 of
+#: them missed its two-entry region cache).  Now each load or store site
+#: keeps its own span, so a lookup is a site's first access after a call
+#: or the first access into a new region.
+NAS_REGION_LOOKUPS = 17_690
+
+
+def test_nas_region_lookup_budget(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "host"))
+    from workloads import OBJECT_SIZE, Nas
+
+    lookups = 0
+    span = AddressSpace.span
+
+    def counted(self, addr, size):
+        nonlocal lookups
+        lookups += 1
+        return span(self, addr, size)
+
+    monkeypatch.setattr(AddressSpace, "span", counted)
+    nas = Nas(seed=1)
+    for kernel, module in nas.prepare():
+        compiled = TrackFMCompiler(CompilerConfig(object_size=OBJECT_SIZE)).compile(module)
+        program = TrackFMProgram(compiled.module, TrackFMRuntime(nas.pools[kernel]),
+                                 engine="decoded")
+        assert program.run("main").value == nas.expected[kernel]
+    assert lookups <= NAS_REGION_LOOKUPS
 
 
 # -- splitmix64 ---------------------------------------------------------------

@@ -173,6 +173,9 @@ class TestSelectorDecide:
         selector = PathSelector(ChunkingCostModel(256))
         selector.config = cfg
         object_cost, page_cost = selector.tier_costs(stats)
+        # The wire terms follow the assigned config too.
+        fresh = PathSelector(ChunkingCostModel(256), cfg)
+        assert (object_cost, page_cost) == fresh.tier_costs(stats)
         margin = 1.0 + cfg.hysteresis
         if stats.accesses < cfg.min_accesses:
             expected = current

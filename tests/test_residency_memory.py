@@ -338,15 +338,15 @@ class TestCodecs:
         ),
     )
     def test_two_entry_cache_matches_byte_oracle(self, sizes, gaps, fill, steps):
-        # Three to five regions, adjacent where the gap is 0.  Every
-        # typed access goes through the two-entry cache; ``recent`` tracks
-        # the regions it should hold (most recent first), so the
-        # ``unmap_first``/``unmap_second`` steps drop exactly the region
-        # in one entry, and a later remap at the same start gets fresh
-        # zeroed bytes that a stale entry would not serve.  ``unmap``
-        # drops any region, cached or not, and ``remap`` maps one back
-        # at its start with a drawn size no larger than its slot, so the
-        # cache's misses see regions come and go at every position.
+        # Three to five regions, adjacent where the gap is 0.  ``recent``
+        # tracks the two regions typed accesses used last (most recent
+        # first), which a cache of recent regions would hold: the
+        # ``unmap_first``/``unmap_second`` steps drop exactly one of
+        # them, and a later remap at the same start gets fresh zeroed
+        # bytes that a stale entry would not serve.  ``unmap`` drops any
+        # region, and ``remap`` maps one back at its start with a drawn
+        # size no larger than its slot, so lookups see regions come and
+        # go at every position.
         layout, start = {}, _BASE
         for size, gap in zip(sizes, gaps):
             layout[start] = size
@@ -412,7 +412,7 @@ class TestCodecs:
         mem = AddressSpace()
         mem.map_region(0x1000, 16)
         mem.store(0x1000, codec_for(I64), 42)
-        assert mem.load(0x1000, codec_for(I64)) == 42  # 0x1000 is now hot
+        assert mem.load(0x1000, codec_for(I64)) == 42
         mem.unmap(0x1000)
         with pytest.raises(SegmentationFault):
             mem.load(0x1000, codec_for(I64))

@@ -817,3 +817,68 @@ def test_event_loop_matches_a_plain_reference_driver(
     assert simulated.stats.as_dict() == reference.stats.as_dict()
     assert simulated.merged_metrics().as_dict() == reference.merged_metrics().as_dict()
     assert sim.final_values == values
+
+
+def _durable_value(cluster: ShardedCluster, key: int) -> int:
+    """``read_value``'s rule, written plainly: the max-version copy (the
+    first in replica order on a tie) among the key's replicas that are
+    not lost, or among all of them when every one is; the key's default
+    value when that copy was never written."""
+    reps = cluster.replicas(key)
+    candidates = [sid for sid in reps if not cluster.shards[sid].lost] or list(reps)
+    best, best_version = None, -1
+    for sid in candidates:
+        tag = cluster.shards[sid].tags.get(key)
+        version = 0 if tag is None else tag.version
+        if version > best_version:
+            best, best_version = sid, version
+    if cluster.shards[best].tags.get(key) is None:
+        return default_value(key)
+    return cluster.shards[best].store[key]
+
+
+@given(
+    data=st.data(),
+    replication=st.sampled_from([1, 2, 3]),
+    traffic_seed=st.integers(min_value=0, max_value=7),
+)
+@settings(
+    max_examples=10 * len(SERVE_CHAOS_SEEDS),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_durable_values_match_read_value_under_chaos(data, replication, traffic_seed):
+    """``durable_values``, which records a run's final values in one
+    pass, equals ``read_value`` key by key and the rule written plainly,
+    after every drawn knockout, partition, heal, sweep and rebalance.
+
+    The traffic is served without heartbeats, so a lost shard stays in
+    its keys' replica sets, with its copies, until a rebalance."""
+    base = generate_schedule(dataclasses.replace(_LOOP_TRAFFIC, seed=traffic_seed))
+    schedule = dataclasses.replace(base, times=np.round(base.times / _GRID) * _GRID)
+    pending = sorted(
+        data.draw(_chaos_scripts(N_SHARDS, float(schedule.times[-1]))),
+        key=lambda a: (a.at_cycles, a.action),
+    )
+    cluster = ShardedCluster(ClusterConfig(
+        n_shards=N_SHARDS, n_keys=_LOOP_TRAFFIC.n_keys, runtime="trackfm",
+        local_memory=512, replication=replication,
+    ))
+    keys = range(cluster.config.n_keys)
+
+    def check():
+        values = cluster.durable_values()
+        assert values == [cluster.read_value(key) for key in keys]
+        assert values == [_durable_value(cluster, key) for key in keys]
+        subset = data.draw(st.lists(st.sampled_from(list(keys)), max_size=8))
+        assert cluster.durable_values(subset) == [values[key] for key in subset]
+
+    for now, _client, tenant, key, write in schedule.rows():
+        while pending and pending[0].at_cycles <= now:
+            _apply_chaos(cluster, pending.pop(0))
+            check()
+        cluster.serve(key, tenant=tenant, write=write)
+    for action in pending:
+        _apply_chaos(cluster, action)
+        check()
+    check()

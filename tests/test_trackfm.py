@@ -270,6 +270,33 @@ class TestChunkStreams:
         assert cross(16) == [32, 34, 36, 38, 40, 42, 44, 46]
         assert cross(18) == [48, 50, 52, 54, 56, 58, 60, 62]
 
+    def test_chunk_prefetch_clip_after_the_stream_allocation_is_freed(self):
+        """A stream keeps its clip between crossings; once its allocation
+        is freed, the next crossing clips as if it had never kept one."""
+        rt = make_runtime(object_size=64, local_objects=32, heap_objects=128)
+        issued = []
+        prefetch = rt.pool.prefetch
+
+        def spy(obj_id, *rest):
+            issued.append(obj_id)
+            return prefetch(obj_id, *rest)
+
+        rt.pool.prefetch = spy
+        a = rt.tfm_malloc(8 * 64)  # objects 0-7
+        rt.tfm_malloc(8 * 64)  # objects 8-15
+
+        def cross(obj, prefetch=True):
+            before = len(issued)
+            rt.chunk_access(a + obj * 64, AccessKind.READ, stream=0, prefetch=prefetch)
+            return issued[before:]
+
+        rt.chunk_begin(0, prefetch=True)
+        assert [cross(obj) for obj in range(3)] == [[], [], [3, 4, 5, 6, 7]]
+        cross(9, prefetch=False)  # the pin leaves a
+        rt.tfm_free(a)
+        # No allocation holds object 3 now: the whole heap is the clip.
+        assert cross(3) == [11, 12, 13, 14, 15, 16, 17, 18]
+
     def test_chunk_end_unknown_stream_is_noop(self):
         rt = make_runtime()
         rt.chunk_end(42)  # must not raise
