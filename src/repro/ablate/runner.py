@@ -54,13 +54,14 @@ from repro.errors import DataIntegrityError, FarMemoryUnavailableError, ReproErr
 from repro.integrity import installed_integrity_config
 from repro.machine.costs import AccessKind
 from repro.net.faults import RetryPolicy, installed_fault_plan
+from repro.sim.replay import replay, replay_runtime
 from repro.trace.drivers import (
     ARRAY_BYTES,
     DEGRADED_STALL_CYCLES,
     HEAP,
     OBJECT_LOCAL,
     OBJECT_SIZE,
-    PAGE_LOCAL,
+    REPLAY_LOCAL,
     _IR_BUILDERS,
     _PATTERNS,
 )
@@ -155,17 +156,13 @@ def _arm_resilience(runtime, spec: CellSpec, knobs: Knobs) -> None:
         return
     plan = spec.fault_plan()
     if knobs.retry_degrade:
-        # The drivers' posture: degraded mode absorbs outages locally.
-        if spec.runtime == "hybrid":
-            runtime.fastswap.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-            if not knobs.hybrid_fallback:
-                # Degrade-in-place on the object tier: its errors are
-                # absorbed before the page-tier fallback can fire.
-                runtime.trackfm.enable_degraded_mode(
-                    stall_cycles=DEGRADED_STALL_CYCLES
-                )
-        else:
-            runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
+        # The drivers' posture: degraded mode absorbs outages locally
+        # (on a static hybrid, its page tier's).
+        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
+        if spec.runtime == "hybrid" and not knobs.hybrid_fallback:
+            # Degrade-in-place on the object tier: its errors are
+            # absorbed before the page-tier fallback can fire.
+            runtime.trackfm.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
     else:
         for backend in runtime.remote_backends():
             backend.breaker = None
@@ -256,100 +253,29 @@ def _pattern_source(
 
 def _run_pattern(spec: CellSpec, knobs: Knobs) -> CellRun:
     arena, accesses, value = _pattern_source(spec.workload)
-    runtime, access = _pattern_runtime(spec, knobs, arena)
+    # The drivers' sizing.  The trackfm kind replays guarded accesses
+    # through an encoded pointer (no compiler involved, so the IR-side
+    # knobs do not apply); the adaptive knob freezes the selector
+    # (every region stays on the object tier), so the delta against
+    # baseline is what online selection earns.
+    runtime, access = replay_runtime(
+        spec.runtime,
+        REPLAY_LOCAL[spec.runtime],
+        HEAP,
+        arena,
+        OBJECT_SIZE,
+        use_clock=knobs.evacuation_policy,
+        prefetch=knobs.stride_prefetcher,
+        adaptive=knobs.adaptive_selector,
+    )
     _arm_resilience(runtime, spec, knobs)
-    checksum = 0
-    for offset, kind in accesses:
-        access(offset, kind)
-        checksum = (checksum * 31 + offset + 1) & 0xFFFFFFFF
+    checksum = replay(access, accesses)
     return CellRun(
         ok=True,
         value=value if value is not None else checksum,
         cycles=runtime.metrics.cycles,
         metrics=runtime.metrics.as_dict(),
     )
-
-
-def _pattern_runtime(spec: CellSpec, knobs: Knobs, arena: int):
-    """Construct the runtime and its ``access(offset, kind)`` closure."""
-    if spec.runtime == "aifm":
-        from repro.aifm.pool import PoolConfig
-        from repro.aifm.runtime import AIFMRuntime
-
-        runtime = AIFMRuntime(
-            PoolConfig(
-                object_size=OBJECT_SIZE,
-                local_memory=OBJECT_LOCAL,
-                heap_size=HEAP,
-                use_clock=knobs.evacuation_policy,
-            )
-        )
-        runtime.allocate(arena)
-        prefetch = knobs.stride_prefetcher
-        return runtime, lambda off, kind: runtime.access(
-            off, kind, size=8, prefetch=prefetch
-        )
-    if spec.runtime == "fastswap":
-        from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-
-        runtime = FastswapRuntime(
-            FastswapConfig(
-                local_memory=PAGE_LOCAL,
-                heap_size=HEAP,
-                use_clock=knobs.evacuation_policy,
-            )
-        )
-        runtime.allocate(arena)
-        return runtime, lambda off, kind: runtime.access(off, kind, size=8)
-    if spec.runtime == "adaptive":
-        from repro.hybrid.runtime import AdaptiveHybridRuntime
-
-        # The drivers' sizing with both tiers' budgets pooled; the knob
-        # freezes the selector (every region stays on the object tier),
-        # so the delta against baseline is what online selection earns.
-        runtime = AdaptiveHybridRuntime(
-            local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-            heap_size=HEAP,
-            object_size=OBJECT_SIZE,
-            adaptive=knobs.adaptive_selector,
-        )
-        base = runtime.tfm_malloc(arena)
-        return runtime, lambda off, kind: runtime.access(base + off, kind, size=8)
-    if spec.runtime == "hybrid":
-        from repro.hybrid.runtime import HybridRuntime, Placement
-
-        runtime = HybridRuntime(
-            local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-            heap_size=HEAP,
-            object_size=OBJECT_SIZE,
-        )
-        # Half objects / half pages (the drivers' §5 split), with the
-        # boundary 8-aligned so no element straddles it.
-        half = (arena // 2 + 7) & ~7
-        objects = runtime.allocate(half, Placement.OBJECTS)
-        pages = runtime.allocate(arena - half, Placement.PAGES)
-
-        def access(offset: int, kind: AccessKind) -> float:
-            if offset < half:
-                return runtime.access(objects, offset, kind, size=8)
-            return runtime.access(pages, offset - half, kind, size=8)
-
-        return runtime, access
-    # trackfm pattern replay: guarded accesses through an encoded
-    # pointer (no compiler involved, so the IR-side knobs do not apply).
-    from repro.aifm.pool import PoolConfig
-    from repro.trackfm.runtime import TrackFMRuntime
-
-    runtime = TrackFMRuntime(
-        PoolConfig(
-            object_size=OBJECT_SIZE,
-            local_memory=OBJECT_LOCAL,
-            heap_size=HEAP,
-            use_clock=knobs.evacuation_policy,
-        )
-    )
-    base = runtime.tfm_malloc(arena)
-    return runtime, lambda off, kind: runtime.access(base + off, kind, size=8)
 
 
 # -- serving cells (webcache through the cluster) ----------------------------

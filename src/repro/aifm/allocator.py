@@ -117,13 +117,18 @@ class RegionAllocator:
         self._region_live[region] = self._region_live.get(region, 0) + 1
         return Allocation(region * self.object_size, size)
 
-    def free(self, offset: int) -> Allocation:
-        """Free the allocation starting at ``offset``."""
+    def free(self, offset: int) -> Tuple[Allocation, List[int]]:
+        """Free the allocation starting at ``offset``.
+
+        Returns it together with the regions the free recycled: those
+        no live allocation uses any more, so their objects can go.
+        """
         alloc = self._live.pop(offset, None)
         if alloc is None:
             raise PointerError(f"free of unknown heap offset {offset:#x}")
         self.bytes_allocated -= alloc.size
         first, last = alloc.object_range(self.object_size)
+        recycled: List[int] = []
         for region in range(first, last):
             count = self._region_live.get(region, 0) - 1
             if count <= 0:
@@ -131,9 +136,10 @@ class RegionAllocator:
                 if self._open_region is not None and self._open_region[0] == region:
                     self._open_region = None
                 self._free_regions.append(region)
+                recycled.append(region)
             else:
                 self._region_live[region] = count
-        return alloc
+        return alloc, recycled
 
     def allocation_at(self, offset: int) -> Optional[Allocation]:
         """The live allocation that *contains* ``offset``, if any."""

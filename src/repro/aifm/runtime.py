@@ -124,12 +124,10 @@ class AIFMRuntime:
         return self.allocator.allocate(size)
 
     def free(self, alloc: Allocation) -> None:
-        freed = self.allocator.free(alloc.offset)
-        first, last = freed.object_range(self.object_size)
-        for obj_id in range(first, last):
-            # Only whole-object frees drop residency; shared regions stay.
-            if self.allocator.allocation_at(obj_id * self.object_size) is None:
-                self.pool.free_object(obj_id)
+        # Only objects the free recycled drop residency; shared ones stay.
+        _freed, recycled = self.allocator.free(alloc.offset)
+        for obj_id in recycled:
+            self.pool.free_object(obj_id)
 
     def scope(self) -> DerefScope:
         """A DerefScope over this runtime's pool (Listing 1 style)."""

@@ -33,18 +33,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.aifm.pool import PoolConfig
 from repro.bench import baseline
-from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.hybrid.selector import SelectorConfig
 from repro.machine.costs import AccessKind
-from repro.trackfm.runtime import TrackFMRuntime
+from repro.sim.replay import LCG_ADD, LCG_MUL, replay, replay_runtime
 from repro.units import BASE_PAGE
 from repro.workloads.phase import PhaseShiftWorkload
 
 OBJECT_SIZE = 256
-ELEM = 8
 SEED = 9
 
 #: Fraction of the workload arena granted as local memory per cell; all
@@ -60,9 +56,6 @@ TOLERANCE = 1.15
 #: workload's density flips be tracked within a couple of epochs.
 EPOCH_ACCESSES = 32
 SELECTOR = SelectorConfig(hysteresis=0.05, min_accesses=4)
-
-_LCG_MUL = 2654435761
-_LCG_ADD = 40503
 
 
 # -- the workload streams -----------------------------------------------------
@@ -88,7 +81,7 @@ def _sparse_stream() -> Iterator[Tuple[int, AccessKind]]:
     n_pages = SPARSE_ARENA // BASE_PAGE
     state = SEED & 0xFFFFFFFF
     for _ in range(SPARSE_PROBES):
-        state = (state * _LCG_MUL + _LCG_ADD) & 0xFFFFFFFF
+        state = (state * LCG_MUL + LCG_ADD) & 0xFFFFFFFF
         yield (state % n_pages) * BASE_PAGE, AccessKind.READ
 
 
@@ -113,83 +106,37 @@ WORKLOADS: Dict[str, Tuple[int, Callable[[], Iterator[Tuple[int, AccessKind]]]]]
 MIXED_WORKLOADS = ("phase",)
 
 
-# -- the three engines --------------------------------------------------------
-
-
-def _replay(access: Callable[[int, AccessKind], float],
-            stream: Iterator[Tuple[int, AccessKind]]) -> int:
-    checksum = 0
-    for offset, kind in stream:
-        access(offset, kind)
-        checksum = (checksum * 31 + offset + 1) & 0xFFFFFFFF
-    return checksum
-
-
-def _run_objects(workload: str, local_memory: int) -> Tuple[float, int]:
-    arena, stream = WORKLOADS[workload]
-    runtime = TrackFMRuntime(
-        PoolConfig(
-            object_size=OBJECT_SIZE,
-            local_memory=max(local_memory, OBJECT_SIZE),
-            heap_size=arena,
-        )
-    )
-    runtime.initialize()
-    ptr = runtime.tfm_malloc(arena)
-    checksum = _replay(
-        lambda off, kind: runtime.access(ptr + off, kind, ELEM), stream()
-    )
-    return runtime.metrics.cycles, checksum
-
-
-def _run_pages(workload: str, local_memory: int) -> Tuple[float, int]:
-    arena, stream = WORKLOADS[workload]
-    runtime = FastswapRuntime(
-        FastswapConfig(
-            local_memory=max(local_memory, BASE_PAGE), heap_size=arena
-        )
-    )
-    base = runtime.allocate(arena)
-    checksum = _replay(
-        lambda off, kind: runtime.access(base + off, kind, size=ELEM), stream()
-    )
-    return runtime.metrics.cycles, checksum
-
-
-def _run_adaptive(workload: str, local_memory: int) -> Tuple[float, int, Dict[str, int]]:
-    arena, stream = WORKLOADS[workload]
-    runtime = AdaptiveHybridRuntime(
-        local_memory=max(local_memory, 2 * BASE_PAGE),
-        heap_size=arena,
-        object_size=OBJECT_SIZE,
-        epoch_accesses=EPOCH_ACCESSES,
-        selector_config=SELECTOR,
-    )
-    runtime.initialize()
-    ptr = runtime.tfm_malloc(arena)
-    checksum = _replay(
-        lambda off, kind: runtime.access(ptr + off, kind, ELEM), stream()
-    )
-    counters = {
-        "tier_switches": runtime.metrics.tier_switches,
-        "objects_migrated": runtime.metrics.objects_migrated,
-        "epochs": runtime.epochs,
-    }
-    return runtime.metrics.cycles, checksum, counters
-
-
 # -- cells + reports ----------------------------------------------------------
 
 
+def _run(kind: str, workload: str, local_memory: int, **tuning):
+    """Replay ``workload`` on one engine; ``(runtime, checksum)``."""
+    arena, stream = WORKLOADS[workload]
+    runtime, access = replay_runtime(
+        kind, local_memory, arena, arena, OBJECT_SIZE, **tuning
+    )
+    return runtime, replay(access, stream())
+
+
 def run_cell(workload: str, fraction: float) -> Dict[str, object]:
-    """One (workload, local-memory-fraction) cell, all three engines."""
+    """One (workload, local-memory-fraction) cell, all three engines:
+    the object tier, the page tier and the adaptive runtime."""
     arena, _ = WORKLOADS[workload]
     local_memory = max(2 * BASE_PAGE, int(arena * fraction))
-    objects_cycles, objects_value = _run_objects(workload, local_memory)
-    pages_cycles, pages_value = _run_pages(workload, local_memory)
-    adaptive_cycles, adaptive_value, counters = _run_adaptive(
-        workload, local_memory
+    objects, objects_value = _run(
+        "trackfm", workload, max(local_memory, OBJECT_SIZE)
     )
+    pages, pages_value = _run("fastswap", workload, max(local_memory, BASE_PAGE))
+    adaptive, adaptive_value = _run(
+        "adaptive",
+        workload,
+        max(local_memory, 2 * BASE_PAGE),
+        epoch_accesses=EPOCH_ACCESSES,
+        selector_config=SELECTOR,
+    )
+    objects_cycles = objects.metrics.cycles
+    pages_cycles = pages.metrics.cycles
+    adaptive_cycles = adaptive.metrics.cycles
     best_static = min(objects_cycles, pages_cycles)
     return {
         "fraction": fraction,
@@ -197,7 +144,11 @@ def run_cell(workload: str, fraction: float) -> Dict[str, object]:
         "objects_cycles": round(objects_cycles, 3),
         "pages_cycles": round(pages_cycles, 3),
         "adaptive_cycles": round(adaptive_cycles, 3),
-        "adaptive": counters,
+        "adaptive": {
+            "tier_switches": adaptive.metrics.tier_switches,
+            "objects_migrated": adaptive.metrics.objects_migrated,
+            "epochs": adaptive.epochs,
+        },
         "values_equal": objects_value == pages_value == adaptive_value,
         "value": adaptive_value,
         "within_band": adaptive_cycles <= best_static * TOLERANCE,

@@ -4,15 +4,16 @@ The paper: "we were also surprised how well kernel-based approaches
 perform when there is sufficient temporal locality ... This suggests
 that a hybrid approach (compiler and kernel) holds promise."  This
 package prototypes that idea: local memory is split between a TrackFM
-object pool and a kernel page cache, and each allocation is *placed* on
-the mechanism that suits its access pattern — page-backed for coarse,
+object pool and a kernel page cache, and data is *placed* on the
+mechanism that suits its access pattern — page-backed for coarse,
 high-temporal-reuse data (zero software cost on hits), object-backed
 for fine-grained data (no I/O amplification on misses).
 
 Two planes (docs/hybrid.md):
 
-* :class:`HybridRuntime` — static: the caller picks the placement per
-  allocation, and the page tier doubles as the degrade/fallback target.
+* :class:`HybridRuntime` — static: an object/page split of one arena,
+  fixed at construction; the page tier doubles as the degrade/fallback
+  target.
 * :class:`AdaptiveHybridRuntime` — online: a :class:`DensityProfiler`
   folds the access stream into windowed region stats, a
   :class:`PathSelector` re-evaluates the paging-vs-object cost
@@ -24,7 +25,6 @@ from repro.hybrid.placement import Placement
 from repro.hybrid.profiler import DensityProfiler, RegionStats
 from repro.hybrid.runtime import (
     AdaptiveHybridRuntime,
-    HybridHandle,
     HybridRuntime,
     MigrationEvent,
 )
@@ -33,7 +33,6 @@ from repro.hybrid.selector import PathSelector, SelectorConfig
 __all__ = [
     "AdaptiveHybridRuntime",
     "DensityProfiler",
-    "HybridHandle",
     "HybridRuntime",
     "MigrationEvent",
     "PathSelector",

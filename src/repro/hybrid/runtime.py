@@ -2,10 +2,12 @@
 
 Two planes share the two tiers:
 
-* :class:`HybridRuntime` — the original *static* plane: the caller picks
-  a :class:`Placement` per allocation, and the page tier doubles as the
-  degrade/fallback target when the object tier's far node is lost or an
-  object is quarantined.
+* :class:`HybridRuntime` — the *static* plane: an object/page split of
+  one arena, fixed at construction.  Bytes below the split are guarded
+  TrackFM objects, bytes above it kernel pages, and the page tier
+  doubles as the degrade/fallback target when the object tier's far
+  node is lost or an object is quarantined.  It takes arena offsets,
+  like the AIFM and Fastswap runtimes do.
 * :class:`AdaptiveHybridRuntime` — the *online* plane (docs/hybrid.md):
   a :class:`~repro.hybrid.profiler.DensityProfiler` folds the access
   stream into windowed region stats, a
@@ -38,11 +40,12 @@ from repro.integrity import IntegrityConfig, RecoveryReport
 from repro.machine.costs import AccessKind, GuardKind
 from repro.sim.metrics import Metrics
 from repro.trackfm.guards import GuardResult
-from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK, is_tfm_pointer
+from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import BASE_PAGE, ceil_div
 
 # Enum members bound once: a class lookup is slow (docs/performance.md).
+_READ = AccessKind.READ
 _WRITE = AccessKind.WRITE
 _NONE = GuardKind.NONE
 _OBJECTS = Placement.OBJECTS
@@ -52,37 +55,35 @@ _guard_result = partial(tuple.__new__, GuardResult)
 
 __all__ = [
     "AdaptiveHybridRuntime",
-    "HybridHandle",
     "HybridRuntime",
     "MigrationEvent",
     "Placement",
 ]
 
 
-@dataclass(frozen=True)
-class HybridHandle:
-    """An allocation handle carrying its placement."""
-
-    placement: Placement
-    #: TrackFM pointer (OBJECTS) or page-heap offset (PAGES).
-    address: int
-    size: int
-
-
 class HybridRuntime:
-    """Splits local memory between an object pool and a page cache.
+    """Splits one arena, and local memory, between objects and pages.
 
-    The compiler (or, here, the caller) chooses a :class:`Placement`
-    per allocation; a plausible policy is the one §5 hints at — hot,
-    densely-reused regions on pages (faults amortize, hits are free of
-    guard costs), fine-grained or cold regions on objects (no
-    amplification).
+    Arena bytes ``[0, split)`` live in a TrackFM object pool, bytes
+    ``[split, arena)`` in a kernel page cache; ``page_fraction`` of
+    local memory goes to the pages.  A plausible placement is the one
+    §5 hints at — hot, densely-reused data on pages (faults amortize,
+    hits are free of guard costs), fine-grained or cold data on objects
+    (no amplification).
+
+    Each tier keeps its own metrics bundle and :attr:`metrics` is their
+    merged view: each tier's cycles add up in its own order, which the
+    exact baselines pin.  The object tier's fallback books its degraded
+    accesses in the page tier's bundle, which the serving layer also
+    uses for its own counters.
     """
 
     def __init__(
         self,
         local_memory: int,
         heap_size: int,
+        arena: int,
+        split: int,
         object_size: int = 256,
         page_fraction: float = 0.5,
         object_backend=None,
@@ -90,6 +91,8 @@ class HybridRuntime:
     ) -> None:
         if not 0.0 < page_fraction < 1.0:
             raise RuntimeConfigError("page_fraction must be in (0, 1)")
+        if not 0 < split < arena:
+            raise RuntimeConfigError("split must fall inside the arena")
         page_local = max(BASE_PAGE, int(local_memory * page_fraction))
         object_local = max(object_size, local_memory - page_local)
         self.trackfm = TrackFMRuntime(
@@ -104,14 +107,19 @@ class HybridRuntime:
             FastswapConfig(local_memory=page_local, heap_size=heap_size),
             backend=page_backend,
         )
-        self.page_fraction = page_fraction
-        self._handles: Dict[int, HybridHandle] = {}
-        #: Shadow page-tier allocations for object allocations served in
-        #: fallback mode (keyed by the object allocation's address).
-        self._fallback: Dict[int, int] = {}
-        #: Counters owned by the hybrid layer itself (fallback accesses);
-        #: merged into :attr:`metrics` alongside both mechanisms'.
-        self.extra_metrics = Metrics()
+        self.arena = arena
+        #: The first arena offset on the page tier.
+        self.split = split
+        self._objects = self.trackfm.tfm_malloc(split)
+        self._pages = self.fastswap.allocate(arena - split)
+        #: Page-heap shadow of the object range, built by the first
+        #: fallback access.
+        self._fallback: Optional[int] = None
+
+    @property
+    def pool(self):
+        """The object tier's pool."""
+        return self.trackfm.pool
 
     def set_tracer(self, tracer) -> None:
         """Attach one tracer to both mechanisms (events share a timeline)."""
@@ -127,6 +135,14 @@ class HybridRuntime:
         """
         self.trackfm.enable_integrity(config)
         self.fastswap.enable_integrity(config)
+
+    def enable_degraded_mode(self, stall_cycles: float = 0.0, hook=None) -> None:
+        """Serve page faults locally when the page tier's far node is lost.
+
+        The object tier's own degrade rung is the page-tier fallback,
+        so only the page tier is armed.
+        """
+        self.fastswap.enable_degraded_mode(stall_cycles, hook)
 
     def recover(self) -> RecoveryReport:
         """Run crash recovery on every tier with a checker attached.
@@ -148,70 +164,52 @@ class HybridRuntime:
     def remote_backends(self) -> tuple:
         """Both tiers' far nodes (object pool first, then swap target).
 
-        Uniform across the four runtimes; a hybrid shard is one fault
-        domain spanning two links, so losing the shard must arm both.
+        Uniform across the runtimes; a hybrid shard is one fault domain
+        spanning two links, so losing the shard must arm both.
         """
         return self.trackfm.remote_backends() + self.fastswap.remote_backends()
 
-    # -- allocation -----------------------------------------------------
-
-    def allocate(self, size: int, placement: Placement) -> HybridHandle:
-        if placement is Placement.OBJECTS:
-            addr = self.trackfm.tfm_malloc(size)
-        else:
-            addr = self.fastswap.allocate(size)
-        handle = HybridHandle(placement, addr, size)
-        self._handles[addr] = handle
-        return handle
-
     # -- access ---------------------------------------------------------
 
-    def access(
-        self,
-        handle: HybridHandle,
-        offset: int = 0,
-        kind: AccessKind = AccessKind.READ,
-        size: int = 8,
-    ) -> float:
-        if offset < 0 or offset + size > handle.size:
+    def access(self, offset: int, kind: AccessKind = _READ, size: int = 8) -> float:
+        """One access at arena ``offset``, routed by the split."""
+        split = self.split
+        end = offset + size
+        if offset < 0 or end > self.arena or offset < split < end:
             raise PointerError(
-                f"access [{offset}, {offset + size}) outside allocation "
-                f"of {handle.size} bytes"
+                f"access [{offset}, {end}) outside the {self.arena}-byte "
+                f"arena or across its split at {split}"
             )
-        if handle.placement is Placement.OBJECTS:
-            assert is_tfm_pointer(handle.address)
+        if offset < split:
             try:
-                return self.trackfm.access(handle.address + offset, kind, size)
+                return self.trackfm.access(self._objects + offset, kind, size)
             except (FarMemoryUnavailableError, DataIntegrityError):
                 # The degrade rung of the integrity escalation ladder:
                 # a quarantined object is served via the page tier
                 # (whose copy is independently verified) instead of
                 # surfacing the error to the program.
-                return self._fallback_access(handle, offset, kind, size)
-        return self.fastswap.access(handle.address + offset, kind, size)
+                return self._fallback_access(offset, kind, size)
+        return self.fastswap.access(self._pages + offset - split, kind, size)
 
-    def _fallback_access(
-        self, handle: HybridHandle, offset: int, kind: AccessKind, size: int
-    ) -> float:
+    def _fallback_access(self, offset: int, kind: AccessKind, size: int) -> float:
         """Serve an object access via the page tier: the hybrid's whole
         point is having a second mechanism to fall back on when the
         object path's remote backend is unavailable.
 
-        The allocation gets a lazily-created shadow in the page heap;
+        The object range gets a lazily-created shadow in the page heap;
         subsequent fallback accesses reuse it, so a long outage behaves
-        like the allocation had been placed on pages to begin with.
+        like the range had been placed on pages to begin with.
         """
-        shadow = self._fallback.get(handle.address)
+        shadow = self._fallback
         if shadow is None:
-            shadow = self.fastswap.allocate(handle.size)
-            self._fallback[handle.address] = shadow
-        self.extra_metrics.degraded_accesses += 1
+            shadow = self._fallback = self.fastswap.allocate(self.split)
+        self.fastswap.metrics.degraded_accesses += 1
         tracer = self.tracer
         if tracer.enabled:
             tracer.degrade(
                 "hybrid_fallback",
                 self.trackfm.metrics.cycles,
-                addr=handle.address,
+                addr=self._objects,
                 offset=offset,
             )
         return self.fastswap.access(shadow + offset, kind, size)
@@ -220,16 +218,11 @@ class HybridRuntime:
 
     @property
     def metrics(self) -> Metrics:
-        """Merged view over both mechanisms (plus hybrid-layer counters)."""
+        """Merged view over both tiers' bundles."""
         merged = Metrics()
         merged.merge(self.trackfm.metrics)
         merged.merge(self.fastswap.metrics)
-        merged.merge(self.extra_metrics)
         return merged
-
-    def split(self) -> Tuple[Metrics, Metrics]:
-        """(object-side, page-side) metrics, unmerged."""
-        return self.trackfm.metrics, self.fastswap.metrics
 
 
 # -- the adaptive plane ------------------------------------------------------

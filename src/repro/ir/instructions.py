@@ -18,7 +18,6 @@ from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.basicblock import BasicBlock
-    from repro.ir.function import Function
 
 
 class Instruction(Value):

@@ -1,13 +1,14 @@
 """The sharded cluster: one logical object pool across N far nodes.
 
 Each shard is a complete far-memory stack — its own runtime (any of the
-four models), its own :class:`~repro.net.backends.RemoteBackend` with a
-private retry policy and circuit breaker, its own metrics bundle and
-latency histogram.  Nothing mutable is shared between shards, which is
-what makes a shard an *independent fault domain*: arming a dead fault
-schedule on shard 3's link (``lose_shard``) trips only shard 3's
-breaker, degrades only shard 3's requests, and leaves the other shards'
-deterministic schedules untouched.
+five kinds, all served through one request path), its own
+:class:`~repro.net.backends.RemoteBackend` with a private retry policy
+and circuit breaker, its own metrics bundle and latency histogram.
+Nothing mutable is shared between shards, which is what makes a shard
+an *independent fault domain*: arming a dead fault schedule on shard
+3's link (``lose_shard``) trips only shard 3's breaker, degrades only
+shard 3's requests, and leaves the other shards' deterministic
+schedules untouched.
 
 Keys are placed by the consistent-hash ring (``repro.serve.ring``);
 each shard lazily assigns arriving keys to slots in its own heap, so a
@@ -296,51 +297,38 @@ class Shard:
             )
             self._base = self.runtime.tfm_malloc(heap)
         else:  # hybrid
-            from repro.hybrid.runtime import HybridRuntime, Placement
+            from repro.hybrid.runtime import HybridRuntime
 
-            page_heap = max(heap, BASE_PAGE)
+            # Slots below the split on guarded objects, the rest (at
+            # least one slot) on kernel pages.
+            split = max(config.object_size, align_up(heap // 2, config.object_size))
             self.runtime = HybridRuntime(
                 local_memory=max(config.local_memory, 2 * BASE_PAGE),
-                heap_size=page_heap,
+                heap_size=max(heap, BASE_PAGE),
+                arena=split + max(heap - split, SLOT_BYTES),
+                split=split,
                 object_size=config.object_size,
                 object_backend=make_shard_backend("tcp", self.shard_id, plan),
                 page_backend=make_shard_backend("rdma", self.shard_id, plan),
             )
-            half = max(config.object_size, align_up(heap // 2, config.object_size))
-            self._obj_handle = self.runtime.allocate(half, Placement.OBJECTS)
-            self._page_handle = self.runtime.allocate(max(heap - half, SLOT_BYTES), Placement.PAGES)
-            self._obj_half = half
             self._base = 0
         #: The runtime's own writable bundle, where the cluster books its
-        #: replication counters.  A static hybrid's ``metrics`` is a fresh
-        #: merged copy on every read, so its counters go to the hybrid
-        #: layer's ``extra_metrics``, which that merge includes.
+        #: replication counters and reads degraded accesses.  A static
+        #: hybrid's ``metrics`` is a merged copy, so it books into its
+        #: page tier's bundle, which also counts its object tier's
+        #: fallback accesses (the cluster never arms the object tier's
+        #: own degraded mode).
         self.counters: Metrics = (
-            self.runtime.extra_metrics if config.runtime == "hybrid" else self.runtime.metrics
+            self.runtime.fastswap.metrics if config.runtime == "hybrid" else self.runtime.metrics
         )
         #: Bound once: every request calls it.
         self._access = self.runtime.access
-        self._enable_degraded()
-
-    def _enable_degraded(self) -> None:
-        stall = self.config.degraded_stall_cycles
-        runtime = self.runtime
-        if self.config.runtime == "hybrid":
-            # The object tier's own rung is the page-tier fallback; the
-            # page tier still needs a local degraded mode for a total
-            # shard outage.
-            runtime.fastswap.enable_degraded_mode(stall_cycles=stall)
-        else:
-            runtime.enable_degraded_mode(stall_cycles=stall)
+        self.runtime.enable_degraded_mode(stall_cycles=config.degraded_stall_cycles)
 
     @property
     def pool(self):
         """The shard's object pool, if its runtime kind has one."""
-        if self.config.runtime in ("aifm", "trackfm", "adaptive"):
-            return self.runtime.pool
-        if self.config.runtime == "hybrid":
-            return self.runtime.trackfm.pool
-        return None
+        return None if self._kind == "fastswap" else self.runtime.pool
 
     @property
     def metrics(self) -> Metrics:
@@ -402,38 +390,18 @@ class Shard:
         """One request against this far node: ``(service cycles, degraded)``.
 
         ``degraded`` means the runtime served part of the request locally
-        because the far node was unreachable: its own count of degraded
-        accesses moved (on a static hybrid, the sum over its three
-        bundles, so no merged copy is built).
+        because the far node was unreachable: its count of degraded
+        accesses in :attr:`counters` moved.
         """
         offset = self.slots.get(key)
         if offset is None:
             offset = self.slot_of(key)
-        if self._kind != "hybrid":
-            counters = self.counters
-            before = counters.degraded_accesses
-            cycles = self._access(self._base + offset, kind, SLOT_BYTES)
-            if self._quota is not None:
-                cycles += self._enforce_quota(tenant, offset)
-            return cycles, counters.degraded_accesses > before
-        before = self._hybrid_degraded_accesses()
-        if offset < self._obj_half:
-            cycles = self._access(self._obj_handle, offset, kind, SLOT_BYTES)
-        else:
-            cycles = self._access(
-                self._page_handle, offset - self._obj_half, kind, SLOT_BYTES
-            )
+        counters = self.counters
+        before = counters.degraded_accesses
+        cycles = self._access(self._base + offset, kind, SLOT_BYTES)
         if self._quota is not None:
             cycles += self._enforce_quota(tenant, offset)
-        return cycles, self._hybrid_degraded_accesses() > before
-
-    def _hybrid_degraded_accesses(self) -> int:
-        runtime = self.runtime
-        return (
-            runtime.trackfm.metrics.degraded_accesses
-            + runtime.fastswap.metrics.degraded_accesses
-            + runtime.extra_metrics.degraded_accesses
-        )
+        return cycles, counters.degraded_accesses > before
 
     # -- tenant quotas ------------------------------------------------------
 
@@ -442,7 +410,7 @@ class Shard:
         pool = self.pool
         if quota is None or pool is None:
             return 0.0
-        if self._kind == "hybrid" and offset >= self._obj_half:
+        if self._kind == "hybrid" and offset >= self.runtime.split:
             # Page-tier slots have no per-tenant view (kernel paging).
             return 0.0
         obj_id = offset // self.config.object_size

@@ -2,12 +2,12 @@
 
 Each registered workload is a small, deterministic program shape —
 ``stream`` (sequential write-then-sum passes) and ``hashmap`` (an
-LCG-scattered probe loop) — runnable under any of the four runtime
-models.  Under ``trackfm`` the workload is built as IR, compiled
+LCG-scattered probe loop) — runnable under any of the five runtime
+kinds.  Under ``trackfm`` the workload is built as IR, compiled
 through the full pipeline (so the trace carries ``pass`` events), and
 interpreted on a far-memory runtime (``guard``/``fetch`` events).
-The other runtimes replay the same access pattern through their
-``access()`` paths.
+The other kinds replay the same access pattern through the runtime
+:func:`repro.sim.replay.replay_runtime` builds.
 
 Everything here is deterministic for a given ``(workload, runtime,
 seed)``: no wall-clock or ``random`` state leaks into the simulated
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import TraceError
@@ -25,6 +26,7 @@ from repro.integrity import IntegrityConfig, installed_integrity_config
 from repro.machine.costs import AccessKind
 from repro.net.faults import FaultPlan, default_fault_plan, installed_fault_plan
 from repro.sim.metrics import Metrics
+from repro.sim.replay import LCG_ADD, LCG_MUL, replay, replay_runtime
 from repro.trace.tracer import Tracer
 from repro.units import KB, MB
 
@@ -41,10 +43,14 @@ OBJECT_LOCAL = 2 * KB
 PAGE_LOCAL = 4 * KB
 HEAP = 1 * MB
 
-#: LCG constants for the hashmap probe stream (Knuth's MMIX multiplier
-#: truncated; any odd multiplier works — determinism is what matters).
-_LCG_MUL = 2654435761
-_LCG_ADD = 40503
+#: Local memory per replay kind: both hybrids pool the two budgets.
+REPLAY_LOCAL = {
+    "trackfm": OBJECT_LOCAL,
+    "aifm": OBJECT_LOCAL,
+    "fastswap": PAGE_LOCAL,
+    "hybrid": OBJECT_LOCAL + PAGE_LOCAL,
+    "adaptive": OBJECT_LOCAL + PAGE_LOCAL,
+}
 
 #: Stall charged per degraded access when a fault plan is active.  The
 #: drivers enable degraded mode so a harsh ``--faults`` plan (long pause
@@ -71,7 +77,7 @@ def _hashmap_pattern(seed: int) -> Iterator[Tuple[int, AccessKind]]:
         yield i * ELEM, AccessKind.WRITE
     state = seed & 0xFFFFFFFF
     for _ in range(2 * N_ELEMS):
-        state = (state * _LCG_MUL + _LCG_ADD) & 0xFFFFFFFF
+        state = (state * LCG_MUL + LCG_ADD) & 0xFFFFFFFF
         yield (state & (N_ELEMS - 1)) * ELEM, AccessKind.READ
 
 
@@ -167,7 +173,7 @@ def _build_hashmap_module(seed: int):
     s = b.phi(I64, name="s")
     b.condbr(b.icmp("slt", j, n), rb, exit_)
     b.set_block(rb)
-    h = b.add(b.mul(j, _LCG_MUL), (seed & 0xFFFFFFFF) + _LCG_ADD)
+    h = b.add(b.mul(j, LCG_MUL), (seed & 0xFFFFFFFF) + LCG_ADD)
     idx = b.and_(h, n - 1)
     v = b.load(I64, b.gep(p, idx, ELEM))
     s2 = b.add(s, v)
@@ -246,111 +252,21 @@ def _run_trackfm(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
     )
 
 
-def _replay(runtime_name: str, workload: str, seed: int, tracer: Tracer,
-            access: Callable[[int, AccessKind], float],
-            cycles_of: Callable[[], float],
-            metrics_of: Callable[[], Metrics]) -> TraceRunResult:
-    """Drive one access-pattern replay with phase bracketing."""
-    checksum = 0
-    with tracer.phase(f"workload:{workload}", cycles_of):
-        for offset, kind in _PATTERNS[workload](seed):
-            access(offset, kind)
-            checksum = (checksum * 31 + offset + 1) & 0xFFFFFFFF
+def _run_replay(runtime_name: str, workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
+    """Replay the workload's access pattern with phase bracketing."""
+    runtime, access = replay_runtime(
+        runtime_name, REPLAY_LOCAL[runtime_name], HEAP, ARRAY_BYTES, OBJECT_SIZE
+    )
+    runtime.set_tracer(tracer)
+    if default_fault_plan() is not None:
+        # A static hybrid arms its page tier: its object tier falls
+        # back to the page tier on its own.
+        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
+    with tracer.phase(f"workload:{workload}", lambda: runtime.metrics.cycles):
+        checksum = replay(access, _PATTERNS[workload](seed))
     return TraceRunResult(
-        workload, runtime_name, seed, tracer, checksum, cycles_of(),
-        metrics_of().snapshot(),
-    )
-
-
-def _run_aifm(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.aifm.pool import PoolConfig
-    from repro.aifm.runtime import AIFMRuntime
-
-    runtime = AIFMRuntime(
-        PoolConfig(
-            object_size=OBJECT_SIZE, local_memory=OBJECT_LOCAL, heap_size=HEAP
-        )
-    )
-    runtime.set_tracer(tracer)
-    if default_fault_plan() is not None:
-        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    runtime.allocate(ARRAY_BYTES)
-    return _replay(
-        "aifm", workload, seed, tracer,
-        lambda off, kind: runtime.access(off, kind, size=ELEM),
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
-    )
-
-
-def _run_fastswap(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-
-    runtime = FastswapRuntime(
-        FastswapConfig(local_memory=PAGE_LOCAL, heap_size=HEAP)
-    )
-    runtime.set_tracer(tracer)
-    if default_fault_plan() is not None:
-        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    runtime.allocate(ARRAY_BYTES)
-    return _replay(
-        "fastswap", workload, seed, tracer,
-        lambda off, kind: runtime.access(off, kind, size=ELEM),
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
-    )
-
-
-def _run_hybrid(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.hybrid.runtime import HybridRuntime, Placement
-
-    runtime = HybridRuntime(
-        local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-        heap_size=HEAP,
-        object_size=OBJECT_SIZE,
-    )
-    runtime.set_tracer(tracer)
-    # Under faults, the hybrid's own fallback (object tier → page tier)
-    # handles object-side outages; the page tier still needs a local
-    # degraded mode so a total outage degrades instead of raising.
-    if default_fault_plan() is not None:
-        runtime.fastswap.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    # Half the array on guarded objects, half on kernel pages — the
-    # §5 split this runtime exists to model.
-    half = ARRAY_BYTES // 2
-    objects = runtime.allocate(half, Placement.OBJECTS)
-    pages = runtime.allocate(half, Placement.PAGES)
-
-    def access(offset: int, kind: AccessKind) -> float:
-        if offset < half:
-            return runtime.access(objects, offset, kind, size=ELEM)
-        return runtime.access(pages, offset - half, kind, size=ELEM)
-
-    return _replay(
-        "hybrid", workload, seed, tracer, access,
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
-    )
-
-
-def _run_adaptive(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.hybrid.runtime import AdaptiveHybridRuntime
-
-    runtime = AdaptiveHybridRuntime(
-        local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-        heap_size=HEAP,
-        object_size=OBJECT_SIZE,
-    )
-    runtime.set_tracer(tracer)
-    if default_fault_plan() is not None:
-        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    runtime.initialize()
-    ptr = runtime.tfm_malloc(ARRAY_BYTES)
-    return _replay(
-        "adaptive", workload, seed, tracer,
-        lambda off, kind: runtime.access(ptr + off, kind, size=ELEM),
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
+        workload, runtime_name, seed, tracer, checksum, runtime.metrics.cycles,
+        runtime.metrics.snapshot(),
     )
 
 
@@ -406,10 +322,10 @@ def _run_serve(
 
 RUNTIMES: Dict[str, Callable[[str, int, Tracer], TraceRunResult]] = {
     "trackfm": _run_trackfm,
-    "aifm": _run_aifm,
-    "fastswap": _run_fastswap,
-    "hybrid": _run_hybrid,
-    "adaptive": _run_adaptive,
+    **{
+        name: partial(_run_replay, name)
+        for name in ("aifm", "fastswap", "hybrid", "adaptive")
+    },
 }
 
 WORKLOADS: Tuple[str, ...] = tuple(sorted((*_PATTERNS, "serve")))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.aifm.allocator import Allocation, RegionAllocator
 from repro.aifm.pool import ObjectPool, PoolConfig
@@ -210,6 +210,9 @@ class TrackFMRuntime:
         self._chunks: Dict[int, _ChunkState] = {}
         #: Heap offsets of live ``tfm_malloc_pinned`` allocations.
         self._pinned_offsets: Set[int] = set()
+        #: Object -> live pinned allocations on it.  Together they hold
+        #: one pin on it, whatever else (a chunk stream) pins it too.
+        self._pin_cover: Dict[int, int] = {}
         #: Compiler-programmed prefetch schedules, keyed by chunk stream.
         self._psched: Dict[int, ProgrammedSchedule] = {}
         self.initialized = False
@@ -311,9 +314,14 @@ class TrackFMRuntime:
         """
         alloc = self.allocator.allocate(size)
         first, last = alloc.object_range(self.object_size)
+        cover = self._pin_cover
         for obj_id in range(first, last):
-            if not self.pool.residency.is_pinned(obj_id):
-                self.pool.materialize(obj_id, pinned=True)
+            if obj_id not in cover:
+                if self.pool.residency.is_pinned(obj_id):
+                    self.pool.pin(obj_id)
+                else:
+                    self.pool.materialize(obj_id, pinned=True)
+            cover[obj_id] = cover.get(obj_id, 0) + 1
         self._pinned_offsets.add(alloc.offset)
         return alloc.offset
 
@@ -324,25 +332,44 @@ class TrackFMRuntime:
     def tfm_free(self, ptr: int) -> None:
         if not is_tfm_pointer(ptr):
             raise PointerError(f"tfm_free of non-TrackFM pointer {ptr:#x}")
-        self._release(self.allocator.free(decode_tfm_pointer(ptr)))
+        self._release(*self.allocator.free(decode_tfm_pointer(ptr)))
 
     def tfm_free_pinned(self, offset: int) -> None:
         """Free a pinned allocation by the heap offset it was returned as.
 
         Objects no live allocation still uses are dropped, and with them
-        their pins; an object shared with a live allocation stays pinned.
+        their pins.  An object a live neighbour shares stays resident,
+        and stays pinned only while a live pinned allocation shares it.
         """
         if offset not in self._pinned_offsets:
             raise PointerError(f"tfm_free_pinned of {offset:#x}: not a pinned allocation")
-        self._release(self.allocator.free(offset))
+        self._release(*self.allocator.free(offset))
 
-    def _release(self, alloc: Allocation) -> None:
-        """Drop the objects of a freed allocation that nothing else uses."""
+    def _release(self, alloc: Allocation, recycled: List[int]) -> None:
+        """Drop the objects a free recycled (no live allocation uses
+        them), and a freed pinned allocation's pins."""
+        pool = self.pool
+        for obj_id in recycled:
+            pool.free_object(obj_id)
+        dropped = set(recycled)
+        # A chunk stream on a dropped object lost its pin with it.
+        for state in self._chunks.values():
+            if state.current_obj in dropped:
+                state.current_obj = None
+                state.pinned = False
+        if alloc.offset not in self._pinned_offsets:
+            return
         self._pinned_offsets.discard(alloc.offset)
+        # Give up the pins no live pinned allocation shares; an object
+        # a live neighbour uses stays resident.
+        cover = self._pin_cover
         first, last = alloc.object_range(self.object_size)
         for obj_id in range(first, last):
-            if self.allocator.allocation_at(obj_id * self.object_size) is None:
-                self.pool.free_object(obj_id)
+            count = cover.pop(obj_id) - 1
+            if count:
+                cover[obj_id] = count
+            elif obj_id not in dropped:
+                pool.unpin(obj_id)
 
     def allocation_of(self, ptr: int) -> Allocation:
         """The live allocation containing ``ptr`` (debug/testing aid)."""

@@ -207,6 +207,19 @@ class TestRunner:
         # LRU victims differ from CLOCK's second-chance picks here.
         assert ablated.cycles != base.cycles
 
+    @pytest.mark.parametrize("runtime", ["aifm", "fastswap", "hybrid", "adaptive"])
+    @pytest.mark.parametrize("workload", ["stream", "hashmap"])
+    def test_clean_pattern_cell_equals_the_trace_driver(self, workload, runtime):
+        # Both replay through repro.sim.replay at the drivers' sizing:
+        # the cell's seed is the drivers' seed 7.
+        from repro.trace.drivers import run_traced
+
+        cell = run_cell(CellSpec(workload, runtime, "clean", "pattern"), BASELINE)
+        traced = run_traced(workload, runtime, seed=7)
+        assert cell.value == traced.value
+        assert cell.cycles == traced.cycles
+        assert cell.metrics == traced.metrics.as_dict()
+
     def test_run_is_deterministic(self):
         spec = CellSpec("graph", "hybrid", "faulty", "pattern")
         assert run_cell(spec, BASELINE).as_dict() == run_cell(spec, BASELINE).as_dict()

@@ -6,6 +6,7 @@ from repro.aifm.pool import PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.aifm.datastructures import RemoteArray, RemoteHashMap
 from repro.errors import PointerError, WorkloadError
+from repro.machine.costs import AccessKind
 from repro.sim.plan import AccessPattern, AccessPlan
 from repro.units import KB, MB
 
@@ -64,6 +65,16 @@ class TestAIFMRuntime:
         rt.access(a.offset)
         rt.free(a)
         assert rt.pool.resident_objects == 0
+
+    def test_free_keeps_an_object_a_live_neighbour_shares(self):
+        rt = make_runtime()
+        a = rt.allocate(16)
+        b = rt.allocate(16)  # object 0, past its first byte
+        rt.access(b.offset, AccessKind.WRITE)
+        rt.free(a)
+        rt.access(b.offset)
+        assert rt.metrics.remote_fetches == 1
+        assert rt.pool.resident_objects == 1
 
     def test_zero_size_access_rejected(self):
         rt = make_runtime()

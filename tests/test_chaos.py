@@ -358,35 +358,38 @@ class TestDegradedRuntimes:
 
 class TestHybridFallback:
     def _hybrid(self):
-        rt = HybridRuntime(local_memory=8 * KB, heap_size=256 * KB, object_size=256)
+        # Arena bytes [0, 1 KB) on objects, [1 KB, 2 KB) on pages.
+        rt = HybridRuntime(
+            local_memory=8 * KB, heap_size=256 * KB, arena=2 * KB, split=1 * KB,
+            object_size=256,
+        )
         _fail_fast(rt.trackfm.pool.backend)
         return rt
 
     def test_object_access_falls_back_to_pages(self):
         rt = self._hybrid()
-        handle = rt.allocate(1024, Placement.OBJECTS)
-        cycles = rt.access(handle, 0)
+        cycles = rt.access(0)
         assert cycles > 0
-        assert rt.extra_metrics.degraded_accesses == 1
+        # The fallback is booked in the page tier's bundle.
+        assert rt.fastswap.metrics.degraded_accesses == 1
         # The fallback allocated a shadow in the page heap and the
         # access was served as a page fault there.
         assert rt.fastswap.metrics.major_faults >= 1
 
     def test_fallback_shadow_is_reused(self):
         rt = self._hybrid()
-        handle = rt.allocate(1024, Placement.OBJECTS)
-        rt.access(handle, 0)
-        rt.access(handle, 8)
-        rt.access(handle, 512)
-        assert len(rt._fallback) == 1
-        assert rt.extra_metrics.degraded_accesses == 3
+        rt.access(0)
+        shadow = rt._fallback
+        rt.access(8)
+        rt.access(512)
+        assert shadow is not None and rt._fallback == shadow
+        assert rt.fastswap.metrics.degraded_accesses == 3
         assert rt.metrics.degraded_accesses == 3  # merged view includes it
 
     def test_page_side_unaffected(self):
         rt = self._hybrid()
-        pages = rt.allocate(1024, Placement.PAGES)
-        rt.access(pages, 0)
-        assert rt.extra_metrics.degraded_accesses == 0
+        rt.access(1 * KB)
+        assert rt.fastswap.metrics.degraded_accesses == 0
 
 
 class TestAdaptiveMigrationChaos:

@@ -13,7 +13,7 @@ from repro.compiler.heap_pruning import (
 )
 from repro.compiler.pipeline import ChunkingPolicy, CompilerConfig, TrackFMCompiler
 from repro.errors import PassError, PointerError, RuntimeConfigError
-from repro.hybrid.runtime import HybridRuntime, Placement
+from repro.hybrid.runtime import HybridRuntime
 from repro.ir import IRBuilder, I64, PTR, VOID, Module, verify_module
 from repro.ir.instructions import Call, Load
 from repro.ir.values import Constant
@@ -278,44 +278,48 @@ class TestPinnedRuntime:
 
 
 class TestHybridRuntime:
-    def make(self):
+    def make(self, arena=1024, split=512):
         return HybridRuntime(
-            local_memory=64 * KB, heap_size=1 * MB, object_size=256
+            local_memory=64 * KB, heap_size=1 * MB, arena=arena, split=split,
+            object_size=256,
         )
 
     def test_placement_routing(self):
         rt = self.make()
-        obj_handle = rt.allocate(512, Placement.OBJECTS)
-        page_handle = rt.allocate(512, Placement.PAGES)
-        rt.access(obj_handle)
-        rt.access(page_handle)
-        tfm, fsw = rt.split()
-        assert tfm.total_guards > 0
-        assert fsw.major_faults == 1
+        rt.access(0)
+        rt.access(512)
+        assert rt.trackfm.metrics.total_guards > 0
+        assert rt.fastswap.metrics.major_faults == 1
 
     def test_merged_metrics(self):
-        rt = self.make()
-        a = rt.allocate(64, Placement.OBJECTS)
-        b = rt.allocate(64, Placement.PAGES)
-        rt.access(a)
-        rt.access(b)
+        rt = self.make(arena=128, split=64)
+        rt.access(0)
+        rt.access(64)
         merged = rt.metrics
         assert merged.accesses == 2
         assert merged.remote_fetches == 2
 
     def test_page_hits_cost_nothing_extra(self):
-        rt = self.make()
-        h = rt.allocate(64, Placement.PAGES)
-        rt.access(h)
-        hot = rt.access(h)
+        rt = self.make(arena=128, split=64)
+        rt.access(64)
+        hot = rt.access(64)
         assert hot == rt.fastswap.config.costs.local_access
 
     def test_bounds_checked(self):
-        rt = self.make()
-        h = rt.allocate(64, Placement.OBJECTS)
+        rt = self.make(arena=128, split=64)
         with pytest.raises(PointerError):
-            rt.access(h, offset=60, size=8)
+            rt.access(60, size=8)  # across the split
+        with pytest.raises(PointerError):
+            rt.access(124, size=8)  # past the arena
+        with pytest.raises(PointerError):
+            rt.access(-8)
+        assert rt.metrics.accesses == 0
 
     def test_invalid_fraction(self):
         with pytest.raises(RuntimeConfigError):
-            HybridRuntime(64 * KB, 1 * MB, page_fraction=0.0)
+            HybridRuntime(64 * KB, 1 * MB, arena=1024, split=512, page_fraction=0.0)
+
+    @pytest.mark.parametrize("split", [0, 1024, 2048])
+    def test_split_inside_the_arena(self, split):
+        with pytest.raises(RuntimeConfigError):
+            HybridRuntime(64 * KB, 1 * MB, arena=1024, split=split)

@@ -31,6 +31,7 @@ rep.
 
 import dis
 import enum
+import gc
 import inspect
 import sys
 from functools import partial
@@ -256,7 +257,13 @@ def test_per_access_results_are_tuples(cls):
 
 
 def _frames(fn, *args):
-    """Python frames entered by ``fn(*args)``, ``fn``'s own included."""
+    """Python frames entered by ``fn(*args)``, ``fn``'s own included.
+
+    The collector is off while they are counted: once a hypothesis test
+    has run, every collection calls hypothesis's Python ``gc.callbacks``
+    hook twice, and whether one lands inside the call depends on what
+    the tests before it allocated.
+    """
     calls = 0
 
     def profile(frame, event, arg):
@@ -264,11 +271,15 @@ def _frames(fn, *args):
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

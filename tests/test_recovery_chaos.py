@@ -17,7 +17,7 @@ from repro.aifm.pool import PoolConfig
 from repro.aifm.runtime import AIFMRuntime
 from repro.errors import DataIntegrityError, RuntimeConfigError, SimulatedCrashError
 from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-from repro.hybrid.runtime import AdaptiveHybridRuntime, HybridRuntime, Placement
+from repro.hybrid.runtime import AdaptiveHybridRuntime, HybridRuntime
 from repro.hybrid.selector import SelectorConfig
 from repro.integrity import IntegrityConfig, RecordKind, default_integrity_config
 from repro.machine.costs import AccessKind
@@ -413,18 +413,20 @@ class TestQuarantineEscalation:
         assert rt.metrics.quarantined_objects == 1
 
     def test_hybrid_degrades_to_page_tier(self):
-        hy = HybridRuntime(local_memory=8 * KB, heap_size=64 * KB, object_size=OBJ)
+        hy = HybridRuntime(
+            local_memory=8 * KB, heap_size=64 * KB, arena=8 * KB, split=4 * KB,
+            object_size=OBJ,
+        )
         hy.trackfm.enable_integrity(IntegrityConfig(max_refetches=0))
         hy.trackfm.pool.backend.link.faults = self._always_corrupt()
-        handle = hy.allocate(4 * KB, Placement.OBJECTS)
         # Quarantine on the object tier is absorbed: the access is
         # served by the (independently verified) page tier instead.
-        hy.access(handle, 0)
-        assert hy.extra_metrics.degraded_accesses == 1
+        hy.access(0)
+        assert hy.fastswap.metrics.degraded_accesses == 1
         assert hy.metrics.quarantined_objects == 1
         # The quarantined object keeps raising, so the shadow sticks.
-        hy.access(handle, 0)
-        assert hy.extra_metrics.degraded_accesses == 2
+        hy.access(0)
+        assert hy.fastswap.metrics.degraded_accesses == 2
 
 
 class TestIntegrityCLI:

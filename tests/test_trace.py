@@ -180,7 +180,7 @@ class TestDrivers:
         assert cats.get("fetch", 0) > 0
         assert result.value == 1024 * 1023 // 2
 
-    @pytest.mark.parametrize("runtime", ["aifm", "fastswap", "hybrid"])
+    @pytest.mark.parametrize("runtime", ["aifm", "fastswap", "hybrid", "adaptive"])
     def test_replay_runtimes_emit_fetches(self, runtime):
         result = run_traced("hashmap", runtime, seed=0)
         cats = result.tracer.category_counts()

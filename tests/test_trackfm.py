@@ -121,6 +121,66 @@ class TestMalloc:
         c = rt.tfm_malloc(4 * KB)  # recycled
         assert is_tfm_pointer(c)
 
+    def test_free_keeps_an_object_a_live_neighbour_shares(self):
+        # Both 16-byte allocations pack into object 0; the second does
+        # not cover its first byte, and freeing the first must keep it.
+        rt = make_runtime()
+        a = rt.tfm_malloc(16)
+        b2 = rt.tfm_malloc(16)
+        rt.access(b2, AccessKind.WRITE)
+        rt.tfm_free(a)
+        rt.access(b2, AccessKind.READ)
+        assert rt.metrics.remote_fetches == 1
+        assert rt.metrics.guard_count(GuardKind.SLOW) == 1
+        assert rt.metrics.guard_count(GuardKind.FAST) == 1
+
+    def test_freeing_a_pinned_allocation_drops_only_its_pins(self):
+        rt = make_runtime()
+        pinned = rt.tfm_malloc_pinned(16)
+        other = rt.tfm_malloc_pinned(16)
+        neighbour = rt.tfm_malloc(16)  # object 0 too
+        residency = rt.pool.residency
+        rt.tfm_free_pinned(pinned)
+        assert residency.is_pinned(0)  # the other pinned allocation
+        rt.tfm_free_pinned(other)
+        assert not residency.is_pinned(0)
+        assert 0 in residency  # still resident for the neighbour
+        rt.access(neighbour)
+        assert rt.metrics.remote_fetches == 0
+
+    def test_freeing_a_pinned_allocation_keeps_a_chunk_streams_pin(self):
+        rt = make_runtime(object_size=64)
+        ptr = rt.tfm_malloc(16)
+        rt.chunk_begin(0)
+        rt.chunk_access(ptr, AccessKind.READ, stream=0)  # pins object 0
+        pinned = rt.tfm_malloc_pinned(16)  # object 0, already pinned
+        rt.tfm_free_pinned(pinned)
+        assert rt.pool.residency.is_pinned(0)
+        rt.chunk_end(0)
+        assert not rt.pool.residency.is_pinned(0)
+
+    def test_a_pinned_allocation_outlives_a_chunk_streams_pin(self):
+        rt = make_runtime(object_size=64)
+        ptr = rt.tfm_malloc(16)
+        rt.chunk_begin(0)
+        rt.chunk_access(ptr, AccessKind.READ, stream=0)  # pins object 0
+        rt.tfm_malloc_pinned(16)  # object 0 too
+        rt.chunk_end(0)
+        assert rt.pool.residency.is_pinned(0)
+
+    def test_chunk_stream_survives_the_free_of_its_pinned_object(self):
+        rt = make_runtime(object_size=64)
+        ptr = rt.tfm_malloc(8 * 64)
+        rt.chunk_begin(0, prefetch=True)
+        for obj in range(3):
+            rt.chunk_access(ptr + obj * 64, AccessKind.READ, stream=0, prefetch=True)
+        rt.tfm_free(ptr)
+        assert not rt.pool.residency.is_pinned(2)
+        rt.chunk_access(ptr + 3 * 64, AccessKind.READ, stream=0, prefetch=True)
+        assert rt.pool.residency.is_pinned(3)
+        rt.chunk_end(0)
+        assert not any(rt.pool.residency.is_pinned(o) for o in range(rt.pool.num_objects))
+
     def test_free_non_tfm_pointer_rejected(self):
         rt = make_runtime()
         with pytest.raises(PointerError):
