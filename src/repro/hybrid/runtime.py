@@ -416,7 +416,6 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         self.fastswap.metrics = self.pool.metrics
         if self.fastswap.backend.metrics is page_bundle:
             self.fastswap.backend.metrics = self.pool.metrics
-        self.page_fraction = page_fraction
         self.region_bytes = (
             region_bytes if region_bytes is not None else self.fastswap.page_size
         )

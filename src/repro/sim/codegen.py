@@ -75,6 +75,15 @@ classic compiler pipeline, aimed at Python source:
   ``srem`` with a non-negative dividend and a positive divisor are
   Python's ``//`` and ``%``; every other sign pair, a zero divisor and
   ``INT64_MIN / -1`` truncate through ``abs`` as the legacy engine does.
+* **Value facts drop what cannot change a result.**
+  :func:`repro.sim.facts.value_facts` works out, once per function,
+  which registers always hold an ``int`` and which an ``int`` in the
+  signed 64-bit range.  An ``int()`` around a register that is always
+  an ``int`` is left out (a store's value, the operands of a division,
+  a shift, a cast or a width-generic op), and so is the wrap test
+  after an ``and``/``or``/``xor``, or a 64-bit ``srem``, of in-range
+  operands, and after ``x + c`` (``c`` a constant 0 or 1) where only
+  the true edge of ``x < b``, with ``b`` in range, leads in.
 
 No IR text reaches the source: it holds only identifiers and integers
 the generator computes (slots, block indices, sizes, widths and masks).
@@ -99,6 +108,7 @@ from repro.machine.cache import CacheStats
 from repro.machine.costs import GuardKind
 from repro.sim import decode
 from repro.sim.decode import DecodedFunction, DecodedModule
+from repro.sim.facts import ValueFacts, value_facts
 from repro.sim.metrics import Metrics
 from repro.trackfm.pointer import MAX_HEAP_OFFSET, TFM_TAG_MASK
 from repro.trackfm.runtime import TWIN_BASE, InlineState
@@ -137,11 +147,12 @@ _ICMP_TEST = {
     decode.OP_ICMP_SGT: "{a} > {b}",
     decode.OP_ICMP_SGE: "{a} >= {b}",
 }
-#: Ops of one register, ``(template, wrap width or None)``.
+#: Ops of one register, ``(template, wrap width or None)``: ``{a}`` is
+#: the register, ``{i}`` the register as an ``int``.
 _UNARY_EXPR = {
-    decode.OP_PTRTOINT: ("int({a})", 64),
-    decode.OP_INTTOPTR: ("int({a}) & " + str(_M64), None),
-    decode.OP_SITOFP: ("float(int({a}))", None),
+    decode.OP_PTRTOINT: ("{i}", 64),
+    decode.OP_INTTOPTR: ("{i} & " + str(_M64), None),
+    decode.OP_SITOFP: ("float({i})", None),
     decode.OP_FPTOSI: ("int(float({a}))", 64),
 }
 
@@ -228,10 +239,11 @@ class _Emitter:
     """
 
     def __init__(self, dmod: DecodedModule, df: DecodedFunction, src: _Source,
-                 ops: List[tuple], checked: bool = False) -> None:
+                 ops: List[tuple], facts: ValueFacts, checked: bool = False) -> None:
         self.dmod = dmod
         self.df = df
         self.src = src
+        self.facts = facts
         self.checked = checked
         #: Callee ids of the internal functions this code calls.
         self.internal: List[int] = []
@@ -260,6 +272,18 @@ class _Emitter:
             emit(depth, f"{dst} = {expr}", offset)
         emit(depth, f"if not {-half} <= {dst} <= {half - 1}:", offset)
         emit(depth + 1, f"{dst} = (({dst} + {half}) & {(1 << bits) - 1}) - {half}", offset)
+
+    def int_(self, slot: int) -> str:
+        """Register ``slot`` as an ``int``: itself when it always is one."""
+        return f"r{slot}" if self.facts.kinds[slot] else f"int(r{slot})"
+
+    def wrap_op(self, depth: int, op: tuple, expr: str, offset: int) -> None:
+        """``r<dst> = expr`` for a 64-bit ``op``, wrapped unless the facts
+        show its result is in range."""
+        if id(op) in self.facts.unwrapped:
+            self.src.emit(depth, f"r{op[1]} = {expr}", offset)
+        else:
+            self.wrap(depth, f"r{op[1]}", expr, 64, offset)
 
     def raise_(self, depth: int, message: str, offset: int) -> None:
         self.writeback(depth, offset)
@@ -325,8 +349,8 @@ class _Emitter:
         emit = self.src.emit
         tag = op[0]
         if tag in _BIN64_EXPR:
-            expr = _BIN64_EXPR[tag].format(a=f"r{op[2]}", b=f"r{op[3]}")
-            self.wrap(depth, f"r{op[1]}", expr, 64, offset)
+            self.wrap_op(depth, op, _BIN64_EXPR[tag].format(a=f"r{op[2]}", b=f"r{op[3]}"),
+                         offset)
         elif tag in _PLAIN_EXPR:
             expr = _PLAIN_EXPR[tag].format(a=f"r{op[2]}", b=f"r{op[3]}")
             emit(depth, f"r{op[1]} = {expr}", offset)
@@ -334,7 +358,7 @@ class _Emitter:
             emit(depth, f"r{op[1]} = 1 if {self.test(op)} else 0", offset)
         elif tag in _UNARY_EXPR:
             template, bits = _UNARY_EXPR[tag]
-            expr = template.format(a=f"r{op[2]}")
+            expr = template.format(a=f"r{op[2]}", i=self.int_(op[2]))
             if bits is None:
                 emit(depth, f"r{op[1]} = {expr}", offset)
             else:
@@ -351,7 +375,7 @@ class _Emitter:
             codec = op[2]
             # The value is converted before the address is checked.
             if codec[3]:
-                emit(depth, f"v = int(r{op[1]}) & {_lit(codec[3])}", offset)
+                emit(depth, f"v = {self.int_(op[1])} & {_lit(codec[3])}", offset)
             elif codec[4] is float:
                 emit(depth, f"v = float(r{op[1]})", offset)
             else:
@@ -373,18 +397,19 @@ class _Emitter:
             self.division(depth, op, offset)
         elif tag in (decode.OP_SHL, decode.OP_LSHR, decode.OP_ASHR):
             bits = operator.index(op[4])
-            a, amount = f"int(r{op[2]})", f"(int(r{op[3]}) % {bits})"
+            a, amount = self.int_(op[2]), f"({self.int_(op[3])} % {bits})"
             if tag == decode.OP_LSHR:
                 a = f"({a} & {(1 << bits) - 1})"
             shift = "<<" if tag == decode.OP_SHL else ">>"
             self.wrap(depth, f"r{op[1]}", f"{a} {shift} {amount}", bits, offset)
         elif tag == decode.OP_BINW:
             fn = self.src.bind("O", op[5])
-            self.wrap(depth, f"r{op[1]}", f"{fn}(int(r{op[2]}), int(r{op[3]}))", op[4], offset)
+            self.wrap(depth, f"r{op[1]}", f"{fn}({self.int_(op[2])}, {self.int_(op[3])})",
+                      op[4], offset)
         elif tag == decode.OP_ICMP_U:
             fn = self.src.bind("O", op[4])
-            emit(depth, f"r{op[1]} = 1 if {fn}(int(r{op[2]}) & {_M64}, "
-                        f"int(r{op[3]}) & {_M64}) else 0", offset)
+            emit(depth, f"r{op[1]} = 1 if {fn}({self.int_(op[2])} & {_M64}, "
+                        f"{self.int_(op[3])} & {_M64}) else 0", offset)
         elif tag == decode.OP_FCMP:
             fn = self.src.bind("O", op[4])
             emit(depth, f"r{op[1]} = 1 if {fn}(float(r{op[2]}), float(r{op[3]})) else 0",
@@ -398,9 +423,9 @@ class _Emitter:
         elif tag == decode.OP_ALLOCA:
             emit(depth, f"r{op[1]} = alloca({_lit(op[2])}, allocas)", offset)
         elif tag == decode.OP_WRAP:
-            self.wrap(depth, f"r{op[1]}", f"int(r{op[2]})", op[3], offset)
+            self.wrap(depth, f"r{op[1]}", self.int_(op[2]), op[3], offset)
         elif tag == decode.OP_ZEXT:
-            self.wrap(depth, f"r{op[1]}", f"int(r{op[2]}) & {_lit(op[3])}", op[4], offset)
+            self.wrap(depth, f"r{op[1]}", f"{self.int_(op[2])} & {_lit(op[3])}", op[4], offset)
         elif tag == decode.OP_RAISE:
             self.raise_(depth, op[1], offset)
         else:  # pragma: no cover - the decoder emits only known tags
@@ -431,22 +456,30 @@ class _Emitter:
         emit = self.src.emit
         sdiv = op[0] == decode.OP_SDIV
         dst = f"r{op[1]}"
-        emit(depth, f"ia = int(r{op[2]})", offset)
-        emit(depth, f"ib = int(r{op[3]})", offset)
+        # An operand not known to be an int is converted once, to a local.
+        names = []
+        for local, slot in (("ia", op[2]), ("ib", op[3])):
+            if self.facts.kinds[slot]:
+                names.append(f"r{slot}")
+            else:
+                emit(depth, f"{local} = int(r{slot})", offset)
+                names.append(local)
+        ia, ib = names
         # Both signs known: floor division is the truncating one.
-        emit(depth, "if ia >= 0 < ib:", offset)
-        emit(depth + 1, f"{dst} = ia // ib" if sdiv else f"{dst} = ia % ib", offset)
+        emit(depth, f"if {ia} >= 0 < {ib}:", offset)
+        emit(depth + 1, f"{dst} = {ia} // {ib}" if sdiv else f"{dst} = {ia} % {ib}", offset)
         emit(depth, "else:", offset)
-        emit(depth + 1, "if ib == 0:", offset)
+        emit(depth + 1, f"if {ib} == 0:", offset)
         self.raise_(depth + 2, "sdiv by zero" if sdiv else "srem by zero", offset)
-        emit(depth + 1, "q = abs(ia) // abs(ib)", offset)
+        emit(depth + 1, f"q = abs({ia}) // abs({ib})", offset)
         if sdiv:
-            emit(depth + 1, f"{dst} = -q if (ia < 0) != (ib < 0) else q", offset)
+            emit(depth + 1, f"{dst} = -q if ({ia} < 0) != ({ib} < 0) else q", offset)
         else:
-            emit(depth + 1, "if (ia < 0) != (ib < 0):", offset)
+            emit(depth + 1, f"if ({ia} < 0) != ({ib} < 0):", offset)
             emit(depth + 2, "q = -q", offset)
-            emit(depth + 1, f"{dst} = ia - q * ib", offset)
-        self.wrap(depth, dst, dst, op[4], offset)
+            emit(depth + 1, f"{dst} = {ia} - q * {ib}", offset)
+        if id(op) not in self.facts.unwrapped:
+            self.wrap(depth, dst, dst, op[4], offset)
 
     def call(self, depth: int, op: tuple, offset: int) -> None:
         emit = self.src.emit
@@ -620,10 +653,11 @@ class _Crossing:
     """Runs the checked build of a segment that crosses ``max_steps``."""
 
     def __init__(self, dmod: DecodedModule, df: DecodedFunction, src: _Source,
-                 segments) -> None:
+                 facts: ValueFacts, segments) -> None:
         self.dmod = dmod
         self.df = df
         self.src = src
+        self.facts = facts
         #: Segment id -> (phi steps, ops).
         self.segments = segments
         self.built: Dict[int, Callable] = {}
@@ -643,7 +677,7 @@ class _Crossing:
     def _build(self, seg: int) -> Callable:
         phis, ops = self.segments[seg]
         src = _Source(self.src.ns, self.src.bound)
-        em = _Emitter(self.dmod, self.df, src, ops, checked=True)
+        em = _Emitter(self.dmod, self.df, src, ops, self.facts, checked=True)
         src.emit(0, "def decoded(interp, steps, allocas, regs):")
         src.emit(1, ", ".join(f"r{i}" for i in range(len(self.df.template))) + ", = regs")
         src.emit(1, "max_steps = interp.max_steps")
@@ -672,7 +706,8 @@ def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
         "T": tuple(df.template[df.nargs:]),
     }
     src = _Source(ns, {})
-    em = _Emitter(dmod, df, src, [op for block in df.blocks for op in block])
+    facts = value_facts(df)
+    em = _Emitter(dmod, df, src, [op for block in df.blocks for op in block], facts)
     segments: List[tuple] = []
 
     params = "".join(f", r{i}" for i in range(df.nargs))
@@ -736,7 +771,7 @@ def _generate_function(dmod: DecodedModule, df: DecodedFunction) -> _Emitter:
         src.emit(3, "memory.unmap(a)")
 
     ns["LINES"] = src.faults
-    ns["X"] = _Crossing(dmod, df, src, segments)
+    ns["X"] = _Crossing(dmod, df, src, facts, segments)
     df.source = src.text()
     df.code = _compile(df.source, f"<decoded @{df.name} #{next(_serial)}>", ns)
     return em

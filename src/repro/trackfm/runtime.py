@@ -215,7 +215,6 @@ class TrackFMRuntime:
         self._pin_cover: Dict[int, int] = {}
         #: Compiler-programmed prefetch schedules, keyed by chunk stream.
         self._psched: Dict[int, ProgrammedSchedule] = {}
-        self.initialized = False
         self.tracer = NULL_TRACER
         if tracer is not None:
             self.set_tracer(tracer)
@@ -289,8 +288,7 @@ class TrackFMRuntime:
     # -- runtime init (what the runtime-initialization pass hooks up) --------
 
     def initialize(self) -> None:
-        """Called from the instrumented main's first block."""
-        self.initialized = True
+        """Called from the instrumented main's first block; nothing to set up."""
 
     # -- allocation (the libc-transformation targets) ----------------------
 

@@ -19,9 +19,18 @@ and ``realloc``s the buffer (one iteration in three) or ``free``s it and
 unmapped since the last one, and after TrackFM's ``tfm_free`` the new
 buffer takes the freed offset: new bytes at the same address.
 
+With ``facts=True`` the loop body also works the values the code
+generator's value facts (:mod:`repro.sim.facts`) reason about: ``and``/
+``or`` masks of both signs, ``sdiv``/``srem`` by divisors of both signs
+(``INT64_MIN / -1`` included), round trips through i8/i16/i32
+arithmetic, calls to a helper whose arguments no fact bounds, and
+short loops counting up to ``INT64_MAX`` whose ``v + 1`` stays in range
+and whose ``v + 2`` wraps.
+
 Everything is derived from ``random.Random(seed)`` at *build* time (the
-buffer's choices from a second generator, so ``heap=False`` programs do
-not change); the emitted IR is deterministic, loop trips are bounded,
+buffer's and the value work's choices from generators of their own, so
+``heap=False, facts=False`` programs do not change); the emitted IR is
+deterministic, loop trips are bounded,
 and all indices are reduced mod the array length, so any (seed,
 pipeline) pair terminates with a defined result.  Differential tests
 interpret the raw module and the fully compiled module and demand
@@ -32,7 +41,7 @@ from __future__ import annotations
 
 import random
 
-from repro.ir import IRBuilder, I64, PTR, VOID, Module
+from repro.ir import IRBuilder, I64, PTR, VOID, IntType, Module
 from repro.ir.values import Constant
 
 #: Heap array length (elements); every index is taken mod this.
@@ -50,6 +59,16 @@ _OP_KINDS = (
 )
 
 _ARITH = ("add", "sub", "mul", "xor_")
+
+MIN64 = -(1 << 63)
+MAX64 = (1 << 63) - 1
+
+#: ``facts=True``: masks of both signs, divisors (never 0), the narrow
+#: widths, and the value work a body draws.
+_MASKS = (0xFF, 0x7FFF_FFFF, MAX64, -8, -(1 << 40), MIN64)
+_DIVISORS = (-1, 1, -3, 3, -7, 7, MIN64, MAX64)
+_NARROW = (8, 16, 32)
+_FACT_KINDS = ("mask", "narrow", "divide", "ranged", "near_max")
 
 
 def _arith(b: IRBuilder, op: str, a, c):
@@ -84,6 +103,90 @@ def _build_scratch(m: Module, rng: random.Random) -> str:
     b.store(b.add(mixed, rng.randrange(-50, 51)), s2)
     b.ret(b.load(I64, s2))
     return name
+
+
+def _mask(b: IRBuilder, rng: random.Random, x):
+    """``x`` and-ed or or-ed with a mask of drawn sign."""
+    mask = rng.choice(_MASKS)
+    return b.and_(x, mask) if rng.random() < 0.5 else b.or_(x, mask)
+
+
+def _narrow(b: IRBuilder, rng: random.Random, x):
+    """``x`` truncated to a drawn width, one op at that width, and
+    extended back to i64 (sign or zero)."""
+    ty = IntType(rng.choice(_NARROW))
+    t = b.cast("trunc", x, ty)
+    op = rng.choice(("add", "mul", "and_", "or_", "xor", "shl", "lshr"))
+    half = 1 << (ty.bits - 1)
+    # Shift amounts stay below the width.
+    c = rng.randrange(ty.bits) if op in ("shl", "lshr") else rng.randrange(-half, half)
+    t = getattr(b, op)(t, c)
+    return b.cast(rng.choice(("sext", "zext")), t, I64)
+
+
+def _divide(b: IRBuilder, rng: random.Random, x, extreme):
+    """``sdiv`` or ``srem`` of ``x`` by a constant of drawn sign, of a
+    constant by ``x | 1`` (odd, so never 0), or of ``extreme`` (a loaded
+    ``INT64_MIN``) by -1."""
+    op = b.sdiv if rng.random() < 0.5 else b.srem
+    shape = rng.randrange(3)
+    if shape == 0:
+        return op(x, rng.choice(_DIVISORS))
+    if shape == 1:
+        return op(rng.choice(_DIVISORS), b.or_(x, 1))
+    return op(extreme, -1)
+
+
+def _build_ranged(m: Module, rng: random.Random) -> str:
+    """A helper over two arguments whose range no fact knows: ``a + c``
+    under ``a < n``, and a mask and a narrow round trip of ``a ^ n``."""
+    name = "ranged"
+    f = m.add_function(name, I64, [I64, I64], ["a", "n"])
+    entry, lo, hi = f.add_block("entry"), f.add_block("lo"), f.add_block("hi")
+    a, n = f.args
+    b = IRBuilder(entry)
+    b.condbr(b.icmp("slt", a, n), lo, hi)
+    b.set_block(lo)
+    b.ret(b.add(a, rng.choice((1, 2))))
+    b.set_block(hi)
+    b.ret(_narrow(b, rng, _mask(b, rng, b.xor(a, n))))
+    return name
+
+
+def _near_max(b: IRBuilder, f, rng: random.Random, slots: dict, tag: str) -> None:
+    """A loop of one to four trips whose counter ``v`` ends at
+    ``INT64_MAX``: ``y ^= v + 1`` stays in range, ``y += v + c`` (``c``
+    of 1 or 2) wraps on the last trip when ``c`` is 2.  The builder is
+    left in the block after it."""
+    head, body, after = (f.add_block(f"{part}{tag}") for part in ("nm_head", "nm_body", "nm_after"))
+    b.store(MAX64 - rng.randrange(1, 5), slots["v"])
+    b.br(head)
+    b.set_block(head)
+    b.condbr(b.icmp("slt", b.load(I64, slots["v"]), MAX64), body, after)
+    b.set_block(body)
+    v = b.load(I64, slots["v"])
+    y = b.xor(b.load(I64, slots["y"]), b.add(v, 1))
+    b.store(b.add(y, b.add(v, rng.choice((1, 2)))), slots["y"])
+    b.store(b.add(v, 1), slots["v"])
+    b.br(head)
+    b.set_block(after)
+
+
+def _value_work(b: IRBuilder, f, rng: random.Random, slots: dict, ranged: str,
+                tag: str) -> None:
+    """One drawn piece of ``facts=True`` work on ``x`` and ``y``."""
+    kind = rng.choice(_FACT_KINDS)
+    x, y = slots["x"], slots["y"]
+    if kind == "mask":
+        b.store(_mask(b, rng, b.load(I64, x)), x)
+    elif kind == "narrow":
+        b.store(_narrow(b, rng, b.load(I64, y)), y)
+    elif kind == "divide":
+        b.store(_divide(b, rng, b.load(I64, x), b.load(I64, slots["min"])), y)
+    elif kind == "ranged":
+        b.store(b.call(I64, ranged, [b.load(I64, x), b.load(I64, y)]), x)
+    else:
+        _near_max(b, f, rng, slots, tag)
 
 
 def _buffer_round(b: IRBuilder, f, rng: random.Random, slots: dict, scratch: str) -> None:
@@ -121,14 +224,18 @@ def _buffer_round(b: IRBuilder, f, rng: random.Random, slots: dict, scratch: str
     b.set_block(join)
 
 
-def generate_module(seed: int, heap: bool = False) -> Module:
+def generate_module(seed: int, heap: bool = False, facts: bool = False) -> Module:
     """One deterministic random program for ``seed``; ``heap`` adds the
-    buffer the loop moves or renews every iteration."""
+    buffer the loop moves or renews every iteration, ``facts`` the value
+    work of masks, divisions, narrow widths, an argument-taking helper
+    and loops up to ``INT64_MAX``."""
     rng = random.Random(seed)
-    m = Module(f"fuzz_seed{seed}" + ("_heap" if heap else ""))
+    m = Module(f"fuzz_seed{seed}" + ("_heap" if heap else "") + ("_facts" if facts else ""))
     helper = _build_helper(m, rng)
     hrng = random.Random(f"heap{seed}")
     scratch = _build_scratch(m, hrng) if heap else None
+    frng = random.Random(f"facts{seed}")
+    ranged = _build_ranged(m, frng) if facts else None
 
     f = m.add_function("main", I64)
     entry = f.add_block("entry")
@@ -150,6 +257,10 @@ def generate_module(seed: int, heap: bool = False) -> Module:
         slots["buf"] = b.alloca(8, name="bufslot")
         size = Constant(I64, BUFFER_ELEMS * ELEM)
         b.store(b.call(PTR, "malloc", [size], name="buf"), slots["buf"])
+    if facts:
+        slots["v"] = b.alloca(8, name="vslot")
+        slots["min"] = b.alloca(8, name="minslot")
+        b.store(MIN64, slots["min"])
     b.store(rng.randrange(1, 8), x_slot)
     b.store(rng.randrange(1, 8), y_slot)
     b.store(0, i_slot)
@@ -240,6 +351,8 @@ def generate_module(seed: int, heap: bool = False) -> Module:
             v = b.load(I64, b.gep(data, j, ELEM))
             y = b.load(I64, y_slot)
             b.store(b.add(y, v), y_slot)
+        if facts and frng.random() < 0.5:
+            _value_work(b, f, frng, slots, ranged, str(op_idx))
     if heap:
         _buffer_round(b, f, hrng, slots, scratch)
     i = b.load(I64, i_slot)

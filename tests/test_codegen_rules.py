@@ -16,7 +16,12 @@ that breaks one of those rules:
   the legacy engine's ``accesses``, guard counts, cycles and state-table
   cache counters;
 * ``sdiv``/``srem`` must agree with the legacy engine on every sign
-  pair, a zero divisor and the minimum divided by -1.
+  pair, a zero divisor and the minimum divided by -1;
+* a value fact (:mod:`repro.sim.facts`) may drop an ``int()`` or a wrap
+  only where neither can change the result: not for an argument or a
+  phi that may hold anything, not after an ``add``, ``sub``, ``mul`` or
+  ``sdiv`` of in-range operands, and not after ``x + c`` unless ``c`` is
+  0 or 1 and the true edge of ``x < b`` is the only way into the code.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.compiler import ChunkingPolicy, CompilerConfig, TrackFMCompiler
 from repro.errors import InterpError, SegmentationFault
 from repro.ir import IRBuilder, F64, I32, I64, PTR, VOID, Module
 from repro.ir.values import Constant
+from repro.sim.decode import decode_module
 from repro.sim.interpreter import Interpreter
 from repro.sim.irrun import TrackFMProgram
 from repro.workloads import nas_kernels
@@ -338,3 +344,190 @@ def test_division_agrees_with_the_legacy_engine(op, ty):
                 except InterpError as exc:
                     got[engine] = ("error", str(exc), interp.steps)
             assert got["decoded"] == got["legacy"], (op, ty, a, d)
+
+
+# -- value facts --------------------------------------------------------------
+
+MIN64, MAX64 = _BOUNDS[64]
+
+
+def _agree(module, entry: str = "main", args=()) -> tuple:
+    """``entry(args)`` on both engines on a TrackFM runtime: the outcome,
+    steps, output and metrics must be equal; returns the outcome."""
+    runs = {}
+    for engine in ENGINES:
+        runtime = far_runtime()
+        program = TrackFMProgram(module, runtime, engine=engine)
+        outcome = _outcome(program.interp, lambda _main: program.run(entry, list(args)))
+        runs[engine] = outcome + (runtime.metrics.as_dict(),)
+    assert runs["decoded"] == runs["legacy"], (entry, args)
+    return runs["legacy"][0]
+
+
+def _wraps(module, name: str) -> int:
+    """The 64-bit wrap tests in ``@name``'s generated source."""
+    source = decode_module(module).functions[name].source
+    return source.count(f"if not {MIN64} <=")
+
+
+def _loaded(b, f, n: int) -> list:
+    """``f``'s first ``n`` arguments stored and loaded back: the same
+    values, known to be in range."""
+    slot = b.alloca(8 * n)
+    out = []
+    for k in range(n):
+        b.store(f.args[k], b.gep(slot, k, 8))
+        out.append(b.load(I64, b.gep(slot, k, 8)))
+    return out
+
+
+_BINOPS = ("add", "sub", "mul", "and_", "or_", "xor")
+
+
+@pytest.mark.parametrize("op", _BINOPS)
+def test_only_bitwise_ops_of_in_range_operands_drop_their_wrap(op):
+    # Loaded operands are in range: ``and``/``or``/``xor`` are closed
+    # there, ``add``/``sub``/``mul`` overflow at the extremes.
+    module = Module()
+    f = module.add_function("op", I64, [I64, I64], ["a", "b"])
+    b = IRBuilder(f.add_block("entry"))
+    b.ret(getattr(b, op)(*_loaded(b, f, 2)))
+    assert _wraps(module, "op") == (0 if op in ("and_", "or_", "xor") else 1)
+    for x in _operands(64):
+        for y in _operands(64):
+            _agree(module, "op", [x, y])
+
+
+@pytest.mark.parametrize("op", _BINOPS)
+def test_an_argument_of_unknown_range_keeps_every_wrap(op):
+    # An argument may hold any int: ``and`` with a negative constant
+    # keeps its high bits, so the result still wraps.
+    module = Module()
+    f = module.add_function("op", I64, [I64], ["a"])
+    b = IRBuilder(f.add_block("entry"))
+    b.ret(getattr(b, op)(f.args[0], -8))
+    assert _wraps(module, "op") == 1
+    for x in (MAX64 + 1, (1 << 64) + 5, MIN64 - 9, -(1 << 70)):
+        _agree(module, "op", [x])
+
+
+@pytest.mark.parametrize("op", ["sdiv", "srem"])
+def test_srem_of_in_range_operands_drops_its_wrap_and_sdiv_keeps_it(op):
+    module = Module()
+    f = module.add_function("div", I64, [I64, I64], ["a", "b"])
+    b = IRBuilder(f.add_block("entry"))
+    b.ret(getattr(b, op)(*_loaded(b, f, 2)))
+    assert _wraps(module, "div") == (1 if op == "sdiv" else 0)
+    # Only the stores of the two arguments convert.
+    assert decode_module(module).functions["div"].source.count("int(") == 2
+    want = MIN64 if op == "sdiv" else 0
+    assert _agree(module, "div", [MIN64, -1]) == ("value", want)
+    for x in _operands(64):
+        for y in _operands(64):
+            _agree(module, "div", [x, y])
+
+
+def _bounded_add(pred: str, step: int, *, true_edge: bool = True, join: bool = False):
+    """``@bump(x, b)``: ``x + step`` where ``x <pred> b`` sent the branch
+    (the true edge, or with ``true_edge=False`` the false one), both
+    loaded; the other edge returns 0.  With ``join`` a ``b`` of 0 enters
+    the add's block past the test."""
+    module = Module()
+    f = module.add_function("bump", I64, [I64, I64], ["x", "b"])
+    entry, test = f.add_block("entry"), f.add_block("test")
+    body, out = f.add_block("body"), f.add_block("out")
+    b = IRBuilder(entry)
+    x, bound = _loaded(b, f, 2)
+    if join:
+        past = f.add_block("past")
+        b.condbr(b.icmp("eq", bound, 0), past, test)
+        b.set_block(past)
+    b.br(test if not join else body)
+    b.set_block(test)
+    c = b.icmp(pred, x, bound)
+    b.condbr(c, *((body, out) if true_edge else (out, body)))
+    b.set_block(body)
+    b.ret(b.add(x, step))
+    b.set_block(out)
+    b.ret(0)
+    return module
+
+
+def test_x_plus_one_under_x_below_the_maximum_drops_its_wrap():
+    module = _bounded_add("slt", 1)
+    assert _wraps(module, "bump") == 0
+    assert _agree(module, "bump", [MAX64 - 1, MAX64]) == ("value", MAX64)
+    assert _agree(module, "bump", [MAX64, MAX64]) == ("value", 0)
+    assert _agree(module, "bump", [MIN64, MIN64 + 1]) == ("value", MIN64 + 1)
+
+
+@pytest.mark.parametrize("case", ["step 2", "sle", "false edge", "join"])
+def test_x_plus_c_keeps_its_wrap_unless_the_bound_covers_it(case):
+    # Each program reaches ``x + c`` with x = INT64_MAX - 1 or INT64_MAX,
+    # where the sum overflows.
+    module = {
+        "step 2": lambda: _bounded_add("slt", 2),
+        "sle": lambda: _bounded_add("sle", 1),
+        "false edge": lambda: _bounded_add("slt", 1, true_edge=False),
+        "join": lambda: _bounded_add("slt", 1, join=True),
+    }[case]()
+    assert _wraps(module, "bump") == 1
+    x, bound = {"step 2": (MAX64 - 1, MAX64), "sle": (MAX64, MAX64),
+                "false edge": (MAX64, MAX64), "join": (MAX64, 0)}[case]
+    assert _agree(module, "bump", [x, bound]) == ("value", MIN64)
+
+
+def test_a_branch_back_to_the_entry_bounds_nothing():
+    # The entry block runs first without the back edge: ``x + 1`` in it
+    # overflows on the first pass, before ``x < 0`` is ever tested.
+    module = Module()
+    module.add_global("cell", 8)
+    init = module.add_function("init", VOID, [I64], ["v"])
+    b = IRBuilder(init.add_block("entry"))
+    b.store(init.args[0], b.call(PTR, "global_addr.cell"))
+    b.ret()
+    f = module.add_function("main", I64)
+    entry, exit_ = f.add_block("entry"), f.add_block("exit")
+    b = IRBuilder(entry)
+    cell = b.call(PTR, "global_addr.cell")
+    x = b.load(I64, cell)
+    y = b.add(x, 1)
+    b.store(y, cell)
+    b.condbr(b.icmp("slt", x, 0), entry, exit_)
+    b.set_block(exit_)
+    b.ret(y)
+    assert _wraps(module, "main") == 1
+    runs = {}
+    for engine in ENGINES:
+        runtime = far_runtime()
+        program = TrackFMProgram(module, runtime, engine=engine)
+        program.run("init", [MAX64])
+        result = program.run("main")
+        runs[engine] = (result.value, result.steps, runtime.metrics.as_dict())
+    assert runs["decoded"] == runs["legacy"]
+    assert runs["legacy"][0] == MIN64
+
+
+def test_a_float_reaching_an_integer_store_through_a_phi_is_converted():
+    # ``v`` is an argument, so the phi may hold a float: the store
+    # converts it with ``int()`` as the legacy engine does.
+    module = Module()
+    f = module.add_function("put", I64, [I64], ["v"])
+    entry, loop, exit_ = f.add_block("entry"), f.add_block("loop"), f.add_block("exit")
+    b = IRBuilder(entry)
+    slot = b.alloca(16)
+    b.br(loop)
+    b.set_block(loop)
+    x, i = b.phi(I64, "x"), b.phi(I64, "i")
+    b.store(x, b.gep(slot, i, 8))
+    i2 = b.add(i, 1)
+    b.condbr(b.icmp("slt", i2, 2), loop, exit_)
+    for phi, start, again in ((x, f.args[0], Constant(I64, 7)), (i, Constant(I64, 0), i2)):
+        phi.add_incoming(start, entry)
+        phi.add_incoming(again, loop)
+    b.set_block(exit_)
+    b.ret(b.add(b.load(I64, slot), b.load(I64, b.gep(slot, 1, 8))))
+    source = decode_module(module).functions["put"].source
+    assert source.count("int(") == 1
+    assert _agree(module, "put", [2.5]) == ("value", 9)
+    assert _agree(module, "put", [MAX64 + 3]) == ("value", MIN64 + 9)

@@ -34,19 +34,22 @@ CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_heap_programs_agree_across_engines_and_runtimes(seed):
+def agree_across_engines_and_runtimes(seed: int, mode: str) -> None:
+    """The ``generate_module(seed, <mode>=True)`` program, raw and as
+    :data:`CONFIGS` compile it, agrees between the engines on every far
+    runtime, and every compiled value is the raw one."""
+    program = {mode: True}
+    again = f"reproduce with tests.irgen.generate_module({seed}, {mode}=True)"
     raw = {}
     for engine in ("legacy", "decoded"):
-        result = Interpreter(generate_module(seed, heap=True), engine=engine).run("main")
+        result = Interpreter(generate_module(seed, **program), engine=engine).run("main")
         raw[engine] = (result.value, result.steps, result.output)
     assert raw["decoded"] == raw["legacy"], (
-        f"seed {seed}: raw heap program differs between engines; reproduce "
-        f"with tests.irgen.generate_module({seed}, heap=True)"
+        f"seed {seed}: raw {mode} program differs between engines; {again}"
     )
     expected = raw["legacy"][0]
     for name, config in CONFIGS.items():
-        module = TrackFMCompiler(config).compile(generate_module(seed, heap=True)).module
+        module = TrackFMCompiler(config).compile(generate_module(seed, **program)).module
         for kind in FAR_RUNTIMES:
             runs = {}
             for engine in ("legacy", "decoded"):
@@ -54,25 +57,25 @@ def test_heap_programs_agree_across_engines_and_runtimes(seed):
                 result = TrackFMProgram(module, runtime, engine=engine).run("main")
                 runs[engine] = (result.value, result.steps, result.output) + _far_state(runtime)
             assert runs["decoded"] == runs["legacy"], (
-                f"seed {seed}: {name} heap program on the {kind} runtime differs "
-                f"between engines; reproduce with "
-                f"tests.irgen.generate_module({seed}, heap=True)"
+                f"seed {seed}: {name} {mode} program on the {kind} runtime differs "
+                f"between engines; {again}"
             )
             assert runs["legacy"][0] == expected, (
-                f"seed {seed}: {name} heap program on the {kind} runtime returned "
+                f"seed {seed}: {name} {mode} program on the {kind} runtime returned "
                 f"{runs['legacy'][0]}, the raw program {expected}"
             )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_heap_programs_stop_both_engines_at_the_same_op(seed):
-    # Limits of 1, total - 1, total and 5 drawn ones, on the raw module
-    # and on the chunk-all module on the CLOCK runtime.
+def stop_both_engines_at_the_same_op(seed: int, mode: str) -> None:
+    """Limits of 1, total - 1, total and 5 drawn ones stop both engines
+    at the same op, on the raw ``generate_module(seed, <mode>=True)``
+    program and on its chunk-all module on the CLOCK runtime."""
+    program = {mode: True}
     chunked = TrackFMCompiler(CONFIGS["chunk-all compiled"]).compile(
-        generate_module(seed, heap=True)
+        generate_module(seed, **program)
     ).module
     for name, module, far in (
-        ("raw", generate_module(seed, heap=True), None),
+        ("raw", generate_module(seed, **program), None),
         ("chunk-all compiled on clock", chunked, "clock"),
     ):
         total = _limited_run(module, far, seed, "legacy", 5_000_000)[1]
@@ -82,7 +85,17 @@ def test_heap_programs_stop_both_engines_at_the_same_op(seed):
             legacy = _limited_run(module, far, seed, "legacy", limit)
             decoded = _limited_run(module, far, seed, "decoded", limit)
             assert decoded == legacy, (
-                f"seed {seed}: {name} heap program at max_steps={limit} differs "
+                f"seed {seed}: {name} {mode} program at max_steps={limit} differs "
                 f"between engines; reproduce with "
-                f"tests.irgen.generate_module({seed}, heap=True)"
+                f"tests.irgen.generate_module({seed}, {mode}=True)"
             )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_heap_programs_agree_across_engines_and_runtimes(seed):
+    agree_across_engines_and_runtimes(seed, "heap")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_heap_programs_stop_both_engines_at_the_same_op(seed):
+    stop_both_engines_at_the_same_op(seed, "heap")

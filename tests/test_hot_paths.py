@@ -60,6 +60,7 @@ from repro.serve.cluster import ClusterConfig, RequestResult, Shard, ShardedClus
 from repro.serve.replication import ReplicaTag
 from repro.serve.simulation import ServingSimulation
 from repro.serve.traffic import Schedule, TrafficConfig, generate_schedule
+from repro.sim.decode import decode_module
 from repro.sim.irrun import TrackFMProgram
 from repro.sim.memory import AddressSpace
 from repro.sim.residency import AccessOutcome, ResidencySet
@@ -511,6 +512,27 @@ def test_nas_region_lookup_budget(monkeypatch):
                                  engine="decoded")
         assert program.run("main").value == nas.expected[kernel]
     assert lookups <= NAS_REGION_LOOKUPS
+
+
+#: Overflow-wrap tests and ``int(`` conversions in the generated source of
+#: the benchmark's five compiled NAS kernels.  There were 61 and 24 before
+#: the value facts (``repro.sim.facts``): a seed-1 ``nas`` rep executed
+#: 0.307 wrap tests and 0.124 conversions per IR step.
+NAS_GENERATED_WRAPS = 29
+NAS_GENERATED_INTS = 0
+
+
+def test_nas_generated_wrap_and_conversion_budget():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "host"))
+    from workloads import OBJECT_SIZE, Nas
+
+    wraps = ints = 0
+    for _kernel, module in Nas(seed=1).prepare():
+        compiled = TrackFMCompiler(CompilerConfig(object_size=OBJECT_SIZE)).compile(module)
+        for df in decode_module(compiled.module).functions.values():
+            wraps += sum(line.lstrip().startswith("if not -") for line in df.source.splitlines())
+            ints += df.source.count("int(")
+    assert wraps <= NAS_GENERATED_WRAPS and ints <= NAS_GENERATED_INTS, (wraps, ints)
 
 
 # -- splitmix64 ---------------------------------------------------------------

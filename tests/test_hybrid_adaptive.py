@@ -24,20 +24,17 @@ each direction, and everything replays bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import pytest
 
 from repro.aifm.pool import PoolConfig
-from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
 from repro.hybrid.placement import Placement
 from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.hybrid.selector import SelectorConfig
 from repro.integrity import RecordKind
 from repro.machine.costs import AccessKind
+from repro.sim.replay import replay, replay_runtime
 from repro.trace.drivers import (
     ARRAY_BYTES,
-    ELEM,
     HEAP,
     OBJECT_LOCAL,
     OBJECT_SIZE,
@@ -88,39 +85,19 @@ def _streams() -> dict:
     }
 
 
-def _checksum_replay(access, stream: Iterator[Tuple[int, AccessKind]]) -> int:
-    checksum = 0
-    for offset, kind in stream:
-        access(offset, kind)
-        checksum = (checksum * 31 + offset + 1) & 0xFFFFFFFF
-    return checksum
-
-
 def _object_tier(arena: int):
-    rt = TrackFMRuntime(
-        PoolConfig(object_size=OBJECT_SIZE, local_memory=OBJECT_LOCAL, heap_size=HEAP)
-    )
-    base = rt.tfm_malloc(arena)
-    return rt, lambda off, kind: rt.access(base + off, kind, size=ELEM)
+    return replay_runtime("trackfm", OBJECT_LOCAL, HEAP, arena, OBJECT_SIZE)
 
 
 def _page_tier(arena: int):
-    rt = FastswapRuntime(FastswapConfig(local_memory=PAGE_LOCAL, heap_size=HEAP))
-    rt.allocate(arena)
-    return rt, lambda off, kind: rt.access(off, kind, size=ELEM)
+    return replay_runtime("fastswap", PAGE_LOCAL, HEAP, arena, OBJECT_SIZE)
 
 
-def _adaptive(arena: int, **overrides):
-    rt = AdaptiveHybridRuntime(
-        local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-        heap_size=HEAP,
-        object_size=OBJECT_SIZE,
-        epoch_accesses=overrides.pop("epoch_accesses", 128),
-        selector_config=overrides.pop("selector_config", TIGHT),
-        **overrides,
+def _adaptive(arena: int, epoch_accesses: int = 128):
+    return replay_runtime(
+        "adaptive", OBJECT_LOCAL + PAGE_LOCAL, HEAP, arena, OBJECT_SIZE,
+        epoch_accesses=epoch_accesses, selector_config=TIGHT,
     )
-    base = rt.tfm_malloc(arena)
-    return rt, lambda off, kind: rt.access(base + off, kind, size=ELEM)
 
 
 class TestReplayDifferential:
@@ -132,9 +109,9 @@ class TestReplayDifferential:
         obj_rt, obj_access = _object_tier(arena)
         page_rt, page_access = _page_tier(arena)
         ada_rt, ada_access = _adaptive(arena)
-        obj_sum = _checksum_replay(obj_access, stream())
-        page_sum = _checksum_replay(page_access, stream())
-        ada_sum = _checksum_replay(ada_access, stream())
+        obj_sum = replay(obj_access, stream())
+        page_sum = replay(page_access, stream())
+        ada_sum = replay(ada_access, stream())
         assert ada_sum == obj_sum == page_sum
         # All three replays paid real far-memory traffic.
         assert obj_rt.metrics.remote_fetches > 0
@@ -210,7 +187,7 @@ class TestMigrationAccounting:
         rt, access = _adaptive(
             PHASE.arena_bytes, epoch_accesses=overrides.pop("epoch_accesses", 64)
         )
-        checksum = _checksum_replay(access, PHASE.accesses())
+        checksum = replay(access, PHASE.accesses())
         return rt, checksum
 
     def test_counters_equal_decision_flips_exactly(self):
@@ -290,16 +267,12 @@ class TestStaticEquivalence:
         # The default split hands the object tier exactly OBJECT_LOCAL
         # bytes (page tier takes max(BASE_PAGE, half) = PAGE_LOCAL), so
         # the frozen hybrid and the static runtime are configured alike.
-        frozen = AdaptiveHybridRuntime(
-            local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-            heap_size=HEAP,
-            object_size=OBJECT_SIZE,
+        frozen, frozen_access = replay_runtime(
+            "adaptive", OBJECT_LOCAL + PAGE_LOCAL, HEAP, arena, OBJECT_SIZE,
             adaptive=False,
         )
-        base = frozen.tfm_malloc(arena)
-        frozen_access = lambda off, kind: frozen.access(base + off, kind, size=ELEM)
-        static_sum = _checksum_replay(static_access, stream())
-        frozen_sum = _checksum_replay(frozen_access, stream())
+        static_sum = replay(static_access, stream())
+        frozen_sum = replay(frozen_access, stream())
         assert frozen_sum == static_sum
         assert frozen.metrics.cycles == static_rt.metrics.cycles
         assert frozen.metrics.as_dict() == static_rt.metrics.as_dict()

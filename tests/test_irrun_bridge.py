@@ -148,8 +148,10 @@ class TestChunkIntrinsics:
             return Constant(I64, 0)
 
         rt = make_runtime()
+        calls = []
+        rt.initialize = lambda: calls.append("init")
         TrackFMProgram(build(body), rt).run("main")
-        assert rt.initialized
+        assert calls == ["init"]
 
     def test_chunk_deref_custody_miss_passthrough(self):
         def body(b):
